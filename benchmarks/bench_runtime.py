@@ -5,8 +5,8 @@ at 4 / 8 / 16 clients under the serial, process-pool and thread-pool
 executors (:mod:`repro.runtime`), a latency-overlap probe that isolates the
 runtime's ability to overlap blocked time from the machine's core count,
 and a *transport-bytes* probe that counts what actually crosses the task
-pipe per round on each transport.  Results land in ``BENCH_runtime.json``
-at the repository root so future PRs have a trajectory to compare against.
+pipe per round.  Results land in ``BENCH_runtime.json`` at the repository
+root so future PRs have a trajectory to compare against.
 
 Interpreting the numbers:
 
@@ -21,14 +21,12 @@ Interpreting the numbers:
   scheduling overlap and reaches ~min(workers, tasks)x on any machine,
   which is the regime a real federated deployment (remote devices, network
   round-trips) lives in.
-* ``transport_bytes_per_round`` -- pickled bytes per steady-state round on
-  the legacy payload transport (whole clients + state dicts re-shipped
-  every round) versus the resident transport (clients installed once,
-  rounds ship refs + seeds, parameters ride shared memory).  This is
-  deterministic and core-count independent: the copy elimination is
-  visible even on a 1-core container.
-* ``transport_bytes_float32`` -- shared-memory parameter bytes a resident
-  round rewrites with a float64 detector versus a float32 one.  The round
+* ``transport_bytes_per_round`` -- pickled bytes per steady-state round
+  (clients installed once, rounds ship refs + seeds, parameters ride
+  shared memory) next to the one-time install bytes.  This is
+  deterministic and core-count independent.
+* ``transport_bytes_float32`` -- shared-memory parameter bytes a round
+  rewrites with a float64 detector versus a float32 one.  The round
   buffers are allocated in the model's dtype (``docs/precision.md``), so
   this is deterministically ~2x and core-count independent.
 
@@ -75,7 +73,6 @@ TRANSPORT_ROUNDS = 2
 
 #: What the measured configurations ship per round (recorded in entries).
 RESIDENT_TRANSPORT = "resident (refs + seeds; params via shared memory)"
-PAYLOAD_TRANSPORT = "payload (clients + state dicts re-pickled per round)"
 
 
 def _sleep_task(seconds: float) -> float:
@@ -108,6 +105,10 @@ class _MeteredExecutor(Executor):
     def reset(self) -> None:
         self.payload_bytes = 0
         self.result_bytes = 0
+
+    def pipe_bytes_per_round(self, rounds: int) -> int:
+        """Pickled task + result bytes per round since the last reset."""
+        return int((self.payload_bytes + self.result_bytes) / rounds)
 
     def map(self, fn, payloads):
         payloads = list(payloads)
@@ -234,44 +235,39 @@ def measure_latency_overlap() -> dict:
     }
 
 
+def _metered_rounds(n_clients: int, rounds: int, dtype: str = "float64") -> _MeteredExecutor:
+    """A warm-up round plus ``rounds`` metered rounds over a real process pool.
+
+    The pool is real, so the refs measured are the shared-memory ones, not
+    the in-process identity refs.  The warm-up round carries the one-time
+    installs and allocates the round buffers; the pipe counters are reset
+    after it, so they cover the steady-state rounds only.
+    """
+    clients, model_fn = _make_clients(n_clients, ROWS_PER_CLIENT, seed=11, dtype=dtype)
+    meter = _MeteredExecutor(ProcessExecutor(max_workers=2))
+    server = FederatedServer(model_fn, clients, seed=11, executor=meter)
+    try:
+        server.run_round()
+        meter.reset()
+        for _ in range(rounds):
+            server.run_round()
+    finally:
+        server.close()
+    return meter
+
+
 def measure_transport_bytes(
     n_clients: int = TRANSPORT_CLIENTS, rounds: int = TRANSPORT_ROUNDS
 ) -> dict:
-    """Pickled bytes per steady-state round, payload vs resident transport.
-
-    Both transports run over a real (metered) process pool, so the resident
-    refs measured here are the shared-memory ones, not the in-process
-    identity refs.  The first round is excluded: it carries the one-time
-    installs (counted separately as ``resident_install_bytes``).
-    """
-
-    def run(transport: str) -> tuple[float, int]:
-        clients, model_fn = _make_clients(n_clients, ROWS_PER_CLIENT, seed=11)
-        meter = _MeteredExecutor(ProcessExecutor(max_workers=2))
-        server = FederatedServer(
-            model_fn, clients, seed=11, executor=meter, transport=transport
-        )
-        try:
-            server.run_round()  # install + warm-up round
-            meter.reset()
-            for _ in range(rounds):
-                server.run_round()
-            per_round = (meter.payload_bytes + meter.result_bytes) / rounds
-            return per_round, meter.install_bytes
-        finally:
-            server.close()
-
-    payload_per_round, _ = run("payload")
-    resident_per_round, install_bytes = run("resident")
+    """Pickled bytes per steady-state round, plus the one-time install bytes."""
+    meter = _metered_rounds(n_clients, rounds)
     return {
         "clients": n_clients,
         "rows_per_client": ROWS_PER_CLIENT,
         "rounds_measured": rounds,
-        "legacy_payload_bytes_per_round": int(payload_per_round),
-        "resident_delta_bytes_per_round": int(resident_per_round),
-        "resident_install_bytes": install_bytes,
-        "reduction": round(payload_per_round / resident_per_round, 1),
-        "transport": f"{PAYLOAD_TRANSPORT} vs {RESIDENT_TRANSPORT}",
+        "resident_delta_bytes_per_round": meter.pipe_bytes_per_round(rounds),
+        "resident_install_bytes": meter.install_bytes,
+        "transport": RESIDENT_TRANSPORT,
         "cpu_count": default_worker_count(),
     }
 
@@ -279,49 +275,27 @@ def measure_transport_bytes(
 def measure_dtype_transport(
     n_clients: int = TRANSPORT_CLIENTS, rounds: int = TRANSPORT_ROUNDS
 ) -> dict:
-    """Bytes a resident federated round moves at float64 vs float32.
+    """Bytes a federated round moves at float64 vs float32.
 
     Runs the same detector federation twice -- once with a float64
-    :class:`DetectorFactory`, once float32 -- over a metered process pool on
-    the resident transport.  The dominant per-round traffic is the broadcast
-    vector plus the ``(clients, dim)`` update matrix riding shared memory;
-    both are allocated in the model's dtype, so the float32 run maps (and
-    rewrites each round) half the parameter bytes.  Pipe bytes (refs, seeds,
-    metric floats) are dtype-independent and reported for completeness.
+    :class:`DetectorFactory`, once float32 -- over a metered process pool.
+    The dominant per-round traffic is the broadcast vector plus the
+    ``(clients, dim)`` update matrix riding shared memory; both are
+    allocated in the model's dtype, so the float32 run maps (and rewrites
+    each round) half the parameter bytes.  Pipe bytes (refs, seeds, metric
+    floats) are dtype-independent and reported for completeness.
     """
-
-    def run(dtype: str) -> dict[str, int]:
-        clients, model_fn = _make_clients(n_clients, ROWS_PER_CLIENT, seed=11, dtype=dtype)
-        meter = _MeteredExecutor(ProcessExecutor(max_workers=2))
-        server = FederatedServer(
-            model_fn, clients, seed=11, executor=meter, transport="resident"
-        )
-        try:
-            server.run_round()  # install + warm-up: allocates the round buffers
-            shared = meter.shared_bytes
-            meter.reset()
-            for _ in range(rounds):
-                server.run_round()
-            pipe = (meter.payload_bytes + meter.result_bytes) / rounds
-            return {"shared_param_bytes_per_round": int(shared), "pipe_bytes_per_round": int(pipe)}
-        finally:
-            server.close()
-
-    float64 = run("float64")
-    float32 = run("float32")
+    float64 = _metered_rounds(n_clients, rounds, "float64")
+    float32 = _metered_rounds(n_clients, rounds, "float32")
     return {
         "clients": n_clients,
         "rows_per_client": ROWS_PER_CLIENT,
         "rounds_measured": rounds,
-        "float64_param_bytes_per_round": float64["shared_param_bytes_per_round"],
-        "float32_param_bytes_per_round": float32["shared_param_bytes_per_round"],
-        "float64_pipe_bytes_per_round": float64["pipe_bytes_per_round"],
-        "float32_pipe_bytes_per_round": float32["pipe_bytes_per_round"],
-        "reduction": round(
-            float64["shared_param_bytes_per_round"]
-            / float32["shared_param_bytes_per_round"],
-            2,
-        ),
+        "float64_param_bytes_per_round": float64.shared_bytes,
+        "float32_param_bytes_per_round": float32.shared_bytes,
+        "float64_pipe_bytes_per_round": float64.pipe_bytes_per_round(rounds),
+        "float32_pipe_bytes_per_round": float32.pipe_bytes_per_round(rounds),
+        "reduction": round(float64.shared_bytes / float32.shared_bytes, 2),
         "transport": RESIDENT_TRANSPORT,
         "cpu_count": default_worker_count(),
     }
@@ -363,10 +337,10 @@ def run_runtime_bench(
             "entry records its cpu_count and the smoke gate only compares "
             "them on a matching runner. latency_overlap isolates "
             "scheduling overlap with blocked work units and is core-count "
-            "independent. transport_bytes_per_round is deterministic: it "
-            "shows the resident transport cutting per-round pickling to "
-            "refs + seeds + metric floats, with parameters riding shared "
-            "memory instead of the task pipe."
+            "independent. transport_bytes_per_round is deterministic: a "
+            "steady-state round pickles only refs + seeds + metric floats, "
+            "with parameters riding shared memory instead of the task pipe; "
+            "the clients' partitions cross once, as install bytes."
         ),
     }
 
@@ -403,9 +377,8 @@ def format_results(document: dict) -> str:
             )
         else:
             lines.append(
-                f"  {name:28s} payload {entry['legacy_payload_bytes_per_round']:,} B/round"
-                f" -> resident {entry['resident_delta_bytes_per_round']:,} B/round"
-                f"  ({entry['reduction']}x less, {entry['clients']} clients;"
+                f"  {name:28s} {entry['resident_delta_bytes_per_round']:,} B/round"
+                f"  ({entry['clients']} clients;"
                 f" one-time install {entry['resident_install_bytes']:,} B)"
             )
     return "\n".join(lines)

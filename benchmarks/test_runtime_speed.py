@@ -8,8 +8,8 @@ Runs a reduced version of :mod:`benchmarks.bench_runtime` and checks the
 * the latency-overlap probe (blocked work units) actually overlaps -- this
   holds on any machine, single-core included, because sleeping workers
   consume no CPU;
-* the transport-bytes probe shows the resident transport shipping orders
-  of magnitude fewer bytes per round than the legacy payload transport --
+* the transport-bytes probe shows a steady-state round shipping orders of
+  magnitude fewer pipe bytes than the one-time client installs --
   deterministic on any machine.
 
 Absolute CPU-bound speedups are hardware-bound (cores), so like the rest of
@@ -42,10 +42,11 @@ def test_runtime_bench_document_structure_and_overlap():
     assert overlap["speedup"] > 1.3
 
     transport = metrics["transport_bytes_per_round"]
-    # The copy elimination is structural, not timing-bound: a resident
-    # round must ship at least 10x fewer bytes than a payload round.
-    assert transport["resident_delta_bytes_per_round"] > 0
-    assert transport["reduction"] >= 10
+    # The copy elimination is structural, not timing-bound: a steady-state
+    # round ships refs, seeds and metric floats -- at least 10x fewer bytes
+    # than installing the clients' partitions once.
+    delta = transport["resident_delta_bytes_per_round"]
+    assert 0 < 10 * delta <= transport["resident_install_bytes"]
     assert transport["cpu_count"] >= 1
 
     assert document["machine"]["cpus"] >= 1

@@ -80,6 +80,7 @@ class OCTGAN(KiNETGAN):
 
     def __init__(self, config: KiNETGANConfig | None = None, ode_steps: int = 3) -> None:
         config = config if config is not None else KiNETGANConfig()
+        config.require_float64(type(self).__name__)
         config = config.with_overrides(
             use_knowledge_discriminator=False,
             lambda_knowledge=0.0,

@@ -114,6 +114,7 @@ class PATEGAN(Synthesizer):
         if laplace_scale <= 0:
             raise ValueError("laplace_scale must be positive")
         self.config = config if config is not None else KiNETGANConfig()
+        self.config.require_float64(type(self).__name__)
         self.num_teachers = num_teachers
         self.laplace_scale = laplace_scale
         self.transformer: DataTransformer | None = None

@@ -124,6 +124,7 @@ class TableGAN(Synthesizer):
         class_weight: float = 1.0,
     ) -> None:
         base = config if config is not None else KiNETGANConfig()
+        base.require_float64(type(self).__name__)
         # TableGAN scales continuous features to [-1, 1] rather than using
         # mode-specific normalisation.
         self.config = base.with_overrides(continuous_encoding="minmax")

@@ -113,6 +113,7 @@ class TVAE(Synthesizer):
         kl_weight: float = 1.0,
     ) -> None:
         self.config = config if config is not None else KiNETGANConfig()
+        self.config.require_float64(type(self).__name__)
         self.latent_dim = latent_dim
         self.kl_weight = kl_weight
         self.transformer: DataTransformer | None = None

@@ -144,29 +144,35 @@ def _make_config(args: argparse.Namespace) -> KiNETGANConfig:
 
 
 def _fit_model(name: str, bundle, args: argparse.Namespace):
-    """Fit the requested synthesizer on the bundle's training table."""
+    """Build the requested synthesizer, then fit it on the training table.
+
+    The model is built before any training starts, so a config it cannot
+    honour (``--dtype float32`` on a float64-only baseline) ends the
+    command with the constructor's one-line message.
+    """
     config = _make_config(args)
+    builders = {
+        "kinetgan": lambda: KiNETGAN(config),
+        "ctgan": lambda: CTGAN(config),
+        "octgan": lambda: OCTGAN(config),
+        "tvae": lambda: TVAE(config),
+        "tablegan": lambda: TableGAN(config, label_column=bundle.label_column),
+        "pategan": lambda: PATEGAN(config, num_teachers=3),
+        "independent": lambda: IndependentSampler(seed=args.seed),
+    }
+    try:
+        model = builders[name]()
+    except ValueError as error:
+        raise SystemExit(f"repro {args.command}: {error}") from None
+    fit_kwargs: dict = {}
+    if name in ("kinetgan", "ctgan", "octgan"):
+        fit_kwargs["condition_columns"] = bundle.condition_columns
     if name == "kinetgan":
-        model = KiNETGAN(config)
-        model.fit(
-            args.train_table,
-            catalog=bundle.catalog,
-            condition_columns=bundle.condition_columns,
-        )
-        return model
-    if name == "ctgan":
-        return CTGAN(config).fit(args.train_table, condition_columns=bundle.condition_columns)
-    if name == "octgan":
-        return OCTGAN(config).fit(args.train_table, condition_columns=bundle.condition_columns)
-    if name == "tvae":
-        return TVAE(config).fit(args.train_table)
-    if name == "tablegan":
-        return TableGAN(config, label_column=bundle.label_column).fit(args.train_table)
-    if name == "pategan":
-        return PATEGAN(config, num_teachers=3).fit(args.train_table)
-    if name == "independent":
-        return IndependentSampler(seed=args.seed).fit(args.train_table)
-    raise ValueError(f"unknown model {name!r}")
+        fit_kwargs["catalog"] = bundle.catalog
+    train = args.train_table
+    print(f"Training {name} on {train.n_rows} rows of {args.dataset!r} "
+          f"({args.epochs} epochs) ...")
+    return model.fit(train, **fit_kwargs)
 
 
 def _load_split(args: argparse.Namespace):
@@ -196,8 +202,6 @@ def cmd_datasets(_: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     bundle, train, _test = _load_split(args)
-    print(f"Training {args.model} on {train.n_rows} rows of {args.dataset!r} "
-          f"({args.epochs} epochs) ...")
     model = _fit_model(args.model, bundle, args)
     rng = sampling_rng(args.seed)
     synthetic = model.sample(args.samples or train.n_rows, rng=rng)
@@ -219,8 +223,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_save(args: argparse.Namespace) -> int:
     bundle, train, _test = _load_split(args)
-    print(f"Training {args.model} on {train.n_rows} rows of {args.dataset!r} "
-          f"({args.epochs} epochs) ...")
     model = _fit_model(args.model, bundle, args)
     artifact = save_model(
         model,
@@ -382,8 +384,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     bundle, train, test = _load_split(args)
-    print(f"Training {args.model} on {train.n_rows} rows of {args.dataset!r} "
-          f"({args.epochs} epochs) ...")
     model = _fit_model(args.model, bundle, args)
     rng = sampling_rng(args.seed)
     synthetic = model.sample(train.n_rows, rng=rng)

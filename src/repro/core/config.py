@@ -150,6 +150,19 @@ class KiNETGANConfig:
         """The configured dtype as a numpy dtype object."""
         return np.dtype(self.dtype)
 
+    def require_float64(self, model_name: str) -> None:
+        """Reject a non-float64 ``dtype`` for a model that ignores the knob.
+
+        Some baselines always build float64 networks; they call this in
+        their constructors so a float32 config fails loudly instead of
+        silently training in float64.
+        """
+        if self.dtype != "float64":
+            raise ValueError(
+                f"{model_name} builds float64 networks only; dtype={self.dtype!r} is not "
+                "supported (KiNETGAN and CTGAN honour float32)"
+            )
+
     def engine_callbacks(self, **overrides) -> list:
         """The standard engine callback stack implied by this config.
 

@@ -38,34 +38,17 @@ __all__ = ["SimulationResult", "DistributedNIDSSimulation"]
 
 
 @dataclass
-class _NodeTask:
+class _ResidentNodeTask:
     """Everything one device node does in a run, as one executor work unit.
 
     A node's pipeline (train the local detector, evaluate it, fit the local
     synthesizer, publish a synthetic share) is independent of every other
     node once its share seed is fixed, so the whole pipeline fans out as a
-    single task.  The share seed is a child sequence spawned by the
-    simulation in the parent process, which keeps serial and process-pool
-    runs bit-identical.  This is the legacy payload form: the node *and*
-    the common test table are re-pickled into every task.
-    """
-
-    node: DeviceNode
-    classifier: str
-    share_size: int | None
-    share_seed: np.random.SeedSequence
-    test: Table
-
-
-@dataclass
-class _ResidentNodeTask:
-    """The resident form of :class:`_NodeTask`: refs instead of payloads.
-
-    The node pipeline and the test table are installed into the execution
-    plane once (the test table in particular is shared by *every* node, so
-    the payload transport used to pickle it ``num_nodes`` times); the task
-    itself carries only refs, the classifier name, the share size and the
-    parent-spawned share seed.
+    single task.  The node pipeline and the test table (shared by *every*
+    node) are installed into the execution plane once; the task carries
+    only refs, the classifier name, the share size and the share seed -- a
+    child sequence spawned by the simulation in the parent process, which
+    keeps serial and pooled runs bit-identical.
     """
 
     node: StateRef
@@ -85,37 +68,18 @@ class _NodeResult:
     share: SyntheticShare
 
 
-def _run_node_pipeline(
-    node: DeviceNode,
-    classifier: str,
-    share_size: int | None,
-    share_seed: np.random.SeedSequence,
-    test: Table,
-) -> _NodeResult:
-    """Local detector + synthesizer + share for one node (any transport)."""
-    node.train_local_detector(classifier)
-    metrics = node.evaluate_local_detector(test)
+def _run_resident_node_task(task: _ResidentNodeTask) -> _NodeResult:
+    """Module-level worker: local detector + synthesizer + share for one node."""
+    node: DeviceNode = task.node.resolve()
+    node.train_local_detector(task.classifier)
+    metrics = node.evaluate_local_detector(task.test.resolve())
     node.fit_synthesizer()
-    share = node.produce_share(share_size, rng=np.random.default_rng(share_seed))
+    share = node.produce_share(task.share_size, rng=np.random.default_rng(task.share_seed))
     return _NodeResult(
         node_id=node.node_id,
         local_accuracy=metrics["accuracy"],
         local_f1=metrics["f1"],
         share=share,
-    )
-
-
-def _run_node_task(task: _NodeTask) -> _NodeResult:
-    """Module-level worker for the legacy payload transport."""
-    return _run_node_pipeline(
-        task.node, task.classifier, task.share_size, task.share_seed, task.test
-    )
-
-
-def _run_resident_node_task(task: _ResidentNodeTask) -> _NodeResult:
-    """Module-level worker for the resident transport."""
-    return _run_node_pipeline(
-        task.node.resolve(), task.classifier, task.share_size, task.share_seed, task.test.resolve()
     )
 
 
@@ -160,7 +124,6 @@ class DistributedNIDSSimulation:
         test_fraction: float = 0.25,
         seed: int = 0,
         executor: Executor | str | int | None = None,
-        transport: str = "resident",
         min_nodes: int = 1,
         task_timeout: float | None = None,
         task_retries: int = 0,
@@ -183,14 +146,10 @@ class DistributedNIDSSimulation:
             ``None``/``"serial"`` (default) runs nodes back-to-back in
             process; ``N > 1`` / ``"process[:N]"`` fans the per-node
             pipelines out over a process pool and ``"thread[:N]"`` over a
-            thread pool (:func:`repro.runtime.resolve_executor`).  Seeded
+            thread pool (:func:`repro.runtime.resolve_executor`).  The node
+            pipelines and the shared test table are installed into the
+            execution plane once and dispatched as ref-only tasks.  Seeded
             results are bit-identical in every case.
-        transport:
-            ``"resident"`` (default) installs the node pipelines and the
-            shared test table into the execution plane once and dispatches
-            ref-only tasks; ``"payload"`` re-pickles node + test table into
-            every task (the pre-resident reference transport).  Seeded
-            results are bit-identical on either transport.
         min_nodes:
             Quorum: how many node pipelines must survive (after
             ``task_retries`` replays under the ``task_timeout`` deadline)
@@ -205,8 +164,6 @@ class DistributedNIDSSimulation:
             raise ValueError("min_nodes must be at least 1")
         if task_retries < 0:
             raise ValueError("task_retries must be non-negative")
-        if transport not in ("resident", "payload"):
-            raise ValueError(f"unknown transport {transport!r}; options: ('resident', 'payload')")
         if not 0.0 <= non_iid_skew < 1.0:
             raise ValueError("non_iid_skew must be in [0, 1)")
         self.bundle = bundle
@@ -218,7 +175,6 @@ class DistributedNIDSSimulation:
         self.test_fraction = test_fraction
         self.seed = seed
         self.executor = resolve_executor(executor)
-        self.transport = transport
         self.min_nodes = min_nodes
         self.task_timeout = task_timeout
         self.task_retries = task_retries
@@ -288,43 +244,38 @@ class DistributedNIDSSimulation:
         # Every node's pipeline (local detector, synthesizer fit, synthetic
         # share) is one executor task; share seeds are spawned here, in the
         # parent, so the fan-out is deterministic under any executor.  The
-        # resident transport installs the pipelines and the shared test
-        # table once and ships ref-only tasks.
+        # pipelines and the shared test table are installed once and the
+        # tasks carry refs only.
         share_seeds = spawn_seeds(self.seed, len(nodes))
-        node_ids = [node.node_id for node in nodes]
-        if self.transport == "resident":
-            node_refs = [self.executor.install(node) for node in nodes]
-            test_ref = self.executor.install(test)
-            resident_tasks = [
-                _ResidentNodeTask(
-                    node=node_ref,
-                    classifier=self.classifier,
-                    share_size=share_size,
-                    share_seed=share_seed,
-                    test=test_ref,
-                )
-                for node_ref, share_seed in zip(node_refs, share_seeds)
-            ]
-            try:
-                survivors, failed_nodes = self._dispatch(
-                    _run_resident_node_task, resident_tasks, node_ids
-                )
-            finally:
-                for node_ref in node_refs:
-                    self.executor.evict(node_ref)
-                self.executor.evict(test_ref)
-        else:
-            tasks = [
-                _NodeTask(
-                    node=node,
-                    classifier=self.classifier,
-                    share_size=share_size,
-                    share_seed=share_seed,
-                    test=test,
-                )
-                for node, share_seed in zip(nodes, share_seeds)
-            ]
-            survivors, failed_nodes = self._dispatch(_run_node_task, tasks, node_ids)
+        node_refs = [self.executor.install(node) for node in nodes]
+        test_ref = self.executor.install(test)
+        tasks = [
+            _ResidentNodeTask(
+                node=node_ref,
+                classifier=self.classifier,
+                share_size=share_size,
+                share_seed=share_seed,
+                test=test_ref,
+            )
+            for node_ref, share_seed in zip(node_refs, share_seeds)
+        ]
+        try:
+            # Dead nodes are marked; fewer survivors than min_nodes raise.
+            survivors, failed_nodes = map_with_quorum(
+                self.executor,
+                _run_resident_node_task,
+                tasks,
+                [node.node_id for node in nodes],
+                min_survivors=self.min_nodes,
+                timeout=self.task_timeout,
+                retries=self.task_retries,
+                backoff=self.retry_backoff,
+                unit="node",
+            )
+        finally:
+            for node_ref in node_refs:
+                self.executor.evict(node_ref)
+            self.executor.evict(test_ref)
         results = [result for _, result in survivors]
 
         # Local-only baseline (dead nodes excluded from every aggregate).
@@ -365,22 +316,6 @@ class DistributedNIDSSimulation:
             per_node_local=per_node_local,
             share_validity=share_validity,
             failed_nodes=failed_nodes,
-        )
-
-    def _dispatch(
-        self, fn, tasks: list, node_ids: list[str]
-    ) -> tuple[list[tuple[int, _NodeResult]], list[str]]:
-        """Fan the node pipelines out; mark dead nodes, enforce the quorum."""
-        return map_with_quorum(
-            self.executor,
-            fn,
-            tasks,
-            node_ids,
-            min_survivors=self.min_nodes,
-            timeout=self.task_timeout,
-            retries=self.task_retries,
-            backoff=self.retry_backoff,
-            unit="node",
         )
 
     def _usable_condition_columns(self, part: Table) -> list[str]:

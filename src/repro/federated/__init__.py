@@ -22,12 +22,7 @@ from repro.federated.aggregation import (
     safe_mean,
     trimmed_mean_aggregate,
 )
-from repro.federated.client import (
-    ClientPayload,
-    ClientUpdate,
-    FederatedClient,
-    run_client_payload,
-)
+from repro.federated.client import ClientUpdate, FederatedClient
 from repro.federated.dp import DPFedAvgConfig, DPFedAvgMechanism
 from repro.federated.kinetgan import (
     FederatedKiNETGAN,
@@ -76,10 +71,8 @@ __all__ = [
     "SecureAggregationSession",
     "DPFedAvgConfig",
     "DPFedAvgMechanism",
-    "ClientPayload",
     "ClientUpdate",
     "FederatedClient",
-    "run_client_payload",
     "DetectorFactory",
     "FederatedRound",
     "FederatedHistory",

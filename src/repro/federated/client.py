@@ -12,27 +12,21 @@ shared :class:`repro.engine.TrainingEngine` -- the same loop machinery the
 synthesizers train on -- with the FedProx term injected through the step's
 ``grad_hook``.
 
-For the parallel runtime (:mod:`repro.runtime`) a round of local training
-is packaged one of two ways:
+For the parallel runtime (:mod:`repro.runtime`) the client -- its private
+partition and training config -- is installed into the execution plane
+*once* with :meth:`repro.runtime.Executor.install`, and each round ships
+only a :class:`ClientRoundTask` of refs plus the child
+:class:`~numpy.random.SeedSequence` spawned *in the parent* just before
+dispatch.  The broadcast global parameters arrive as a flattened
+:class:`~repro.federated.parameters.StateCodec` buffer in a shared array,
+and the worker writes its flattened update into its private row of the
+round's ``(clients, total_params)`` result matrix -- under the process
+executor both travel through :mod:`multiprocessing.shared_memory`, so a
+steady-state round pickles nothing but refs and a seed.
 
-* the **resident** path (default): the client -- its private partition and
-  training config -- is installed into the execution plane *once* with
-  :meth:`repro.runtime.Executor.install`, and each round ships only a
-  :class:`ClientRoundTask` of refs plus the child
-  :class:`~numpy.random.SeedSequence` spawned *in the parent* just before
-  dispatch.  The broadcast global parameters arrive as a flattened
-  :class:`~repro.federated.parameters.StateCodec` buffer in a shared array,
-  and the worker writes its flattened update into its private row of the
-  round's ``(clients, total_params)`` result matrix -- under the process
-  executor both travel through :mod:`multiprocessing.shared_memory`, so a
-  steady-state round pickles nothing but refs and a seed.
-* the **legacy payload** path: a :class:`ClientPayload` carrying the whole
-  client and the broadcast state, re-pickled every round (kept for the
-  parity suite and as the reference transport).
-
-``run_client_round`` / ``run_client_payload`` are the module-level
-functions a pool maps over; because the child seed is fixed at spawn time,
-serial, thread and process rounds are bit-identical on either path.
+``run_client_round`` is the module-level function a pool maps over;
+because the child seed is fixed at spawn time, serial, thread and process
+rounds are bit-identical.
 """
 
 from __future__ import annotations
@@ -51,10 +45,8 @@ from repro.runtime.state import BufferRef, StateRef
 
 __all__ = [
     "ClientUpdate",
-    "ClientPayload",
     "ClientRoundTask",
     "FederatedClient",
-    "run_client_payload",
     "run_client_round",
 ]
 
@@ -138,24 +130,13 @@ class FederatedClient:
         """Spawn the seed of the next local round (call in the parent only)."""
         return self._seed_sequence.spawn(1)[0]
 
-    def make_payload(self, global_state: StateDict) -> "ClientPayload":
-        """Package one round of local training for an executor.
-
-        The round seed is spawned here, in the calling (parent) process, so
-        dispatching the payload to a worker cannot change the stream the
-        round consumes.
-        """
-        return ClientPayload(
-            client=self, global_state=global_state, round_seed=self.spawn_round_seed()
-        )
-
     def local_update(
         self, global_state: StateDict, rng: np.random.Generator | None = None
     ) -> ClientUpdate:
         """Run local training from ``global_state`` and return the delta.
 
         ``rng`` defaults to a generator built from the next spawned round
-        seed; the executor path passes the payload's pre-spawned seed in
+        seed; a :class:`ClientRoundTask` passes its parent-spawned seed in
         explicitly.
         """
         if rng is None:
@@ -244,32 +225,6 @@ class FederatedClient:
 
 
 @dataclass
-class ClientPayload:
-    """One round of local training, packaged for a runtime executor.
-
-    Everything a worker process needs: the client (its private partition and
-    training config), the broadcast global state, and the child seed spawned
-    in the parent.  The payload pickles cleanly provided the client's
-    ``model_fn`` is a module-level function or a picklable class instance.
-    """
-
-    client: FederatedClient
-    global_state: StateDict
-    round_seed: np.random.SeedSequence
-
-    def run(self) -> ClientUpdate:
-        """Execute the local round (in whatever process the executor picked)."""
-        return self.client.local_update(
-            self.global_state, rng=np.random.default_rng(self.round_seed)
-        )
-
-
-def run_client_payload(payload: ClientPayload) -> ClientUpdate:
-    """Module-level entry point a process pool can map over payloads."""
-    return payload.run()
-
-
-@dataclass
 class ClientRoundTask:
     """One round of local training on a worker-resident client.
 
@@ -307,5 +262,5 @@ class ClientRoundTask:
 
 
 def run_client_round(task: ClientRoundTask) -> ClientUpdate:
-    """Module-level entry point for the resident-state round transport."""
+    """Module-level entry point a pool maps over round tasks."""
     return task.run()

@@ -132,23 +132,10 @@ class FederatedKiNETGANSite:
         matrix = self.trainer.generate_matrix(n, rng=rng)
         return self.transformer.inverse_transform(matrix)
 
-    def absorb(self, trained: "FederatedKiNETGANSite") -> None:
-        """Adopt the state of a trained (possibly round-tripped) copy.
-
-        When a legacy-transport round runs on a process pool the worker
-        trains a pickled copy; absorbing its attributes into *this* object
-        keeps every external reference (for example the site handle
-        ``add_site`` returned) pointing at the trained state.  A no-op when
-        the copy is this very object, as under the serial executor.
-        """
-        if trained is self:
-            return
-        self.__dict__.update(trained.__dict__)
-
     # ------------------------------------------------------------------ #
     # The mutable cross-round trainer state: everything a round changes
     # that is NOT the broadcast generator/discriminator weights.  This is
-    # the per-round "delta" of the resident transport -- the whole site
+    # the per-round "delta" of the round transport -- the whole site
     # (table, fitted sampler/transformer, reasoner, networks) stays
     # resident in the execution plane and only this state plus the
     # flattened weight buffers travel.
@@ -242,35 +229,8 @@ class FederatedKiNETGANSite:
 
 
 @dataclass
-class _SiteTask:
-    """One site's local-training slice of a round (executor work unit).
-
-    The *whole site* is shipped and shipped back: its trainer carries state
-    that must persist across rounds (Adam moments, the training RNG, the
-    history), so the worker returns the updated site and the coordinator
-    absorbs it into its existing site object (keeping external site handles
-    valid).  Under the serial executor this is the identity -- the same
-    object is mutated in place, exactly as the pre-runtime loop did.
-    """
-
-    site: FederatedKiNETGANSite
-    generator_state: StateDict
-    discriminator_state: StateDict
-    local_epochs: int
-
-
-def _run_site_task(task: _SiteTask) -> tuple[FederatedKiNETGANSite, dict[str, float]]:
-    """Module-level worker: broadcast, train locally, return the site."""
-    with span("federated.site_round", site=task.site.site_id, transport="site"):
-        site = task.site
-        site.set_state(task.generator_state, task.discriminator_state)
-        metrics = site.train_local(task.local_epochs)
-        return site, metrics
-
-
-@dataclass
 class _SiteRoundTask:
-    """One site's local-training slice of a round on the resident transport.
+    """One site's local-training slice of a round (executor work unit).
 
     The whole site lives in the execution plane (installed once); the round
     ships down only this task -- refs, the mutable trainer state and the
@@ -292,8 +252,8 @@ class _SiteRoundTask:
 
 
 def _run_site_round(task: _SiteRoundTask) -> tuple[dict, dict[str, list[float]], dict[str, float]]:
-    """Module-level worker for the resident transport: delta in, delta out."""
-    with span("federated.site_round", transport="resident"):
+    """Module-level worker: delta in, delta out."""
+    with span("federated.site_round"):
         site: FederatedKiNETGANSite = task.site.resolve()
         site.load_trainer_state(task.trainer_state)
         generator_codec: StateCodec = task.generator_codec.resolve()
@@ -421,7 +381,6 @@ class FederatedKiNETGAN:
         seed: int = 0,
         executor: Executor | str | int | None = None,
         client_fraction: float = 1.0,
-        transport: str = "resident",
         min_sites: int = 1,
         task_timeout: float | None = None,
         task_retries: int = 0,
@@ -432,14 +391,6 @@ class FederatedKiNETGAN:
         trains ``max(1, round(fraction * n_sites))`` sites drawn without
         replacement from the coordinator's seeded RNG.  At the default 1.0
         no draw is consumed, so existing seeded runs replay bit-for-bit.
-
-        ``transport`` selects the round transport: ``"resident"`` (default)
-        installs each whole site into the execution plane once and
-        round-trips only the per-site delta (mutable trainer state +
-        flattened weight buffers, shared-memory backed under the process
-        executor); ``"site"`` re-ships the whole pickled site both ways
-        every round (the pre-resident reference transport).  Seeded results
-        are bit-identical on either transport.
 
         ``min_sites`` / ``task_timeout`` / ``task_retries`` /
         ``retry_backoff`` mirror the federated detector server's resilience
@@ -452,8 +403,6 @@ class FederatedKiNETGAN:
         untouched."""
         if not 0.0 < client_fraction <= 1.0:
             raise ValueError("client_fraction must be in (0, 1]")
-        if transport not in ("resident", "site"):
-            raise ValueError(f"unknown transport {transport!r}; options: ('resident', 'site')")
         if min_sites < 1:
             raise ValueError("min_sites must be at least 1")
         if task_retries < 0:
@@ -465,7 +414,6 @@ class FederatedKiNETGAN:
         self.config = config if config is not None else KiNETGANConfig()
         self.condition_columns = condition_columns
         self.client_fraction = client_fraction
-        self.transport = transport
         self.seed = seed
         self.rng = seeded_rng(seed)
         self.executor = resolve_executor(executor)
@@ -563,130 +511,39 @@ class FederatedKiNETGAN:
     def run_round(self, local_epochs: int = 1) -> FederatedKiNETGANRound:
         """One round: select sites, broadcast, local training, (DP) aggregation.
 
-        Sites train through the coordinator's executor.  On the default
-        resident transport each whole site lives in the execution plane
-        (installed once) and a round exchanges only the per-site delta:
-        mutable trainer state down and up, flattened weights through the
-        shared broadcast / result buffers.  On the legacy ``"site"``
-        transport each work unit carries the whole pickled site both ways
-        and the coordinator's site absorbs the returned copy.  Either way a
-        round on a process or thread pool is bit-identical to a serial one
-        and existing site handles keep pointing at the trained state.
+        Sites train through the coordinator's executor.  Each whole site
+        lives in the execution plane (installed once) and a round exchanges
+        only the per-site delta: mutable trainer state down and up,
+        flattened weights through the shared broadcast / result buffers.
+        A round on a process or thread pool is bit-identical to a serial
+        one, and existing site handles keep pointing at the trained state.
 
         When tracing is enabled the round runs inside a
         ``federated.round`` span whose context rides the task envelope, so
         every worker-side ``federated.site_round`` span -- even in a
         process-pool worker -- parents to this round (see ``repro.obs``).
         """
-        with span(
-            "federated.round", round=len(self.rounds), transport=self.transport
-        ):
+        with span("federated.round", round=len(self.rounds)):
             return self._run_round(local_epochs)
 
     def _run_round(self, local_epochs: int) -> FederatedKiNETGANRound:
+        """Dispatch one delta round, mirror it onto the parent sites, aggregate.
+
+        The coordinator's own site objects are kept in lockstep with their
+        worker-resident twins: the returned trainer state and the decoded
+        weights are applied to them, so external site handles always see
+        the trained state.  A site whose round still failed after every
+        retry is rolled back to its pre-round snapshot (trainer state,
+        history, broadcast weights): under the in-process executors the
+        worker trains the parent's own site object, so a post-hoc deadline
+        miss would otherwise leave a half-round behind in the authoritative
+        state.
+        """
         self._require_sites()
         self._initialise_global()
         assert self._global_generator is not None and self._global_discriminator is not None
 
         selected = self._select_sites()
-        if self.transport == "resident":
-            states = self._run_resident_round(selected, local_epochs)
-            generator_states, discriminator_states, weights, metrics_list = states[:4]
-            survivor_indices, dropped = states[4], states[5]
-        else:
-            tasks = [
-                _SiteTask(
-                    site=self.sites[index],
-                    generator_state=self._global_generator,
-                    discriminator_state=self._global_discriminator,
-                    local_epochs=local_epochs,
-                )
-                for index in selected
-            ]
-            survivors, dropped = self._dispatch(
-                _run_site_task, tasks, [self.sites[index].site_id for index in selected]
-            )
-            generator_states = []
-            discriminator_states = []
-            weights = []
-            metrics_list = []
-            survivor_indices = []
-            for slot, (site, metrics) in survivors:
-                index = selected[slot]
-                survivor_indices.append(index)
-                self.sites[index].absorb(site)
-                metrics_list.append(metrics)
-                generator_state, discriminator_state = site.get_state()
-                generator_states.append(generator_state)
-                discriminator_states.append(discriminator_state)
-                weights.append(float(site.n_records))
-
-        generator_losses = [m.get("generator_loss", float("nan")) for m in metrics_list]
-        discriminator_losses = [m.get("discriminator_loss", float("nan")) for m in metrics_list]
-
-        new_generator = self._aggregate(
-            generator_states, weights, self._global_generator, self.dp_generator
-        )
-        new_discriminator = self._aggregate(
-            discriminator_states, weights, self._global_discriminator, self.dp_discriminator
-        )
-        self._global_generator = new_generator
-        self._global_discriminator = new_discriminator
-
-        epsilon = None
-        if self.dp_generator is not None:
-            sample_rate = len(survivor_indices) / len(self.sites)
-            self.dp_generator.record_round(sample_rate=sample_rate)
-            self.dp_discriminator.record_round(sample_rate=sample_rate)
-            epsilon = self.dp_generator.epsilon() + self.dp_discriminator.epsilon()
-
-        round_info = FederatedKiNETGANRound(
-            round_index=len(self.rounds),
-            participants=[self.sites[index].site_id for index in survivor_indices],
-            mean_generator_loss=safe_mean(generator_losses),
-            mean_discriminator_loss=safe_mean(discriminator_losses),
-            epsilon=epsilon,
-            dropped=dropped,
-        )
-        self.rounds.append(round_info)
-        return round_info
-
-    def _dispatch(
-        self, fn, tasks: list, site_ids: list[str]
-    ) -> tuple[list[tuple[int, object]], list[str]]:
-        """Fan one round's site tasks out; keep survivors, enforce quorum."""
-        return map_with_quorum(
-            self.executor,
-            fn,
-            tasks,
-            site_ids,
-            min_survivors=self.min_sites,
-            timeout=self.task_timeout,
-            retries=self.task_retries,
-            backoff=self.retry_backoff,
-            unit="site",
-        )
-
-    def _run_resident_round(
-        self, selected: list[int], local_epochs: int
-    ) -> tuple[list[StateDict], list[StateDict], list[float], list[dict], list[int], list[str]]:
-        """Dispatch one delta round over the resident transport.
-
-        Returns the per-surviving-site (generator state, discriminator
-        state, weight, metrics) the aggregation consumes -- decoded out of
-        the shared result matrices -- plus the surviving site indices and
-        the dropped site ids.  The coordinator's own site objects are kept
-        in lockstep with their worker-resident twins: the returned trainer
-        state and the decoded weights are applied to them, so external site
-        handles always see the trained state, exactly as the legacy
-        transport's ``absorb`` provided.  A site whose round still failed
-        after every retry is rolled back to its pre-round snapshot (trainer
-        state, history, broadcast weights): under the in-process executors
-        the worker trains the parent's own site object, so a post-hoc
-        deadline miss would otherwise leave a half-round behind in the
-        authoritative state.
-        """
-        assert self._global_generator is not None and self._global_discriminator is not None
         if self._transport_state is None:
             self._transport_state = _SiteTransport(
                 self.executor, self._global_generator, self._global_discriminator
@@ -717,21 +574,28 @@ class FederatedKiNETGAN:
             )
             for slot, index in enumerate(selected)
         ]
-        survivors, dropped = self._dispatch(
-            _run_site_round, tasks, [self.sites[index].site_id for index in selected]
+        survivors, dropped = map_with_quorum(
+            self.executor,
+            _run_site_round,
+            tasks,
+            [self.sites[index].site_id for index in selected],
+            min_survivors=self.min_sites,
+            timeout=self.task_timeout,
+            retries=self.task_retries,
+            backoff=self.retry_backoff,
+            unit="site",
         )
 
         generator_states: list[StateDict] = []
         discriminator_states: list[StateDict] = []
         weights: list[float] = []
         metrics_list: list[dict] = []
-        survivor_indices: list[int] = []
+        participants: list[str] = []
         surviving_slots = set()
         for slot, (trainer_state, history_tail, metrics) in survivors:
-            index = selected[slot]
             surviving_slots.add(slot)
-            survivor_indices.append(index)
-            site = self.sites[index]
+            site = self.sites[selected[slot]]
+            participants.append(site.site_id)
             site.load_trainer_state(trainer_state)
             site.apply_history_tail(history_lengths[slot], history_tail)
             generator_state = transport.generator_codec.decode(
@@ -765,14 +629,36 @@ class FederatedKiNETGAN:
                 transport.discriminator_codec,
                 transport.global_discriminator.array,
             )
-        return (
-            generator_states,
-            discriminator_states,
-            weights,
-            metrics_list,
-            survivor_indices,
-            dropped,
+
+        generator_losses = [m.get("generator_loss", float("nan")) for m in metrics_list]
+        discriminator_losses = [m.get("discriminator_loss", float("nan")) for m in metrics_list]
+
+        new_generator = self._aggregate(
+            generator_states, weights, self._global_generator, self.dp_generator
         )
+        new_discriminator = self._aggregate(
+            discriminator_states, weights, self._global_discriminator, self.dp_discriminator
+        )
+        self._global_generator = new_generator
+        self._global_discriminator = new_discriminator
+
+        epsilon = None
+        if self.dp_generator is not None:
+            sample_rate = len(participants) / len(self.sites)
+            self.dp_generator.record_round(sample_rate=sample_rate)
+            self.dp_discriminator.record_round(sample_rate=sample_rate)
+            epsilon = self.dp_generator.epsilon() + self.dp_discriminator.epsilon()
+
+        round_info = FederatedKiNETGANRound(
+            round_index=len(self.rounds),
+            participants=participants,
+            mean_generator_loss=safe_mean(generator_losses),
+            mean_discriminator_loss=safe_mean(discriminator_losses),
+            epsilon=epsilon,
+            dropped=dropped,
+        )
+        self.rounds.append(round_info)
+        return round_info
 
     def _aggregate(
         self,

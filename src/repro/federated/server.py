@@ -25,7 +25,6 @@ from repro.federated.client import (
     ClientRoundTask,
     ClientUpdate,
     FederatedClient,
-    run_client_payload,
     run_client_round,
 )
 from repro.federated.dp import DPFedAvgConfig, DPFedAvgMechanism
@@ -34,9 +33,6 @@ from repro.neural.network import Sequential
 from repro.runtime import Executor, map_with_quorum, resolve_executor
 
 __all__ = ["FederatedRound", "FederatedHistory", "FederatedServer"]
-
-#: Round transports selectable on the server.
-TRANSPORTS = ("resident", "payload")
 
 #: Aggregation rules selectable by name.
 AGGREGATORS: dict[str, Callable[..., StateDict]] = {
@@ -132,7 +128,6 @@ class FederatedServer:
         secure_aggregation: bool = False,
         seed: int = 0,
         executor: Executor | str | int | None = None,
-        transport: str = "resident",
         min_clients: int = 1,
         task_timeout: float | None = None,
         task_retries: int = 0,
@@ -161,15 +156,10 @@ class FederatedServer:
             How client rounds run: ``None``/``"serial"`` (default) trains
             participants in-process, ``int N > 1`` / ``"process[:N]"`` fans
             them out over a process pool, ``"thread[:N]"`` over a thread
-            pool (see :func:`repro.runtime.resolve_executor`).  Seeded
+            pool (see :func:`repro.runtime.resolve_executor`).  Clients are
+            installed into the execution plane once; a round ships only
+            refs, round seeds and flattened parameter buffers.  Seeded
             results are bit-identical in every case.
-        transport:
-            ``"resident"`` (default) installs clients into the execution
-            plane once and ships only refs, round seeds and flattened
-            parameter buffers per round; ``"payload"`` re-ships the whole
-            :class:`~repro.federated.client.ClientPayload` every round
-            (the pre-resident reference transport).  Seeded results are
-            bit-identical on either transport.
         min_clients:
             Quorum: the minimum number of client rounds that must survive
             (after retries) for a round to aggregate.  Fewer survivors
@@ -182,7 +172,7 @@ class FederatedServer:
         task_retries:
             How many times a failed client round is replayed before the
             client is dropped from the round.  Replays re-run the same
-            payload with the same parent-spawned round seed, so a
+            task with the same parent-spawned round seed, so a
             recovered round is bit-identical to a fault-free one.
         retry_backoff:
             Base seconds of the exponential backoff between replays.
@@ -191,8 +181,6 @@ class FederatedServer:
             raise ValueError("need at least one client")
         if aggregator not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {aggregator!r}; options: {sorted(AGGREGATORS)}")
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}; options: {TRANSPORTS}")
         if not 0.0 < client_fraction <= 1.0:
             raise ValueError("client_fraction must be in (0, 1]")
         if server_lr <= 0:
@@ -212,7 +200,6 @@ class FederatedServer:
         self.server_lr = server_lr
         self.secure_aggregation = secure_aggregation
         self.executor = resolve_executor(executor)
-        self.transport = transport
         self.rng = np.random.default_rng(seed)
 
         self.global_model = model_fn()
@@ -255,38 +242,12 @@ class FederatedServer:
         return [self.clients[i] for i in self._select_indices()]
 
     def _ensure_transport(self) -> _ResidentTransport:
-        """Install clients / codec / buffers on first resident round."""
+        """Install clients / codec / buffers on the first round."""
         if self._transport_state is None:
             self._transport_state = _ResidentTransport(
                 self.executor, self.clients, self.global_state
             )
         return self._transport_state
-
-    def _dispatch(
-        self, fn: Callable, payloads: list, client_ids: list[str]
-    ) -> tuple[list[tuple[int, ClientUpdate]], list[str]]:
-        """Fan one round's work units out; keep survivors, enforce quorum.
-
-        Returns ``(survivors, dropped)`` where survivors are
-        ``(slot, update)`` pairs in submission order (the slot indexes the
-        round's shared update matrix) and ``dropped`` lists the client ids
-        whose tasks still failed after ``task_retries`` replays.  Raises
-        :class:`~repro.runtime.QuorumError` -- before any state is touched
-        -- when fewer than ``min_clients`` survive.  The fault-free fast
-        path is the plain :meth:`Executor.map` the pre-resilience server
-        used.
-        """
-        return map_with_quorum(
-            self.executor,
-            fn,
-            payloads,
-            client_ids,
-            min_survivors=self.min_clients,
-            timeout=self.task_timeout,
-            retries=self.task_retries,
-            backoff=self.retry_backoff,
-            unit="client",
-        )
 
     def run_round(
         self,
@@ -295,27 +256,48 @@ class FederatedServer:
     ) -> FederatedRound:
         """One synchronous round: select, train locally, aggregate, update.
 
-        Local training is fanned out through the server's executor.  On the
-        default resident transport each participant is addressed by its
-        installed ref and the round ships only a :class:`ClientRoundTask`
-        (refs + a round seed spawned here, before dispatch); the broadcast
-        parameters and the update matrix travel through shared buffers.  On
-        the legacy payload transport the whole :class:`ClientPayload` is
-        re-pickled per round.  Serial, thread and process execution run
-        exactly the same code on exactly the same streams either way.
+        Local training is fanned out through the server's executor.  Each
+        participant is addressed by its installed ref and the round ships
+        only a :class:`ClientRoundTask` (refs + a round seed spawned here,
+        before dispatch); the broadcast parameters and the update matrix
+        travel through shared buffers.  Serial, thread and process
+        execution run exactly the same code on exactly the same streams.
         """
         indices = self._select_indices()
-        participants = [self.clients[i] for i in indices]
-        if self.transport == "resident":
-            updates, dropped = self._run_resident_round(indices)
-        else:
-            payloads = [
-                client.make_payload(copy_state(self.global_state)) for client in participants
-            ]
-            survivors, dropped = self._dispatch(
-                run_client_payload, payloads, [c.client_id for c in participants]
+        transport = self._ensure_transport()
+        codec = transport.codec
+        codec.encode(self.global_state, out=transport.global_buffer.array)
+        tasks = [
+            ClientRoundTask(
+                client=transport.client_refs[index],
+                codec=transport.codec_ref,
+                global_params=transport.global_buffer.ref(),
+                update_out=transport.update_buffer.ref(slot),
+                round_seed=self.clients[index].spawn_round_seed(),
             )
-            updates = [update for _, update in survivors]
+            for slot, index in enumerate(indices)
+        ]
+        # Survivors come back as (slot, update) pairs in submission order;
+        # fewer than min_clients raise QuorumError before any state changes.
+        survivors, dropped = map_with_quorum(
+            self.executor,
+            run_client_round,
+            tasks,
+            [self.clients[i].client_id for i in indices],
+            min_survivors=self.min_clients,
+            timeout=self.task_timeout,
+            retries=self.task_retries,
+            backoff=self.retry_backoff,
+            unit="client",
+        )
+        # Workers leave their flattened updates in the shared matrix; decode
+        # (copy) each surviving row back into a state dictionary.
+        updates: list[ClientUpdate] = []
+        for slot, update in survivors:
+            update.update = codec.decode(
+                np.array(transport.update_buffer.array[slot], copy=True)
+            )
+            updates.append(update)
 
         if self.dp_mechanism is not None:
             for update in updates:
@@ -349,41 +331,6 @@ class FederatedServer:
         )
         self.history.rounds.append(round_info)
         return round_info
-
-    def _run_resident_round(
-        self, indices: list[int]
-    ) -> tuple[list[ClientUpdate], list[str]]:
-        """Dispatch one round over the resident transport and rebuild updates.
-
-        The workers leave their flattened updates in the shared
-        ``(clients, total_params)`` matrix; rows are decoded (copied out of
-        the shared buffer) back into state dictionaries here so the
-        aggregation / DP / secure-aggregation paths below see exactly what
-        the payload transport would have produced, bit for bit.
-        """
-        transport = self._ensure_transport()
-        codec = transport.codec
-        codec.encode(self.global_state, out=transport.global_buffer.array)
-        tasks = [
-            ClientRoundTask(
-                client=transport.client_refs[index],
-                codec=transport.codec_ref,
-                global_params=transport.global_buffer.ref(),
-                update_out=transport.update_buffer.ref(slot),
-                round_seed=self.clients[index].spawn_round_seed(),
-            )
-            for slot, index in enumerate(indices)
-        ]
-        survivors, dropped = self._dispatch(
-            run_client_round, tasks, [self.clients[i].client_id for i in indices]
-        )
-        updates: list[ClientUpdate] = []
-        for slot, update in survivors:
-            update.update = codec.decode(
-                np.array(transport.update_buffer.array[slot], copy=True)
-            )
-            updates.append(update)
-        return updates, dropped
 
     def run(
         self,
@@ -424,16 +371,24 @@ class FederatedServer:
         return AGGREGATORS[self.aggregator](states)
 
     # ------------------------------------------------------------------ #
+    def _model_input(self, features: np.ndarray) -> np.ndarray:
+        """``features`` in the global model's dtype (float64 when it has none).
+
+        Held-out features arrive float64 from the featuriser; a float32
+        detector rejects them, so they are rounded once at this boundary,
+        the same way :class:`FederatedClient` casts its partition.
+        """
+        dtype = getattr(self.global_model, "dtype", None)
+        return np.asarray(features, dtype=np.float64 if dtype is None else dtype)
+
     def evaluate(self, features: np.ndarray, labels: np.ndarray) -> float:
         """Accuracy of the current global model on a labelled set."""
-        predictions = self.global_model.forward(
-            np.asarray(features, dtype=np.float64), training=False
-        ).argmax(axis=1)
+        predictions = self.predict(features)
         return float((predictions == np.asarray(labels, dtype=int)).mean())
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class predictions of the current global model."""
-        logits = self.global_model.forward(np.asarray(features, dtype=np.float64), training=False)
+        logits = self.global_model.forward(self._model_input(features), training=False)
         return logits.argmax(axis=1)
 
     def epsilon(self) -> float | None:

@@ -75,9 +75,9 @@ class DetectorFactory:
 class _SoloTask:
     """Train one client alone for the local-only baseline (executor unit).
 
-    The client rides as a resident-state ref and the (identical for every
-    task) evaluation matrices as one shared ref, so the payload transport
-    no longer pickles the test set once per client.
+    The client rides as a resident-state ref and the evaluation matrices
+    (identical for every task) as one shared ref installed once, so no task
+    pickles the test set.
     """
 
     client: StateRef
@@ -146,7 +146,6 @@ class FederatedNIDSSimulation:
         test_fraction: float = 0.25,
         seed: int = 0,
         executor: Executor | str | int | None = None,
-        transport: str = "resident",
         min_clients: int = 1,
         task_timeout: float | None = None,
         task_retries: int = 0,
@@ -154,8 +153,6 @@ class FederatedNIDSSimulation:
     ) -> None:
         if num_rounds <= 0 or local_epochs <= 0:
             raise ValueError("num_rounds and local_epochs must be positive")
-        if transport not in ("resident", "payload"):
-            raise ValueError(f"unknown transport {transport!r}; options: ('resident', 'payload')")
         if min_clients < 1:
             raise ValueError("min_clients must be at least 1")
         self.bundle = bundle
@@ -171,9 +168,6 @@ class FederatedNIDSSimulation:
         self.test_fraction = test_fraction
         self.seed = seed
         self.executor = resolve_executor(executor)
-        #: Round transport forwarded to every FederatedServer this
-        #: simulation builds ("resident" or "payload", see the server).
-        self.transport = transport
         #: Resilience knobs forwarded to the multi-client servers below
         #: (quorum / per-round deadline / bounded replays, see the server).
         self.min_clients = min_clients
@@ -304,7 +298,6 @@ class FederatedNIDSSimulation:
             client_fraction=self.client_fraction,
             seed=self.seed,
             executor=self.executor,
-            transport=self.transport,
             min_clients=self.min_clients,
             task_timeout=self.task_timeout,
             task_retries=self.task_retries,
@@ -329,7 +322,6 @@ class FederatedNIDSSimulation:
                 dp_config=self.dp_config,
                 seed=self.seed,
                 executor=self.executor,
-                transport=self.transport,
                 min_clients=self.min_clients,
                 task_timeout=self.task_timeout,
                 task_retries=self.task_retries,

@@ -7,9 +7,10 @@ The training layers produce fitted synthesizers; this package makes them
   directory format (``manifest.json`` + per-network ``.npz`` weights + the
   transformer / condition-sampler / knowledge state) with
   :func:`save_model` / :func:`load_model` for KiNETGAN and every baseline.
-  Format v2 (the default) stores state as a pickle-free ``state.npz``
+  Artifacts are format v2: state is a pickle-free ``state.npz``
   (:mod:`repro.serve.codec`) safe to load from untrusted peers; v1
-  artifacts (pickled ``state.pkl``) remain loadable.  The contract:
+  artifacts (a pickled ``state.pkl``) are rejected, never unpickled.
+  The contract:
   ``load_model(save_model(m)).sample(n, seed)`` is bit-identical to
   ``m.sample(n, seed)``, in-process and across processes.
 * :mod:`repro.serve.service` -- :class:`SamplingService`, which loads

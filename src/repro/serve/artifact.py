@@ -8,15 +8,15 @@ A :class:`ModelArtifact` is a single directory:
   so the weight files are byte-compatible with training checkpoints);
 * the model's :meth:`~repro.core.base.Synthesizer.artifact_state` blob:
   transformer encoders, the condition sampler's integer-code tables, and
-  the knowledge-graph reasoner.  **Format v2** (the default) stores it as
-  a pickle-free ``state.npz`` (:mod:`repro.serve.codec`) that is safe to
-  load from untrusted peers; **format v1** stored a pickled ``state.pkl``
-  and remains loadable for artifacts written by older builds.
+  the knowledge-graph reasoner, stored as a pickle-free ``state.npz``
+  (:mod:`repro.serve.codec`) that is safe to load from untrusted peers.
+  This is **format v2**, the only format written or read: a format v1
+  artifact (a pickled ``state.pkl``) is rejected without being unpickled.
 
 The headline invariant (enforced by ``tests/serve/test_artifacts.py``,
-including across processes and for both formats): for every registered
-model class, ``load_model(save_model(m)).sample(n, seed)`` is bit-identical
-to ``m.sample(n, seed)``.
+including across processes): for every registered model class,
+``load_model(save_model(m)).sample(n, seed)`` is bit-identical to
+``m.sample(n, seed)``.
 
 The on-disk layout, the trust model, and the v1 -> v2 migration story are
 specified in ``docs/artifact-format.md``.
@@ -25,7 +25,6 @@ specified in ``docs/artifact-format.md``.
 from __future__ import annotations
 
 import json
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +40,6 @@ __all__ = [
     "SUPPORTED_FORMAT_VERSIONS",
     "MANIFEST_NAME",
     "STATE_NAME",
-    "STATE_NAME_V1",
     "ArtifactError",
     "ModelArtifact",
     "model_registry",
@@ -53,20 +51,14 @@ __all__ = [
 #: artifact layout changes incompatibly.
 ARTIFACT_FORMAT_VERSION = 2
 
-#: Formats :func:`load_model` can read.  v1 (pickled ``state.pkl``) is
-#: kept readable so artifacts written by older builds keep working; new
-#: artifacts are always v2 (pickle-free ``state.npz``).
-SUPPORTED_FORMAT_VERSIONS = (1, 2)
+#: Formats :func:`load_model` can read.  v1 (a pickled ``state.pkl``) is
+#: rejected: unpickling executes code, so it is never attempted.
+SUPPORTED_FORMAT_VERSIONS = (2,)
 
 MANIFEST_NAME = "manifest.json"
 
-#: v2 state file: self-describing npz, loaded with ``allow_pickle=False``.
+#: The state file: self-describing npz, loaded with ``allow_pickle=False``.
 STATE_NAME = "state.npz"
-
-#: v1 state file: a pickle.  Only ever *read*, never written.
-STATE_NAME_V1 = "state.pkl"
-
-_DEFAULT_STATE = {1: STATE_NAME_V1, 2: STATE_NAME}
 
 
 class ArtifactError(RuntimeError):
@@ -123,17 +115,16 @@ class ModelArtifact:
 
     @property
     def state_path(self) -> Path:
-        """Path of the state blob (``state.npz`` for v2, ``state.pkl`` for v1)."""
-        default = _DEFAULT_STATE.get(self.format_version, STATE_NAME)
-        return self.directory / self.manifest.get("state_file", default)
+        """Path of the ``state.npz`` state blob."""
+        return self.directory / self.manifest.get("state_file", STATE_NAME)
 
     @classmethod
     def open(cls, directory: str | Path) -> "ModelArtifact":
         """Parse and validate an artifact directory's manifest.
 
         Accepts every format in :data:`SUPPORTED_FORMAT_VERSIONS`; rejects
-        unknown versions, missing manifests and missing state files with an
-        :class:`ArtifactError` naming the problem.
+        v1 and unknown versions, missing manifests and missing state files
+        with an :class:`ArtifactError` naming the problem.
         """
         directory = Path(directory)
         manifest_path = directory / MANIFEST_NAME
@@ -144,6 +135,12 @@ class ModelArtifact:
         except json.JSONDecodeError as error:
             raise ArtifactError(f"unreadable artifact manifest {manifest_path}: {error}")
         version = manifest.get("format_version")
+        if version == 1:
+            raise ArtifactError(
+                f"artifact at {directory} is format v1 (a pickled state.pkl), which this "
+                "build never unpickles; re-save the artifact with a release that reads v1 "
+                "(save_model(load_model(old_dir), new_dir) there writes v2)"
+            )
         if version not in SUPPORTED_FORMAT_VERSIONS:
             raise ArtifactError(
                 f"artifact at {directory} has format version {version!r}; this build "
@@ -170,48 +167,32 @@ def save_model(
     model: Synthesizer,
     directory: str | Path,
     metadata: dict | None = None,
-    *,
-    format_version: int = ARTIFACT_FORMAT_VERSION,
 ) -> ModelArtifact:
     """Persist a fitted synthesizer as a versioned artifact directory.
 
-    Writes format v2 by default: network weights as per-network ``.npz``
-    checkpoints plus a pickle-free ``state.npz`` state blob.  Passing
-    ``format_version=1`` writes the legacy pickled ``state.pkl`` layout --
-    kept only so the compatibility tests can produce v1 artifacts; new
-    code should never ask for it.
+    Writes format v2: network weights as per-network ``.npz`` checkpoints
+    plus a pickle-free ``state.npz`` state blob.
 
     ``metadata`` is caller-supplied fit provenance (dataset name, row count,
     epochs, ...) recorded verbatim in the manifest; it must be
     JSON-serialisable.
     """
-    if format_version not in SUPPORTED_FORMAT_VERSIONS:
-        raise ArtifactError(
-            f"cannot write artifact format version {format_version!r}; "
-            f"supported versions: {list(SUPPORTED_FORMAT_VERSIONS)}"
-        )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     networks = model.artifact_networks()
     save_networks(networks, directory)
     state = model.artifact_state()
-    state_file = _DEFAULT_STATE[format_version]
-    if format_version == 1:
-        (directory / state_file).write_bytes(
-            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-    else:
-        try:
-            save_state_npz(state, directory / state_file)
-        except StateCodecError as error:
-            raise ArtifactError(f"cannot encode {type(model).__name__} state: {error}")
+    try:
+        save_state_npz(state, directory / STATE_NAME)
+    except StateCodecError as error:
+        raise ArtifactError(f"cannot encode {type(model).__name__} state: {error}")
     manifest = {
-        "format_version": format_version,
+        "format_version": ARTIFACT_FORMAT_VERSION,
         "model_class": type(model).__name__,
         "model_name": model.name,
         "repro_version": __version__,
         "networks": sorted(networks),
-        "state_file": state_file,
+        "state_file": STATE_NAME,
         "metadata": dict(metadata or {}),
     }
     dtypes = _network_dtypes(networks)
@@ -229,10 +210,9 @@ def load_model(directory: str | Path) -> Synthesizer:
     then loads the network weights through the checkpoint machinery, which
     reports missing or mismatched networks with one clear error.
 
-    v2 state blobs are decoded with ``allow_pickle=False`` end to end (see
-    :mod:`repro.serve.codec`), so loading a v2 artifact received from an
-    untrusted peer can fail but never execute code.  v1 blobs are pickles:
-    only load them from directories you wrote yourself.
+    State blobs are decoded with ``allow_pickle=False`` end to end (see
+    :mod:`repro.serve.codec`), so loading an artifact received from an
+    untrusted peer can fail but never execute code.
     """
     artifact = ModelArtifact.open(directory)
     registry = model_registry()
@@ -242,16 +222,10 @@ def load_model(directory: str | Path) -> Synthesizer:
             f"{artifact.model_class!r}; known classes: {sorted(registry)}"
         )
     state_path = artifact.state_path
-    if artifact.format_version == 1:
-        try:
-            state = pickle.loads(state_path.read_bytes())
-        except Exception as error:
-            raise ArtifactError(f"corrupt artifact state at {state_path}: {error}")
-    else:
-        try:
-            state = load_state_npz(state_path)
-        except (StateCodecError, ValueError, OSError) as error:
-            raise ArtifactError(f"corrupt artifact state at {state_path}: {error}")
+    try:
+        state = load_state_npz(state_path)
+    except (StateCodecError, ValueError, OSError) as error:
+        raise ArtifactError(f"corrupt artifact state at {state_path}: {error}")
     model = registry[artifact.model_class]()
     model.restore_state(state)
     networks = model.artifact_networks()

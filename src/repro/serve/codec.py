@@ -2,8 +2,8 @@
 
 Format v1 stored a model's :meth:`~repro.core.base.Synthesizer.
 artifact_state` as ``state.pkl`` -- a pickle, which executes arbitrary code
-on load and is therefore unsafe for artifacts received from untrusted peers.
-Once artifacts are reachable over a socket (:mod:`repro.serve.server`) the
+on load and is therefore unsafe for artifacts received from untrusted
+peers, so v1 is no longer read at all.  Once artifacts are reachable over a socket (:mod:`repro.serve.server`) the
 state blob must be *data*, not code.  This module encodes the state tree
 into
 
@@ -22,8 +22,8 @@ reasoner.KGReasoner` rebuilt from the graph's text serialisation -- so a
 hostile ``state.npz`` can at worst produce a malformed model, never code
 execution.  Encoding is exact: float64 buffers ride the npz binary format
 bit-for-bit and JSON floats round-trip through ``repr``, so the
-``load(save(m)).sample(n, seed) == m.sample(n, seed)`` invariant holds for
-v2 exactly as it did for v1 (``tests/serve/test_artifacts.py``).
+``load(save(m)).sample(n, seed) == m.sample(n, seed)`` invariant holds
+exactly (``tests/serve/test_artifacts.py``).
 
 Unknown object types fail loudly at *encode* time (``StateEncodeError``
 naming the type) instead of silently falling back to pickle; unknown node

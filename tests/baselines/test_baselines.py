@@ -13,6 +13,7 @@ from repro.baselines import (
     TableGAN,
     baseline_classes,
 )
+from repro.core import KiNETGAN
 from repro.core.config import KiNETGANConfig
 
 
@@ -45,6 +46,17 @@ def test_every_baseline_fits_and_samples(name, tiny_table):
     for spec in tiny_table.schema:
         if spec.is_categorical:
             assert set(synthetic.column(spec.name)).issubset(set(spec.categories))
+
+
+@pytest.mark.parametrize("cls", [TVAE, PATEGAN, TableGAN, OCTGAN])
+def test_float32_rejected_where_networks_ignore_dtype(cls):
+    """These baselines always build float64 networks, so a float32 config is
+    refused up front instead of silently trained in float64; the
+    dtype-aware KiNETGAN and CTGAN take the same config."""
+    config = _fast_config().with_overrides(dtype="float32")
+    with pytest.raises(ValueError, match="float64 networks only"):
+        cls(config)
+    assert KiNETGAN(config).config.dtype == CTGAN(config).config.dtype == "float32"
 
 
 def test_registry_covers_all_paper_baselines():

@@ -1,35 +1,43 @@
-"""Executor/transport parity: seeded runs must be bit-identical.
+"""Executor parity and golden digests: seeded runs are pinned, then must agree.
 
-These tests are the acceptance gate of the execution plane: for every
+These tests are the acceptance gate of the execution plane.  For every
 multi-node layer (FedAvg server, federated NIDS simulation, distributed
-synthetic-sharing simulation, federated KiNETGAN) a seeded run must produce
-exactly the same global states and round histories -- not approximately,
-bit for bit -- across
+synthetic-sharing simulation, federated KiNETGAN):
 
-* every executor: serial, thread pool, process pool; and
-* both round transports: worker-resident state (refs + deltas +
-  shared-memory parameter buffers) and the legacy re-pickled payloads.
+* the serial run must match the committed golden digest in
+  ``parity_golden.json`` -- the seeded outputs pinned to absolute values;
+* the thread-pool and process-pool runs must be bit-identical to the
+  serial run -- not approximately, bit for bit.
 
-The baseline of each matrix is the serial run on the legacy transport (the
-pre-resident reference semantics); every other combination is compared
-against it.
+A digest stores a SHA-256 of every integer or categorical output
+(participant and dropped lists, categorical sample columns), the value of
+every float scalar and, for every float array, its sum, its sum of squares
+and 8 strided values.  Floats are compared with a relative tolerance of
+1e-9 (float64) or 1e-4 (float32), because seeded outputs move with the
+BLAS build and platform.  After an intended change to a seeded output,
+regenerate the file with::
+
+    PYTHONPATH=src python tests/runtime/test_parity.py
 
 The contract is *per dtype* (``docs/precision.md``): the ``*Float32``
-classes rerun the matrix with float32 engines against their own float32
-serial baseline -- float32 runs are not expected to match float64 ones,
-but within a dtype every executor/transport combination must agree bit
-for bit.
+classes rerun with float32 engines and carry their own golden digests --
+float32 runs are not expected to match float64 ones, but within a dtype
+every executor must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.baselines import IndependentSampler
 from repro.core.config import KiNETGANConfig
+from repro.datasets import load_lab_iot
 from repro.distributed.simulation import DistributedNIDSSimulation
 from repro.federated.client import FederatedClient
 from repro.federated.kinetgan import FederatedKiNETGAN
@@ -37,16 +45,14 @@ from repro.federated.partition import label_skew_partition
 from repro.federated.server import FederatedServer
 from repro.federated.simulation import DetectorFactory, FederatedNIDSSimulation
 from repro.runtime import FaultInjector, ProcessExecutor, ThreadExecutor
+from repro.tabular.table import Table
 
-#: (executor spec factory, transport) combinations compared to the
-#: serial+legacy baseline.  Legacy transports are named "payload" on the
-#: server/simulations and "site" on federated KiNETGAN.
+GOLDEN_PATH = Path(__file__).with_name("parity_golden.json")
+
+#: Pooled executors compared bit for bit against the serial run.
 MATRIX = [
-    pytest.param(lambda: None, "resident", id="serial-resident"),
-    pytest.param(lambda: ThreadExecutor(max_workers=2), "resident", id="thread-resident"),
-    pytest.param(lambda: ProcessExecutor(max_workers=2), "resident", id="process-resident"),
-    pytest.param(lambda: ThreadExecutor(max_workers=2), "legacy", id="thread-legacy"),
-    pytest.param(lambda: ProcessExecutor(max_workers=2), "legacy", id="process-legacy"),
+    pytest.param(lambda: ThreadExecutor(max_workers=2), id="thread-resident"),
+    pytest.param(lambda: ProcessExecutor(max_workers=2), id="process-resident"),
 ]
 
 
@@ -79,6 +85,85 @@ FAULT_MATRIX = [
 ]
 
 
+# ---------------------------------------------------------------------- #
+# Golden digests
+# ---------------------------------------------------------------------- #
+def _is_leaf(value) -> bool:
+    return not (
+        isinstance(value, (dict, list, tuple, Table, np.ndarray))
+        or dataclasses.is_dataclass(value)
+    )
+
+
+def _digest_leaf(value) -> dict:
+    array = np.asarray(value)
+    if array.dtype.kind != "f" or array.size == 0:
+        text = json.dumps(array.tolist(), sort_keys=True)
+        return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+    if array.ndim == 0:
+        return {"value": float(array)}
+    flat = array.astype(np.float64).ravel()
+    strided = np.linspace(0, flat.size - 1, num=min(8, flat.size)).round().astype(int)
+    return {
+        "shape": list(array.shape),
+        "sum": float(flat.sum()),
+        "sumsq": float(flat @ flat),
+        "strided": flat[strided].tolist(),
+    }
+
+
+def fingerprint(value, path: str = "") -> dict[str, dict]:
+    """Flatten a run's outputs into ``{path: digest}`` (see module docstring)."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    elif isinstance(value, Table):
+        value = {name: value.column(name) for name in value.schema.names}
+    if isinstance(value, dict):
+        items = sorted(value.items())
+    elif isinstance(value, (list, tuple)) and not all(_is_leaf(item) for item in value):
+        items = list(enumerate(value))
+    else:
+        return {path or "/": _digest_leaf(value)}
+    digests: dict[str, dict] = {}
+    for key, item in items:
+        digests.update(fingerprint(item, f"{path}/{key}"))
+    return digests
+
+
+def _assert_matches_golden(actual: dict, expected: dict, rtol: float) -> None:
+    assert sorted(actual) == sorted(expected)
+    for path, want in expected.items():
+        got = actual[path]
+        if "sha256" in want:
+            assert got == want, path
+            continue
+        assert got.keys() == want.keys() and got.get("shape") == want.get("shape"), path
+        for key in sorted(want.keys() - {"shape"}):
+            np.testing.assert_allclose(
+                got[key], want[key], rtol=rtol, atol=rtol, equal_nan=True, err_msg=path
+            )
+
+
+class _GoldenParity:
+    """A class-scoped serial run (``baseline``) checked against its golden.
+
+    Subclasses define ``_run(bundle, executor)`` and their own pooled
+    bit-identity test against ``baseline``.
+    """
+
+    #: Relative (and absolute) float tolerance of the golden comparison.
+    RTOL = 1e-9
+
+    @pytest.fixture(scope="class")
+    def baseline(self, lab_bundle_small):
+        return self._run(lab_bundle_small, None)
+
+    def test_serial_run_matches_golden(self, baseline):
+        golden = json.loads(GOLDEN_PATH.read_text())[type(self).__name__]
+        _assert_matches_golden(fingerprint(baseline), golden, self.RTOL)
+
+
+# ---------------------------------------------------------------------- #
 def _assert_states_equal(expected: dict, actual: dict) -> None:
     assert set(expected) == set(actual)
     for key in expected:
@@ -106,34 +191,27 @@ def _make_clients(n_clients: int, model_fn: DetectorFactory) -> list[FederatedCl
     return clients
 
 
-class TestServerParity:
-    @staticmethod
-    def _run(executor, transport: str):
-        model_fn = DetectorFactory(n_features=5, n_classes=2, hidden_dims=(8,), seed=0)
-        transport = "payload" if transport == "legacy" else transport
+class TestServerParity(_GoldenParity):
+    MODEL_FN = DetectorFactory(n_features=5, n_classes=2, hidden_dims=(8,), seed=0)
+
+    @classmethod
+    def _run(cls, bundle, executor):
         with FederatedServer(
-            model_fn, _make_clients(3, model_fn), seed=0, executor=executor, transport=transport
+            cls.MODEL_FN, _make_clients(3, cls.MODEL_FN), seed=0, executor=executor
         ) as server:
             server.run(3)
             return server.global_state, server.history.rounds
 
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        return self._run(None, "legacy")
-
-    @pytest.mark.parametrize("executor_factory,transport", MATRIX)
-    def test_global_state_and_history_bit_identical(
-        self, baseline, executor_factory, transport
-    ):
-        state, rounds = self._run(executor_factory(), transport)
+    @pytest.mark.parametrize("executor_factory", MATRIX)
+    def test_global_state_and_history_bit_identical(self, baseline, executor_factory):
+        state, rounds = self._run(None, executor_factory())
         _assert_states_equal(baseline[0], state)
         assert baseline[1] == rounds
 
 
-class TestFederatedSimulationParity:
+class TestFederatedSimulationParity(_GoldenParity):
     @staticmethod
-    def _run(bundle, executor, transport: str):
-        transport = "payload" if transport == "legacy" else transport
+    def _run(bundle, executor):
         with FederatedNIDSSimulation(
             bundle,
             num_clients=3,
@@ -143,19 +221,12 @@ class TestFederatedSimulationParity:
             local_epochs=1,
             seed=0,
             executor=executor,
-            transport=transport,
         ) as simulation:
             return simulation.run()
 
-    @pytest.fixture(scope="class")
-    def baseline(self, lab_bundle_small):
-        return self._run(lab_bundle_small, None, "legacy")
-
-    @pytest.mark.parametrize("executor_factory,transport", MATRIX)
-    def test_seeded_results_identical(
-        self, baseline, lab_bundle_small, executor_factory, transport
-    ):
-        result = self._run(lab_bundle_small, executor_factory(), transport)
+    @pytest.mark.parametrize("executor_factory", MATRIX)
+    def test_seeded_results_identical(self, baseline, lab_bundle_small, executor_factory):
+        result = self._run(lab_bundle_small, executor_factory())
         assert baseline.federated == result.federated
         assert baseline.centralised == result.centralised
         assert baseline.local_only == result.local_only
@@ -166,23 +237,14 @@ class TestFederatedSimulationParity:
 class TestServerParityFloat32(TestServerParity):
     """The dtype axis of the parity contract (``docs/precision.md``).
 
-    A float32 detector federation must be bit-identical across every
-    executor/transport combination against its *own* float32 serial+legacy
-    baseline: the per-dtype RNG streams, the float32 codec transport and
-    the float32 shared buffers all have to agree for this to hold.
+    A float32 detector federation must match its *own* float32 golden and
+    be bit-identical across executors: the per-dtype RNG streams, the
+    float32 codec transport and the float32 shared buffers all have to
+    agree for this to hold.
     """
 
-    @staticmethod
-    def _run(executor, transport: str):
-        model_fn = DetectorFactory(
-            n_features=5, n_classes=2, hidden_dims=(8,), seed=0, dtype="float32"
-        )
-        transport = "payload" if transport == "legacy" else transport
-        with FederatedServer(
-            model_fn, _make_clients(3, model_fn), seed=0, executor=executor, transport=transport
-        ) as server:
-            server.run(3)
-            return server.global_state, server.history.rounds
+    RTOL = 1e-4
+    MODEL_FN = DetectorFactory(n_features=5, n_classes=2, hidden_dims=(8,), seed=0, dtype="float32")
 
     def test_global_state_is_float32(self, baseline):
         state, _rounds = baseline
@@ -190,11 +252,21 @@ class TestServerParityFloat32(TestServerParity):
             np.dtype(np.float32)
         }
 
+    def test_evaluation_runs_in_model_dtype(self):
+        """Held-out features arrive float64; a float32 federation evaluates
+        and predicts on them instead of rejecting the mismatched input."""
+        features = np.random.default_rng(1).normal(size=(40, 5))
+        labels = (features[:, 0] > 0).astype(int)
+        with FederatedServer(self.MODEL_FN, _make_clients(3, self.MODEL_FN), seed=0) as server:
+            history = server.run(2, eval_features=features, eval_labels=labels)
+            predictions = server.predict(features)
+        assert len(history.accuracies()) == 2
+        assert history.final_accuracy == float((predictions == labels).mean())
 
-class TestDistributedSimulationParity:
+
+class TestDistributedSimulationParity(_GoldenParity):
     @staticmethod
-    def _run(bundle, executor, transport: str):
-        transport = "payload" if transport == "legacy" else transport
+    def _run(bundle, executor):
         with DistributedNIDSSimulation(
             bundle,
             num_nodes=3,
@@ -202,19 +274,12 @@ class TestDistributedSimulationParity:
             synthesizer_factory=lambda seed: IndependentSampler(seed=seed),
             seed=5,
             executor=executor,
-            transport=transport,
         ) as simulation:
             return simulation.run(share_size=120)
 
-    @pytest.fixture(scope="class")
-    def baseline(self, lab_bundle_small):
-        return self._run(lab_bundle_small, None, "legacy")
-
-    @pytest.mark.parametrize("executor_factory,transport", MATRIX)
-    def test_seeded_results_identical(
-        self, baseline, lab_bundle_small, executor_factory, transport
-    ):
-        result = self._run(lab_bundle_small, executor_factory(), transport)
+    @pytest.mark.parametrize("executor_factory", MATRIX)
+    def test_seeded_results_identical(self, baseline, lab_bundle_small, executor_factory):
+        result = self._run(lab_bundle_small, executor_factory())
         assert baseline.local_only == result.local_only
         assert baseline.synthetic_sharing == result.synthetic_sharing
         assert baseline.centralised_real == result.centralised_real
@@ -222,7 +287,7 @@ class TestDistributedSimulationParity:
         assert baseline.share_validity == result.share_validity
 
 
-class TestFederatedKiNETGANParity:
+class TestFederatedKiNETGANParity(_GoldenParity):
     """Two rounds, so cross-round worker state (Adam moments, the trainer
     RNG, the KG head) is exercised: a resident site whose delta round-trip
     dropped any of it would diverge from the serial baseline in round 2."""
@@ -239,8 +304,7 @@ class TestFederatedKiNETGANParity:
     )
 
     @classmethod
-    def _run(cls, bundle, executor, transport: str):
-        transport = "site" if transport == "legacy" else transport
+    def _run(cls, bundle, executor):
         table = bundle.table.head(300)
         rng = np.random.default_rng(0)
         parts = label_skew_partition(table, "label", 2, rng, skew=0.5, min_rows=20)
@@ -251,7 +315,6 @@ class TestFederatedKiNETGANParity:
             condition_columns=bundle.condition_columns,
             seed=0,
             executor=executor,
-            transport=transport,
         ) as fed:
             handles = [fed.add_site(f"site-{i}", part) for i, part in enumerate(parts)]
             fed.run(num_rounds=2, local_epochs=1)
@@ -264,16 +327,12 @@ class TestFederatedKiNETGANParity:
             sample = fed.sample(60)
             return generator_state, discriminator_state, sample
 
-    @pytest.fixture(scope="class")
-    def baseline(self, lab_bundle_small):
-        return self._run(lab_bundle_small, None, "legacy")
-
-    @pytest.mark.parametrize("executor_factory,transport", MATRIX)
+    @pytest.mark.parametrize("executor_factory", MATRIX)
     def test_global_weights_and_sample_bit_identical(
-        self, baseline, lab_bundle_small, executor_factory, transport
+        self, baseline, lab_bundle_small, executor_factory
     ):
         generator_state, discriminator_state, sample = self._run(
-            lab_bundle_small, executor_factory(), transport
+            lab_bundle_small, executor_factory()
         )
         _assert_states_equal(baseline[0], generator_state)
         _assert_states_equal(baseline[1], discriminator_state)
@@ -283,10 +342,11 @@ class TestFederatedKiNETGANParity:
 
 class TestFederatedKiNETGANParityFloat32(TestFederatedKiNETGANParity):
     """The dtype axis on the full model: a float32 federated KiNETGAN fit
-    must stay bit-identical across executors and transports against its own
-    float32 serial baseline, and its global states must actually be
-    float32 end to end (codec, shared buffers, aggregation)."""
+    must match its own float32 golden, stay bit-identical across executors,
+    and its global states must actually be float32 end to end (codec,
+    shared buffers, aggregation)."""
 
+    RTOL = 1e-4
     CONFIG = dataclasses.replace(TestFederatedKiNETGANParity.CONFIG, dtype="float32")
 
     def test_global_states_are_float32(self, baseline):
@@ -316,7 +376,6 @@ class TestServerFaultRecoveryParity:
             _make_clients(3, model_fn),
             seed=0,
             executor=executor,
-            transport="resident",
             task_timeout=task_timeout,
             task_retries=2,
         ) as server:
@@ -357,7 +416,6 @@ class TestFederatedKiNETGANFaultRecovery:
             condition_columns=bundle.condition_columns,
             seed=0,
             executor=executor,
-            transport="resident",
             task_timeout=task_timeout,
             task_retries=2,
         ) as fed:
@@ -383,3 +441,22 @@ class TestFederatedKiNETGANFaultRecovery:
         _assert_states_equal(baseline[1], discriminator_state)
         for name in baseline[2].schema.names:
             assert list(baseline[2].column(name)) == list(sample.column(name)), name
+
+
+def write_golden(path: Path = GOLDEN_PATH) -> None:
+    """Re-record every golden digest from the serial runs."""
+    bundle = load_lab_iot(n_records=900, seed=13)  # the ``lab_bundle_small`` fixture
+    classes = [
+        TestServerParity,
+        TestServerParityFloat32,
+        TestFederatedSimulationParity,
+        TestDistributedSimulationParity,
+        TestFederatedKiNETGANParity,
+        TestFederatedKiNETGANParityFloat32,
+    ]
+    goldens = {cls.__name__: fingerprint(cls._run(bundle, None)) for cls in classes}
+    path.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()

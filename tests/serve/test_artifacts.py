@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -216,8 +217,9 @@ class TestRejection:
             load_model(corrupted)
 
     def test_unwritable_format_version_rejected(self, fitted_kinetgan, tmp_path):
-        with pytest.raises(ArtifactError, match="format version"):
-            save_model(fitted_kinetgan, tmp_path / "v999", format_version=999)
+        """save_model writes format v2 only; no argument asks for another."""
+        with pytest.raises(TypeError, match="format_version"):
+            save_model(fitted_kinetgan, tmp_path / "v1", format_version=1)
 
 
 class TestFormatV2:
@@ -285,45 +287,38 @@ class TestFormatV2:
         assert path.exists()
 
 
-class TestFormatV1Compat:
-    """Artifacts written by older builds (pickled state.pkl) still load."""
+class _HostileState:
+    """Unpickles as ``open(path, "w")``: a v1 ``state.pkl`` that creates a file."""
 
-    @pytest.fixture(scope="class")
-    def v1_artifact(self, fitted_kinetgan, tmp_path_factory) -> Path:
-        directory = tmp_path_factory.mktemp("v1") / "kinetgan"
-        save_model(fitted_kinetgan, directory, format_version=1)
-        return directory
+    def __init__(self, path: Path) -> None:
+        self.path = str(path)
 
-    def test_v1_layout_on_disk(self, v1_artifact):
-        assert (v1_artifact / "state.pkl").exists()
-        assert not (v1_artifact / "state.npz").exists()
-        artifact = ModelArtifact.open(v1_artifact)
-        assert artifact.format_version == 1
-        assert artifact.state_path.name == "state.pkl"
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
-    def test_v1_bit_parity(self, fitted_kinetgan, v1_artifact):
-        loaded = load_model(v1_artifact)
-        assert_tables_identical(
-            fitted_kinetgan.sample(200, rng=sampling_rng(21)),
-            loaded.sample(200, rng=sampling_rng(21)),
-        )
 
-    def test_v1_and_v2_load_identically(self, v1_artifact, kinetgan_artifact):
-        from_v1 = load_model(v1_artifact)
-        from_v2 = load_model(kinetgan_artifact)
-        assert_tables_identical(
-            from_v1.sample(100, rng=sampling_rng(33)),
-            from_v2.sample(100, rng=sampling_rng(33)),
-        )
+class TestFormatV1Rejected:
+    """Format v1 (a pickled ``state.pkl``) is retired: refused, never unpickled."""
 
-    def test_v1_independent_sampler_loads(self, train_table, tmp_path):
-        model = IndependentSampler(seed=5).fit(train_table)
-        save_model(model, tmp_path / "ind_v1", format_version=1)
-        loaded = load_model(tmp_path / "ind_v1")
-        assert_tables_identical(
-            model.sample(120, rng=sampling_rng(2)),
-            loaded.sample(120, rng=sampling_rng(2)),
-        )
+    def test_v1_artifact_rejected_without_unpickling(self, kinetgan_artifact, tmp_path):
+        marker = tmp_path / "created-by-unpickling"
+        blob = pickle.dumps(_HostileState(marker))
+        v1 = tmp_path / "v1"
+        v1.mkdir()
+        for path in Path(kinetgan_artifact).iterdir():
+            if path.name != "state.npz":
+                (v1 / path.name).write_bytes(path.read_bytes())
+        (v1 / "state.pkl").write_bytes(blob)
+        manifest = json.loads((v1 / "manifest.json").read_text())
+        manifest.update(format_version=1, state_file="state.pkl")
+        (v1 / "manifest.json").write_text(json.dumps(manifest))
+
+        with pytest.raises(ArtifactError, match="re-save the artifact with a release that reads v1"):
+            load_model(v1)
+        assert not marker.exists()
+        # The blob is live: unpickling it is exactly what the loader refused.
+        pickle.loads(blob).close()
+        assert marker.exists()
 
 
 class TestArtifactDtype:
@@ -331,8 +326,8 @@ class TestArtifactDtype:
 
     A float32 model must round-trip through ``save_model`` / ``load_model``
     with its dtype recorded in the manifest, its networks restored in
-    float32, and its samples bit-identical -- in-process, across a fresh
-    interpreter, and on both state formats.  A manifest whose declared
+    float32, and its samples bit-identical -- in-process and across a
+    fresh interpreter.  A manifest whose declared
     dtype disagrees with the restored networks must be rejected.
     """
 
@@ -377,16 +372,6 @@ class TestArtifactDtype:
         f64 = sum(p.stat().st_size for p in Path(kinetgan_artifact).glob("*.npz"))
         f32 = sum(p.stat().st_size for p in Path(float32_artifact).glob("*.npz"))
         assert f32 < 0.75 * f64
-
-    def test_v1_format_preserves_float32(self, fitted_float32, tmp_path):
-        save_model(fitted_float32, tmp_path / "f32_v1", format_version=1)
-        loaded = load_model(tmp_path / "f32_v1")
-        for name, network in loaded.artifact_networks().items():
-            assert np.dtype(network.dtype) == np.float32, name
-        assert_tables_identical(
-            fitted_float32.sample(150, rng=sampling_rng(8)),
-            loaded.sample(150, rng=sampling_rng(8)),
-        )
 
     def test_missing_dtype_key_accepted(self, float32_artifact, tmp_path):
         """Artifacts from before the precision tier carry no dtype key."""

@@ -451,6 +451,19 @@ class TestObservabilityDumps:
         manifest = json.loads((artifact / "manifest.json").read_text())
         assert manifest["dtype"] == "float32"
 
+    @pytest.mark.parametrize("command", ["generate", "evaluate", "save"])
+    @pytest.mark.parametrize("model", ["tvae", "pategan", "tablegan", "octgan"])
+    def test_float64_only_model_rejects_float32_in_one_line(self, command, model, tmp_path):
+        argv = [command, "--model", model, "--dtype", "float32", "--records", "200"]
+        if command == "save":
+            argv += ["--artifact-dir", str(tmp_path / "artifact")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        assert "float64 networks only" in message
+        assert "\n" not in message
+        assert not (tmp_path / "artifact").exists()
+
     def test_dtype_choices_validated(self):
         with pytest.raises(SystemExit):
             main(["generate", "--dataset", "lab_iot", "--dtype", "float16"])

@@ -125,6 +125,7 @@ def seed_replica():
         "drop_fwd": _layers.Dropout.forward, "drop_bwd": _layers.Dropout.backward,
         "targets": _trainer.KiNETGANTrainer._targets,
         "step_init": _trainer.KiNETGANStep.__init__,
+        "step_body": _trainer.KiNETGANStep.step,
         "gen_step": _trainer.KiNETGANTrainer._generator_step,
         "valid_set": _kg.KnowledgeGuidedDiscriminator.valid_set_loss_and_grad,
         "train_step": _kg.KnowledgeGuidedDiscriminator.train_step,
@@ -276,8 +277,38 @@ def seed_replica():
     def step_init(self, trainer, real_matrix, table=None):
         self.trainer = trainer
         self.real_matrix = real_matrix
-        self._kg_valid = None
-        self._kg_records = None
+
+    def step_body(self, rng, batch_index):
+        trainer = self.trainer
+        config = trainer.config
+        d_loss = 0.0
+        fake_for_kg = None
+        cond = None
+        for _ in range(config.discriminator_steps):
+            cond = trainer.sampler.sample(config.batch_size, rng)
+            real = self.real_matrix[cond.row_indices]
+            noise = rng.normal(size=(config.batch_size, config.embedding_dim))
+            fake = trainer.generator.forward(noise, cond.vector, training=True)
+            d_loss += trainer._discriminator_step(real, fake, cond.vector)
+            fake_for_kg = fake
+        d_loss /= config.discriminator_steps
+
+        k_loss = 0.0
+        if trainer.kg_discriminator is not None and cond is not None:
+            k_loss = trainer.kg_discriminator.train_step(
+                real_table=trainer.sampler.real_batch(cond),
+                real_matrix=self.real_matrix[cond.row_indices],
+                fake_matrix=fake_for_kg,
+                negatives=config.knowledge_negatives_per_batch,
+            )
+
+        g_loss, c_loss, kg_gen_loss = trainer._generator_step(config)
+        return {
+            "discriminator_loss": d_loss,
+            "generator_loss": g_loss,
+            "condition_loss": c_loss,
+            "knowledge_loss": k_loss + kg_gen_loss,
+        }
 
     def gen_step(self, config):
         from repro.core.losses import condition_penalty
@@ -364,13 +395,33 @@ def seed_replica():
         grad /= total_terms
         return total_loss / total_terms, grad
 
+    def corrupt_records(self, records):
+        corrupted = []
+        schema = self.transformer.schema
+        categorical_kg = [name for name in self.kg_columns if schema.column(name).is_categorical]
+        continuous_kg = [name for name in self.kg_columns if schema.column(name).is_continuous]
+        for record in records:
+            clone = dict(record)
+            if categorical_kg and (not continuous_kg or self.rng.uniform() < 0.7):
+                column = categorical_kg[self.rng.integers(0, len(categorical_kg))]
+                categories = schema.column(column).categories
+                clone[column] = categories[self.rng.integers(0, len(categories))]
+            elif continuous_kg:
+                column = continuous_kg[self.rng.integers(0, len(continuous_kg))]
+                spec = schema.column(column)
+                low = spec.minimum if spec.minimum is not None else 0.0
+                high = spec.maximum if spec.maximum is not None else 65535.0
+                clone[column] = float(self.rng.uniform(low, high))
+            corrupted.append(clone)
+        return corrupted
+
     def kg_train_step(self, real_table, real_matrix, fake_matrix, negatives=64,
-                      real_valid=None, real_records=None):
+                      real_valid=None, real_rows=None):
         if self.head is None or self._optimizer is None:
             return 0.0
         records = real_table.to_records()
         real_valid = self.validator.table_scores(real_table)
-        pool = self._corrupt_records(records[: max(negatives, 1)])
+        pool = corrupt_records(self, records[: max(negatives, 1)])
         pool_scores = self.validator.record_scores(pool)
         invalid_records = [r for r, s in zip(pool, pool_scores) if s == 0.0]
 
@@ -498,6 +549,7 @@ def seed_replica():
     _layers.Dropout.backward = drop_bwd
     _trainer.KiNETGANTrainer._targets = targets
     _trainer.KiNETGANStep.__init__ = step_init
+    _trainer.KiNETGANStep.step = step_body
     _trainer.KiNETGANTrainer._generator_step = gen_step
     _kg.KnowledgeGuidedDiscriminator.valid_set_loss_and_grad = valid_set
     _kg.KnowledgeGuidedDiscriminator.train_step = kg_train_step
@@ -524,6 +576,7 @@ def seed_replica():
         _layers.Dropout.backward = saved["drop_bwd"]
         _trainer.KiNETGANTrainer._targets = saved["targets"]
         _trainer.KiNETGANStep.__init__ = saved["step_init"]
+        _trainer.KiNETGANStep.step = saved["step_body"]
         _trainer.KiNETGANTrainer._generator_step = saved["gen_step"]
         _kg.KnowledgeGuidedDiscriminator.valid_set_loss_and_grad = saved["valid_set"]
         _kg.KnowledgeGuidedDiscriminator.train_step = saved["train_step"]

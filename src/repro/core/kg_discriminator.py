@@ -13,9 +13,27 @@ real.  It has two parts:
   invalid ones (corrupted rows and generated rows the hard check rejects).
   The head provides the *differentiable* path through which the generator
   receives the knowledge signal (equation 3: ``D_C = D_KG + D_M``).
+
+The head trains on integer codes, never on record dicts: the KG columns of
+the real rows arrive as :class:`KGRows` (encoder codes of the categorical
+KG columns plus the continuous KG values), are corrupted, scored against
+the precoded validity tables and encoded straight into the head's input.
+Seeded fits depend bit for bit on the order of its draws on the shared
+``rng`` (the trainer's stream):
+
+1. per corrupted row, in row order: one standard-uniform coin (only when
+   the KG has both categorical and continuous columns; below 0.7 picks a
+   categorical one), one ``integers`` column pick, then one ``integers``
+   category draw or one ``uniform(low, high)`` value draw;
+2. then, if any corrupted row is KG-invalid, one ``uniform(size=m)`` block
+   (``m`` invalid rows) per mode-normalised column in schema order, KG
+   column or not -- exactly the draws ``DataTransformer.transform`` makes
+   when it encodes those rows.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +43,11 @@ from repro.neural.layers import Dense, LeakyReLU
 from repro.neural.losses import BinaryCrossEntropy
 from repro.neural.network import Sequential
 from repro.neural.optimizers import Adam
-from repro.tabular.table import Table, factorize_values
+from repro.tabular.encoders import MinMaxScaler, ModeSpecificNormalizer
+from repro.tabular.table import Table
 from repro.tabular.transformer import DataTransformer
 
-__all__ = ["KnowledgeGuidedDiscriminator"]
+__all__ = ["KGRows", "KnowledgeGuidedDiscriminator"]
 
 #: Semantic roles whose columns the knowledge graph constrains.
 _KG_ROLES = (
@@ -39,6 +58,35 @@ _KG_ROLES = (
     "source_port",
     "destination_port",
 )
+
+#: Widest valid set the penalty sums with one padded gather.  numpy sums a
+#: row of up to 7 terms left to right, and a multi-row masked gather is
+#: summed left to right too, so zero padding leaves every mass bit-identical
+#: to the per-event sum; wider single-row sums are pairwise.
+_PADDED_MAX = 7
+
+
+@dataclass(frozen=True)
+class KGRows:
+    """The KG-constrained columns of a batch of rows, as arrays.
+
+    ``codes`` holds the encoder codes of the categorical KG columns (-1 for
+    a value outside the encoder's categories), ``labels`` their raw values
+    (``None`` when every code is known, as for rows decoded from a matrix)
+    and ``values`` the continuous KG columns, each in the discriminator's
+    column order.
+    """
+
+    codes: np.ndarray
+    labels: np.ndarray | None
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def take(self, index) -> "KGRows":
+        labels = None if self.labels is None else self.labels[index]
+        return KGRows(self.codes[index], labels, self.values[index])
 
 
 class KnowledgeGuidedDiscriminator:
@@ -77,14 +125,30 @@ class KnowledgeGuidedDiscriminator:
         }
         self._event_column = reasoner.field_map["event_type"]
         self._valid_mask_cache: dict[tuple[str, str], np.ndarray | None] = {}
-        #: ``(column, event) -> global column indices`` of the valid
-        #: categories -- the scatter targets of ``valid_set_loss_and_grad``.
-        self._valid_idx_cache: dict[tuple[str, str], np.ndarray | None] = {}
-        self._slices: list[slice] = [
-            slice(transformer.column_info(name).start, transformer.column_info(name).end)
-            for name in self.kg_columns
+        schema = transformer.schema
+        self._categorical_kg = [n for n in self.kg_columns if schema.column(n).is_categorical]
+        self._continuous_kg = [n for n in self.kg_columns if schema.column(n).is_continuous]
+        #: Corruption domains: schema categories with their encoder codes,
+        #: and ``(low, high)`` value bounds.
+        self._category_draws = [
+            (spec.categories, transformer.encoder(spec.name).codes(list(spec.categories)))
+            for spec in map(schema.column, self._categorical_kg)
         ]
-        self.input_dim = sum(s.stop - s.start for s in self._slices)
+        self._value_draws = [
+            (
+                spec.minimum if spec.minimum is not None else 0.0,
+                spec.maximum if spec.maximum is not None else 65535.0,
+            )
+            for spec in map(schema.column, self._continuous_kg)
+        ]
+        #: Each KG column's transformed layout, the matrix columns the head
+        #: reads (in ``kg_columns`` order) and each column's offset in them.
+        self._kg_infos = {n: transformer.column_info(n) for n in self.kg_columns}
+        infos = list(self._kg_infos.values())
+        self._kg_index = np.concatenate([np.arange(i.start, i.end) for i in infos])
+        offsets = np.cumsum([0] + [i.dim for i in infos[:-1]])
+        self._kg_offsets = dict(zip(self.kg_columns, offsets.tolist()))
+        self.input_dim = len(self._kg_index)
 
         self.head: Sequential | None = None
         self._optimizer: Adam | None = None
@@ -108,59 +172,21 @@ class KnowledgeGuidedDiscriminator:
         """Exact 0/1 validity of decoded records (the KG query ``Q``)."""
         return self.validator.table_scores(table)
 
-    def _score_plan(self) -> list[tuple]:
-        """Per-column decode recipes for the KG-relevant columns only.
-
-        Validity depends solely on the columns named in the reasoner's
-        ``field_map``, so scoring a transformed batch does not need the full
-        ``inverse_transform`` (which decodes every column and materialises a
-        :class:`Table`).  Each recipe decodes one column with the exact
-        arithmetic of the transformer's decode plan -- per-block argmax for
-        one-hot columns, ``clip(clip(alpha) * 4 * sigma + mu)`` for
-        mode-normalised ones -- so the decoded values, and therefore the
-        scores, are bit-identical to the full-decode path.
-        """
-        plan = getattr(self, "_score_plan_cache", None)
-        if plan is None:
-            from repro.tabular.encoders import MinMaxScaler, ModeSpecificNormalizer
-
-            plan = []
-            schema = self.transformer.schema
-            for name in dict.fromkeys(self.validator.reasoner.field_map.values()):
-                if name not in schema.names:
-                    continue
-                info = self.transformer.column_info(name)
-                encoder = self.transformer.encoder(name)
-                spec = schema.column(name)
-                if isinstance(encoder, ModeSpecificNormalizer):
-                    lo = spec.minimum if spec.minimum is not None else -np.inf
-                    hi = spec.maximum if spec.maximum is not None else np.inf
-                    plan.append(
-                        ("mode", name, info.start, info.end,
-                         encoder.gmm.means, encoder.gmm.stds, lo, hi)
-                    )
-                elif isinstance(encoder, MinMaxScaler):
-                    plan.append(("minmax", name, info.start, encoder,
-                                 spec.minimum, spec.maximum))
-                else:
-                    plan.append(("onehot", name, info.start, info.end,
-                                 encoder._categories_array))
-            self._score_plan_cache = plan
-        return plan
-
     def _validity_tables(self):
         """Precoded validity lookups over the encoders' category lists.
 
-        A transformed row's decoded categorical values always come from the
-        fixed per-column category lists, so every (event, category) validity
-        decision can be resolved once up front: per membership role a
-        ``(n_events, n_categories)`` boolean table, per port column either a
-        category table (one-hot ports) or per-event integer bounds
-        (mode-normalised source ports).  Scoring a batch is then a handful
-        of argmax + table gathers with no per-value hashing.  The tables
-        replicate :meth:`KGReasoner.validity_mask` exactly: ``None`` events
-        skip all checks, unknown events are invalid, empty constraint sets
-        leave a role unconstrained, and unparseable port categories violate
+        Every (event, category) validity decision is resolved once up front,
+        so scoring :class:`KGRows` is a handful of table gathers with no
+        per-value hashing.  Returns ``(event, base, checks, src_range)``:
+        the event column's position among the categorical KG columns, the
+        per-event base validity, ``(position, table)`` per checked
+        categorical column -- a ``(n_events, n_categories)`` boolean table
+        per membership role or one-hot port column -- and, for a continuous
+        source port, ``(position, lo, hi, active)`` per-event integer bounds
+        over the continuous KG columns.  The tables replicate
+        :meth:`KGReasoner.validity_mask` exactly: ``None`` events skip all
+        checks, unknown events are invalid, empty constraint sets leave a
+        role unconstrained, and unparseable port categories violate
         whenever the row's event is known.  Returns ``None`` when the
         layout does not fit (then scoring falls back to the batched
         reasoner query).
@@ -205,7 +231,7 @@ class KnowledgeGuidedDiscriminator:
             if c is None:
                 base[e] = False
 
-        def port_table(col: str, check) -> tuple[int, int, np.ndarray]:
+        def port_table(col: str, check) -> np.ndarray:
             cats = np.empty(len(tr.encoder(col).categories), dtype=object)
             cats[:] = list(tr.encoder(col).categories)
             floats, parseable = _numeric_column(cats)
@@ -217,10 +243,10 @@ class KnowledgeGuidedDiscriminator:
                     continue
                 ok = check(c, ints)
                 tbl[e] = parseable if ok is None else parseable & ok
-            info = tr.column_info(col)
-            return col, info.start, info.end, tbl
+            return tbl
 
-        member = []
+        position = self._categorical_kg.index
+        checks = []
         for role, attr in reasoner._MEMBERSHIP_ATTRS.items():
             col = fm.get(role)
             if col not in names:
@@ -236,8 +262,7 @@ class KnowledgeGuidedDiscriminator:
                 tbl[e] = np.fromiter(
                     (v in allowed for v in cats), dtype=bool, count=len(cats)
                 )
-            info = tr.column_info(col)
-            member.append((col, info.start, info.end, tbl))
+            checks.append((position(col), tbl))
 
         def dst_check(c, ints):
             if not c.destination_ports and c.destination_port_range is None:
@@ -252,12 +277,12 @@ class KnowledgeGuidedDiscriminator:
                 ok |= (ints >= low) & (ints <= high)
             return ok
 
-        dst = port_table(dst_col, dst_check) if dst_col in names else None
+        if dst_col in names:
+            checks.append((position(dst_col), port_table(dst_col, dst_check)))
 
-        src = None
+        src_range = None
         if src_col in names:
-            encoder = tr.encoder(src_col)
-            if isinstance(encoder, OneHotEncoder):
+            if isinstance(tr.encoder(src_col), OneHotEncoder):
 
                 def src_check(c, ints):
                     if c.source_port_range is None:
@@ -268,16 +293,12 @@ class KnowledgeGuidedDiscriminator:
                 # For range-free events validity_mask applies no source-port
                 # check at all, so the table row must be all-True there --
                 # port_table's parseable-only default is wrong for them.
-                _, start, end, tbl = port_table(src_col, src_check)
+                tbl = port_table(src_col, src_check)
                 for e, c in enumerate(constraints):
                     if not skip[e] and c is not None and c.source_port_range is None:
                         tbl[e] = True
-                src = ("table", src_col, start, end, tbl)
+                checks.append((position(src_col), tbl))
             else:
-                info = tr.column_info(src_col)
-                spec = tr.schema.column(src_col)
-                lo_bound = spec.minimum if spec.minimum is not None else -np.inf
-                hi_bound = spec.maximum if spec.maximum is not None else np.inf
                 lo = np.full(n_events, np.iinfo(np.int64).min, dtype=np.int64)
                 hi = np.full(n_events, np.iinfo(np.int64).max, dtype=np.int64)
                 active = np.zeros(n_events, dtype=bool)
@@ -286,179 +307,92 @@ class KnowledgeGuidedDiscriminator:
                         continue
                     active[e] = True
                     lo[e], hi[e] = c.source_port_range
-                src = (
-                    "range", src_col, info.start, info.end,
-                    encoder.gmm.means, encoder.gmm.stds,
-                    lo_bound, hi_bound, lo, hi, active,
-                )
+                src_range = (self._continuous_kg.index(src_col), lo, hi, active)
 
-        info_e = tr.column_info(event_col)
-        self._validity_tables_cache = (info_e.start, info_e.end, base, member, dst, src)
+        self._validity_tables_cache = (position(event_col), base, checks, src_range)
         return self._validity_tables_cache
 
-    def _record_tables(self):
-        """Category-index views of :meth:`_validity_tables` for record dicts.
+    def _rows_valid(self, rows: KGRows) -> np.ndarray:
+        """Exact per-row validity of :class:`KGRows` (``is_valid``'s rules).
 
-        Scoring a corrupted-record pool only needs ``{value: category_index}``
-        dict lookups into the same precoded tables.  Returns ``None`` when
-        the tables are unavailable.
+        Rows whose checked columns all hold known codes are resolved by
+        gathers from :meth:`_validity_tables`; rows with a -1 code (and
+        every row when the tables are unavailable) go through one batched
+        ``validity_mask`` call on their raw values.
         """
-        cached = getattr(self, "_record_tables_cache", "unset")
-        if cached != "unset":
-            return cached
         tables = self._validity_tables()
         if tables is None:
-            self._record_tables_cache = None
-            return None
-        _, _, base, member, dst, src = tables
-        fm = self.validator.reasoner.field_map
+            return self._reasoner_valid(rows)
+        event, base, checks, src_range = tables
+        codes = rows.codes
+        ev = codes[:, event]
+        valid = base[ev]
+        for j, tbl in checks:
+            valid &= tbl[ev, codes[:, j]]
+        if src_range is not None:
+            j, lo, hi, active = src_range
+            act = active[ev]
+            if act.any():
+                x = rows.values[:, j]
+                finite = np.isfinite(x)
+                ints = np.trunc(np.where(finite, x, 0.0)).astype(np.int64)
+                valid &= ~act | (finite & (ints >= lo[ev]) & (ints <= hi[ev]))
+        if rows.labels is not None:
+            unknown = (codes[:, [event] + [j for j, _ in checks]] < 0).any(axis=1)
+            if unknown.any():
+                valid[unknown] = self._reasoner_valid(rows.take(unknown))
+        return valid
 
-        def index_for(col: str) -> dict:
-            return {v: i for i, v in enumerate(self.transformer.encoder(col).categories)}
-
-        cat_checks = [(col, index_for(col), tbl) for col, _, _, tbl in member]
-        if dst is not None:
-            col, _, _, tbl = dst
-            cat_checks.append((col, index_for(col), tbl))
-        src_range = None
-        if src is not None:
-            if src[0] == "table":
-                _, col, _, _, tbl = src
-                cat_checks.append((col, index_for(col), tbl))
+    def _reasoner_valid(self, rows: KGRows) -> np.ndarray:
+        columns = {}
+        for j, name in enumerate(self._categorical_kg):
+            if rows.labels is None:
+                columns[name] = self.transformer.encoder(name).decode(rows.codes[:, j])
             else:
-                col, lo, hi, active = src[1], src[8], src[9], src[10]
-                src_range = (col, lo, hi, active)
-        event_col = fm["event_type"]
-        self._record_tables_cache = (
-            event_col, index_for(event_col), base, cat_checks, src_range
-        )
-        return self._record_tables_cache
+                columns[name] = rows.labels[:, j]
+        columns.update({name: rows.values[:, j] for j, name in enumerate(self._continuous_kg)})
+        return self.reasoner.validity_mask(columns)
 
-    def _pool_scores(self, records: list[dict]) -> np.ndarray:
-        """Per-record validity of full record dicts, mirroring ``is_valid``.
-
-        Resolves each record against the precoded tables with one dict
-        lookup per constrained column.  Any value outside the encoders'
-        category lists falls back to the reasoner's per-record query for
-        that record, so the scores are always exactly ``is_valid``'s.
-        """
-        tables = self._record_tables()
-        if tables is None:
-            return self.validator.record_scores(records)
-        event_col, event_index, base, cat_checks, src_range = tables
-        reasoner = self.validator.reasoner
-        missing = object()
-        scores = np.empty(len(records), dtype=np.float64)
-        for i, record in enumerate(records):
-            event = record.get(event_col)
-            if event is None:
-                scores[i] = 1.0
-                continue
-            e = event_index.get(event)
-            if e is None:
-                scores[i] = 1.0 if reasoner.is_valid(record) else 0.0
-                continue
-            if not base[e]:
-                scores[i] = 0.0
-                continue
-            ok = True
-            fallback = False
-            for col, index, tbl in cat_checks:
-                value = record.get(col, missing)
-                if value is missing:
-                    continue
-                j = index.get(value)
-                if j is None:
-                    fallback = True
-                    break
-                if not tbl[e, j]:
-                    ok = False
-                    break
-            if fallback:
-                scores[i] = 1.0 if reasoner.is_valid(record) else 0.0
-                continue
-            if ok and src_range is not None:
-                col, lo, hi, active = src_range
-                if active[e] and col in record:
-                    try:
-                        port = int(float(record[col]))
-                    except (TypeError, ValueError):
-                        ok = False
-                    else:
-                        if not lo[e] <= port <= hi[e]:
-                            ok = False
-            scores[i] = 1.0 if ok else 0.0
-        return scores
-
-    def _hard_scores_fast(self, matrix: np.ndarray) -> np.ndarray:
-        """Exact validity of transformed rows, decoding KG columns only."""
-        tables = self._validity_tables()
-        if tables is not None:
-            e_start, e_end, base, member, dst, src = tables
-            event = np.argmax(matrix[:, e_start:e_end], axis=1)
-            valid = base[event]
-            for _, start, end, tbl in member:
-                valid &= tbl[event, np.argmax(matrix[:, start:end], axis=1)]
-            if dst is not None:
-                _, start, end, tbl = dst
-                valid &= tbl[event, np.argmax(matrix[:, start:end], axis=1)]
-            if src is not None:
-                if src[0] == "table":
-                    _, _, start, end, tbl = src
-                    valid &= tbl[event, np.argmax(matrix[:, start:end], axis=1)]
-                else:
-                    (_, _, start, end, means, stds,
-                     lo_bound, hi_bound, lo, hi, active) = src
-                    act = active[event]
-                    if act.any():
-                        modes = np.argmax(matrix[:, start + 1 : end], axis=1)
-                        alpha = np.clip(matrix[:, start], -1.0, 1.0)
-                        x = np.clip(
-                            alpha * 4.0 * stds[modes] + means[modes], lo_bound, hi_bound
-                        )
-                        finite = np.isfinite(x)
-                        ints = np.trunc(np.where(finite, x, 0.0)).astype(np.int64)
-                        valid &= ~act | (finite & (ints >= lo[event]) & (ints <= hi[event]))
-            return valid.astype(np.float64)
-
-        columns: dict[str, np.ndarray] = {}
-        for recipe in self._score_plan():
-            kind, name = recipe[0], recipe[1]
-            if kind == "onehot":
-                _, _, start, end, categories = recipe
-                columns[name] = categories[np.argmax(matrix[:, start:end], axis=1)]
-            elif kind == "mode":
-                _, _, start, end, means, stds, lo, hi = recipe
-                modes = np.argmax(matrix[:, start + 1 : end], axis=1)
-                alpha = np.clip(matrix[:, start], -1.0, 1.0)
-                columns[name] = np.clip(alpha * 4.0 * stds[modes] + means[modes], lo, hi)
+    def _matrix_rows(self, matrix: np.ndarray) -> KGRows:
+        """The KG columns of transformed rows, decoded with the exact
+        arithmetic of ``inverse_transform`` -- per-block argmax codes and
+        ``clip(clip(alpha) * 4 * sigma + mu)`` values -- without decoding
+        the rest of the row or materialising a :class:`Table`."""
+        tr = self.transformer
+        codes = np.empty((len(matrix), len(self._categorical_kg)), dtype=np.int64)
+        for j, name in enumerate(self._categorical_kg):
+            info = self._kg_infos[name]
+            codes[:, j] = matrix[:, info.start : info.end].argmax(axis=1)
+        values = np.empty((len(matrix), len(self._continuous_kg)))
+        for j, name in enumerate(self._continuous_kg):
+            info, encoder, spec = self._kg_infos[name], tr.encoder(name), tr.schema.column(name)
+            if isinstance(encoder, ModeSpecificNormalizer):
+                modes = np.argmax(matrix[:, info.start + 1 : info.end], axis=1)
+                alpha = np.clip(matrix[:, info.start], -1.0, 1.0)
+                x = alpha * 4.0 * encoder.gmm.stds[modes] + encoder.gmm.means[modes]
             else:
-                _, _, start, encoder, minimum, maximum = recipe
-                values = encoder.inverse_transform(matrix[:, start])
-                if minimum is not None:
-                    values = np.maximum(values, minimum)
-                if maximum is not None:
-                    values = np.minimum(values, maximum)
-                columns[name] = values
-        return self.validator.reasoner.validity_mask(columns).astype(np.float64)
+                x = encoder.inverse_transform(matrix[:, info.start])
+            lo = spec.minimum if spec.minimum is not None else -np.inf
+            hi = spec.maximum if spec.maximum is not None else np.inf
+            values[:, j] = np.clip(x, lo, hi)
+        return KGRows(codes, None, values)
 
     def hard_scores_matrix(self, matrix: np.ndarray, batch_size: int = 0) -> np.ndarray:
         """Exact validity of transformed rows (decoded internally).
 
-        Only the KG-relevant columns are decoded (see :meth:`_score_plan`);
-        the result is bit-identical to scoring the fully decoded table.
-        With ``batch_size > 0`` the matrix is decoded and scored in chunks,
-        which bounds peak memory when callers estimate validity over large
+        Only the KG columns are decoded (see :meth:`_matrix_rows`); the
+        result is bit-identical to scoring the fully decoded table.  With
+        ``batch_size > 0`` the matrix is decoded and scored in chunks, which
+        bounds peak memory when callers estimate validity over large
         generated samples.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         if batch_size <= 0 or len(matrix) <= batch_size:
-            return self._hard_scores_fast(matrix)
-        chunks = [
-            self._hard_scores_fast(matrix[start : start + batch_size])
-            for start in range(0, len(matrix), batch_size)
-        ]
-        return np.concatenate(chunks)
+            chunks = [matrix]
+        else:
+            chunks = [matrix[i : i + batch_size] for i in range(0, len(matrix), batch_size)]
+        scores = [self._rows_valid(self._matrix_rows(chunk)) for chunk in chunks]
+        return np.concatenate(scores).astype(np.float64)
 
     def validity_rate(self, matrix: np.ndarray, batch_size: int = 512) -> float:
         """Mean exact validity of a transformed batch (scored in chunks).
@@ -474,20 +408,23 @@ class KnowledgeGuidedDiscriminator:
     # Learned refinement head
     # ------------------------------------------------------------------ #
     def _extract(self, matrix: np.ndarray) -> np.ndarray:
-        out = np.concatenate([matrix[:, s] for s in self._slices], axis=1)
-        if self.head is not None and out.dtype != self.head.dtype:
+        return self._head_input(self._kg_columns_of(matrix))
+
+    def _kg_columns_of(self, matrix: np.ndarray) -> np.ndarray:
+        # ``take`` returns C order (a fancy-indexed ``[:, index]`` would be
+        # F order), so the head's matmuls always see one input layout.
+        return matrix.take(self._kg_index, axis=1)
+
+    def _head_input(self, kg_matrix: np.ndarray) -> np.ndarray:
+        if self.head is not None and kg_matrix.dtype != self.head.dtype:
             # Real rows stay float64 in the transformer; a float32 head
             # rounds them once at its input boundary.
-            out = out.astype(self.head.dtype)
-        return out
+            kg_matrix = kg_matrix.astype(self.head.dtype)
+        return kg_matrix
 
     def _scatter(self, grad_kg: np.ndarray, width: int) -> np.ndarray:
         grad = np.zeros((grad_kg.shape[0], width), dtype=grad_kg.dtype)
-        cursor = 0
-        for s in self._slices:
-            size = s.stop - s.start
-            grad[:, s] = grad_kg[:, cursor : cursor + size]
-            cursor += size
+        grad[:, self._kg_index] = grad_kg
         return grad
 
     def head_logits(self, matrix: np.ndarray, training: bool = True) -> np.ndarray:
@@ -504,87 +441,111 @@ class KnowledgeGuidedDiscriminator:
     # ------------------------------------------------------------------ #
     # Training data for the head
     # ------------------------------------------------------------------ #
-    def _corrupt_records(self, records: list[dict]) -> list[dict]:
-        """Randomly perturb KG-constrained attributes to manufacture negatives."""
-        corrupted: list[dict] = []
-        schema = self.transformer.schema
-        categorical_kg = [name for name in self.kg_columns if schema.column(name).is_categorical]
-        continuous_kg = [name for name in self.kg_columns if schema.column(name).is_continuous]
-        for record in records:
-            clone = dict(record)
-            if categorical_kg and (not continuous_kg or self.rng.uniform() < 0.7):
-                column = categorical_kg[self.rng.integers(0, len(categorical_kg))]
-                categories = schema.column(column).categories
-                clone[column] = categories[self.rng.integers(0, len(categories))]
-            elif continuous_kg:
-                column = continuous_kg[self.rng.integers(0, len(continuous_kg))]
-                spec = schema.column(column)
-                low = spec.minimum if spec.minimum is not None else 0.0
-                high = spec.maximum if spec.maximum is not None else 65535.0
-                clone[column] = float(self.rng.uniform(low, high))
-            corrupted.append(clone)
-        return corrupted
+    def kg_rows(self, table: Table, limit: int | None = None) -> KGRows:
+        """The KG columns of ``table``'s first ``limit`` rows (default all)."""
+        n = table.n_rows if limit is None else min(limit, table.n_rows)
+        codes = np.empty((n, len(self._categorical_kg)), dtype=np.int64)
+        labels = np.empty(codes.shape, dtype=object)
+        for j, name in enumerate(self._categorical_kg):
+            labels[:, j] = table.column(name)[:n]
+            codes[:, j] = self.transformer.encoder(name).codes(labels[:, j])
+        values = np.empty((n, len(self._continuous_kg)))
+        for j, name in enumerate(self._continuous_kg):
+            values[:, j] = table.column(name)[:n]
+        return KGRows(codes, labels, values)
+
+    def _corrupt(self, rows: KGRows) -> KGRows:
+        """Copies of ``rows`` with one KG attribute each randomly perturbed
+        (draw order: see the module docstring)."""
+        codes, labels, values = rows.codes.copy(), rows.labels.copy(), rows.values.copy()
+        rng = self.rng
+        n_cat, n_cont = len(self._categorical_kg), len(self._continuous_kg)
+        for i in range(len(codes)):
+            # ``random()`` draws the same double as ``uniform()``, faster.
+            if n_cat and (not n_cont or rng.random() < 0.7):
+                j = rng.integers(0, n_cat)
+                categories, category_codes = self._category_draws[j]
+                k = rng.integers(0, len(categories))
+                codes[i, j] = category_codes[k]
+                labels[i, j] = categories[k]
+            elif n_cont:
+                j = rng.integers(0, n_cont)
+                low, high = self._value_draws[j]
+                values[i, j] = rng.uniform(low, high)
+        return KGRows(codes, labels, values)
+
+    def _encode_kg(self, rows: KGRows) -> np.ndarray:
+        """Head-input block of ``rows``: ``transform`` of the full rows, KG
+        columns only, with the same draws on ``rng`` (one ``uniform`` block
+        per mode-normalised column, in schema order)."""
+        out = np.zeros((len(rows), self.input_dim))
+        for info in self.transformer.output_info:
+            encoder = self.transformer.encoder(info.name)
+            at = self._kg_offsets.get(info.name)
+            if isinstance(encoder, ModeSpecificNormalizer):
+                draws = self.rng.uniform(size=len(rows))
+                if at is not None:
+                    values = rows.values[:, self._continuous_kg.index(info.name)]
+                    out[:, at : at + info.dim] = encoder.transform_with_draws(values, draws)
+            elif at is None:
+                continue
+            elif isinstance(encoder, MinMaxScaler):
+                out[:, at] = encoder.transform(rows.values[:, self._continuous_kg.index(info.name)])
+            else:
+                codes = rows.codes[:, self._categorical_kg.index(info.name)]
+                known = np.nonzero(codes >= 0)[0]
+                out[known, at + codes[known]] = 1.0
+        return out
 
     def train_step(
         self,
         real_table: Table | None,
         real_matrix: np.ndarray,
-        fake_matrix: np.ndarray,
+        fake_matrix: np.ndarray | None,
         negatives: int = 64,
         real_valid: np.ndarray | None = None,
-        real_records: list[dict] | None = None,
+        real_rows: KGRows | None = None,
     ) -> float:
         """One optimisation step of the learned head.
 
         Positives: the real rows (valid by construction of the KG) -- plus
         their exact validity is re-checked so mislabelled rows are dropped.
-        Negatives: corrupted copies of real rows that the hard check rejects,
-        plus generated rows the hard check rejects.
+        Negatives: corrupted copies of the first ``negatives`` real rows
+        that the hard check rejects, plus generated rows the hard check
+        rejects.
 
-        The exact validity of real rows and their record dicts never change
-        across a fit, so callers that repeatedly draw batches from one table
-        (the KiNETGAN trainer) pass per-fit cached ``real_valid`` scores and
-        ``real_records`` dicts instead of ``real_table``; the validator query
-        and the per-row dict materialisation then run once per fit rather
-        than once per step, with bit-identical results.
+        The real rows' exact validity and :class:`KGRows` never change
+        across a fit, so the KiNETGAN trainer computes them once and passes
+        per-batch gathers as ``real_valid`` / ``real_rows``; given
+        ``real_table`` instead, the same arrays are computed from the table
+        and the step takes the same path.
         """
         if self.head is None or self._optimizer is None:
             return 0.0
-        if real_valid is None:
+        limit = max(negatives, 1)
+        if real_valid is None or real_rows is None:
             if real_table is None:
-                raise ValueError("train_step needs real_table when real_valid is not given")
-            real_valid = self.validator.table_scores(real_table)
+                raise ValueError(
+                    "train_step needs real_table unless real_valid and real_rows are given"
+                )
+            if real_valid is None:
+                real_valid = self.validator.table_scores(real_table)
+            if real_rows is None:
+                real_rows = self.kg_rows(real_table, limit)
 
-        # Manufacture invalid records by corrupting real ones.  Only the
-        # first ``negatives`` rows are corrupted, so only those are
-        # materialised as record dicts.
-        if real_records is None:
-            if real_table is None:
-                raise ValueError("train_step needs real_table when real_records is not given")
-            limit = min(real_table.n_rows, max(negatives, 1))
-            real_records = [real_table.row(i) for i in range(limit)]
-        else:
-            real_records = real_records[: max(negatives, 1)]
-        pool = self._corrupt_records(real_records)
-        pool_scores = self._pool_scores(pool)
-        invalid_records = [r for r, s in zip(pool, pool_scores) if s == 0.0]
-
-        inputs = [real_matrix]
+        pool = self._corrupt(real_rows.take(slice(0, limit)))
+        invalid = pool.take(~self._rows_valid(pool))
+        inputs = [self._kg_columns_of(real_matrix)]
         targets = [real_valid[:, None]]
-        if invalid_records:
-            invalid_table = Table.from_records(self.transformer.schema, invalid_records)
-            invalid_matrix = self.transformer.transform(invalid_table, rng=self.rng)
-            inputs.append(invalid_matrix)
-            targets.append(np.zeros((len(invalid_records), 1)))
+        if len(invalid):
+            inputs.append(self._encode_kg(invalid))
+            targets.append(np.zeros((len(invalid), 1)))
         if fake_matrix is not None and len(fake_matrix):
-            fake_valid = self.hard_scores_matrix(fake_matrix)
-            inputs.append(fake_matrix)
-            targets.append(fake_valid[:, None])
+            inputs.append(self._kg_columns_of(fake_matrix))
+            targets.append(self.hard_scores_matrix(fake_matrix)[:, None])
 
-        batch = np.concatenate(inputs, axis=0)
-        target = np.concatenate(targets, axis=0)
-        logits = self.head.forward(self._extract(batch), training=True)
-        loss = self._loss.forward(logits, target)
+        logits = self.head.forward(self._head_input(np.concatenate(inputs)), training=True)
+        loss = self._loss.forward(logits, np.concatenate(targets))
         self.head.zero_grad()
         self.head.backward(self._loss.backward())
         self._optimizer.step()
@@ -634,20 +595,51 @@ class KnowledgeGuidedDiscriminator:
         self._valid_mask_cache[key] = mask
         return mask
 
-    def _valid_indices(self, column: str, event_name: str, start: int) -> np.ndarray | None:
-        """Global column indices of the KG-valid categories, cached.
+    def _penalty_plans(self) -> list[tuple]:
+        """Per constrained categorical column, ``(start, end, valid, pad)``.
 
-        The cached array is exactly ``start + nonzero(_valid_mask(...))``;
-        caching it keeps the hot loop of :meth:`valid_set_loss_and_grad`
-        free of per-call mask-to-index conversions.
+        ``valid[e]`` holds the block-local indices of the categories the KG
+        allows for event code ``e`` (``None``: unconstrained).  ``pad`` is
+        ``None`` when the widest set exceeds :data:`_PADDED_MAX`; otherwise
+        it stacks the sets per event code, padded with the index one past
+        the block, plus an all-padding last row that code -1 selects.
         """
-        key = (column, event_name)
-        if key in self._valid_idx_cache:
-            return self._valid_idx_cache[key]
-        mask = self._valid_mask(column, event_name)
-        idx = None if mask is None else start + np.nonzero(mask)[0]
-        self._valid_idx_cache[key] = idx
-        return idx
+        plans = getattr(self, "_penalty_plans_cache", None)
+        if plans is None:
+            plans = []
+            events = self.transformer.encoder(self._event_column).categories
+            for column in self._categorical_kg:
+                if column == self._event_column:
+                    continue
+                info = self._kg_infos[column]
+                masks = [None if e is None else self._valid_mask(column, str(e)) for e in events]
+                valid = [None if m is None else np.nonzero(m)[0] for m in masks]
+                widest = max((len(v) for v in valid if v is not None), default=0)
+                if not widest:
+                    continue
+                pad = None
+                if widest <= _PADDED_MAX:
+                    pad = np.full((len(events) + 1, widest), info.dim, dtype=np.intp)
+                    for e, v in enumerate(valid):
+                        if v is not None:
+                            pad[e, : len(v)] = v
+                plans.append((info.start, info.end, valid, pad))
+            self._penalty_plans_cache = plans
+        return plans
+
+    def _event_codes(self, condition_values) -> np.ndarray:
+        """Event-type encoder codes of the condition rows (-1: none/unknown)."""
+        from repro.tabular.sampler import ConditionBatch
+
+        if isinstance(condition_values, ConditionBatch):
+            if condition_values.codes is not None:
+                try:
+                    return condition_values.column_codes(self._event_column)
+                except KeyError:
+                    return np.full(len(condition_values), -1)
+            condition_values = condition_values.values
+        events = [values.get(self._event_column) for values in condition_values]
+        return self.transformer.encoder(self._event_column).codes(events)
 
     def valid_set_loss_and_grad(
         self, fake_matrix: np.ndarray, condition_values
@@ -662,77 +654,57 @@ class KnowledgeGuidedDiscriminator:
         place its mass on combinations the KG deems valid.  Unlike the
         learned refinement head this signal is exact from the first epoch.
 
-        ``condition_values`` is either a list of per-row ``{attribute:
-        value}`` dicts or a :class:`~repro.tabular.sampler.ConditionBatch`
-        (the trainer's hot path); either way, rows are grouped by event type
-        so each (event, column) constraint is evaluated with one batched
-        masked sum rather than a Python loop over rows.
+        ``condition_values`` is a :class:`~repro.tabular.sampler.ConditionBatch`
+        (the trainer's hot path, read through its event codes) or a list of
+        per-row ``{attribute: value}`` dicts; events outside the transformer's
+        categories are unconstrained.  Columns whose valid sets are narrow
+        gather every row's mass at once; wider ones group rows per event.
+        Either way the loss accumulates per column and per event in
+        first-seen order.
         """
-        from repro.tabular.sampler import ConditionBatch
+        n = fake_matrix.shape[0]
+        if len(condition_values) != n:
+            raise ValueError("condition_values length does not match the fake batch")
+        events = self._event_codes(condition_values)
+        codes, first = np.unique(events, return_index=True)
+        groups = [(e, np.nonzero(events == e)[0]) for e in codes[np.argsort(first)] if e >= 0]
 
         grad = np.zeros_like(fake_matrix)
-        if isinstance(condition_values, ConditionBatch):
-            if len(condition_values) != fake_matrix.shape[0]:
-                raise ValueError("condition_values length does not match the fake batch")
-            try:
-                events = condition_values.column_values(self._event_column)
-            except KeyError:
-                events = np.asarray(
-                    [values.get(self._event_column) for values in condition_values.values],
-                    dtype=object,
-                )
-        else:
-            if len(condition_values) != fake_matrix.shape[0]:
-                raise ValueError("condition_values length does not match the fake batch")
-            events = np.asarray(
-                [values.get(self._event_column) for values in condition_values],
-                dtype=object,
-            )
-
-        schema = self.transformer.schema
         total_loss = 0.0
         total_terms = 0
         eps = 1e-6
-        event_codes, event_names = factorize_values(events)
-        # Row partition per event, computed once and shared by every column.
-        event_rows = [
-            np.nonzero(event_codes == event_id)[0] for event_id in range(len(event_names))
-        ]
-        for column in self.kg_columns:
-            if column == self._event_column or not schema.column(column).is_categorical:
-                continue
-            info = self.transformer.column_info(column)
-            start, end = info.start, info.end
-            # One clipped copy of the block per column, shared by every
-            # event's row select below (clip is elementwise, so
-            # clip-then-select equals select-then-clip bit for bit; the
-            # contiguous block makes the per-event row gathers cheap).
-            block = np.clip(fake_matrix[:, start:end], eps, 1.0)
-            gblock: np.ndarray | None = None
-            for event_id, event_name in enumerate(event_names):
-                if event_name is None:
-                    continue
-                # Cached scatter targets; ``None`` means the KG does not
-                # constrain this (column, event) pair.
-                idx = self._valid_indices(column, str(event_name), start)
-                if idx is None:
-                    continue
-                mask = self._valid_mask(column, str(event_name))
-                rows = event_rows[event_id]
-                mass = block[rows][:, mask].sum(axis=1)
+        for start, end, valid, pad in self._penalty_plans():
+            width = end - start
+            # The block gets one clipped copy, shared by every event (clip is
+            # elementwise, so clip-then-select equals select-then-clip).
+            if pad is not None:
+                # Padding reads a zero column and writes a discarded one.
+                block = np.zeros((n, width + 1), dtype=fake_matrix.dtype)
+                np.clip(fake_matrix[:, start:end], eps, 1.0, out=block[:, :width])
+                every, cols = np.arange(n)[:, None], pad[events]
+                mass = block[every, cols].sum(axis=1)
                 np.clip(mass, eps, 1.0, out=mass)
-                # Events partition the rows, so each (row, column) cell is
-                # written by exactly one event: plain assignment into a
-                # per-column buffer replaces the fancy ``+=`` on the full
-                # gradient (read-modify-write of a zero is the same write).
-                if gblock is None:
-                    gblock = np.zeros((fake_matrix.shape[0], end - start), dtype=fake_matrix.dtype)
-                gblock[rows[:, None], (idx - start)[None, :]] = -1.0 / mass[:, None]
+                gblock = np.zeros_like(block)
+                gblock[every, cols] = -1.0 / mass[:, None]
+                np.log(mass, out=mass)
+                for e, rows in groups:
+                    if valid[e] is not None:
+                        total_loss += float(-mass[rows].sum())
+                        total_terms += len(rows)
+                grad[:, start:end] = gblock[:, :width]
+                continue
+            block = np.clip(fake_matrix[:, start:end], eps, 1.0)
+            for e, rows in groups:
+                local = valid[e]
+                if local is None:
+                    continue
+                mass = block[rows][:, local].sum(axis=1)
+                np.clip(mass, eps, 1.0, out=mass)
+                # Events partition the rows, so each cell is written once.
+                grad[rows[:, None], start + local[None, :]] = -1.0 / mass[:, None]
                 np.log(mass, out=mass)
                 total_loss += float(-mass.sum())
                 total_terms += len(rows)
-            if gblock is not None:
-                grad[:, start:end] = gblock
         if total_terms == 0:
             return 0.0, grad
         grad /= total_terms

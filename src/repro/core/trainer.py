@@ -30,9 +30,9 @@ import numpy as np
 from repro.core.config import KiNETGANConfig
 from repro.core.discriminator import DataDiscriminator
 from repro.core.generator import ConditionalGenerator
-from repro.core.kg_discriminator import KnowledgeGuidedDiscriminator
+from repro.core.kg_discriminator import KGRows, KnowledgeGuidedDiscriminator
 from repro.core.losses import condition_penalty
-from repro.engine import Callback, TrainingEngine, TrainStep, seeded_rng
+from repro.engine import Callback, TrainingEngine, TrainStep, sampling_rng, seeded_rng
 from repro.knowledge.reasoner import KGReasoner
 from repro.neural.losses import BinaryCrossEntropy
 from repro.neural.network import Sequential
@@ -87,64 +87,43 @@ class _HistoryAdapter(Callback):
 class KiNETGANStep(TrainStep):
     """One KiNETGAN mini-batch update (paper figure 1), engine-pluggable."""
 
-    def __init__(
-        self,
-        trainer: "KiNETGANTrainer",
-        real_matrix: np.ndarray,
-        table: Table | None = None,
-    ) -> None:
+    def __init__(self, trainer: "KiNETGANTrainer", real_matrix: np.ndarray, table: Table) -> None:
         self.trainer = trainer
         self.real_matrix = real_matrix
         # Real rows never change across a fit, so their exact KG validity
-        # and record dicts are computed once here instead of once per step;
-        # each step then just gathers by the sampled row indices.  The
-        # validator is deterministic (no rng draws), so this is
-        # bit-identical to the per-step query.
+        # and KG-column codes are computed once here instead of once per
+        # step; each step then just gathers by the sampled row indices.
         self._kg_valid: np.ndarray | None = None
-        self._kg_records: list[dict] | None = None
+        self._kg_rows: KGRows | None = None
         kg = trainer.kg_discriminator
-        if kg is not None and kg.head is not None and table is not None:
+        if kg is not None and kg.head is not None:
             self._kg_valid = kg.hard_scores(table)
-            self._kg_records = [table.row(i) for i in range(table.n_rows)]
+            self._kg_rows = kg.kg_rows(table)
 
     def step(self, rng: np.random.Generator, batch_index: int) -> dict[str, float]:
         trainer = self.trainer
         config = trainer.config
         d_loss = 0.0
-        fake_for_kg = None
-        cond = None
         for _ in range(config.discriminator_steps):
             cond = trainer.sampler.sample(config.batch_size, rng)
             real = self.real_matrix[cond.row_indices]
             noise = rng.normal(size=(config.batch_size, config.embedding_dim))
             fake = trainer.generator.forward(noise, cond.vector, training=True)
             d_loss += trainer._discriminator_step(real, fake, cond.vector)
-            fake_for_kg = fake
         d_loss /= config.discriminator_steps
 
         k_loss = 0.0
-        if trainer.kg_discriminator is not None and cond is not None:
-            if self._kg_valid is not None and self._kg_records is not None:
-                # ``real`` is the last d-step's gather of the same indices,
-                # so it is reused rather than gathered a second time.
-                idx = cond.row_indices
-                limit = max(config.knowledge_negatives_per_batch, 1)
-                k_loss = trainer.kg_discriminator.train_step(
-                    real_table=None,
-                    real_matrix=real,
-                    fake_matrix=fake_for_kg,
-                    negatives=config.knowledge_negatives_per_batch,
-                    real_valid=self._kg_valid[idx],
-                    real_records=[self._kg_records[i] for i in idx[:limit]],
-                )
-            else:
-                real_rows = trainer.sampler.real_batch(cond)
-                k_loss = trainer.kg_discriminator.train_step(
-                    real_table=real_rows,
-                    real_matrix=self.real_matrix[cond.row_indices],
-                    fake_matrix=fake_for_kg,
-                    negatives=config.knowledge_negatives_per_batch,
-                )
+        if self._kg_rows is not None:
+            # The head trains on the last d-step's conditions, real rows and fakes.
+            idx = cond.row_indices
+            k_loss = trainer.kg_discriminator.train_step(
+                real_table=None,
+                real_matrix=real,
+                fake_matrix=fake,
+                negatives=config.knowledge_negatives_per_batch,
+                real_valid=self._kg_valid[idx],
+                real_rows=self._kg_rows.take(idx[: max(config.knowledge_negatives_per_batch, 1)]),
+            )
 
         g_loss, c_loss, kg_gen_loss = trainer._generator_step(config)
         return {
@@ -343,10 +322,14 @@ class KiNETGANTrainer:
 
     # ------------------------------------------------------------------ #
     def _estimate_validity(self, n: int = 256) -> float:
-        """Fraction of freshly generated rows that satisfy the knowledge graph."""
+        """Fraction of freshly generated rows that satisfy the knowledge graph.
+
+        The probe draws from its own seeded stream, never the trainer's, so
+        logging it (``verbose`` / ``log_every``) leaves a seeded fit unchanged.
+        """
         if self.kg_discriminator is None:
             return float("nan")
-        matrix = self.generate_matrix(n)
+        matrix = self.generate_matrix(n, rng=sampling_rng(self.config.seed))
         return self.kg_discriminator.validity_rate(matrix)
 
     def generate_matrix(

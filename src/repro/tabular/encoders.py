@@ -452,9 +452,19 @@ class ModeSpecificNormalizer(_FittedMixin):
         self._require_fitted()
         rng = rng if rng is not None else np.random.default_rng(self.seed)
         values = np.asarray(values, dtype=np.float64)
+        return self.transform_with_draws(values, rng.uniform(size=len(values)))
+
+    def transform_with_draws(self, values: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """:meth:`transform` with the batch's uniform mode draws supplied.
+
+        For callers that advance one RNG exactly as ``transform`` would
+        (one ``uniform(size=len(values))`` call) while deciding separately
+        whether the encoded block is needed at all.
+        """
+        self._require_fitted()
+        values = np.asarray(values, dtype=np.float64)
         proba = self.gmm.predict_proba(values)
         cumulative = np.cumsum(proba, axis=1)
-        draws = rng.uniform(size=len(values))
         modes = np.minimum(
             (cumulative < draws[:, None]).sum(axis=1), self.gmm.n_components - 1
         )

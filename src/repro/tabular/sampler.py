@@ -78,6 +78,17 @@ class ConditionBatch:
     def __len__(self) -> int:
         return len(self.row_indices)
 
+    def column_codes(self, column: str) -> np.ndarray:
+        """Integer codes of one conditional attribute for the whole batch.
+
+        -1 marks a value outside the category list.  Raises ``KeyError``
+        when ``column`` is not conditional.
+        """
+        names = self._sampler.conditional_columns
+        if column not in names:
+            raise KeyError(f"{column!r} is not a conditional column")
+        return self.codes[:, names.index(column)]
+
     def column_values(self, column: str) -> np.ndarray:
         """Decoded values of one conditional attribute for the whole batch."""
         if self.codes is not None and self._sampler is not None:

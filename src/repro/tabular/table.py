@@ -24,9 +24,8 @@ def factorize_values(values) -> tuple[np.ndarray, list]:
     """``(codes, uniques)`` for a value sequence, uniques in first-seen order.
 
     Unlike ``np.unique`` this never compares values against each other, so
-    mixed-type object sequences (ints and strings) are safe.  Shared by
-    :meth:`Table.factorize`, the KG reasoner's batched validity mask and the
-    knowledge discriminator's event grouping.
+    mixed-type object sequences (ints and strings) are safe.  Backs
+    :meth:`Table.factorize`.
     """
     seen: dict = {}
     setdefault = seen.setdefault

@@ -94,3 +94,24 @@ class TestEngineIntegration:
         assert model.trainer.engine is not None
         assert model.trainer.engine.epochs_run == 2
         assert model.trainer.engine.history.metrics["generator_loss"]
+
+
+def test_epoch_logging_leaves_a_seeded_fit_unchanged(lab_bundle_small):
+    """The KG validity probe printed with each epoch line draws from its own
+    stream: a ``verbose`` fit logging every epoch trains the same model as
+    a quiet one (same loss histories, same samples)."""
+    bundle = lab_bundle_small
+
+    def fit(**overrides) -> KiNETGAN:
+        config = _tiny_config(epochs=3, lambda_knowledge=2.0, **overrides)
+        return KiNETGAN(config).fit(
+            bundle.table, catalog=bundle.catalog, condition_columns=bundle.condition_columns
+        )
+
+    quiet = fit()
+    logged = fit(verbose=True, log_every=1)
+    assert len(logged.history.validity_rate) == 3
+    for name in ("generator_loss", "discriminator_loss", "condition_loss", "knowledge_loss"):
+        assert getattr(logged.history, name) == getattr(quiet.history, name), name
+    sample_quiet = quiet.sample(200, rng=np.random.default_rng(3)).to_records()
+    assert logged.sample(200, rng=np.random.default_rng(3)).to_records() == sample_quiet

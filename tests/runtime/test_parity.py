@@ -9,6 +9,9 @@ synthetic-sharing simulation, federated KiNETGAN):
 * the thread-pool and process-pool runs must be bit-identical to the
   serial run -- not approximately, bit for bit.
 
+A single-site KiNETGAN fit is pinned the same way (golden digest only), so
+the training step every layer runs has a golden of its own.
+
 A digest stores a SHA-256 of every integer or categorical output
 (participant and dropped lists, categorical sample columns), the value of
 every float scalar and, for every float array, its sum, its sum of squares
@@ -36,9 +39,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import IndependentSampler
+from repro.core import KiNETGAN
 from repro.core.config import KiNETGANConfig
 from repro.datasets import load_lab_iot
 from repro.distributed.simulation import DistributedNIDSSimulation
+from repro.engine import sampling_rng
 from repro.federated.client import FederatedClient
 from repro.federated.kinetgan import FederatedKiNETGAN
 from repro.federated.partition import label_skew_partition
@@ -357,6 +362,43 @@ class TestFederatedKiNETGANParityFloat32(TestFederatedKiNETGANParity):
             }
 
 
+class TestSingleSiteKiNETGANParity(_GoldenParity):
+    """One KiNETGAN fit on one site, shaped like the ``train`` benchmark
+    workload: 64 head negatives per batch of 64 and the valid-set penalty on
+    every generator step, including ``dst_port``'s wide valid sets.  The
+    federated classes above use 8 negatives and 16-wide nets, so this class
+    is what pins the knowledge-guided discriminator's full training path."""
+
+    CONFIG = KiNETGANConfig(
+        embedding_dim=16,
+        generator_dims=(32,),
+        discriminator_dims=(32,),
+        epochs=3,
+        batch_size=64,
+        lambda_knowledge=2.0,
+        knowledge_negatives_per_batch=64,
+        seed=0,
+    )
+    LOSSES = ("generator_loss", "discriminator_loss", "condition_loss", "knowledge_loss")
+
+    @classmethod
+    def _run(cls, bundle, executor):
+        model = KiNETGAN(cls.CONFIG).fit(
+            bundle.table, catalog=bundle.catalog, condition_columns=bundle.condition_columns
+        )
+        history = {name: getattr(model.history, name) for name in cls.LOSSES}
+        return history, model.sample(2000, rng=sampling_rng(cls.CONFIG.seed))
+
+
+class TestSingleSiteKiNETGANParityFloat32(TestSingleSiteKiNETGANParity):
+    """The same fit with a float32 engine (its own golden, see
+    ``docs/precision.md``): the head sees real, corrupted and generated rows
+    through one float32 cast at its input."""
+
+    RTOL = 1e-4
+    CONFIG = dataclasses.replace(TestSingleSiteKiNETGANParity.CONFIG, dtype="float32")
+
+
 class TestServerFaultRecoveryParity:
     """Recovery must be invisible: an injected mid-run worker crash (process
     pool) or abandoned straggler (thread pool) is absorbed by the deadline /
@@ -453,6 +495,8 @@ def write_golden(path: Path = GOLDEN_PATH) -> None:
         TestDistributedSimulationParity,
         TestFederatedKiNETGANParity,
         TestFederatedKiNETGANParityFloat32,
+        TestSingleSiteKiNETGANParity,
+        TestSingleSiteKiNETGANParityFloat32,
     ]
     goldens = {cls.__name__: fingerprint(cls._run(bundle, None)) for cls in classes}
     path.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")

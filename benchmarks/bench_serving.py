@@ -10,12 +10,12 @@ the repository root so future PRs have a trajectory to compare against.
 Interpreting the numbers:
 
 * ``sample_rows_per_sec`` -- single-request sampling throughput of a
-  loaded artifact (generator forward + harden + decode).
+  loaded artifact (blocked generator forwards + per-block winners + decode).
 * ``stream_rows_per_sec`` -- the same request streamed in bounded-memory
   chunks; the gap to one-shot is the per-chunk decode overhead.
 * ``batched_requests`` -- a burst of concurrent requests served through
-  ``SamplingService.sample_many`` (one coalesced generator / harden /
-  decode pipeline) versus the same burst served request-by-request; the
+  ``SamplingService.sample_many`` (one coalesced share step and decode)
+  versus the same burst served request-by-request; the
   ``speedup`` is what micro-batching buys.
 * ``artifact_round_trip`` -- ``save_model`` + ``load_model`` wall time.
 * ``sample_rows_per_sec_float32`` -- the one-shot row again for a model

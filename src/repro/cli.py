@@ -351,10 +351,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     _validate_artifacts(args.artifact)
     if args.http:
         return _serve_http(args)
-    service = SamplingService(
-        capacity=max(args.capacity, len(args.artifact)),
-        max_batch_rows=args.max_batch_rows,
-    )
+    service = SamplingService(capacity=max(args.capacity, len(args.artifact)))
     print(f"Warming {len(args.artifact)} artifact(s) "
           f"(workers={args.workers}) ...")
     service.warm(args.artifact, executor=args.workers)
@@ -561,9 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="request_rows", help="rows per request")
     serve.add_argument("--capacity", type=_positive_int, default=4,
                        help="LRU model-registry capacity")
-    serve.add_argument("--max-batch-rows", type=_positive_int, default=8192,
-                       dest="max_batch_rows",
-                       help="generator rows per micro-batched forward pass")
     serve.add_argument("--seed", type=int, default=0,
                        help="base seed; request i samples with seed + i")
     serve.add_argument("--http", action="store_true",

@@ -6,7 +6,17 @@ import numpy as np
 
 from repro.tabular.table import Table
 
-__all__ = ["Synthesizer"]
+__all__ = ["Synthesizer", "require_row_count"]
+
+
+def require_row_count(n) -> int:
+    """``n`` as a positive ``int``: bools and non-integers (``3.0``) raise
+    ``TypeError`` -- the HTTP parser's rule, plus numpy integers."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"n must be an integer row count, got {type(n).__name__} {n!r}")
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return int(n)
 
 
 class Synthesizer:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.base import Synthesizer
+from repro.core.base import Synthesizer, require_row_count
 from repro.core.config import KiNETGANConfig
 from repro.core.trainer import KiNETGANTrainer, TrainingHistory
 from repro.engine import sampling_rng
@@ -130,18 +130,22 @@ class KiNETGAN(Synthesizer):
         generated row, e.g. ``{"event_type": "traffic_flooding"}`` to generate
         attack traffic only.
         """
-        self._require_fitted(self._fitted)
-        if n <= 0:
-            raise ValueError("n must be positive")
-        assert self.trainer is not None and self.sampler is not None
-        assert self.transformer is not None
         rng = rng if rng is not None else sampling_rng(self.config.seed)
-        condition_matrix = None
+        condition_matrix = self.sample_conditions(n, conditions, rng)
+        assert self.trainer is not None and self.transformer is not None
+        return self.transformer.decode(*self.trainer.share_codes([(condition_matrix, rng)]))
+
+    def sample_conditions(
+        self, n: int, conditions: dict | None, rng: np.random.Generator
+    ) -> np.ndarray:
+        """The condition matrix ``sample(n, conditions, rng)`` draws first
+        (fixed ``conditions`` are tiled without touching ``rng``)."""
+        self._require_fitted(self._fitted)
+        n = require_row_count(n)
+        assert self.sampler is not None
         if conditions is not None:
-            vector = self.sampler.vector_from_values(conditions)
-            condition_matrix = np.tile(vector, (n, 1))
-        matrix = self.trainer.generate_matrix(n, conditions=condition_matrix, rng=rng)
-        return self.transformer.inverse_transform(matrix)
+            return np.tile(self.sampler.vector_from_values(conditions), (n, 1))
+        return self.sampler.empirical_conditions(n, rng)
 
     def sample_inputs(
         self,
@@ -149,40 +153,13 @@ class KiNETGAN(Synthesizer):
         conditions: dict | None = None,
         rng: np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(noise, condition_matrix)`` pair ``sample()`` would consume.
-
-        Draws from ``rng`` in exactly the order :meth:`sample` does
-        (conditions first, then one normal block -- chunked normal draws from
-        a ``Generator`` are stream-identical to a single draw), so a caller
-        that runs the generator forward on these inputs, hardens and decodes
-        reproduces ``sample(n, conditions, rng)`` bit-for-bit.  This is the
-        hook :class:`repro.serve.SamplingService` uses to micro-batch many
-        requests into one generator pass.
-        """
-        self._require_fitted(self._fitted)
-        if n <= 0:
-            raise ValueError("n must be positive")
-        assert self.sampler is not None
+        """The ``(noise, condition_matrix)`` pair ``sample()`` consumes, drawn
+        in its order: one generator forward on them, hardened and decoded,
+        reproduces ``sample(n, conditions, rng)``."""
         rng = rng if rng is not None else sampling_rng(self.config.seed)
-        if conditions is not None:
-            vector = self.sampler.vector_from_values(conditions)
-            condition_matrix = np.tile(vector, (n, 1))
-        else:
-            condition_matrix = self.sampler.empirical_conditions(n, rng)
-        noise = rng.normal(size=(n, self.config.embedding_dim))
+        condition_matrix = self.sample_conditions(n, conditions, rng)
+        noise = rng.normal(size=(len(condition_matrix), self.config.embedding_dim))
         return noise, condition_matrix
-
-    def generator_forward(self, noise: np.ndarray, conditions: np.ndarray) -> np.ndarray:
-        """Raw (soft) generator output for prepared inputs (inference mode)."""
-        self._require_fitted(self._fitted)
-        assert self.trainer is not None
-        return self.trainer.generator.forward(noise, conditions, training=False)
-
-    def decode_matrix(self, matrix: np.ndarray) -> Table:
-        """Harden and decode a generated matrix into a typed table."""
-        self._require_fitted(self._fitted)
-        assert self.transformer is not None
-        return self.transformer.inverse_transform(self.transformer.harden(matrix, inplace=True))
 
     # ------------------------------------------------------------------ #
     # Artifact-state protocol (repro.serve)

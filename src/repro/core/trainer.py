@@ -24,6 +24,7 @@ keeps the public :class:`TrainingHistory` record format stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +43,21 @@ from repro.tabular.table import Table
 from repro.tabular.transformer import DataTransformer
 
 __all__ = ["TrainingHistory", "KiNETGANStep", "KiNETGANTrainer"]
+
+#: Rows per share-path generator forward (swept 256/512/1024/2048 on the
+#: train benchmark's 50k-row share: 256 and 512 tie, larger blocks lose).
+SHARE_BLOCK_ROWS = 512
+
+
+def share_blocks(rows: int) -> list[tuple[int, int]]:
+    """A share's ``(start, stop)`` row blocks; the remainder joins the last.
+
+    BLAS rounding can depend on a product's row count (OpenBLAS runs 1-row
+    products through gemv, small ones through another kernel), so no short
+    tail runs alone: every row keeps the bits of one whole-share forward.
+    """
+    stops = [*range(SHARE_BLOCK_ROWS, rows - SHARE_BLOCK_ROWS + 1, SHARE_BLOCK_ROWS), rows]
+    return list(zip([0, *stops[:-1]], stops))
 
 
 @dataclass
@@ -337,22 +353,57 @@ class KiNETGANTrainer:
         n: int,
         conditions: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
-        hard: bool = True,
     ) -> np.ndarray:
-        """Generate ``n`` transformed rows (one-hot blocks hardened by default)."""
+        """``n`` generated rows as a float64 matrix with hardened one-hot
+        blocks, rebuilt from the share path's winners and tanh columns."""
         rng = rng if rng is not None else self.rng
         if conditions is None:
             conditions = self.sampler.empirical_conditions(n, rng)
         if conditions.shape[0] != n:
             raise ValueError("conditions batch size does not match n")
-        outputs: list[np.ndarray] = []
-        batch_size = self.config.batch_size
-        for start in range(0, n, batch_size):
-            end = min(start + batch_size, n)
-            noise = rng.normal(size=(end - start, self.config.embedding_dim))
-            fake = self.generator.forward(noise, conditions[start:end], training=False)
-            outputs.append(fake)
-        matrix = np.concatenate(outputs, axis=0)
-        if hard:
-            matrix = self.transformer.harden(matrix, inplace=True)
+        winners, scalars = self.share_codes([(conditions, rng)])
+        layout = self.transformer.softmax_layout()
+        matrix = np.zeros((n, self.transformer.output_dim))
+        matrix[:, self.transformer.tanh_columns()] = scalars
+        matrix[np.arange(n)[:, None], layout.columns[layout.starts + winners]] = 1.0
         return matrix
+
+    def share_codes(
+        self, parts: Sequence[tuple[np.ndarray, np.random.Generator]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Winners and float64 tanh columns of a whole share, ready for
+        :meth:`DataTransformer.decode` (see :meth:`iter_share_blocks`)."""
+        rows = sum(len(condition) for condition, _ in parts)
+        winners = np.empty((rows, self.transformer.softmax_layout().n_blocks), dtype=np.intp)
+        scalars = np.empty((rows, self.transformer.tanh_columns().size))
+        for start, stop, block_winners, block_scalars in self.iter_share_blocks(parts):
+            winners[start:stop] = block_winners
+            scalars[start:stop] = block_scalars
+        return winners, scalars
+
+    def iter_share_blocks(
+        self, parts: Sequence[tuple[np.ndarray, np.random.Generator]]
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """The blocked share step: ``(start, stop, winners, scalars)`` per block.
+
+        ``parts`` stacks ``(condition_matrix, rng)`` pairs, one per request.
+        Each block draws its rows' noise from their part's rng (chunked
+        normal draws are stream-identical to one draw), runs the eval-mode
+        forward and takes every softmax block's argmax from the soft output
+        -- never the logits, where exp/divide could merge near-ties -- so
+        the winners, ties to the lowest index, are those hardening picks.
+        """
+        layout = self.transformer.softmax_layout()
+        tanh_columns = self.transformer.tanh_columns()
+        conditions = [condition for condition, _ in parts]
+        condition = conditions[0] if len(parts) == 1 else np.concatenate(conditions)
+        bounds = np.cumsum([0] + [len(c) for c in conditions])
+        for start, stop in share_blocks(len(condition)):
+            noise = [
+                rng.normal(size=(min(stop, high) - max(start, low), self.config.embedding_dim))
+                for (_, rng), low, high in zip(parts, bounds[:-1], bounds[1:])
+                if low < stop and start < high
+            ]
+            noise = noise[0] if len(noise) == 1 else np.concatenate(noise)
+            out = self.generator.forward(noise, condition[start:stop], training=False)
+            yield start, stop, layout.argmax_matrix(out), out[:, tanh_columns]

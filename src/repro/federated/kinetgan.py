@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.base import require_row_count
 from repro.core.config import KiNETGANConfig
 from repro.core.trainer import KiNETGANTrainer
 from repro.engine import sampling_rng, seeded_rng
@@ -129,8 +130,8 @@ class FederatedKiNETGANSite:
 
     def sample(self, n: int, rng: np.random.Generator) -> Table:
         """Synthetic rows generated locally from the current weights."""
-        matrix = self.trainer.generate_matrix(n, rng=rng)
-        return self.transformer.inverse_transform(matrix)
+        condition = self.sampler.empirical_conditions(n, rng)
+        return self.transformer.decode(*self.trainer.share_codes([(condition, rng)]))
 
     # ------------------------------------------------------------------ #
     # The mutable cross-round trainer state: everything a round changes
@@ -700,8 +701,7 @@ class FederatedKiNETGAN:
         look: the coordinator never needs a condition distribution of its own.
         """
         self._require_sites()
-        if n <= 0:
-            raise ValueError("n must be positive")
+        n = require_row_count(n)
         if self._global_generator is None:
             raise RuntimeError("run at least one round before sampling")
         rng = rng if rng is not None else sampling_rng(self.seed)

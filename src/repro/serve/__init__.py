@@ -16,9 +16,8 @@ The training layers produce fitted synthesizers; this package makes them
 * :mod:`repro.serve.service` -- :class:`SamplingService`, which loads
   artifacts into an LRU :class:`ModelRegistry` (optionally warmed in
   parallel over :mod:`repro.runtime` executors), micro-batches concurrent
-  ``sample(n, conditions)`` requests into single vectorized generator /
-  harden / decode passes, and streams large requests in bounded-memory
-  chunks.
+  ``sample(n, conditions)`` requests through the blocked share step and
+  one decode, and streams large requests in bounded-memory chunks.
 * :mod:`repro.serve.server` -- the HTTP front-end:
   :class:`SamplingHTTPServer` over a :class:`ServingPool` of executor
   workers sharing one resident copy of each model, with a bounded

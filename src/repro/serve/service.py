@@ -8,20 +8,20 @@ Two pieces:
   with workers.
 * :class:`SamplingService` -- the request front-end.  ``sample_many()``
   micro-batches a burst of ``(artifact, n, conditions, seed)`` requests:
-  all requests against the same conditional-GAN artifact are coalesced
-  into one concatenated generator pass (noise and condition matrices are
-  drawn per request from that request's seeded stream, so every row is
-  bit-identical to what ``model.sample(n, seed)`` would produce), hardened
-  and decoded through the shared :class:`~repro.tabular.segments.
-  BlockLayout` machinery in a single batched pass, then split back per
-  request.  ``sample_stream()`` yields fixed-size chunks so arbitrarily
-  large requests run in bounded memory.  ``submit()`` is the concurrent
-  front-end: requests land on a queue and a background batcher drains
-  bursts into ``sample_many``.
+  all requests against the same conditional-GAN artifact are stacked
+  through the trainer's blocked share step (conditions and noise drawn
+  per request from that request's seeded stream, as ``model.sample(n,
+  seed)`` draws them), decoded once from the per-block winners, then
+  split back per request.  ``sample_stream()`` yields fixed-size chunks
+  so arbitrarily large requests run in bounded memory.  ``submit()`` is
+  the concurrent front-end: requests land on a queue and a background
+  batcher drains bursts into ``sample_many``.
 
 Determinism contract: a request's rows depend only on (artifact, n,
-conditions, seed) -- never on which requests it was batched with, the
-chunk size, or the thread that served it.
+conditions, seed) -- never on the chunk size or the thread that served it,
+and not on which requests it was batched with as long as the BLAS rounds a
+row alike in the stacked and the per-request generator products (see
+:func:`repro.core.trainer.share_blocks`).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.synthesizer import KiNETGAN
+from repro.core.trainer import share_blocks
 from repro.engine import sampling_rng
 from repro.runtime import Executor, resolve_executor
 from repro.serve.artifact import load_model
@@ -206,19 +207,17 @@ class SamplingService:
         self,
         registry: ModelRegistry | None = None,
         capacity: int = 4,
-        max_batch_rows: int = 8192,
         chunk_rows: int = 1024,
         max_pending: int = 64,
         request_timeout: float | None = None,
     ) -> None:
-        if max_batch_rows < 1 or chunk_rows < 1:
-            raise ValueError("max_batch_rows and chunk_rows must be positive")
+        if chunk_rows < 1:
+            raise ValueError("chunk_rows must be positive")
         if max_pending < 1:
             raise ValueError("max_pending must be positive")
         if request_timeout is not None and request_timeout <= 0:
             raise ValueError("request_timeout must be positive (or None)")
         self.registry = registry if registry is not None else ModelRegistry(capacity=capacity)
-        self.max_batch_rows = max_batch_rows
         self.chunk_rows = chunk_rows
         self.max_pending = max_pending
         #: Per-request deadline of the concurrent front-end: a submitted
@@ -249,7 +248,7 @@ class SamplingService:
         """Serve a burst of requests, coalescing per artifact.
 
         Results come back in request order.  Requests against the same
-        conditional-GAN artifact share generator / harden / decode passes;
+        conditional-GAN artifact share generator forwards and one decode;
         other model types are served per request.
         """
         if not requests:
@@ -294,39 +293,24 @@ class SamplingService:
     def _serve_conditional_gan(
         self, model: KiNETGAN, group: list[SampleRequest]
     ) -> tuple[list[Table], int]:
-        """One vectorized pipeline pass for all requests against ``model``.
+        """One blocked share step and one decode for all requests on ``model``.
 
-        Noise and condition matrices are drawn per request from that
-        request's own seeded stream (bit-identical to ``model.sample``),
-        then concatenated: the generator forward runs in ``max_batch_rows``
-        chunks over the stacked inputs, and hardening + decoding run once
-        over the whole stack through the shared ``BlockLayout`` passes.
-        Row-chunked forward passes are bit-identical to unchunked ones, so
-        batching never changes a request's rows.
+        Each request's conditions and noise come from its own seeded stream,
+        as in ``model.sample``; rows match it bit for bit wherever the BLAS
+        rounds a row alike in the stacked and the per-request forwards (see
+        :func:`repro.core.trainer.share_blocks`).
         """
-        noises: list[np.ndarray] = []
-        conditions: list[np.ndarray] = []
+        parts = []
         for request in group:
             rng = self._request_rng(model, request)
-            noise, condition = model.sample_inputs(request.n, request.conditions, rng)
-            noises.append(noise)
-            conditions.append(condition)
-        noise = np.concatenate(noises, axis=0)
-        condition = np.concatenate(conditions, axis=0)
-        total = noise.shape[0]
-        outputs: list[np.ndarray] = []
-        passes = 0
-        for start in range(0, total, self.max_batch_rows):
-            end = min(start + self.max_batch_rows, total)
-            outputs.append(model.generator_forward(noise[start:end], condition[start:end]))
-            passes += 1
-        table = model.decode_matrix(np.concatenate(outputs, axis=0))
+            parts.append((model.sample_conditions(request.n, request.conditions, rng), rng))
+        table = model.transformer.decode(*model.trainer.share_codes(parts))
         tables: list[Table] = []
         cursor = 0
         for request in group:
             tables.append(table.select_rows(np.arange(cursor, cursor + request.n)))
             cursor += request.n
-        return tables, passes
+        return tables, len(share_blocks(cursor))
 
     # ------------------------------------------------------------------ #
     # Streaming API
@@ -341,11 +325,12 @@ class SamplingService:
     ) -> Iterator[Table]:
         """Yield a request's rows in chunks of ``chunk_rows``.
 
-        For conditional-GAN artifacts each chunk is generated and decoded
-        on demand, so peak memory is bounded by the chunk size regardless
-        of ``n``; concatenating the chunks reproduces ``sample(artifact, n,
-        conditions, seed)`` bit-for-bit.  Other model types sample once and
-        stream row slices.
+        For conditional-GAN artifacts the request runs ``model.sample``'s own
+        blocked share step and each chunk is decoded once its blocks are
+        done, so memory beyond the condition matrix is bounded by the chunk
+        size, and the chunks concatenate to ``sample(artifact, n,
+        conditions, seed)`` bit-for-bit for any ``chunk_rows``.  Other
+        model types sample once and stream row slices.
         """
         if n <= 0:
             raise ValueError("n must be positive")
@@ -359,12 +344,24 @@ class SamplingService:
             for start in range(0, n, chunk_rows):
                 yield table.select_rows(np.arange(start, min(start + chunk_rows, n)))
             return
-        noise, condition = model.sample_inputs(n, conditions, rng)
-        for start in range(0, n, chunk_rows):
-            end = min(start + chunk_rows, n)
-            raw = model.generator_forward(noise[start:end], condition[start:end])
-            self.stats.record(requests=0, rows=end - start, passes=1)
-            yield model.decode_matrix(raw)
+        condition = model.sample_conditions(n, conditions, rng)
+        transformer = model.transformer
+        winners = np.empty((0, transformer.softmax_layout().n_blocks), dtype=np.intp)
+        scalars = np.empty((0, transformer.tanh_columns().size))
+        passes = 0
+        for _, stop, block_winners, block_scalars in model.trainer.iter_share_blocks(
+            [(condition, rng)]
+        ):
+            winners = np.concatenate([winners, block_winners])
+            scalars = np.concatenate([scalars, block_scalars])
+            passes += 1
+            # Full chunks as they complete; the last block flushes the rest.
+            while len(winners) >= chunk_rows or (stop == n and len(winners)):
+                rows = min(chunk_rows, len(winners))
+                self.stats.record(requests=0, rows=rows, passes=passes)
+                passes = 0
+                yield transformer.decode(winners[:rows], scalars[:rows])
+                winners, scalars = winners[rows:], scalars[rows:]
 
     # ------------------------------------------------------------------ #
     # Concurrent front-end

@@ -75,14 +75,13 @@ class ColumnOutputInfo:
 
 
 class _DecodePlan:
-    """Precomputed batched-decode structure for ``inverse_transform``.
+    """Precomputed batched-decode structure for :meth:`DataTransformer.decode`.
 
     All categorical columns decode with ONE fancy index into a padded
     ``(n_categorical, max_categories)`` object table; all mode-normalised
     continuous columns decode with a handful of ``(rows, n_mode_columns)``
     array operations against padded per-column mean / std / bound tables.
-    The per-column Python work in ``inverse_transform`` drops to slicing the
-    result matrices.
+    The per-column Python work drops to slicing the result matrices.
     """
 
     def __init__(self, transformer: "DataTransformer") -> None:
@@ -99,6 +98,8 @@ class _DecodePlan:
         mode_low: list[float] = []
         mode_high: list[float] = []
         self.minmax: list[tuple[str, object, int, float | None, float | None]] = []
+        # Position of each tanh column among the scalar columns.
+        scalar = {int(col): i for i, col in enumerate(transformer.tanh_columns())}
         for info in transformer.output_info:
             encoder = transformer._encoders[info.name]
             spec = transformer.schema.column(info.name)
@@ -109,14 +110,14 @@ class _DecodePlan:
             elif isinstance(encoder, ModeSpecificNormalizer):
                 mode_names.append(info.name)
                 mode_blocks.append(transformer._softmax_block_of(info.name))
-                mode_alpha_cols.append(info.start)
+                mode_alpha_cols.append(scalar[info.start])
                 mode_means.append(encoder.gmm.means)
                 mode_stds.append(encoder.gmm.stds)
                 mode_low.append(spec.minimum if spec.minimum is not None else -np.inf)
                 mode_high.append(spec.maximum if spec.maximum is not None else np.inf)
             else:
                 self.minmax.append(
-                    (info.name, encoder, info.start, spec.minimum, spec.maximum)
+                    (info.name, encoder, scalar[info.start], spec.minimum, spec.maximum)
                 )
         self.cat_names = cat_names
         self.cat_blocks = np.asarray(cat_blocks, dtype=np.intp)
@@ -140,7 +141,7 @@ class _DecodePlan:
             self.mode_lo = np.asarray(mode_low)
             self.mode_hi = np.asarray(mode_high)
 
-    def decode(self, matrix: np.ndarray, winners: np.ndarray) -> dict[str, np.ndarray]:
+    def decode(self, winners: np.ndarray, scalars: np.ndarray) -> dict[str, np.ndarray]:
         columns: dict[str, np.ndarray] = {}
         if self.cat_names:
             decoded = self.cat_table[self.cat_rows, winners[:, self.cat_blocks]]
@@ -148,14 +149,14 @@ class _DecodePlan:
                 columns[name] = decoded[:, i]
         if self.mode_names:
             modes = winners[:, self.mode_blocks]
-            alpha = np.clip(matrix[:, self.mode_alpha_cols], -1.0, 1.0)
+            alpha = np.clip(scalars[:, self.mode_alpha_cols], -1.0, 1.0)
             mu = self.mode_mu[self.mode_rows, modes]
             sigma = self.mode_sigma[self.mode_rows, modes]
             values = np.clip(alpha * 4.0 * sigma + mu, self.mode_lo, self.mode_hi)
             for i, name in enumerate(self.mode_names):
                 columns[name] = values[:, i]
-        for name, encoder, start, minimum, maximum in self.minmax:
-            values = encoder.inverse_transform(matrix[:, start])
+        for name, encoder, column, minimum, maximum in self.minmax:
+            values = encoder.inverse_transform(scalars[:, column])
             if minimum is not None:
                 values = np.maximum(values, minimum)
             if maximum is not None:
@@ -323,8 +324,8 @@ class DataTransformer:
 
         The layout turns per-block argmax / softmax over the whole matrix
         into a handful of segmented C passes; it is the backbone of the
-        batched ``inverse_transform`` / ``apply_output_activations`` paths
-        and of the generator's output activation.
+        batched ``inverse_transform`` / ``decode`` paths, of the share
+        path's per-block winners and of the generator's output activation.
         """
         self._require_fitted()
         if self._softmax_layout_cache is None:
@@ -358,10 +359,10 @@ class DataTransformer:
     def harden(self, matrix: np.ndarray, inplace: bool = False) -> np.ndarray:
         """Convert soft one-hot blocks to exact one-hot by per-block argmax.
 
-        This is the single hardening path shared by every synthesizer's
-        sampling code.  It makes one pass over the cached softmax spans with
-        numpy fancy indexing -- no per-block temporaries -- and copies the
-        input at most once.  ``inplace=True`` is a copy-avoidance hint for
+        The baselines' sampling code hardens here (the KiNETGAN share path
+        decodes per-block winners instead).  One pass over the cached
+        softmax spans with numpy fancy indexing -- no per-block temporaries
+        -- copies the input at most once.  ``inplace=True`` is a copy-avoidance hint for
         callers that own the matrix: when the input is already a float64
         array it is hardened in place and returned; otherwise the dtype
         conversion still produces (and returns) a new array, so callers
@@ -417,9 +418,8 @@ class DataTransformer:
     def inverse_transform(self, matrix: np.ndarray) -> Table:
         """Decode a (possibly soft) matrix back into a typed table.
 
-        The winner of every one-hot / mode block is found in one batched
-        segmented-argmax pass over the gathered softmax columns; category
-        values are then materialised with one fancy index per column.
+        Every block's winner comes from one batched argmax pass; the table
+        is then built by :meth:`decode`.
         """
         self._require_fitted()
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -427,43 +427,13 @@ class DataTransformer:
             raise ValueError(
                 f"expected matrix of width {self.output_dim}, got shape {matrix.shape}"
             )
-        layout = self.softmax_layout()
-        winners = layout.winners(matrix)
+        return self.decode(self.softmax_layout().winners(matrix), matrix[:, self.tanh_columns()])
+
+    def decode(self, winners: np.ndarray, scalars: np.ndarray) -> Table:
+        """The typed table of rows given as per-block winners
+        (``softmax_layout()`` order) and float64 tanh columns
+        (``tanh_columns()`` order) -- all a hardened row carries."""
+        self._require_fitted()
         if self._decode_plan is None:
             self._decode_plan = _DecodePlan(self)
-        # Schema bound clamping for continuous columns happens inside the
-        # plan (the bounds are baked into the padded decode tables).
-        return Table(self.schema, self._decode_plan.decode(matrix, winners))
-
-    # ------------------------------------------------------------------ #
-    def apply_output_activations(self, raw: np.ndarray, gumbel_tau: float = 0.2,
-                                 rng: np.random.Generator | None = None,
-                                 hard: bool = False) -> np.ndarray:
-        """Apply per-block output activations to raw generator scores.
-
-        ``tanh`` blocks get a tanh; ``softmax`` blocks get a (Gumbel) softmax.
-        With ``hard=True`` the softmax blocks are converted to exact one-hot
-        vectors by argmax, which is what sampling-time decoding uses.
-
-        All softmax blocks are processed together via the cached
-        :class:`BlockLayout` (one gather, one Gumbel-noise draw, segmented
-        softmax, one scatter), so the cost no longer scales with the number
-        of columns.
-        """
-        self._require_fitted()
-        raw = np.asarray(raw, dtype=np.float64)
-        out = np.empty_like(raw)
-        rng = rng if rng is not None else np.random.default_rng(self.seed)
-        tanh_cols = self.tanh_columns()
-        out[:, tanh_cols] = np.tanh(raw[:, tanh_cols])
-        layout = self.softmax_layout()
-        if layout.n_blocks:
-            gathered = layout.gather(raw)
-            if not hard:
-                uniform = rng.uniform(1e-12, 1 - 1e-12, size=gathered.shape)
-                gathered = gathered - np.log(-np.log(uniform)) * gumbel_tau
-            soft = layout.softmax(gathered, tau=gumbel_tau)
-            if hard:
-                soft = layout.one_hot_from_codes(layout.argmax(soft))
-            layout.scatter(out, soft)
-        return out
+        return Table(self.schema, self._decode_plan.decode(winners, scalars))

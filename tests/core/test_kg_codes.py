@@ -15,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.generator import TabularOutputActivation
 from repro.core.kg_discriminator import KnowledgeGuidedDiscriminator
 from repro.knowledge.builder import build_network_kg
 from repro.knowledge.reasoner import KGReasoner
@@ -147,7 +148,10 @@ def test_matrix_scores_match_the_decoded_table(lab_bundle_small, reasoner, encod
     transformer = DataTransformer(max_modes=4, continuous_encoding=encoding, seed=0).fit(table)
     dkg = KnowledgeGuidedDiscriminator(reasoner, transformer, rng=np.random.default_rng(0))
     raw = np.random.default_rng(1).normal(size=(300, transformer.output_dim)) * 2
-    noise = transformer.apply_output_activations(raw, rng=np.random.default_rng(2))
+    activation = TabularOutputActivation(
+        transformer.activation_spans(), rng=np.random.default_rng(2)
+    )
+    noise = activation.forward(raw)
     matrix = np.concatenate([transformer.transform(table, rng=np.random.default_rng(3)), noise])
     expected = reasoner.validity_mask(transformer.inverse_transform(matrix))
     scores = dkg.hard_scores_matrix(matrix, batch_size=128)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.generator import TabularOutputActivation
 from repro.core.kg_discriminator import KnowledgeGuidedDiscriminator
 from repro.knowledge.builder import build_network_kg
 from repro.knowledge.reasoner import KGReasoner
@@ -30,7 +31,7 @@ def lab_setup(lab_bundle_small):
 def _soft_matrix(transformer: DataTransformer, n: int, rng: np.random.Generator) -> np.ndarray:
     """A random matrix whose softmax blocks are proper distributions."""
     raw = rng.normal(size=(n, transformer.output_dim))
-    return transformer.apply_output_activations(raw, rng=rng)
+    return TabularOutputActivation(transformer.activation_spans(), rng=rng).forward(raw)
 
 
 class TestValidMask:

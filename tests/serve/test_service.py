@@ -15,6 +15,7 @@ import pytest
 
 from repro.baselines import TVAE, IndependentSampler
 from repro.core import KiNETGAN, KiNETGANConfig
+from repro.core.trainer import SHARE_BLOCK_ROWS, share_blocks
 from repro.engine import sampling_rng
 from repro.runtime import SerialExecutor
 from repro.serve import ModelRegistry, SampleRequest, SamplingService, load_model, save_model
@@ -97,7 +98,7 @@ class TestSingleRequests:
 class TestMicroBatching:
     def test_batched_requests_match_individual_sampling(self, artifacts):
         """Batching with other requests never changes a request's rows."""
-        service = SamplingService(max_batch_rows=100)  # force multiple chunks
+        service = SamplingService()
         conditions = {
             "event_type": artifacts["kinetgan"].sampler.categories("event_type")[0]
         }
@@ -118,7 +119,7 @@ class TestMicroBatching:
         assert_tables_identical(model.sample(101, rng=sampling_rng(1)), tables[3])
 
     def test_same_artifact_requests_share_generator_passes(self, artifacts):
-        service = SamplingService(max_batch_rows=10_000)
+        service = SamplingService()
         requests = [
             SampleRequest(str(artifacts["kinetgan_dir"]), n=50, seed=i) for i in range(6)
         ]
@@ -146,6 +147,38 @@ class TestStreaming:
         chunks = list(service.sample_stream(artifacts["tvae_dir"], 80, seed=6))
         merged = chunks[0].concat(chunks[1]).concat(chunks[2])
         assert_tables_identical(artifacts["tvae"].sample(80, rng=sampling_rng(6)), merged)
+
+
+class TestBlockedShare:
+    """Stacked and streamed requests cross share blocks like ``model.sample``."""
+
+    def test_stacked_requests_straddling_blocks(self, artifacts):
+        service = SamplingService()
+        sizes = (SHARE_BLOCK_ROWS - 1, 300, SHARE_BLOCK_ROWS + 37)
+        requests = [
+            SampleRequest(str(artifacts["kinetgan_dir"]), n=n, seed=30 + i)
+            for i, n in enumerate(sizes)
+        ]
+        tables = service.sample_many(requests)
+        model = artifacts["kinetgan"]
+        for i, (n, table) in enumerate(zip(sizes, tables)):
+            assert_tables_identical(model.sample(n, rng=sampling_rng(30 + i)), table)
+        assert service.stats.generator_passes == len(share_blocks(sum(sizes)))
+
+    @pytest.mark.parametrize("chunk_rows", [1, 300, SHARE_BLOCK_ROWS + 188])
+    def test_stream_chunks_not_aligned_to_blocks(self, artifacts, chunk_rows):
+        n = 2 * SHARE_BLOCK_ROWS + 37
+        service = SamplingService()
+        chunks = list(
+            service.sample_stream(artifacts["kinetgan_dir"], n, seed=12, chunk_rows=chunk_rows)
+        )
+        sizes = [min(chunk_rows, n - start) for start in range(0, n, chunk_rows)]
+        assert [chunk.n_rows for chunk in chunks] == sizes
+        merged = chunks[0]
+        for chunk in chunks[1:]:
+            merged = merged.concat(chunk)
+        assert_tables_identical(artifacts["kinetgan"].sample(n, rng=sampling_rng(12)), merged)
+        assert service.stats.generator_passes == len(share_blocks(n))
 
 
 class TestRegistry:

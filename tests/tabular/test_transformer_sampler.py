@@ -72,17 +72,6 @@ class TestDataTransformer:
         with pytest.raises(ValueError):
             fitted_transformer.transform(tiny_table.select_columns(["proto", "label"]))
 
-    def test_apply_output_activations_hard_one_hot(self, fitted_transformer, rng):
-        raw = rng.normal(size=(10, fitted_transformer.output_dim))
-        activated = fitted_transformer.apply_output_activations(raw, hard=True, rng=rng)
-        for start, end, activation in fitted_transformer.activation_spans():
-            block = activated[:, start:end]
-            if activation == "softmax":
-                np.testing.assert_allclose(block.sum(axis=1), 1.0)
-                assert set(np.unique(block)).issubset({0.0, 1.0})
-            else:
-                assert np.all(np.abs(block) <= 1.0)
-
 
 def _naive_harden(transformer: DataTransformer, matrix: np.ndarray) -> np.ndarray:
     """The pre-engine per-block hardening loop, kept as the reference."""

@@ -43,17 +43,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from benchmarks.bench_dataplane import (
+# BLAS thread pools must be pinned before numpy loads (this package's
+# ``__init__`` imports nothing): the committed trajectories were recorded
+# single-threaded, and on a 2-core host OpenBLAS's default two threads make
+# small products (the ``inverse_transform`` winners) several times slower.
+os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
+from benchmarks.bench_dataplane import (  # noqa: E402
     BENCH_ROWS,
     RESULT_PATH,
     format_results,
     run_dataplane_bench,
     write_results,
 )
-from benchmarks import bench_faults, bench_obs, bench_runtime, bench_serving, bench_training
-from repro.runtime import default_worker_count
+from benchmarks import (  # noqa: E402
+    bench_faults,
+    bench_obs,
+    bench_runtime,
+    bench_serving,
+    bench_training,
+)
+from repro.runtime import default_worker_count  # noqa: E402
 
 SMOKE_MIN_SECONDS = 0.25
 SMOKE_RETRY_MIN_SECONDS = 1.0

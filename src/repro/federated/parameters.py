@@ -136,9 +136,10 @@ class StateCodec:
         root = first
         while isinstance(root.base, np.ndarray):
             root = root.base
-        # A remaining non-None base means foreign memory (memoryview, mmap,
-        # pickle buffer); offset arithmetic against it is not worth trusting.
-        if root.base is not None or root.dtype != dtype or not root.flags.c_contiguous:
+        # The root may still sit on foreign memory (a resident state unpickled
+        # in a pool worker sits on a pickle buffer); its own data pointer and
+        # size bound the offset arithmetic below either way.
+        if root.dtype != dtype or not root.flags.c_contiguous:
             return None
         for key in self.keys:
             value = state.get(key)

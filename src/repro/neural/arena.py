@@ -39,15 +39,27 @@ network cannot be packed into a single flat buffer and stays per-tensor.
 
 Pickling
 --------
-Numpy views do not survive pickling as views: each one unpickles as its own
-standalone array.  Every fast path therefore re-checks
-:attr:`ParamArena.intact` (an O(1) base-chain test) and falls back to the
-per-tensor code, which stays correct on the detached buffers.
+A plain ``pickle.dumps`` does not keep numpy views as views: each one
+unpickles as its own standalone array, and the arena arrives detached.
+Every fast path therefore re-checks :attr:`ParamArena.intact` (an O(1)
+base-chain test) and falls back to the per-tensor code, which stays correct
+on the detached buffers.
+
+``data``, ``grads`` and the optimizers' flat moment buffers are registered
+as *flat buffers* (:func:`register_flat`).  A pickler that routes ndarrays
+through :func:`reduce_flat_view` -- the resident-state install of
+:class:`~repro.runtime.ProcessExecutor` does -- writes every contiguous
+view of a registered buffer as ``(buffer, offset, shape)``.  The pickle memo
+keeps object identity, so the layer attribute, :attr:`ParamArena.pairs` and
+an optimizer's parameter list all unpickle as one view of one buffer: the
+arena stays intact, every value crosses once, and the fused kernels keep
+running in the receiving process.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import weakref
 from collections.abc import Iterator
 
@@ -56,13 +68,19 @@ import numpy as np
 __all__ = [
     "ParamArena",
     "find_arena",
+    "register_flat",
+    "reduce_flat_view",
     "consolidation_enabled",
     "disable_consolidation",
 ]
 
-#: Live arenas keyed by ``id(arena.data)`` so optimizers can recover the
-#: arena behind a parameter list without holding a reference themselves.
+#: Live arenas keyed by ``id(_root(arena.data))`` so optimizers can recover
+#: the arena behind a parameter list without holding a reference themselves.
 _ARENAS: "weakref.WeakValueDictionary[int, ParamArena]" = weakref.WeakValueDictionary()
+
+#: Roots of the flat buffers registered with :func:`register_flat`, by ``id``
+#: (weak: a freed buffer leaves the registry).
+_FLAT_ROOTS: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
 
 _ENABLED = True
 
@@ -101,6 +119,37 @@ def _root(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def register_flat(flat: np.ndarray) -> None:
+    """Let views of ``flat`` pickle as views (see :func:`reduce_flat_view`)."""
+    root = _root(flat)
+    _FLAT_ROOTS[id(root)] = root
+
+
+def _flat_view(root: np.ndarray, offset: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Unpickle helper: the view ``reduce_flat_view`` took apart."""
+    return root[offset : offset + math.prod(shape)].reshape(shape)
+
+
+def reduce_flat_view(array: np.ndarray):
+    """A pickle reduction keeping ``array`` a view of its flat buffer.
+
+    Returns ``(_flat_view, (root, offset, shape))`` when ``array`` is a
+    C-contiguous view, in the root's dtype, of a buffer registered with
+    :func:`register_flat`; otherwise ``None`` (pickle it as usual).  The
+    root itself pickles once through the memo, however many views share it.
+    Meant for ``pickle.Pickler.reducer_override``.
+    """
+    root = _root(array)
+    if root is array or _FLAT_ROOTS.get(id(root)) is not root:
+        return None
+    if array.dtype != root.dtype or not array.flags.c_contiguous:
+        return None
+    offset = (
+        array.__array_interface__["data"][0] - root.__array_interface__["data"][0]
+    ) // root.itemsize
+    return _flat_view, (root, offset, array.shape)
+
+
 class ParamArena:
     """Flat parameter/gradient storage backing one ``Sequential``.
 
@@ -129,7 +178,18 @@ class ParamArena:
         #: True when trainable spans cover the whole buffer (no gap regions),
         #: i.e. fused updates may touch every element with non-zero values.
         self.exact_cover = trainable == self.size
-        _ARENAS[id(self.data)] = self
+        self._register()
+
+    def _register(self) -> None:
+        _ARENAS[id(_root(self.data))] = self
+        register_flat(self.data)
+        register_flat(self.grads)
+
+    def __setstate__(self, state: dict) -> None:
+        # An unpickled arena registers again, so find_arena and the install
+        # pickler see it in the receiving process too.
+        self.__dict__.update(state)
+        self._register()
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -213,13 +273,15 @@ class ParamArena:
     def intact(self) -> bool:
         """Whether the rebound views still alias this arena's buffers.
 
-        Pickling a network detaches every view into a standalone array; this
-        check is what gates all fused fast paths.
+        A plain pickle detaches every view into a standalone array; this
+        check is what gates all fused fast paths.  It compares roots, not
+        ``data`` itself: pickle protocol 5 loads ``data`` as a view over a
+        ``frombuffer`` base, which the views of a view-keeping pickle share.
         """
         if not self.pairs:
             return False
         param, grad = self.pairs[0]
-        return _root(param) is self.data and _root(grad) is self.grads
+        return _root(param) is _root(self.data) and _root(grad) is _root(self.grads)
 
     def views_into(self, flat: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of ``flat`` aligned with :attr:`pairs`.

@@ -13,8 +13,16 @@ through preallocated scratch, so the update costs O(1) numpy dispatches and
 zero temporaries regardless of how many tensors the network has.  The fused
 kernels replay the per-tensor element ops in the same order and dtype, so
 results are bit-identical; the per-tensor loop remains for unbound
-optimizers and as the fallback whenever the arena views were detached (e.g.
-by pickling a resident federated site).
+optimizers and as the fallback whenever the arena views were detached.
+
+Pickling: the flat moment buffers are registered with
+:func:`~repro.neural.arena.register_flat`, like the arena's own buffers.
+A view-keeping pickle (the resident-state install of
+:class:`~repro.runtime.ProcessExecutor`) therefore carries an optimizer
+across processes with its parameter list, per-tensor moment views and flat
+moments still aliasing one another, and the fused kernels keep running
+there.  A plain ``pickle.dumps`` detaches those views; the optimizer then
+drops its arena binding and steps on the per-tensor loop.
 
 Arena gap regions (non-trainable buffers such as BatchNorm running
 statistics) always carry zero gradients and zero moments, so full-buffer
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.neural.arena import find_arena
+from repro.neural.arena import find_arena, register_flat
 
 __all__ = ["Optimizer", "SGD", "RMSprop", "Adam"]
 
@@ -45,6 +53,15 @@ class Optimizer:
                 raise ValueError("parameter and gradient shapes must match")
         self._arena = find_arena(self.parameters)
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
+        #: The flat state buffers, registered with ``register_flat``.
+        self._flats: list[np.ndarray] = []
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled flat buffers register again, so the optimizer pickles
+        # with its views intact from the receiving process too.
+        self.__dict__.update(state)
+        for flat in self._flats:
+            register_flat(flat)
 
     def step(self) -> None:
         raise NotImplementedError
@@ -67,8 +84,9 @@ class Optimizer:
             return False
         if arena.intact:
             return True
-        # Pickling detached the views from the arena buffers; the per-tensor
-        # path stays correct on the detached arrays, so drop the binding.
+        # A plain pickle detached the views from the arena buffers; the
+        # per-tensor path stays correct on the detached arrays, so drop the
+        # binding.
         self._arena = None
         return False
 
@@ -82,6 +100,8 @@ class Optimizer:
         arena = self._arena
         if arena is not None:
             flat = np.zeros(arena.size, dtype=arena.data.dtype)
+            register_flat(flat)
+            self._flats.append(flat)
             return arena.views_into(flat), flat
         return [np.zeros_like(p) for p, _ in self.parameters], None
 

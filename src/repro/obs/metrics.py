@@ -62,6 +62,8 @@ def _escape_label_value(value: str) -> str:
 
 
 def _format_value(value: float) -> str:
+    if math.isnan(value):
+        return "NaN"
     if math.isinf(value):
         return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:

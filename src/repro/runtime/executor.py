@@ -31,7 +31,6 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
-import pickle
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, TypeVar
@@ -58,6 +57,7 @@ from repro.runtime.state import (
     SharedMemoryBuffer,
     SharedStateRef,
     StateRef,
+    dumps_resident,
     worker_store,
 )
 
@@ -617,7 +617,7 @@ class ProcessExecutor(Executor):
         from multiprocessing import shared_memory
 
         self._check_open()
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = dumps_resident(state)
         segment = shared_memory.SharedMemory(create=True, size=max(1, len(payload)))
         segment.buf[: len(payload)] = payload
         self._installed[segment.name] = segment
@@ -633,23 +633,30 @@ class ProcessExecutor(Executor):
                 segment.unlink()
             except FileNotFoundError:  # pragma: no cover - already unlinked
                 pass
-            # Eviction broadcast: a live pool's workers have materialised
-            # copies in their process-local StateStores; every subsequent
-            # dispatch carries the evicted names so the workers purge them
-            # (a no-op for workers that never resolved the ref).
-            if self._pool is not None:
-                self._evicted_names.append(ref.name)
+            self._broadcast_eviction(ref.name)
             default_registry().counter(
                 "repro_state_evictions_total",
                 help="Resident states evicted from the execution plane.",
                 labels={"executor": self.name},
             ).inc()
 
+    def _broadcast_eviction(self, name: str) -> None:
+        # A live pool's workers may hold a resolved copy or an attachment of
+        # the segment; every subsequent dispatch carries the name so they
+        # purge it (a no-op for workers that never touched it).
+        if self._pool is not None:
+            self._evicted_names.append(name)
+
+    def _release_buffer(self, buffer: SharedMemoryBuffer) -> None:
+        self._buffers.remove(buffer)
+        self._broadcast_eviction(buffer.name)
+
     def shared_array(
         self, shape: tuple[int, ...], dtype: np.dtype | type = np.float64
     ) -> SharedMemoryBuffer:
         self._check_open()
         buffer = SharedMemoryBuffer(shape, np.dtype(dtype).name)
+        buffer._on_close = self._release_buffer
         self._buffers.append(buffer)
         return buffer
 
@@ -665,9 +672,8 @@ class ProcessExecutor(Executor):
             except FileNotFoundError:  # pragma: no cover - already unlinked
                 pass
         self._installed.clear()
-        for buffer in self._buffers:
-            buffer.close()
-        self._buffers.clear()
+        for buffer in list(self._buffers):
+            buffer.close()  # each close removes itself from the list
         self._evicted_names.clear()
         self._closed = True
 

@@ -20,8 +20,9 @@ carries refs, the worker function calls ``ref.resolve()``.
   :class:`DirectBufferRef`, which hold the object / array itself -- resolving
   is free and nothing is ever copied.
 * :class:`~repro.runtime.ProcessExecutor` pickles a resident state **once**
-  into a :class:`multiprocessing.shared_memory.SharedMemory` segment and
-  hands out :class:`SharedStateRef`.  Every worker process unpickles the
+  (:func:`dumps_resident`, which keeps views of flat parameter buffers as
+  views) into a :class:`multiprocessing.shared_memory.SharedMemory` segment
+  and hands out :class:`SharedStateRef`.  Every worker process unpickles the
   segment the first time it resolves the ref and caches the object in its
   process-local :class:`StateStore`, so successive rounds ship only the ref
   (a name and a byte count).  :class:`SharedBuffer` maps a numeric array of
@@ -37,16 +38,24 @@ Synchronisation contract: rounds are synchronous (``Executor.map`` returns
 only after every task finished), so the parent may rewrite a shared buffer
 between rounds but never during one, and workers must copy anything they
 want to keep past the end of their task.
+
+Release contract: evicting a state or closing a buffer in the parent puts
+its segment name on the executor's eviction broadcast, and each worker
+frees its copy before its next task (:meth:`StateStore.purge`).
 """
 
 from __future__ import annotations
 
+import gc
+import io
 import pickle
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
+
+from repro.neural.arena import reduce_flat_view
 
 __all__ = [
     "StateStore",
@@ -60,6 +69,7 @@ __all__ = [
     "SharedBuffer",
     "LocalBuffer",
     "SharedMemoryBuffer",
+    "dumps_resident",
     "worker_store",
 ]
 
@@ -87,6 +97,29 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
     except TypeError:  # pragma: no cover - Python < 3.13
         return shared_memory.SharedMemory(name=name)
+
+
+class _ResidentPickler(pickle.Pickler):
+    """Pickles views of parameter arenas and optimizer moments as views.
+
+    The default reduction copies every view into a standalone array, so a
+    network would cross with each value twice and arrive with a detached
+    arena; see :func:`repro.neural.arena.reduce_flat_view`.
+    """
+
+    def reducer_override(self, obj: Any) -> Any:
+        if type(obj) is np.ndarray:
+            reduced = reduce_flat_view(obj)
+            if reduced is not None:
+                return reduced
+        return NotImplemented
+
+
+def dumps_resident(state: Any) -> bytes:
+    """``pickle.dumps`` keeping flat-buffer views; load with ``pickle.loads``."""
+    stream = io.BytesIO()
+    _ResidentPickler(stream, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+    return stream.getvalue()
 
 
 class StateStore:
@@ -117,15 +150,9 @@ class StateStore:
         """Unpickle (once) and return the resident state stored in ``name``."""
         if name not in self._objects:
             segment = self.attach(name)
-            self._objects[name] = pickle.loads(bytes(segment.buf[:nbytes]))
+            with segment.buf[:nbytes] as payload:
+                self._objects[name] = pickle.loads(payload)
         return self._objects[name]
-
-    def forget(self, name: str) -> None:
-        """Drop a cached object/attachment (idempotent)."""
-        self._objects.pop(name, None)
-        segment = self._segments.pop(name, None)
-        if segment is not None:
-            segment.close()
 
     def contains(self, name: str) -> bool:
         """True when a resolved copy of ``name`` is cached here."""
@@ -135,13 +162,24 @@ class StateStore:
         """Drop every cached copy named in ``names`` (eviction broadcast).
 
         Called by the process-pool work-unit wrapper before a task body
-        runs: the parent piggybacks the names of evicted shared-memory
-        segments on each dispatch, so a long-lived worker releases the
-        memory of resident states the parent has already unlinked instead
-        of holding them until the pool closes.
+        runs: the parent piggybacks the names of evicted states and closed
+        buffers on each dispatch, so a long-lived worker releases their
+        memory instead of holding it until the pool closes.  Dropping
+        anything runs one ``gc.collect()``: a resident state is usually a
+        cyclic graph (a site's trainer, engine and step refer to each
+        other) that reference counting never frees.  The segments are
+        detached after that collection, once no garbage view maps them.
         """
+        names = [name for name in names if name in self._objects or name in self._segments]
+        if not names:
+            return
         for name in names:
-            self.forget(name)
+            self._objects.pop(name, None)
+        gc.collect()
+        for name in names:
+            segment = self._segments.pop(name, None)
+            if segment is not None:
+                segment.close()
 
 
 #: The one store of the current process.  Workers populate it lazily the
@@ -287,6 +325,11 @@ class SharedMemoryBuffer(SharedBuffer):
     dtype: str = "float64"
     _segment: shared_memory.SharedMemory = field(init=False)
     _view: np.ndarray | None = field(init=False, default=None)
+    #: Called once from :meth:`close`; the owning executor sets it to drop
+    #: the buffer and broadcast its name to the workers.
+    _on_close: Callable[["SharedMemoryBuffer"], None] | None = field(
+        init=False, default=None, repr=False
+    )
 
     def __post_init__(self) -> None:
         dt = np.dtype(self.dtype)
@@ -320,3 +363,5 @@ class SharedMemoryBuffer(SharedBuffer):
             self._segment.unlink()
         except FileNotFoundError:  # pragma: no cover - already unlinked
             pass
+        if self._on_close is not None:
+            self._on_close(self)

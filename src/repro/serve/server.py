@@ -332,62 +332,74 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _respond(self, status: int, document: dict, headers: dict | None = None) -> int:
-        body = json.dumps(document).encode("utf-8")
+    def _send(
+        self, status: int, body: bytes, content_type: str, headers: dict | None = None
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
+        # Record the request before its body leaves: a client holding the
+        # reply then always finds it in GET /metrics.
+        self._observe(status)
         self.wfile.write(body)
-        return status
 
-    def _fail(self, error: _HTTPError) -> int:
-        return self._respond(error.status, {"error": str(error)}, error.headers)
+    def _respond(self, status: int, document: dict, headers: dict | None = None) -> None:
+        body = json.dumps(document).encode("utf-8")
+        self._send(status, body, "application/json", headers)
 
-    def _respond_metrics(self, query: str) -> int:
+    def _fail(self, error: _HTTPError) -> None:
+        self._respond(error.status, {"error": str(error)}, error.headers)
+
+    def _respond_metrics(self, query: str) -> None:
         if query == "format=json":
-            return self._respond(200, self.server.metrics_snapshot())
+            self._respond(200, self.server.metrics_snapshot())
+            return
         body = self.server.metrics_text().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        return 200
+        self._send(200, body, "text/plain; version=0.0.4; charset=utf-8")
+
+    # -- latency -------------------------------------------------------- #
+    def _begin(self, endpoint: str) -> None:
+        self._endpoint = endpoint
+        self._start = time.perf_counter()
+        self._observed = False
+
+    def _observe(self, status: int) -> None:
+        if not self._observed:
+            self._observed = True
+            self.server.observe_request(self._endpoint, status, time.perf_counter() - self._start)
 
     # -- routes --------------------------------------------------------- #
     def do_GET(self) -> None:  # noqa: N802
-        start = time.perf_counter()
         path, _, query = self.path.partition("?")
-        status = 500
+        self._begin(path)
         try:
             if path == "/health":
-                status = self._respond(200, self.server.health())
+                self._respond(200, self.server.health())
             elif path == "/artifacts":
-                status = self._respond(200, {"artifacts": self.server.pool.manifests})
+                self._respond(200, {"artifacts": self.server.pool.manifests})
             elif path == "/metrics":
-                status = self._respond_metrics(query)
+                self._respond_metrics(query)
             else:
-                status = self._fail(_HTTPError(404, f"no route {self.path!r}"))
+                self._fail(_HTTPError(404, f"no route {self.path!r}"))
         finally:
-            self.server.observe_request(path, status, time.perf_counter() - start)
+            self._observe(500)  # no reply was sent
 
     def do_POST(self) -> None:  # noqa: N802
-        start = time.perf_counter()
-        status = 500
+        self._begin(self.path)
         try:
             if self.path != "/sample":
-                status = self._fail(_HTTPError(404, f"no route {self.path!r}"))
+                self._fail(_HTTPError(404, f"no route {self.path!r}"))
                 return
             try:
                 admitted = self.server.admit(self._parse_sample_body())
-                status = self._respond(200, self.server.await_result(admitted))
+                self._respond(200, self.server.await_result(admitted))
             except _HTTPError as error:
-                status = self._fail(error)
+                self._fail(error)
         finally:
-            self.server.observe_request(self.path, status, time.perf_counter() - start)
+            self._observe(500)  # no reply was sent
 
     def _parse_sample_body(self) -> dict:
         try:

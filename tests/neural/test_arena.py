@@ -8,13 +8,19 @@ enabling the fused optimizer kernels.
 
 from __future__ import annotations
 
+import io
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.neural.arena import ParamArena, disable_consolidation, find_arena
+from repro.neural.arena import (
+    ParamArena,
+    disable_consolidation,
+    find_arena,
+    reduce_flat_view,
+)
 from repro.neural.layers import BatchNorm, Dense, Layer, LeakyReLU, ReLU, Residual, Tanh
 from repro.neural.losses import BinaryCrossEntropy
 from repro.neural.network import Sequential
@@ -161,6 +167,70 @@ class TestConsolidation:
         assert not np.array_equal(
             clone.state_dict()["layers.0.weight"], network.state_dict()["layers.0.weight"]
         )
+
+
+class _ViewPickler(pickle.Pickler):
+    def reducer_override(self, obj):
+        if type(obj) is np.ndarray:
+            reduced = reduce_flat_view(obj)
+            if reduced is not None:
+                return reduced
+        return NotImplemented
+
+
+def _view_pickle(obj) -> bytes:
+    stream = io.BytesIO()
+    _ViewPickler(stream, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return stream.getvalue()
+
+
+class TestViewKeepingPickle:
+    @pytest.mark.parametrize("round_trips", [1, 2])
+    def test_arena_and_optimizer_stay_bound(self, round_trips):
+        network = _make_network(seed=12)
+        optimizer = Adam(network.parameters(), lr=0.01)
+        clone, clone_opt = network, optimizer
+        for _ in range(round_trips):  # an unpickled arena pickles again
+            clone, clone_opt = pickle.loads(_view_pickle((clone, clone_opt)))
+        assert clone.arena.intact
+        assert clone_opt._fused_ready() and clone_opt._arena is clone.arena
+        assert find_arena(clone.parameters()) is clone.arena
+        for (param, grad), (arena_param, arena_grad) in zip(
+            clone_opt.parameters, clone.arena.pairs
+        ):
+            assert param is arena_param and grad is arena_grad
+        for moment in clone_opt._m:
+            assert np.shares_memory(moment, clone_opt._m_flat)
+        for key, value in network.state_dict().items():
+            assert np.array_equal(clone.state_dict()[key], value)
+
+    def test_every_value_crosses_once(self):
+        network = _make_network(seed=13)
+        optimizer = Adam(network.parameters(), lr=0.01)
+        kept = len(_view_pickle((network, optimizer)))
+        plain = len(pickle.dumps((network, optimizer), protocol=pickle.HIGHEST_PROTOCOL))
+        # Params, grads and both moments cross once instead of twice.
+        values = 4 * network.num_parameters() * network.arena.data.itemsize
+        assert plain - kept >= values
+
+    def test_steps_match_the_original(self):
+        network = _make_network(seed=14)
+        optimizer = Adam(network.parameters(), lr=0.01)
+        clone, clone_opt = pickle.loads(_view_pickle((network, optimizer)))
+        for model, opt in ((network, optimizer), (clone, clone_opt)):
+            for step in range(3):
+                _inject_grads(model, seed=20 + step)
+                opt.step()
+        for key, value in network.state_dict().items():
+            assert np.array_equal(clone.state_dict()[key], value)
+
+    def test_unregistered_views_pickle_as_copies(self):
+        base = np.arange(12.0)
+        view = base[2:6]
+        assert reduce_flat_view(view) is None
+        clone = pickle.loads(_view_pickle(view))
+        assert clone.base is None or clone.base is not base
+        assert np.array_equal(clone, view)
 
 
 # --------------------------------------------------------------------------- #

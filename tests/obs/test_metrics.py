@@ -120,6 +120,16 @@ class TestExposition:
         assert 'k="a\\"b\\\\c\\nd"' in text
         assert_valid_exposition(text)
 
+    def test_non_finite_gauges_render_as_prometheus_tokens(self):
+        # One NaN gauge (a diverged loss, say) must not break the scrape.
+        registry = MetricsRegistry()
+        registry.gauge("nan_gauge").set(float("nan"))
+        registry.gauge("inf_gauge").set(float("-inf"))
+        text = registry.prometheus_text()
+        assert_valid_exposition(text)
+        assert "nan_gauge NaN" in text
+        assert "inf_gauge -Inf" in text
+
     def test_empty_registry_exports_empty_document(self):
         assert MetricsRegistry().prometheus_text() == ""
 

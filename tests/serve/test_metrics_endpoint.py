@@ -2,6 +2,7 @@
 
 import re
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -137,6 +138,23 @@ class TestMetricsEndpoint:
         assert seen == sorted(seen)
         assert seen[-1] == 18.0
         assert _counter_total(registry, "repro_http_requests_total", outcome="admitted") == 18.0
+
+    def test_a_received_reply_is_already_recorded(self, artifact, monkeypatch):
+        # A slow latency recorder must not let a client that already holds
+        # its reply scrape /metrics without that request in it.
+        record = SamplingHTTPServer._observe_request
+
+        def slow_record(self, endpoint, status, seconds):
+            time.sleep(0.2)
+            record(self, endpoint, status, seconds)
+
+        monkeypatch.setattr(SamplingHTTPServer, "_observe_request", slow_record)
+        registry = MetricsRegistry()
+        with ServingPool({"m": artifact}, executor=None) as pool:
+            with SamplingHTTPServer(pool, port=0, registry=registry) as server:
+                request_samples(server.url, "m", 4, seed=0)
+                text = _scrape(server.url)
+        assert 'repro_http_request_seconds_count{endpoint="/sample",status="200"} 1' in text
 
     def test_private_registry_isolates_a_server(self, artifact):
         registry = MetricsRegistry()

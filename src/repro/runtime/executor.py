@@ -33,6 +33,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
+from multiprocessing import resource_tracker
 from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
@@ -529,6 +530,11 @@ class ProcessExecutor(Executor):
             context = None
             if self.start_method is not None:
                 context = multiprocessing.get_context(self.start_method)
+            # Workers must inherit the parent's resource tracker.  A worker
+            # forked before it runs starts a private tracker on its first
+            # attach, and that tracker unlinks the parent's live segments
+            # when the worker dies.
+            resource_tracker.ensure_running()
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.max_workers, mp_context=context
             )

@@ -89,9 +89,11 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     The parent process that created a segment owns its lifetime (it unlinks
     on ``evict``/``close``).  Python 3.13 lets an attaching worker opt out
     of resource tracking with ``track=False``; on older versions the worker
-    attaches normally, which is harmless under the Linux default ``fork``
-    start method (parent and workers share one resource tracker, and its
-    registry is a set, so the extra registration dedupes away).
+    attaches normally.  That is harmless only because
+    ``ProcessExecutor`` starts the parent's resource tracker before it
+    creates a pool: every worker then shares it, and its registry is a set,
+    so the extra registration dedupes away.  A worker with a private
+    tracker would unlink the parent's live segment when it dies.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]

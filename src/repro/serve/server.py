@@ -26,9 +26,10 @@ second host can request synthetic traffic.  Three pieces:
 Determinism contract, unchanged from the in-process service: the rows of a
 response depend only on ``(artifact, n, conditions, seed)``.  A client on
 localhost receives samples **bit-identical** to ``model.sample(n, seed)``
-in-process -- continuous columns ride JSON via ``repr`` round-tripping
-(exact for float64), categorical values are JSON-native strings/ints --
-enforced by ``tests/serve/test_server.py``.
+in-process -- continuous columns ride as base64 little-endian float64
+bytes (exact for every bit pattern), categorical values are JSON-native
+strings/ints (see :func:`table_to_wire`) -- enforced by
+``tests/serve/test_server.py``.
 
 Operator documentation (knobs, capacity planning, runbook) lives in
 ``docs/serving.md``.
@@ -36,22 +37,25 @@ Operator documentation (knobs, capacity planning, runbook) lives in
 
 from __future__ import annotations
 
+import base64
 import json
 import queue
 import threading
 import time
 import urllib.error
 import urllib.request
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+
+import numpy as np
 
 from repro.engine import sampling_rng
 from repro.obs import MetricsRegistry, default_registry
 from repro.runtime import Executor, TaskPolicy, resolve_executor
 from repro.serve.artifact import ArtifactError, ModelArtifact, load_model
-from repro.tabular.schema import TableSchema
+from repro.tabular.schema import ColumnSpec, TableSchema
 from repro.tabular.table import Table
 
 __all__ = [
@@ -71,20 +75,71 @@ __all__ = [
 def table_to_wire(table: Table) -> dict:
     """JSON-serialisable ``{"schema", "columns"}`` document for a table.
 
-    Exact: float64 columns serialise through Python ``repr`` (the shortest
-    round-tripping decimal), categorical values are native JSON strings or
-    ints, and the schema rides its own ``to_dict`` form.
+    Exact and strict JSON: a float64 column travels as
+    ``{"f8": <base64 of its little-endian IEEE-754 bytes>}``, so every bit
+    survives (NaN payloads, infinities and ``-0.0`` included) and no
+    non-standard ``NaN`` token is ever written.  Categorical values are
+    native JSON strings or ints, and the schema rides its own ``to_dict``
+    form.
     """
-    return {
-        "schema": table.schema.to_dict(),
-        "columns": {name: table.column(name).tolist() for name in table.schema.names},
-    }
+    columns: dict = {}
+    for spec in table.schema:
+        values = table.column(spec.name)
+        if spec.is_continuous:
+            raw = values.astype("<f8", copy=False).tobytes()
+            columns[spec.name] = {"f8": base64.b64encode(raw).decode("ascii")}
+        else:
+            columns[spec.name] = values.tolist()
+    return {"schema": table.schema.to_dict(), "columns": columns}
+
+
+def _column_from_wire(spec: ColumnSpec, value) -> np.ndarray:
+    """One wire column as its storage array; ``ValueError`` if malformed."""
+    if spec.is_continuous:
+        if not (isinstance(value, dict) and set(value) == {"f8"} and isinstance(value["f8"], str)):
+            raise ValueError(f'column {spec.name!r}: expected {{"f8": <base64>}}')
+        try:
+            raw = base64.b64decode(value["f8"], validate=True)
+        except ValueError as error:  # binascii.Error
+            raise ValueError(f"column {spec.name!r}: bad base64 ({error})") from None
+        if len(raw) % 8:
+            raise ValueError(f"column {spec.name!r}: {len(raw)} bytes is not a float64 count")
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not isinstance(value, list):
+        raise ValueError(f"column {spec.name!r}: expected a list, got {type(value).__name__}")
+    # fromiter keeps each element's own type; np.asarray would turn a mixed
+    # [21, "x"] column into ["21", "x"].
+    return np.fromiter(value, dtype=object, count=len(value))
 
 
 def table_from_wire(document: dict) -> Table:
-    """Rebuild a :class:`~repro.tabular.table.Table` from its wire document."""
-    schema = TableSchema.from_dict(document["schema"])
-    return Table(schema, {name: document["columns"][name] for name in schema.names})
+    """Rebuild a :class:`~repro.tabular.table.Table` from its wire document.
+
+    The document may come off the network, so any malformed part raises
+    ``ValueError`` (naming the column where there is one) instead of a
+    ``KeyError`` or ``TypeError`` from deep inside.
+    """
+    try:
+        schema = TableSchema.from_dict(document["schema"])
+        wire_columns = document["columns"]
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"malformed table document: {error!r}") from None
+    if not isinstance(wire_columns, dict):
+        raise ValueError("malformed table document: columns is not an object")
+    columns = {}
+    for spec in schema:
+        if spec.name not in wire_columns:
+            raise ValueError(f"column {spec.name!r}: missing")
+        columns[spec.name] = _column_from_wire(spec, wire_columns[spec.name])
+    if columns:
+        lengths = Counter(len(values) for values in columns.values())
+        n_rows = lengths.most_common(1)[0][0]
+        for name, values in columns.items():
+            if len(values) != n_rows:
+                raise ValueError(
+                    f"column {name!r}: {len(values)} rows, the other columns have {n_rows}"
+                )
+    return Table(schema, columns)
 
 
 # --------------------------------------------------------------------------- #

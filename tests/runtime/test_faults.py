@@ -8,7 +8,11 @@ broadcast, and the shared ``map_with_quorum`` round-dispatch helper.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,31 @@ def _resolve_ref(ref):
 
 def _store_contains(name: str) -> bool:
     return worker_store().contains(name)
+
+
+# Runs in a fresh interpreter: the bug needs a parent whose resource tracker
+# has not started yet, which no longer holds once any earlier test in this
+# process has created a segment.  Task 0 attaches the segment in the single
+# worker, task 1 crashes that worker, and the pause gives a private tracker
+# of the dead worker time to unlink the segment before task 2's replay has
+# to attach it again in a fresh worker.
+_WARM_POOL_CRASH = """
+import time
+from repro.runtime import FaultInjector, ProcessExecutor, TaskPolicy
+
+def resolve(ref):
+    return dict(ref.resolve())
+
+with ProcessExecutor(max_workers=1) as executor:
+    executor.map(abs, [-1])
+    ref = executor.install({"answer": 42})
+    executor.install_faults(FaultInjector.crash_once(task_id=1))
+    results = executor.map_tasks(resolve, [ref, ref], TaskPolicy(retries=1))
+    time.sleep(0.5)
+    executor.install_faults(FaultInjector.crash_once(task_id=2))
+    results += executor.map_tasks(resolve, [ref], TaskPolicy(retries=1))
+    print([r.value if r.ok else r.failure.message for r in results], executor.respawns)
+"""
 
 
 class TestFaultInjector:
@@ -243,6 +272,21 @@ class TestMapTasksProcess:
             results = executor.map_tasks(_resolve_ref, [ref, ref], TaskPolicy(retries=1))
             assert [r.value for r in results] == [{"answer": 42}, {"answer": 42}]
             assert executor.respawns == 1
+
+    def test_resident_state_survives_a_crash_in_a_pool_warmed_before_install(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", _WARM_POOL_CRASH],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == str([{"answer": 42}] * 3) + " 2"
+        assert "resource_tracker" not in completed.stderr
 
     def test_crash_without_retries_is_a_structured_failure(self):
         with ProcessExecutor(max_workers=2) as executor:

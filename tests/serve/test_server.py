@@ -8,7 +8,11 @@ and 503s the rest.
 
 from __future__ import annotations
 
+import base64
+import copy
 import json
+import random
+import re
 import threading
 import time
 import urllib.error
@@ -28,6 +32,8 @@ from repro.serve import (
     save_model,
 )
 from repro.serve.server import table_from_wire, table_to_wire
+from repro.tabular.schema import ColumnSpec, TableSchema
+from repro.tabular.table import Table
 
 
 def small_config(seed: int = 0) -> KiNETGANConfig:
@@ -86,6 +92,40 @@ def raw_post(url: str, body: bytes, timeout: float = 30.0):
         return error.code, dict(error.headers), json.loads(error.read() or b"{}")
 
 
+def _reject_constant(token: str):
+    raise AssertionError(f"non-standard JSON token {token!r} in a reply body")
+
+
+_NOT_BASE64 = "!*#$%&?~ -_."
+
+
+def _mutate(document: dict, rng: random.Random) -> tuple[str, dict]:
+    """One seeded mutation of a reply document: ``(column it breaks, copy)``."""
+    mutated = copy.deepcopy(document)
+    columns = mutated["columns"]
+    floats = [name for name, value in columns.items() if isinstance(value, dict)]
+    kind = rng.choice(["truncate", "corrupt", "resize", "drop", "scalar"])
+    name = rng.choice(floats if kind in ("truncate", "corrupt", "resize") else list(columns))
+    if kind == "truncate":
+        text = columns[name]["f8"]
+        columns[name]["f8"] = text[: rng.randrange(len(text))]
+    elif kind == "corrupt":
+        text = columns[name]["f8"]
+        at = rng.randrange(len(text))
+        # Overwrite a character or insert one: strict decoding rejects both.
+        columns[name]["f8"] = text[:at] + rng.choice(_NOT_BASE64) + text[at + rng.randrange(2) :]
+    elif kind == "resize":
+        raw = base64.b64decode(columns[name]["f8"])
+        delta = rng.choice([-16, -8, -3, -1, 1, 5, 8, 24])
+        raw = raw[:delta] if delta < 0 else raw + bytes(delta)
+        columns[name]["f8"] = base64.b64encode(raw).decode("ascii")
+    elif kind == "drop":
+        del columns[name]
+    else:
+        columns[name] = rng.choice([0, 64, 1.5, "x", None, True])
+    return name, mutated
+
+
 class TestWireFormat:
     def test_table_round_trips_bit_identically(self, fitted_kinetgan):
         table = fitted_kinetgan.sample(64, rng=sampling_rng(3))
@@ -93,6 +133,47 @@ class TestWireFormat:
         assert_tables_identical(table, rebuilt)
         for name in table.schema.names:
             assert rebuilt.column(name).dtype == table.column(name).dtype
+
+    def test_awkward_values_round_trip_exactly_as_strict_json(self):
+        schema = TableSchema(
+            [
+                ColumnSpec("port", "categorical", categories=(21, "x")),
+                ColumnSpec("bytes", "continuous"),
+            ]
+        )
+        payload_nan = np.array([0x7FF8_0000_0000_0123], dtype=np.uint64).view(np.float64)[0]
+        floats = np.array([np.nan, payload_nan, np.inf, -np.inf, -0.0, 0.1])
+        ports = np.array([21, "x", 21, "x", "x", 21], dtype=object)
+        table = Table(schema, {"port": ports, "bytes": floats})
+        body = json.dumps(table_to_wire(table))
+        rebuilt = table_from_wire(json.loads(body, parse_constant=_reject_constant))
+        assert list(rebuilt.column("port")) == [21, "x", 21, "x", "x", 21]
+        assert [type(v) for v in rebuilt.column("port")] == [int, str, int, str, str, int]
+        assert rebuilt.column("bytes").dtype == np.float64
+        np.testing.assert_array_equal(
+            rebuilt.column("bytes").view(np.uint64), floats.view(np.uint64)
+        )
+
+    def test_seeded_mutations_of_a_reply_raise_value_error(self, served, fitted_kinetgan):
+        url, _pool, _server = served
+        status, _headers, reply = raw_post(
+            url, json.dumps({"artifact": "kinetgan", "n": 64, "seed": 5}).encode()
+        )
+        assert status == 200
+        expected = fitted_kinetgan.sample(64, rng=sampling_rng(5))
+        assert_tables_identical(expected, table_from_wire(reply))
+        rng = random.Random(20241017)
+        for _ in range(300):
+            name, mutated = _mutate(reply, rng)
+            # pytest.raises lets a KeyError, IndexError or TypeError escape,
+            # and fails if the mutated document decodes at all.
+            with pytest.raises(ValueError, match=re.escape(repr(name))):
+                table_from_wire(mutated)
+
+    def test_malformed_document_raises_value_error(self):
+        for document in ({}, {"schema": {}, "columns": {}}, {"schema": 3}, []):
+            with pytest.raises(ValueError, match="malformed"):
+                table_from_wire(document)
 
 
 class TestHTTPParity:

@@ -30,7 +30,9 @@ class _ODEGenerator(ConditionalGenerator):
         self, noise_dim, condition_dim, transformer, hidden_dims, gumbel_tau, ode_steps, rng
     ) -> None:
         # Build the base object first, then replace its network with the
-        # ODE-augmented stack (same public interface).
+        # ODE-augmented stack (same public interface; ``activation`` reads
+        # the live output layer).  The discarded base build still consumes
+        # initialisation draws, which seeded OCTGAN outputs depend on.
         super().__init__(
             noise_dim,
             condition_dim,

@@ -36,6 +36,12 @@ class TabularOutputActivation(Layer):
     noise draw for the whole region, segmented softmax, one scatter -- both
     forward and backward run in a handful of C passes regardless of how many
     one-hot blocks the table has.
+
+    The eval forward (``training=False``) stays the reference sampling
+    path: TVAE's decoder hardens its output, and the KiNETGAN share step,
+    which stops at :meth:`ConditionalGenerator.logits` and takes its
+    winners through ``BlockLayout.softmax_argmax``, reproduces that
+    hardened output bit for bit.
     """
 
     def __init__(
@@ -198,18 +204,34 @@ class ConditionalGenerator:
             )
             width += hidden  # residual blocks concatenate
         layers.append(Dense(width, self.output_dim, rng=rng, init="glorot", dtype=dtype))
-        self.activation = TabularOutputActivation(
-            transformer.activation_spans(), tau=gumbel_tau, rng=rng
+        layers.append(
+            TabularOutputActivation(transformer.activation_spans(), tau=gumbel_tau, rng=rng)
         )
-        layers.append(self.activation)
         self.network = Sequential(layers)
         self.network.consolidate()
+
+    @property
+    def activation(self) -> TabularOutputActivation:
+        """The live output layer (subclasses may rebuild ``network``)."""
+        return self.network.layers[-1]
 
     # ------------------------------------------------------------------ #
     def forward(
         self, noise: np.ndarray, condition: np.ndarray | None, training: bool = True
     ) -> np.ndarray:
         """Generate a batch of transformed rows from noise and conditions."""
+        return self.network.forward(self._input(noise, condition), training=training)
+
+    def logits(self, noise: np.ndarray, condition: np.ndarray | None) -> np.ndarray:
+        """Eval-mode scores before the output activation.
+
+        Runs :meth:`forward`'s input checks and every layer but the last;
+        ``activation.forward(logits, training=False)`` is the eval forward.
+        """
+        return self.network.forward(self._input(noise, condition), training=False, stop=-1)
+
+    def _input(self, noise: np.ndarray, condition: np.ndarray | None) -> np.ndarray:
+        """``[noise, condition]`` in the network's dtype, widths checked."""
         dtype = self.network.dtype
         if condition is None:
             condition = np.zeros((noise.shape[0], self.condition_dim), dtype=dtype)
@@ -223,7 +245,7 @@ class ConditionalGenerator:
         if x.dtype != dtype:
             # Float64 inputs to a float32 network round once at the boundary.
             x = x.astype(dtype)
-        return self.network.forward(x, training=training)
+        return x
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Back-propagate into the generator; returns grad w.r.t. [z, C]."""

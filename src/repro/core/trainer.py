@@ -44,8 +44,11 @@ from repro.tabular.transformer import DataTransformer
 
 __all__ = ["TrainingHistory", "KiNETGANStep", "KiNETGANTrainer"]
 
-#: Rows per share-path generator forward (swept 256/512/1024/2048 on the
-#: train benchmark's 50k-row share: 256 and 512 tie, larger blocks lose).
+#: Rows per share-path generator forward.  Swept 256/512/1024/2048 on the
+#: train benchmark's 50k-row share with winners taken from the soft output
+#: (256 and 512 tied, larger blocks lost) and again with winners taken from
+#: the logits: over three 10-round alternating sweeps (2-core host, BLAS on
+#: one thread) no size beat 512 in more than 8 of 10 rounds.
 SHARE_BLOCK_ROWS = 512
 
 
@@ -388,13 +391,18 @@ class KiNETGANTrainer:
 
         ``parts`` stacks ``(condition_matrix, rng)`` pairs, one per request.
         Each block draws its rows' noise from their part's rng (chunked
-        normal draws are stream-identical to one draw), runs the eval-mode
-        forward and takes every softmax block's argmax from the soft output
-        -- never the logits, where exp/divide could merge near-ties -- so
-        the winners, ties to the lowest index, are those hardening picks.
+        normal draws are stream-identical to one draw) and runs the eval
+        forward up to the logits.  The winners are the soft output's
+        per-block argmax, ties to the lowest index -- exactly what hardening
+        the eval forward picks -- without building that output:
+        :meth:`BlockLayout.softmax_argmax` takes each winner from the logits
+        where a margin of ``2**10`` ulps proves it is the soft argmax, and
+        runs the softmax only on the rows it cannot prove.  The scalars are
+        the tanh of the same logits, the bits the eval forward writes.
         """
         layout = self.transformer.softmax_layout()
         tanh_columns = self.transformer.tanh_columns()
+        tau = self.generator.activation.tau
         conditions = [condition for condition, _ in parts]
         condition = conditions[0] if len(parts) == 1 else np.concatenate(conditions)
         bounds = np.cumsum([0] + [len(c) for c in conditions])
@@ -405,5 +413,5 @@ class KiNETGANTrainer:
                 if low < stop and start < high
             ]
             noise = noise[0] if len(noise) == 1 else np.concatenate(noise)
-            out = self.generator.forward(noise, condition[start:stop], training=False)
-            yield start, stop, layout.argmax_matrix(out), out[:, tanh_columns]
+            logits = self.generator.logits(noise, condition[start:stop])
+            yield start, stop, layout.softmax_argmax(logits, tau), np.tanh(logits[:, tanh_columns])

@@ -93,8 +93,9 @@ class Sequential:
         for layer in self.layers:
             layer.bind_workspace(None)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        for layer in self.layers:
+    def forward(self, x: np.ndarray, training: bool = True, stop: int | None = None) -> np.ndarray:
+        """Run the stack, or only ``layers[:stop]`` when ``stop`` is given."""
+        for layer in self.layers if stop is None else self.layers[:stop]:
             x = layer.forward(x, training=training)
         ws = self.workspace
         if ws is not None and ws.owns(x):

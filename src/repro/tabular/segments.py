@@ -14,6 +14,12 @@ gather per width group followed by a single contiguous ``(rows, blocks,
 width)`` reduction -- a handful of C passes total, independent of how many
 columns the table has.  (``np.ufunc.reduceat`` was measured ~4x slower than
 the reshaped contiguous reductions used here.)
+
+Two winner extractors skip work the general path does: :meth:`BlockLayout.
+winners` certifies exactly-one-hot input with one BLAS pass, and
+:meth:`BlockLayout.softmax_argmax` takes the softmax's per-block argmax from
+the scores themselves wherever a ``2**10``-ulp margin proves it exact,
+running the softmax only on the rows it cannot prove.
 """
 
 from __future__ import annotations
@@ -203,6 +209,44 @@ class BlockLayout:
             sub.sum(axis=2, keepdims=True, out=peak)
             sub /= peak
             out[:, gcols] = flat
+        return out
+
+    def softmax_argmax(self, matrix: np.ndarray, tau: float = 1.0) -> np.ndarray:
+        """``argmax(softmax(gather(matrix), tau))`` without the full softmax.
+
+        The winner of each block is taken from the scores themselves and
+        proved exact row by row.  A row is *unsure* when some block has a
+        non-finite maximum or an entry other than its first argmax within
+        ``2**10 * eps * tau`` of the maximum (exact ties included); unsure
+        rows, and only they, go through :meth:`softmax` + :meth:`argmax`.
+        The softmax treats rows independently, so that subset gets the bits
+        it would get in a full-matrix pass.
+
+        Why the sure rows are exact: the softmax subtracts the same block
+        maximum (the very differences checked here), divides by ``tau`` and
+        exponentiates, so the maximum maps to ``exp(0) == 1`` and every
+        other entry to ``exp(t)`` with ``t < -2**10 * eps``, which lies
+        over a thousand ulps below 1.  ``exp`` and the shared division by
+        the block sum each round by under a few ulps and never invert an
+        order, so the soft maximum is strict and sits at the scores' first
+        argmax.  The method keeps no state on the layout (shared layouts
+        are used from several threads) and allocates its buffers.
+        """
+        rows = matrix.shape[0]
+        out = np.empty((rows, self.n_blocks), dtype=np.intp)
+        unsure = np.zeros(rows, dtype=bool)
+        margin = -(2**10) * float(np.finfo(matrix.dtype).eps) * tau
+        with np.errstate(invalid="ignore"):
+            for width, ids, fcols in self._matrix_groups:
+                sub = matrix[:, fcols].reshape(rows, len(ids), width)
+                out[:, ids] = sub.argmax(axis=2)
+                sub -= sub.max(axis=2, keepdims=True)
+                # Exactly one entry (the maximum, at 0) clears the margin in
+                # a sure block; NaN differences clear it nowhere.
+                unsure |= (np.count_nonzero(sub >= margin, axis=2) != 1).any(axis=1)
+            if unsure.any():
+                picked = np.flatnonzero(unsure)
+                out[picked] = self.argmax(self.softmax(self.gather(matrix[picked]), tau))
         return out
 
     def softmax_backward(

@@ -1,11 +1,13 @@
 """The blocked share path is exactly invariant to its row-block size.
 
 ``KiNETGAN.sample`` and ``FederatedKiNETGAN.sample`` run the generator in
-fixed-size row blocks and decode straight from each block's winners.  These
-tests pin them column for column (``np.array_equal``, not a tolerance)
-against an unblocked oracle assembled from public pieces: ``sample_inputs``
-(or the sampler plus one normal draw), one generator forward over all rows,
-``harden`` and ``inverse_transform``.  Row counts straddle the block size.
+fixed-size row blocks and decode straight from each block's winners, taken
+from the logits wherever a margin proves them equal to the soft output's
+(``BlockLayout.softmax_argmax``).  These tests pin them column for column
+(``np.array_equal``, not a tolerance) against an unblocked oracle assembled
+from public pieces: ``sample_inputs`` (or the sampler plus one normal draw),
+one generator forward over all rows, ``harden`` and ``inverse_transform``.
+Row counts straddle the block size.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.octgan import OCTGAN
 from repro.core import KiNETGAN, KiNETGANConfig
 from repro.core.trainer import SHARE_BLOCK_ROWS
 from repro.engine import sampling_rng
@@ -57,14 +60,16 @@ def oracle(model, n, conditions, rng):
 
 
 VARIANTS = {
-    "float64": {},
-    "float32": {"dtype": "float32"},
-    "minmax": {"continuous_encoding": "minmax"},
+    "float64": (KiNETGAN, {}),
+    "float32": (KiNETGAN, {"dtype": "float32"}),
+    "minmax": (KiNETGAN, {"continuous_encoding": "minmax"}),
+    # OCTGAN rebuilds the generator's network around an ODE block.
+    "octgan": (OCTGAN, {}),
 }
 
 
-def fit_model(bundle, **overrides) -> KiNETGAN:
-    fitted = KiNETGAN(small_config(**overrides))
+def fit_model(bundle, cls=KiNETGAN, **overrides) -> KiNETGAN:
+    fitted = cls(small_config(**overrides))
     fitted.fit(
         bundle.table.head(400),
         catalog=bundle.catalog,
@@ -75,7 +80,8 @@ def fit_model(bundle, **overrides) -> KiNETGAN:
 
 @pytest.fixture(scope="module", params=sorted(VARIANTS))
 def model(request, lab_bundle_small):
-    return fit_model(lab_bundle_small, **VARIANTS[request.param])
+    cls, overrides = VARIANTS[request.param]
+    return fit_model(lab_bundle_small, cls, **overrides)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +103,12 @@ def test_conditional_sample_matches_unblocked_oracle(model, n):
     conditions = {"event_type": event}
     expected = oracle(model, n, conditions, sampling_rng(8))
     assert_tables_identical(expected, model.sample(n, conditions=conditions, rng=sampling_rng(8)))
+
+
+def test_generator_activation_is_the_live_output_layer(model):
+    """The share step reads its softmax temperature from this layer."""
+    generator = model.trainer.generator
+    assert generator.activation is generator.network.layers[-1]
 
 
 @pytest.mark.parametrize("n", (B - 1, 2 * B + 37))

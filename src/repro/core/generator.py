@@ -38,10 +38,11 @@ class TabularOutputActivation(Layer):
     one-hot blocks the table has.
 
     The eval forward (``training=False``) stays the reference sampling
-    path: TVAE's decoder hardens its output, and the KiNETGAN share step,
-    which stops at :meth:`ConditionalGenerator.logits` and takes its
-    winners through ``BlockLayout.softmax_argmax``, reproduces that
-    hardened output bit for bit.
+    path: the TableGAN / PATEGAN samplers and TVAE's decoder harden its
+    output.  The KiNETGAN share step stops at
+    :meth:`ConditionalGenerator.logits`, takes its winners through
+    ``BlockLayout.softmax_argmax`` and reproduces that hardened output bit
+    for bit.
     """
 
     def __init__(

@@ -2,17 +2,15 @@
 
 Three layers of protection for the batched sampler / encoder paths:
 
-* **Golden legacy test** -- ``legacy_sampling=True`` must reproduce the
-  pre-vectorization sampler outputs *bit for bit* (the golden values below
-  were captured from the seed implementation before the batched sampler
-  landed, with the exact table construction in ``_golden_table``).
-* **Distributional equivalence** -- the vectorized sampler draws from the
-  same distribution as the legacy path: same pivot-value marginals, rows
-  always drawn from the matching bucket, identical empirical-condition
-  streams for the same seed.
+* **Golden test** -- the sampler's seeded draws on ``_golden_table`` must
+  reproduce the committed values *bit for bit* (row indices, pivots, codes,
+  condition vectors and the empirical-condition stream).
+* **Distributional checks** -- pivot values follow the training-by-sampling
+  mixture ``u/k + (1-u)·p`` and drawn rows always come from the matching
+  bucket.
 * **Exact equivalence** -- for fixed codes (no randomness) the vectorized
-  vector/values construction agrees element-wise with the per-row path, and
-  the batched encoder transforms agree with per-value reference loops.
+  vector/values construction agrees element-wise with the per-row helpers,
+  and the batched encoder transforms agree with per-value reference loops.
 """
 
 from __future__ import annotations
@@ -54,29 +52,39 @@ def _golden_table() -> Table:
     return Table.from_records(schema, records)
 
 
-#: Captured from the seed (pre-PR-2) ConditionSampler with
-#: uniform_probability=0.3, rng seed 123, batch 8 / empirical seed 77, n=5.
-_GOLDEN_ROW_INDICES = [30, 29, 33, 32, 26, 31, 8, 5]
+#: Captured from the vectorized ConditionSampler with uniform_probability=0.3,
+#: rng seed 123, batch 8 / empirical seed 77, n=5.
+_GOLDEN_ROW_INDICES = [9, 18, 13, 17, 0, 38, 31, 8]
 _GOLDEN_PIVOTS = ["proto", "label", "service", "proto", "label", "proto", "proto", "proto"]
+_GOLDEN_CODES = [
+    [0, 2, 1],
+    [0, 0, 0],
+    [0, 2, 1],
+    [1, 1, 0],
+    [1, 1, 0],
+    [1, 1, 0],
+    [1, 1, 0],
+    [1, 1, 0],
+]
 _GOLDEN_VECTOR = [
     [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0],
-    [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+    [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
     [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0],
-    [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
     [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
     [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
-    [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
 ]
 _GOLDEN_VALUES = [
     {"proto": "tcp", "service": "ssh", "label": "attack"},
-    {"proto": "udp", "service": "dns", "label": "normal"},
-    {"proto": "udp", "service": "dns", "label": "normal"},
+    {"proto": "tcp", "service": "http", "label": "normal"},
     {"proto": "tcp", "service": "ssh", "label": "attack"},
-    {"proto": "tcp", "service": "http", "label": "normal"},
     {"proto": "udp", "service": "dns", "label": "normal"},
     {"proto": "udp", "service": "dns", "label": "normal"},
-    {"proto": "tcp", "service": "http", "label": "normal"},
+    {"proto": "udp", "service": "dns", "label": "normal"},
+    {"proto": "udp", "service": "dns", "label": "normal"},
+    {"proto": "udp", "service": "dns", "label": "normal"},
 ]
 _GOLDEN_EMPIRICAL = [
     [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
@@ -87,50 +95,45 @@ _GOLDEN_EMPIRICAL = [
 ]
 
 
-class TestLegacyGolden:
-    """``legacy_sampling=True`` replays pre-PR seeds bit for bit."""
+class TestSamplerGolden:
+    """Seeded sampler draws stay bit-identical to the committed capture."""
 
-    def _sampler(self, **kwargs) -> ConditionSampler:
+    def _sampler(self) -> ConditionSampler:
         table = _golden_table()
         transformer = DataTransformer(max_modes=3, seed=0).fit(table)
-        return ConditionSampler(table, transformer, uniform_probability=0.3, **kwargs)
+        return ConditionSampler(table, transformer, uniform_probability=0.3)
 
-    def test_legacy_batch_matches_golden_bit_for_bit(self):
-        batch = self._sampler(legacy_sampling=True).sample(8, np.random.default_rng(123))
+    def test_sample_matches_golden_bit_for_bit(self):
+        batch = self._sampler().sample(8, np.random.default_rng(123))
         np.testing.assert_array_equal(batch.vector, np.asarray(_GOLDEN_VECTOR))
         assert batch.row_indices.tolist() == _GOLDEN_ROW_INDICES
+        assert batch.codes.tolist() == _GOLDEN_CODES
         assert batch.pivot_columns == _GOLDEN_PIVOTS
         assert batch.values == _GOLDEN_VALUES
 
     def test_empirical_conditions_stream_unchanged(self):
-        # The vectorized empirical draw consumes the RNG exactly like the
-        # seed loop did, so it matches the golden capture without any flag.
         conditions = self._sampler().empirical_conditions(5, np.random.default_rng(77))
         np.testing.assert_array_equal(conditions, np.asarray(_GOLDEN_EMPIRICAL))
 
 
 class TestVectorizedEquivalence:
-    """The batched sampler draws from the legacy distribution."""
+    """The batched sampler draws from the training-by-sampling distribution."""
 
     @pytest.fixture()
-    def pair(self, tiny_table, fitted_transformer):
-        fast = ConditionSampler(tiny_table, fitted_transformer)
-        slow = ConditionSampler(tiny_table, fitted_transformer, legacy_sampling=True)
-        return fast, slow
+    def sampler(self, tiny_table, fitted_transformer):
+        return ConditionSampler(tiny_table, fitted_transformer)
 
-    def test_pivot_value_marginals_match(self, pair):
-        fast, slow = pair
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(55)
-        a = fast.sample(4000, rng_a)
-        b = slow.sample(4000, rng_b)
-        for column in fast.conditional_columns:
-            block = fast.condition_slice(column)
-            freq_a = a.vector[:, block].mean(axis=0)
-            freq_b = b.vector[:, block].mean(axis=0)
-            np.testing.assert_allclose(freq_a, freq_b, atol=0.04)
+    def test_pivot_value_marginals_match(self, sampler):
+        batch = sampler.sample(4000, np.random.default_rng(5))
+        u = sampler.uniform_probability
+        for position, column in enumerate(sampler.conditional_columns):
+            k = len(sampler.categories(column))
+            pivot_codes = batch.codes[batch.pivot_indices == position, position]
+            observed = np.bincount(pivot_codes, minlength=k) / len(pivot_codes)
+            expected = u / k + (1.0 - u) * sampler._category_probs[column]
+            np.testing.assert_allclose(observed, expected, atol=0.04)
 
-    def test_rows_come_from_matching_buckets(self, tiny_table, fitted_transformer):
-        sampler = ConditionSampler(tiny_table, fitted_transformer)
+    def test_rows_come_from_matching_buckets(self, sampler):
         batch = sampler.sample(256, np.random.default_rng(3))
         real = sampler.real_batch(batch)
         for i, pivot in enumerate(batch.pivot_columns):
@@ -138,35 +141,26 @@ class TestVectorizedEquivalence:
             # so the drawn row must carry the sampled pivot value.
             assert real.row(i)[pivot] == batch.values[i][pivot]
 
-    def test_vector_matches_codes_scatter(self, pair):
-        fast, _ = pair
-        batch = fast.sample(64, np.random.default_rng(11))
-        np.testing.assert_array_equal(batch.vector, fast.vectors_from_codes(batch.codes))
+    def test_vector_matches_codes_scatter(self, sampler):
+        batch = sampler.sample(64, np.random.default_rng(11))
+        np.testing.assert_array_equal(batch.vector, sampler.vectors_from_codes(batch.codes))
         # And the lazily materialised dicts rebuild the same vectors through
-        # the per-row compat path.
-        rebuilt = np.stack([fast.vector_from_values(v) for v in batch.values])
+        # the per-row helper.
+        rebuilt = np.stack([sampler.vector_from_values(v) for v in batch.values])
         np.testing.assert_array_equal(batch.vector, rebuilt)
 
-    def test_fixed_codes_round_trip(self, pair):
-        fast, _ = pair
+    def test_fixed_codes_round_trip(self, sampler):
         codes = np.asarray([[0, 1, 0], [1, 2, 1], [0, 0, 1]])
-        vectors = fast.vectors_from_codes(codes)
-        for row, values in zip(vectors, fast.values_from_codes(codes)):
-            assert fast.values_from_vector(row) == values
+        vectors = sampler.vectors_from_codes(codes)
+        for row, values in zip(vectors, sampler.values_from_codes(codes)):
+            assert sampler.values_from_vector(row) == values
 
-    def test_unknown_code_gives_zero_block_and_omitted_value(self, pair):
-        fast, _ = pair
+    def test_unknown_code_gives_zero_block_and_omitted_value(self, sampler):
         codes = np.asarray([[-1, 0, 1]])
-        vectors = fast.vectors_from_codes(codes)
-        first = fast.conditional_columns[0]
-        assert vectors[0, fast.condition_slice(first)].sum() == 0.0
-        assert first not in fast.values_from_codes(codes)[0]
-
-    def test_legacy_flag_round_trips_through_condition_batch(self, pair):
-        _, slow = pair
-        batch = slow.sample(16, np.random.default_rng(0))
-        assert batch.codes is None and len(batch.values) == 16
-        assert len(batch.pivot_columns) == 16
+        vectors = sampler.vectors_from_codes(codes)
+        first = sampler.conditional_columns[0]
+        assert vectors[0, sampler.condition_slice(first)].sum() == 0.0
+        assert first not in sampler.values_from_codes(codes)[0]
 
 
 class TestEncoderEquivalence:

@@ -5,25 +5,21 @@ files at the repository root.  With ``--json`` the full document is printed
 to stdout (for CI consumption); otherwise a readable summary is shown.
 Either way the JSON files are (re)written unless ``--no-write`` is given.
 
-``--smoke`` is the CI regression gate: it re-measures the data plane with
-short timing windows, compares against the committed
-``BENCH_dataplane.json``, and exits non-zero if any metric regressed by more
-than ``--tolerance`` (default 30%).  Absolute rows/sec are machine-bound, so
-the comparison uses each metric's *speedup* -- the vectorized path's
-throughput normalised by the in-file seed replica measured on the same
-runner -- plus the floor that vectorized must never fall behind the seed
-replica.  The gate also re-checks the runtime trajectory
-(``BENCH_runtime.json``): the transport-bytes and latency-overlap probes are
-core-count independent and always compared, while the CPU-bound round
-throughput entries are *skipped* whenever the runner's usable core count
-differs from the one recorded in the committed entry (a 1-core container
-and a multi-core CI runner legitimately disagree about pool speedups).
-The training trajectory (``BENCH_training.json``) is gated the same way:
-the arena-runtime epoch speedup over the in-process seed replica (with a
-longer-window retry), the deterministic network-core allocation ratio, and
-the mixed-precision rows -- the committed float32 epoch-or-step-latency
-speedup must hold >= 1.2x and re-measure within tolerance, and the float32
-allocation ratio is re-checked alongside.
+``--smoke`` is the CI regression gate: it re-measures the gated entries of
+the committed trajectory files on the runner and exits non-zero if any of
+them regressed by more than ``--tolerance`` (default 30%).  The runtime
+trajectory (``BENCH_runtime.json``): the transport-bytes and latency-overlap
+probes are core-count independent and always compared, while the CPU-bound
+round throughput entries are *skipped* whenever the runner's usable core
+count differs from the one recorded in the committed entry (a 1-core
+container and a multi-core CI runner legitimately disagree about pool
+speedups).  The training trajectory (``BENCH_training.json``): the
+network-core step's tracemalloc peak must stay under a byte ceiling of the
+committed peak plus tolerance, and the mixed-precision rows -- the
+committed float32 epoch-or-step-latency speedup must hold >= 1.2x and
+re-measure within tolerance, and the float32 allocation ratio is re-checked
+alongside.  Epoch speed itself is measured end to end by the repository
+benchmark (``perfbench/run.py --workload train``), not here.
 The fault-tolerance trajectory (``BENCH_faults.json``) gates its seeded
 entries *exactly* -- round-completion bookkeeping and replay determinism
 are pure functions of the seeds -- and its recovery-latency probes with a
@@ -52,13 +48,6 @@ import sys
 # small products (the ``inverse_transform`` winners) several times slower.
 os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
-from benchmarks.bench_dataplane import (  # noqa: E402
-    BENCH_ROWS,
-    RESULT_PATH,
-    format_results,
-    run_dataplane_bench,
-    write_results,
-)
 from benchmarks import (  # noqa: E402
     bench_faults,
     bench_obs,
@@ -67,9 +56,6 @@ from benchmarks import (  # noqa: E402
     bench_training,
 )
 from repro.runtime import default_worker_count  # noqa: E402
-
-SMOKE_MIN_SECONDS = 0.25
-SMOKE_RETRY_MIN_SECONDS = 1.0
 
 #: Absolute slack (seconds) on the recovery-latency gate: pool respawn and
 #: deadline abandonment are interpreter-spawn / scheduler bound, so a pure
@@ -97,39 +83,6 @@ OBS_SMOKE_EPOCHS = 2
 OBS_OVERHEAD_CEILING_PCT = 1.0
 
 
-def _evaluate_smoke(
-    baseline_metrics: dict, current_metrics: dict, tolerance: float
-) -> tuple[list[dict], list[str]]:
-    """Per-metric comparison rows plus the list of failures."""
-    rows: list[dict] = []
-    failures: list[str] = []
-    for name, entry in baseline_metrics.items():
-        if "speedup" not in entry:
-            continue
-        measured = current_metrics.get(name)
-        if measured is None:
-            failures.append(f"{name}: metric missing from the smoke run")
-            continue
-        floor = max(entry["speedup"] * (1.0 - tolerance), 1.0)
-        ok = measured["speedup"] >= floor
-        rows.append(
-            {
-                "metric": name,
-                "baseline_speedup": entry["speedup"],
-                "measured_speedup": measured["speedup"],
-                "measured_rows_per_sec": measured["vectorized_rows_per_sec"],
-                "floor": round(floor, 2),
-                "status": "ok" if ok else "REGRESSED",
-            }
-        )
-        if not ok:
-            failures.append(
-                f"{name}: speedup {measured['speedup']}x < allowed floor "
-                f"{floor:.2f}x (baseline {entry['speedup']}x)"
-            )
-    return rows, failures
-
-
 def _smoke_runtime(tolerance: float) -> tuple[list[dict], list[str]]:
     """Re-check the runtime trajectory; core-count-sensitive entries may skip.
 
@@ -145,7 +98,7 @@ def _smoke_runtime(tolerance: float) -> tuple[list[dict], list[str]]:
       (buffer sizes are a pure function of the model dtype, so the floor
       never goes below 1.5x);
     * ``latency_overlap`` -- scheduling overlap of blocked work units
-      (re-measured twice on failure, like the data-plane gate).
+      (re-measured twice on failure).
 
     Skipped with a visible row when the runner's usable core count differs
     from the committed entry's ``cpu_count``: the ``federated_round_*``
@@ -266,12 +219,10 @@ def _smoke_training(tolerance: float) -> tuple[list[dict], list[str]]:
 
     Two gates:
 
-    * ``kinetgan_epoch`` -- the arena-runtime epoch speedup over the
-      in-process seed replica, re-measured with short interleaved windows;
-      like the data-plane gate it only fails after a second pass with the
-      full windows (best-of-both compared against the floor).
-    * ``step_allocations`` -- the network-core tracemalloc peak ratio,
-      which is deterministic and therefore compared in a single pass.
+    * ``step_allocations`` -- the network-core tracemalloc peak at the
+      training batch size must stay under a ceiling of the committed
+      ``now_bytes`` plus tolerance; the peak is deterministic, so it is
+      measured in a single pass.
     * ``float32_*`` -- the mixed-precision rows: the committed trajectory
       must keep a >= 1.2x float32 epoch *or* step-latency speedup (the
       acceptance bar of the precision tier), the speedup is re-measured on
@@ -287,47 +238,24 @@ def _smoke_training(tolerance: float) -> tuple[list[dict], list[str]]:
     comparison: list[dict] = []
     failures: list[str] = []
 
-    entry = baseline.get("kinetgan_epoch")
-    if entry is not None:
-        floor = max(entry["speedup"] * (1.0 - tolerance), 1.0)
-        best = 0.0
-        for groups, reps in ((2, 3), (bench_training.EPOCH_GROUPS, bench_training.EPOCH_REPS)):
-            best = max(best, bench_training.measure_epoch(rows, groups, reps)["speedup"])
-            if best >= floor:
-                break
-        comparison.append(
-            {
-                "metric": "kinetgan_epoch",
-                "baseline_speedup": entry["speedup"],
-                "measured_speedup": best,
-                "floor": round(floor, 2),
-                "status": "ok" if best >= floor else "REGRESSED",
-            }
-        )
-        if best < floor:
-            failures.append(
-                f"kinetgan_epoch: speedup {best}x < allowed floor {floor:.2f}x "
-                f"(baseline {entry['speedup']}x)"
-            )
-
     entry = baseline.get("step_allocations")
     if entry is not None:
-        measured = bench_training.measure_step_allocations(rows)
-        floor = max(entry["speedup"] * (1.0 - tolerance), 1.0)
-        ok = measured["speedup"] >= floor
+        measured = bench_training.measure_step_allocations(rows)["now_bytes"]
+        ceiling = int(entry["now_bytes"] * (1.0 + tolerance))
+        ok = measured <= ceiling
         comparison.append(
             {
                 "metric": "step_allocations",
-                "baseline_speedup": entry["speedup"],
-                "measured_speedup": measured["speedup"],
-                "floor": round(floor, 2),
+                "baseline_bytes": entry["now_bytes"],
+                "measured_bytes": measured,
+                "ceiling": ceiling,
                 "status": "ok" if ok else "REGRESSED",
             }
         )
         if not ok:
             failures.append(
-                f"step_allocations: ratio {measured['speedup']}x < allowed floor "
-                f"{floor:.2f}x (baseline {entry['speedup']}x)"
+                f"step_allocations: {measured:,} B > ceiling {ceiling:,} B "
+                f"(baseline {entry['now_bytes']:,} B)"
             )
 
     entry_epoch = baseline.get("float32_epoch")
@@ -647,49 +575,42 @@ def _smoke_obs(tolerance: float) -> tuple[list[dict], list[str]]:
     return rows, failures
 
 
+def _format_bound_row(row: dict) -> str:
+    """One readable line for a byte-ceiling, ratio-floor or skipped gate row."""
+    if row["status"] == "skipped":
+        return f"  {row['metric']:26s} skipped ({row['reason']})"
+    if "measured_bytes" in row:
+        return (
+            f"  {row['metric']:26s} baseline {row['baseline_bytes']:,} B"
+            f"  now {row['measured_bytes']:,} B"
+            f"  (ceiling {row['ceiling']:,} B)  {row['status']}"
+        )
+    kind = "reduction" if "baseline_reduction" in row else "speedup"
+    return (
+        f"  {row['metric']:26s} baseline {row['baseline_' + kind]:>7.2f}x"
+        f"  now {row['measured_' + kind]:>7.2f}x"
+        f"  (floor {row['floor']}x)  {row['status']}"
+    )
+
+
 def _run_smoke(tolerance: float, as_json: bool = False) -> int:
-    """Re-measure the data plane and gate on the committed trajectory.
+    """Re-measure every gated entry and compare with the committed trajectories.
 
     Timing noise, not regressions, is the dominant failure mode of short
-    windows on shared runners, so a metric only fails the gate if it stays
-    below its floor in a second pass with 4x longer windows (per-metric
-    best-of-both is compared).
+    windows on shared runners, so the wall-clock gates only fail if a
+    metric stays out of bounds after a retry.
     """
-    if not RESULT_PATH.exists():
-        print(f"[bench:smoke] no baseline at {RESULT_PATH}; run the full bench first")
-        return 2
-    baseline = json.loads(RESULT_PATH.read_text())
-    rows = int(baseline.get("config", {}).get("rows", BENCH_ROWS))
-    current = run_dataplane_bench(rows=rows, epoch=False, min_seconds=SMOKE_MIN_SECONDS)
-    metrics = dict(current["metrics"])
-    comparison, failures = _evaluate_smoke(baseline["metrics"], metrics, tolerance)
-
-    retried = False
-    if failures:
-        retried = True
-        retry = run_dataplane_bench(
-            rows=rows, epoch=False, min_seconds=SMOKE_RETRY_MIN_SECONDS
-        )
-        for name, entry in retry["metrics"].items():
-            best = metrics.get(name)
-            if best is None or entry.get("speedup", 0) > best.get("speedup", 0):
-                metrics[name] = entry
-        comparison, failures = _evaluate_smoke(baseline["metrics"], metrics, tolerance)
-
     runtime_comparison, runtime_failures = _smoke_runtime(tolerance)
     training_comparison, training_failures = _smoke_training(tolerance)
     faults_comparison, faults_failures = _smoke_faults(tolerance)
     serving_comparison, serving_failures = _smoke_serving(tolerance)
     obs_comparison, obs_failures = _smoke_obs(tolerance)
-    failures = (failures + runtime_failures + training_failures + faults_failures
+    failures = (runtime_failures + training_failures + faults_failures
                 + serving_failures + obs_failures)
 
     document = {
         "benchmark": "bench-smoke",
-        "rows": rows,
         "tolerance": tolerance,
-        "retried": retried,
-        "comparison": comparison,
         "runtime_comparison": runtime_comparison,
         "training_comparison": training_comparison,
         "faults_comparison": faults_comparison,
@@ -702,34 +623,13 @@ def _run_smoke(tolerance: float, as_json: bool = False) -> int:
         json.dump(document, sys.stdout, indent=2)
         print()
     else:
-        print(f"[bench:smoke] lab-IoT, {rows} rows, tolerance {tolerance:.0%} on speedup")
-        for row in comparison:
-            print(
-                f"  {row['metric']:22s} baseline {row['baseline_speedup']:>7.2f}x"
-                f"  now {row['measured_speedup']:>7.2f}x"
-                f"  ({row['measured_rows_per_sec']:,} rows/s)  {row['status']}"
-            )
+        print(f"[bench:smoke] tolerance {tolerance:.0%}")
         print(f"[bench:smoke] runtime trajectory ({default_worker_count()} usable cpus)")
         for row in runtime_comparison:
-            if row["status"] == "skipped":
-                print(f"  {row['metric']:26s} skipped ({row['reason']})")
-            else:
-                baseline_key = (
-                    "baseline_reduction" if "baseline_reduction" in row else "baseline_speedup"
-                )
-                measured_key = baseline_key.replace("baseline", "measured")
-                print(
-                    f"  {row['metric']:26s} baseline {row[baseline_key]:>7.2f}x"
-                    f"  now {row[measured_key]:>7.2f}x"
-                    f"  (floor {row['floor']}x)  {row['status']}"
-                )
+            print(_format_bound_row(row))
         print("[bench:smoke] training trajectory")
         for row in training_comparison:
-            print(
-                f"  {row['metric']:26s} baseline {row['baseline_speedup']:>7.2f}x"
-                f"  now {row['measured_speedup']:>7.2f}x"
-                f"  (floor {row['floor']}x)  {row['status']}"
-            )
+            print(_format_bound_row(row))
         print("[bench:smoke] fault-tolerance trajectory")
         for row in faults_comparison:
             if row["metric"] == "round_completion":
@@ -791,21 +691,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="print the full benchmark document(s) as JSON")
     parser.add_argument("--suite",
-                        choices=("dataplane", "runtime", "serving", "training",
-                                 "faults", "obs", "all"),
-                        default="dataplane",
+                        choices=("runtime", "serving", "training", "faults", "obs", "all"),
+                        default="training",
                         help="which benchmark suite to run (default %(default)s)")
-    parser.add_argument("--rows", type=int, default=BENCH_ROWS,
-                        help="lab-IoT rows to benchmark on (default %(default)s)")
-    parser.add_argument("--no-epoch", action="store_true",
-                        help="skip the end-to-end KiNETGAN epoch measurement")
+    parser.add_argument("--rows", type=int, default=bench_training.BENCH_ROWS,
+                        help="lab-IoT rows for the training suite (default %(default)s)")
     parser.add_argument("--no-write", action="store_true",
                         help="do not rewrite the BENCH_*.json trajectory files")
     parser.add_argument("--smoke", action="store_true",
                         help="CI gate: quick re-measure vs the committed "
-                             "BENCH_dataplane.json; never writes")
+                             "BENCH_*.json trajectories; never writes")
     parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional speedup regression in smoke "
+                        help="allowed fractional regression in smoke "
                              "mode (default %(default)s)")
     args = parser.parse_args(argv)
 
@@ -813,11 +710,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_smoke(args.tolerance, as_json=args.json)
 
     documents: dict[str, dict] = {}
-    if args.suite in ("dataplane", "all"):
-        document = run_dataplane_bench(rows=args.rows, epoch=not args.no_epoch)
-        documents["dataplane"] = document
-        if not args.no_write:
-            write_results(document)
     if args.suite in ("runtime", "all"):
         document = bench_runtime.run_runtime_bench()
         documents["runtime"] = document
@@ -850,11 +742,7 @@ def main(argv: list[str] | None = None) -> int:
         print()
     else:
         for name, document in documents.items():
-            if name == "dataplane":
-                print(format_results(document))
-                if not args.no_write:
-                    print(f"[bench:dataplane] wrote {RESULT_PATH}")
-            elif name == "runtime":
+            if name == "runtime":
                 print(bench_runtime.format_results(document))
                 if not args.no_write:
                     print(f"[bench:runtime] wrote {bench_runtime.RESULT_PATH}")

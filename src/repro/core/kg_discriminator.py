@@ -632,12 +632,10 @@ class KnowledgeGuidedDiscriminator:
         from repro.tabular.sampler import ConditionBatch
 
         if isinstance(condition_values, ConditionBatch):
-            if condition_values.codes is not None:
-                try:
-                    return condition_values.column_codes(self._event_column)
-                except KeyError:
-                    return np.full(len(condition_values), -1)
-            condition_values = condition_values.values
+            try:
+                return condition_values.column_codes(self._event_column)
+            except KeyError:
+                return np.full(len(condition_values), -1)
         events = [values.get(self._event_column) for values in condition_values]
         return self.transformer.encoder(self._event_column).codes(events)
 

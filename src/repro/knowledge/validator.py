@@ -3,8 +3,10 @@
 :class:`BatchValidator` turns the per-record reasoner queries into vectorised
 scores over whole tables.  It is used in two places:
 
-* the knowledge-guided discriminator ``D_KG`` scores every generated batch
-  and feeds the scores into the generator loss (paper eq. 3-4);
+* the knowledge-guided discriminator ``D_KG`` takes the exact 0/1 validity
+  of the real training rows from :meth:`BatchValidator.table_scores` (the
+  KG query ``Q``); its per-step scoring of corrupted and generated rows
+  runs on integer codes inside ``D_KG`` itself;
 * the evaluation harness reports the *constraint-violation rate* of each
   synthesizer's output (our ablation A1 in DESIGN.md).
 """
@@ -52,19 +54,6 @@ class BatchValidator:
 
     def __init__(self, reasoner: KGReasoner) -> None:
         self.reasoner = reasoner
-
-    def record_scores(self, records: list[dict]) -> np.ndarray:
-        """Per-record validity as a float array of 0.0 / 1.0 values.
-
-        Records may constrain any subset of attributes; ``is_valid`` skips
-        constraints on attributes a record does not carry.  The per-record
-        loop beats repacking into the batched ``validity_mask`` at the pool
-        sizes the D_KG training step uses (a few dozen corrupted rows).
-        """
-        scores = np.empty(len(records), dtype=np.float64)
-        for i, record in enumerate(records):
-            scores[i] = 1.0 if self.reasoner.is_valid(record) else 0.0
-        return scores
 
     def table_scores(self, table: Table) -> np.ndarray:
         """Per-row validity scores for a table (batched KG query)."""

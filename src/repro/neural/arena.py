@@ -96,8 +96,7 @@ def disable_consolidation() -> Iterator[None]:
 
     Inside the context, ``Sequential.consolidate()`` is a no-op that leaves
     the network on ordinary per-tensor storage -- the reference path the
-    arena must stay bit-identical to.  Used by the parity tests and the
-    before/after training benchmark.
+    arena must stay bit-identical to.  Used by the arena parity tests.
     """
     global _ENABLED
     previous = _ENABLED

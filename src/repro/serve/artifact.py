@@ -227,7 +227,13 @@ def load_model(directory: str | Path) -> Synthesizer:
     except (StateCodecError, ValueError, OSError) as error:
         raise ArtifactError(f"corrupt artifact state at {state_path}: {error}")
     model = registry[artifact.model_class]()
-    model.restore_state(state)
+    try:
+        model.restore_state(state)
+    except (KeyError, TypeError, ValueError, IndexError) as error:
+        raise ArtifactError(
+            f"malformed {artifact.model_class} state in artifact at "
+            f"{artifact.directory}: {type(error).__name__}: {error}"
+        )
     networks = model.artifact_networks()
     try:
         load_networks(networks, artifact.directory)

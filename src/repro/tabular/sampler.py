@@ -14,11 +14,8 @@ integer-coded once, matching real rows are grouped into CSR-style buckets
 (one flat row-index array plus per-category offsets), and ``sample()`` /
 ``empirical_conditions()`` become a handful of batched RNG draws plus one
 scatter write into the ``(batch, condition_dim)`` matrix -- no per-row
-``Table.row`` dict building, no ``list.index`` lookups.  The pre-vectorized
-per-row path is kept behind ``legacy_sampling=True`` for bit-for-bit
-reproduction of seeds recorded before the batched sampler landed (the two
-paths draw from identical distributions but consume the RNG stream in a
-different order).
+``Table.row`` dict building, no ``list.index`` lookups.  The seeded draws
+are pinned by the golden test in ``tests/tabular/test_dataplane_vectorized.py``.
 """
 
 from __future__ import annotations
@@ -61,19 +58,17 @@ class ConditionBatch:
         vector: np.ndarray,
         row_indices: np.ndarray,
         *,
-        codes: np.ndarray | None = None,
-        pivot_indices: np.ndarray | None = None,
-        sampler: "ConditionSampler | None" = None,
-        values: list[dict] | None = None,
-        pivot_columns: list[str] | None = None,
+        codes: np.ndarray,
+        pivot_indices: np.ndarray,
+        sampler: "ConditionSampler",
     ) -> None:
         self.vector = vector
         self.row_indices = row_indices
         self.codes = codes
         self.pivot_indices = pivot_indices
         self._sampler = sampler
-        self._values = values
-        self._pivot_columns = pivot_columns
+        self._values: list[dict] | None = None
+        self._pivot_columns: list[str] | None = None
 
     def __len__(self) -> int:
         return len(self.row_indices)
@@ -89,23 +84,15 @@ class ConditionBatch:
             raise KeyError(f"{column!r} is not a conditional column")
         return self.codes[:, names.index(column)]
 
-    def column_values(self, column: str) -> np.ndarray:
-        """Decoded values of one conditional attribute for the whole batch."""
-        if self.codes is not None and self._sampler is not None:
-            return self._sampler.decode_column(column, self.codes)
-        return np.asarray([values.get(column) for values in self.values], dtype=object)
-
     @property
     def values(self) -> list[dict]:
         if self._values is None:
-            assert self.codes is not None and self._sampler is not None
             self._values = self._sampler.values_from_codes(self.codes)
         return self._values
 
     @property
     def pivot_columns(self) -> list[str]:
         if self._pivot_columns is None:
-            assert self.pivot_indices is not None and self._sampler is not None
             names = self._sampler.conditional_columns
             self._pivot_columns = [names[i] for i in self.pivot_indices]
         return self._pivot_columns
@@ -121,7 +108,6 @@ class ConditionSampler:
         conditional_columns: list[str] | None = None,
         uniform_probability: float = 0.3,
         log_frequency: bool = True,
-        legacy_sampling: bool = False,
     ) -> None:
         """Parameters
         ----------
@@ -141,12 +127,6 @@ class ConditionSampler:
             When not drawing uniformly, sample the pivot value from the
             log-frequency-smoothed empirical distribution (CTGAN) rather than
             the raw empirical distribution.
-        legacy_sampling:
-            Reproduce the pre-vectorization per-row ``sample()`` loop
-            bit-for-bit (same RNG draw order).  The batched sampler draws
-            from the identical distribution but consumes the seeded stream
-            in a different order, so seeds recorded before the vectorized
-            data plane landed need this flag to replay exactly.
         """
         if not 0.0 <= uniform_probability <= 1.0:
             raise ValueError("uniform_probability must be in [0, 1]")
@@ -155,7 +135,6 @@ class ConditionSampler:
         self.transformer = transformer
         self.uniform_probability = uniform_probability
         self.log_frequency = log_frequency
-        self.legacy_sampling = legacy_sampling
         all_categorical = table.schema.categorical_names
         self.conditional_columns = (
             list(conditional_columns) if conditional_columns is not None else all_categorical
@@ -248,7 +227,6 @@ class ConditionSampler:
             "conditional_columns": list(self.conditional_columns),
             "uniform_probability": self.uniform_probability,
             "log_frequency": self.log_frequency,
-            "legacy_sampling": self.legacy_sampling,
             "n_rows": self.n_rows,
             "categories": {name: list(values) for name, values in self._categories.items()},
             "category_probs": {name: probs.copy() for name, probs in self._category_probs.items()},
@@ -261,14 +239,23 @@ class ConditionSampler:
 
     @classmethod
     def from_artifact_state(cls, state: dict, transformer: DataTransformer) -> "ConditionSampler":
-        """Rebuild a sampler from :meth:`artifact_state` output (no table)."""
+        """Rebuild a sampler from :meth:`artifact_state` output (no table).
+
+        States saved before the per-row legacy sampler was retired carry
+        ``legacy_sampling: False``, which is accepted; a ``True`` value asked
+        for a sampling path that no longer exists and raises ``ValueError``.
+        """
+        if state.get("legacy_sampling", False):
+            raise ValueError(
+                "sampler state requests legacy_sampling=True, a per-row sampling "
+                "path this release no longer has"
+            )
         sampler = cls.__new__(cls)
         sampler.table = None
         sampler.n_rows = int(state["n_rows"])
         sampler.transformer = transformer
         sampler.uniform_probability = float(state["uniform_probability"])
         sampler.log_frequency = bool(state["log_frequency"])
-        sampler.legacy_sampling = bool(state["legacy_sampling"])
         sampler.conditional_columns = list(state["conditional_columns"])
         sampler._categories = {}
         sampler._category_index = {}
@@ -320,21 +307,6 @@ class ConditionSampler:
     # ------------------------------------------------------------------ #
     # Code-array helpers (the vectorized data plane's native currency)
     # ------------------------------------------------------------------ #
-    def decode_column(self, column: str, codes: np.ndarray) -> np.ndarray:
-        """Category values of one column from a ``(batch, n_columns)`` code array.
-
-        Codes of -1 (unknown / unconstrained) decode to ``None``.
-        """
-        if column not in self._categories:
-            raise KeyError(f"{column!r} is not a conditional column")
-        position = self.conditional_columns.index(column)
-        column_codes = codes[:, position]
-        decoded = self._category_arrays[column][column_codes]
-        unknown = column_codes < 0
-        if unknown.any():
-            decoded[unknown] = None
-        return decoded
-
     def values_from_codes(self, codes: np.ndarray) -> list[dict]:
         """Materialise ``{attribute: value}`` dicts from a code array.
 
@@ -408,8 +380,6 @@ class ConditionSampler:
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.legacy_sampling:
-            return self._sample_legacy(batch_size, rng)
 
         n_columns = len(self.conditional_columns)
         pivot_indices = rng.integers(0, n_columns, size=batch_size)
@@ -453,60 +423,14 @@ class ConditionSampler:
             sampler=self,
         )
 
-    def _sample_legacy(self, batch_size: int, rng: np.random.Generator) -> ConditionBatch:
-        """The pre-vectorization per-row loop, preserved bit-for-bit.
-
-        Kept (and covered by a golden regression test) so seeded runs
-        recorded before the batched sampler landed can be replayed exactly.
-        """
-        vectors = np.zeros((batch_size, self._condition_dim), dtype=np.float64)
-        values_list: list[dict] = []
-        pivots: list[str] = []
-        row_indices = np.empty(batch_size, dtype=int)
-
-        pivot_choices = rng.integers(0, len(self.conditional_columns), size=batch_size)
-        for i in range(batch_size):
-            pivot = self.conditional_columns[pivot_choices[i]]
-            categories = self._categories[pivot]
-            if rng.uniform() < self.uniform_probability:
-                pivot_value = categories[rng.integers(0, len(categories))]
-            else:
-                pivot_value = categories[
-                    rng.choice(len(categories), p=self._category_probs[pivot])
-                ]
-            bounds = self._bucket_bounds[pivot]
-            code = self._category_index[pivot][pivot_value]
-            matching = self._bucket_rows[pivot][bounds[code] : bounds[code + 1]]
-            if len(matching) > 0:
-                row_index = int(matching[rng.integers(0, len(matching))])
-            else:
-                row_index = int(rng.integers(0, self.n_rows))
-            row = self._require_table().row(row_index)
-            condition_values = {
-                name: row[name] for name in self.conditional_columns
-            }
-            condition_values[pivot] = pivot_value
-            vectors[i] = self.vector_from_values(condition_values)
-            values_list.append(condition_values)
-            pivots.append(pivot)
-            row_indices[i] = row_index
-
-        return ConditionBatch(
-            vector=vectors,
-            row_indices=row_indices,
-            values=values_list,
-            pivot_columns=pivots,
-        )
-
     def empirical_conditions(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Condition vectors drawn from the *empirical* joint distribution.
 
         Used at generation time: rows are sampled uniformly from the real
         table and their conditional-attribute values become conditions, so
         the synthetic data reproduces the original attribute distribution
-        (section III-A: fidelity is preserved "during testing").  The draw
-        consumes the RNG stream exactly as the pre-vectorization loop did
-        (one ``integers`` call), so it stays bit-compatible.
+        (section III-A: fidelity is preserved "during testing").  The draw is
+        one ``integers`` call on ``rng``.
         """
         if n <= 0:
             raise ValueError("n must be positive")

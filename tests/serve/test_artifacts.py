@@ -21,6 +21,7 @@ from repro.baselines import TVAE, IndependentSampler, TableGAN
 from repro.core import KiNETGAN, KiNETGANConfig
 from repro.engine import sampling_rng
 from repro.serve import ArtifactError, ModelArtifact, load_model, save_model
+from repro.serve.codec import load_state_npz, save_state_npz
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -70,6 +71,17 @@ def kinetgan_artifact(fitted_kinetgan, tmp_path_factory) -> Path:
     directory = tmp_path_factory.mktemp("artifacts") / "kinetgan"
     save_model(fitted_kinetgan, directory, metadata={"dataset": "lab_iot"})
     return directory
+
+
+def copy_with_sampler_state(source: Path, target: Path, edit) -> Path:
+    """Copy an artifact, applying ``edit`` to its saved sampler state."""
+    target.mkdir()
+    for path in Path(source).iterdir():
+        (target / path.name).write_bytes(path.read_bytes())
+    state = load_state_npz(target / "state.npz")
+    edit(state["sampler"])
+    save_state_npz(state, target / "state.npz")
+    return target
 
 
 def assert_tables_identical(a, b) -> None:
@@ -220,6 +232,63 @@ class TestRejection:
         """save_model writes format v2 only; no argument asks for another."""
         with pytest.raises(TypeError, match="format_version"):
             save_model(fitted_kinetgan, tmp_path / "v1", format_version=1)
+
+
+#: Every key ConditionSampler.artifact_state() writes.
+SAMPLER_STATE_KEYS = (
+    "conditional_columns",
+    "uniform_probability",
+    "log_frequency",
+    "n_rows",
+    "categories",
+    "category_probs",
+    "bucket_rows",
+    "bucket_bounds",
+    "codes",
+)
+
+
+class TestSamplerState:
+    def test_key_list_matches_saved_state(self, kinetgan_artifact):
+        state = load_state_npz(Path(kinetgan_artifact) / "state.npz")
+        assert sorted(state["sampler"]) == sorted(SAMPLER_STATE_KEYS)
+
+    @pytest.mark.parametrize("key", SAMPLER_STATE_KEYS)
+    def test_missing_sampler_key_is_artifact_error(self, kinetgan_artifact, tmp_path, key):
+        broken = copy_with_sampler_state(
+            kinetgan_artifact, tmp_path / "broken", lambda sampler: sampler.pop(key)
+        )
+        with pytest.raises(ArtifactError, match="malformed KiNETGAN state") as info:
+            load_model(broken)
+        assert str(broken) in str(info.value)
+
+    def test_parent_format_legacy_false_loads_bit_identically(
+        self, fitted_kinetgan, kinetgan_artifact, tmp_path
+    ):
+        """Artifacts saved before the legacy sampler was retired carry False."""
+        older = copy_with_sampler_state(
+            kinetgan_artifact,
+            tmp_path / "older",
+            lambda sampler: sampler.update(legacy_sampling=False),
+        )
+        loaded = load_model(older)
+        expected = fitted_kinetgan.sampler.sample(64, np.random.default_rng(3))
+        actual = loaded.sampler.sample(64, np.random.default_rng(3))
+        np.testing.assert_array_equal(expected.vector, actual.vector)
+        np.testing.assert_array_equal(expected.row_indices, actual.row_indices)
+        assert_tables_identical(
+            fitted_kinetgan.sample(300, rng=sampling_rng(42)),
+            loaded.sample(300, rng=sampling_rng(42)),
+        )
+
+    def test_legacy_sampling_true_rejected(self, kinetgan_artifact, tmp_path):
+        legacy = copy_with_sampler_state(
+            kinetgan_artifact,
+            tmp_path / "legacy",
+            lambda sampler: sampler.update(legacy_sampling=True),
+        )
+        with pytest.raises(ArtifactError, match="legacy_sampling"):
+            load_model(legacy)
 
 
 class TestFormatV2:

@@ -95,7 +95,7 @@ _GOLDEN_EMPIRICAL = [
 ]
 
 
-class TestSamplerGolden:
+class TestSeededDraws:
     """Seeded sampler draws stay bit-identical to the committed capture."""
 
     def _sampler(self) -> ConditionSampler:

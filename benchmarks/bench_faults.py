@@ -19,19 +19,17 @@ costs and guarantees when workers actually fail:
   thread pool (deadline + replay).  Timing-bound, so the smoke gate
   allows a tolerance band plus an absolute slack and retries once.
 
-Results land in ``BENCH_faults.json`` at the repository root.  Run
-directly (``python -m benchmarks.bench_faults``) or through
+Results land in ``BENCH_faults.json`` at the repository root;
+``benchmarks/run.py``'s gate table holds the bounds.  Run through
 ``python -m benchmarks.run --suite faults``.
 """
 
 from __future__ import annotations
 
 import datetime
-import json
 import os
 import platform
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -45,8 +43,6 @@ from repro.runtime import (
     TaskPolicy,
     ThreadExecutor,
 )
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 
 #: Seeded error process of the completion-rate probe.
 COMPLETION_ERROR_RATE = 0.25
@@ -269,49 +265,3 @@ def run_faults_bench() -> dict:
             "band plus absolute slack."
         ),
     }
-
-
-def write_results(document: dict, path: Path = RESULT_PATH) -> Path:
-    path.write_text(json.dumps(document, indent=2) + "\n")
-    return path
-
-
-def format_results(document: dict) -> str:
-    metrics = document["metrics"]
-    completion = metrics["round_completion"]
-    replay = metrics["replay_determinism"]
-    latency = metrics["recovery_latency"]
-    lines = [
-        "[bench:faults] seeded fault injection on the federated plane",
-        (
-            f"  round_completion        {completion['rounds_completed']}/"
-            f"{completion['rounds']} rounds, "
-            f"{completion['clients_dropped']}/{completion['client_tasks']} client "
-            f"tasks dropped (task completion {completion['task_completion_rate']:.2%} "
-            f"at {completion['error_rate']:.0%} injected errors, "
-            f"{completion['retries']} retry)"
-        ),
-        (
-            f"  replay_determinism      recovered state "
-            f"{'bit-identical' if replay['bit_identical'] else 'DIVERGED'} "
-            f"(max |diff| {replay['max_abs_diff']:.1e})"
-        ),
-        (
-            f"  recovery_latency        crash +{latency['crash_recovery_overhead_seconds']:.3f}s "
-            f"({latency['crash_pool_respawns']} respawn), straggler "
-            f"+{latency['straggler_recovery_overhead_seconds']:.3f}s "
-            f"(deadline {latency['deadline_seconds']}s) over {latency['tasks']} tasks"
-        ),
-    ]
-    return "\n".join(lines)
-
-
-def main() -> None:
-    document = run_faults_bench()
-    path = write_results(document)
-    print(format_results(document))
-    print(f"[bench:faults] wrote {path}")
-
-
-if __name__ == "__main__":
-    main()

@@ -2,32 +2,28 @@
 
 Measures what the :mod:`repro.obs` plane costs the hot paths it instruments:
 
-* ``noop_span`` -- per-call cost of ``span(...)`` while tracing is
-  disabled.  The disabled path is one module-global ``is None`` check
-  returning a shared no-op handle; this microbenchmark is the evidence.
 * ``epoch_overhead`` -- a KiNETGAN training run timed twice, once with
   tracing disabled (the default) and once exporting spans to a JSONL
-  sink.  The disabled-path overhead bound is computed from the no-op
-  span cost times the spans the engine opens per epoch, relative to the
-  measured epoch wall time; the CI smoke gate requires it under 1%.
-  The two runs must also produce **bit-identical** loss histories:
-  observability never touches an RNG stream.
+  sink.  The disabled-path overhead bound is the per-call cost of
+  ``span(...)`` while tracing is disabled (``noop_span_ns``: one
+  module-global ``is None`` check returning a shared no-op handle) times
+  the spans the engine opens per epoch, relative to the measured epoch
+  wall time; it must stay under 1%.  The two runs must also produce
+  **bit-identical** loss histories: observability never touches an RNG
+  stream.
 * ``latency_slo_instrumented`` -- the same multi-client HTTP burst as
   ``bench_serving``'s ``latency_slo`` row, measured with the metrics
-  registry live on every request (it always is now) and tracing enabled,
-  plus the cost of scraping ``GET /metrics`` itself.  The committed
-  ``BENCH_serving.json`` ceilings stay the reference: instrumentation
-  must not move the SLO.
+  registry live on every request (it always is) and tracing enabled,
+  plus the cost of scraping ``GET /metrics`` itself.
 
-Results land in ``BENCH_obs.json`` at the repository root.  Run directly
-(``python -m benchmarks.bench_obs``) or through
+Results land in ``BENCH_obs.json`` at the repository root;
+``benchmarks/run.py``'s gate table holds the bounds.  Run through
 ``python -m benchmarks.run --suite obs``.
 """
 
 from __future__ import annotations
 
 import datetime
-import json
 import os
 import platform
 import tempfile
@@ -37,23 +33,21 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.bench_serving import _train_model, measure_http_latency
+from benchmarks.bench_serving import _train_model, measure_http_latency, saved_artifact
 from repro.obs import JsonlSink, read_jsonl, span, tracing
-from repro.serve import SamplingHTTPServer, ServingPool, save_model
+from repro.serve import SamplingHTTPServer, ServingPool
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
-
-NOOP_CALLS = int(os.environ.get("REPRO_BENCH_OBS_NOOP_CALLS", "200000"))
-BENCH_ROWS = int(os.environ.get("REPRO_BENCH_OBS_ROWS", "1200"))
-BENCH_EPOCHS = int(os.environ.get("REPRO_BENCH_OBS_EPOCHS", "6"))
+NOOP_CALLS = 200_000
+BENCH_ROWS = 1200
+BENCH_EPOCHS = 6
 
 #: Spans the engine opens per training epoch on the disabled path: one
 #: ``engine.epoch`` plus the amortised share of the single ``engine.run``.
 SPANS_PER_EPOCH = 2
 
 
-def measure_noop_span(calls: int = NOOP_CALLS, repeats: int = 3) -> dict:
-    """Per-call cost of ``span(...)`` while tracing is disabled.
+def _noop_span_ns(calls: int = NOOP_CALLS, repeats: int = 3) -> float:
+    """Per-call nanoseconds of ``span(...)`` while tracing is disabled.
 
     Times a loop of ``span()`` calls against an empty loop of the same
     shape and reports the best-of-``repeats`` net cost per call.
@@ -69,18 +63,10 @@ def measure_noop_span(calls: int = NOOP_CALLS, repeats: int = 3) -> dict:
         for _ in range(calls):
             pass
         best_base = min(best_base, time.perf_counter() - start)
-    per_call_seconds = max(best_span - best_base, 0.0) / calls
-    return {
-        "calls": calls,
-        "per_call_ns": round(per_call_seconds * 1e9, 1),
-        "loop_seconds": round(best_span, 4),
-        "baseline_loop_seconds": round(best_base, 4),
-    }
+    return round(max(best_span - best_base, 0.0) / calls * 1e9, 1)
 
 
-def measure_epoch_overhead(
-    rows: int = BENCH_ROWS, epochs: int = BENCH_EPOCHS, noop: dict | None = None
-) -> dict:
+def measure_epoch_overhead(rows: int = BENCH_ROWS, epochs: int = BENCH_EPOCHS) -> dict:
     """KiNETGAN epoch seconds with tracing off vs exporting spans to JSONL.
 
     Also checks the two runs' loss histories are bit-identical (the
@@ -88,8 +74,7 @@ def measure_epoch_overhead(
     disabled-path overhead bound: no-op span cost x spans per epoch over
     the measured epoch wall time.
     """
-    if noop is None:
-        noop = measure_noop_span()
+    noop_ns = _noop_span_ns()
 
     start = time.perf_counter()
     disabled = _train_model(rows, epochs)
@@ -112,9 +97,7 @@ def measure_epoch_overhead(
 
     epoch_disabled = disabled_seconds / epochs
     epoch_enabled = enabled_seconds / epochs
-    overhead_bound_pct = (
-        SPANS_PER_EPOCH * (noop["per_call_ns"] * 1e-9) / epoch_disabled * 100.0
-    )
+    overhead_bound_pct = SPANS_PER_EPOCH * (noop_ns * 1e-9) / epoch_disabled * 100.0
     return {
         "rows": rows,
         "epochs": epochs,
@@ -122,16 +105,14 @@ def measure_epoch_overhead(
         "epoch_seconds_enabled": round(epoch_enabled, 4),
         "enabled_over_disabled": round(epoch_enabled / epoch_disabled, 4),
         "spans_per_epoch": SPANS_PER_EPOCH,
-        "noop_span_ns": noop["per_call_ns"],
+        "noop_span_ns": noop_ns,
         "disabled_overhead_pct": round(overhead_bound_pct, 6),
         "history_bit_identical": bool(bit_identical),
         "trace_events": trace_events,
     }
 
 
-def measure_instrumented_http(
-    artifact: Path | None = None, rows: int = BENCH_ROWS, epochs: int = BENCH_EPOCHS
-) -> dict:
+def measure_instrumented_http(rows: int = BENCH_ROWS, epochs: int = BENCH_EPOCHS) -> dict:
     """The ``bench_serving`` latency burst with tracing enabled, plus scrape cost.
 
     The metrics registry is live on every request regardless; enabling
@@ -139,11 +120,8 @@ def measure_instrumented_http(
     latency SLO.  Ends with a timed ``GET /metrics`` scrape of the loaded
     server so the exporter's own cost is on record.
     """
-    with tempfile.TemporaryDirectory(prefix="repro-obs-http-") as tmp:
-        if artifact is None:
-            artifact = Path(tmp) / "kinetgan"
-            save_model(_train_model(rows, epochs), artifact, metadata={"benchmark": "obs"})
-        with tracing(JsonlSink(Path(tmp) / "http.jsonl")):
+    with saved_artifact(rows, epochs) as artifact:
+        with tracing(JsonlSink(artifact.parent / "http.jsonl")):
             latency = measure_http_latency(artifact)
         with ServingPool({"bench": artifact}, executor="thread:2") as pool:
             with SamplingHTTPServer(pool, port=0) as server:
@@ -156,14 +134,8 @@ def measure_instrumented_http(
     return latency
 
 
-def run_obs_bench(rows: int = BENCH_ROWS, epochs: int = BENCH_EPOCHS) -> dict:
+def run_obs_bench() -> dict:
     """Measure the observability plane and return the benchmark document."""
-    noop = measure_noop_span()
-    metrics = {
-        "noop_span": noop,
-        "epoch_overhead": measure_epoch_overhead(rows, epochs, noop=noop),
-        "latency_slo_instrumented": measure_instrumented_http(rows=rows, epochs=epochs),
-    }
     return {
         "benchmark": "obs",
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -175,61 +147,23 @@ def run_obs_bench(rows: int = BENCH_ROWS, epochs: int = BENCH_EPOCHS) -> dict:
         },
         "config": {
             "dataset": "lab_iot",
-            "train_rows": rows,
-            "train_epochs": epochs,
+            "train_rows": BENCH_ROWS,
+            "train_epochs": BENCH_EPOCHS,
             "noop_calls": NOOP_CALLS,
         },
-        "metrics": metrics,
+        "metrics": {
+            "epoch_overhead": measure_epoch_overhead(),
+            "latency_slo_instrumented": measure_instrumented_http(),
+        },
         "notes": (
-            "noop_span is the whole disabled-path story: span() with no "
-            "tracer installed is one global is-None check returning a shared "
-            "no-op handle, so the engine's two spans per epoch cost "
-            "spans_per_epoch x per_call_ns against an epoch measured in "
-            "milliseconds -- disabled_overhead_pct is that bound and the CI "
-            "smoke gate keeps it under 1%. epoch_overhead also proves the "
-            "instrumented run's loss history is bit-identical to the "
-            "uninstrumented one (observability never touches an RNG stream). "
-            "latency_slo_instrumented replays bench_serving's multi-client "
-            "burst with tracing enabled and the always-on metrics registry; "
-            "the committed BENCH_serving.json latency_slo ceilings remain "
-            "the reference the smoke gate checks against."
+            "span() with no tracer installed is one global is-None check "
+            "returning a shared no-op handle, so the engine's two spans per "
+            "epoch cost spans_per_epoch x noop_span_ns against an epoch "
+            "measured in milliseconds; disabled_overhead_pct is that bound. "
+            "epoch_overhead also proves the instrumented run's loss history "
+            "is bit-identical to the uninstrumented one (observability never "
+            "touches an RNG stream). latency_slo_instrumented replays "
+            "bench_serving's multi-client burst with tracing enabled and the "
+            "always-on metrics registry."
         ),
     }
-
-
-def write_results(document: dict, path: Path = RESULT_PATH) -> Path:
-    path.write_text(json.dumps(document, indent=2) + "\n")
-    return path
-
-
-def format_results(document: dict) -> str:
-    metrics = document["metrics"]
-    noop = metrics["noop_span"]
-    epoch = metrics["epoch_overhead"]
-    slo = metrics["latency_slo_instrumented"]
-    return "\n".join(
-        [
-            "[bench:obs] observability-plane overhead on lab-IoT KiNETGAN",
-            f"  noop_span                    {noop['per_call_ns']}ns/call"
-            f"  ({noop['calls']:,} calls, tracing disabled)",
-            f"  epoch_overhead               disabled {epoch['epoch_seconds_disabled']}s"
-            f"  traced {epoch['epoch_seconds_enabled']}s"
-            f"  (x{epoch['enabled_over_disabled']}, "
-            f"bound {epoch['disabled_overhead_pct']:.4f}% of an epoch, "
-            f"history identical: {epoch['history_bit_identical']})",
-            f"  latency_slo_instrumented     p50 {slo['p50_ms']}ms  p99 {slo['p99_ms']}ms"
-            f"  ({slo['requests_per_sec']} req/s, {slo['rejected']} rejected, "
-            f"scrape {slo['scrape_ms']}ms / {slo['scrape_bytes']:,}B)",
-        ]
-    )
-
-
-def main() -> None:
-    document = run_obs_bench()
-    path = write_results(document)
-    print(format_results(document))
-    print(f"[bench:obs] wrote {path}")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,48 +1,34 @@
-"""Runtime benchmarks: round throughput, scheduling overlap, transport bytes.
+"""Runtime benchmarks: scheduling overlap and transport bytes.
 
-Measures how fast the multi-node layer turns over synchronous FedAvg rounds
-at 4 / 8 / 16 clients under the serial, process-pool and thread-pool
-executors (:mod:`repro.runtime`), a latency-overlap probe that isolates the
-runtime's ability to overlap blocked time from the machine's core count,
-and a *transport-bytes* probe that counts what actually crosses the task
-pipe per round.  Results land in ``BENCH_runtime.json`` at the repository
-root so future PRs have a trajectory to compare against.
+Measures the multi-node layer (:mod:`repro.runtime`) with probes that do
+not depend on the machine's core count; round throughput is measured end
+to end by the repository benchmark (``perfbench/run.py --workload
+federated``).  Results land in ``BENCH_runtime.json`` at the repository
+root; ``benchmarks/run.py``'s gate table says which keys are gated.
 
-Interpreting the numbers:
-
-* ``federated_round_Nclients`` -- wall-clock round throughput.  Client-side
-  local training is CPU-bound numpy, so pool speedups are capped by
-  physical cores: on a multi-core runner 8 clients over >= 4 workers
-  should clear 2x, while a single-core machine can at best break even.
-  Every entry records the ``cpu_count`` it was measured with; the smoke
-  gate skips these core-count-sensitive comparisons on mismatched runners.
-* ``latency_overlap`` -- the same executor machinery over work units that
+* ``latency_overlap`` -- the process-pool executor over work units that
   *block* (simulated device/network latency).  This measures pure
   scheduling overlap and reaches ~min(workers, tasks)x on any machine,
   which is the regime a real federated deployment (remote devices, network
   round-trips) lives in.
 * ``transport_bytes_per_round`` -- pickled bytes per steady-state round
   (clients installed once, rounds ship refs + seeds, parameters ride
-  shared memory) next to the one-time install bytes.  This is
-  deterministic and core-count independent.
+  shared memory) next to the one-time install bytes.  Deterministic.
 * ``transport_bytes_float32`` -- shared-memory parameter bytes a round
   rewrites with a float64 detector versus a float32 one.  The round
   buffers are allocated in the model's dtype (``docs/precision.md``), so
-  this is deterministically ~2x and core-count independent.
+  this is deterministically ~2x.
 
-Run directly (``python -m benchmarks.bench_runtime``) or through
-``python -m benchmarks.run --suite runtime``.
+Run through ``python -m benchmarks.run --suite runtime``.
 """
 
 from __future__ import annotations
 
 import datetime
-import json
 import os
 import pickle
 import platform
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -51,21 +37,10 @@ from repro.federated.client import FederatedClient
 from repro.federated.server import FederatedServer
 from repro.federated.simulation import DetectorFactory
 from repro.nids.features import TabularFeaturizer
-from repro.runtime import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    default_worker_count,
-)
+from repro.runtime import Executor, ProcessExecutor, SerialExecutor, default_worker_count
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
-
-#: Client counts the round-throughput benchmark sweeps.
-CLIENT_COUNTS = (4, 8, 16)
-ROWS_PER_CLIENT = int(os.environ.get("REPRO_BENCH_ROWS_PER_CLIENT", "600"))
-LOCAL_EPOCHS = int(os.environ.get("REPRO_BENCH_LOCAL_EPOCHS", "4"))
-ROUNDS = int(os.environ.get("REPRO_BENCH_ROUNDS", "3"))
+ROWS_PER_CLIENT = 600
+LOCAL_EPOCHS = 4
 LATENCY_TASKS = 8
 LATENCY_SECONDS = 0.05
 TRANSPORT_CLIENTS = 8
@@ -173,48 +148,6 @@ def _make_clients(
     return clients, model_fn
 
 
-def _rounds_per_sec(executor, n_clients: int, rounds: int, seed: int) -> float:
-    """Timed FedAvg rounds on a fresh server (1 warm-up round untimed)."""
-    clients, model_fn = _make_clients(n_clients, ROWS_PER_CLIENT, seed)
-    server = FederatedServer(model_fn, clients, seed=seed, executor=executor)
-    try:
-        server.run_round()  # warm-up: spins the pool up and installs state
-        start = time.perf_counter()
-        for _ in range(rounds):
-            server.run_round()
-        elapsed = time.perf_counter() - start
-    finally:
-        server.release_transport()
-    return rounds / elapsed
-
-
-def measure_round_throughput(
-    client_counts: tuple[int, ...] = CLIENT_COUNTS, rounds: int = ROUNDS
-) -> dict[str, dict]:
-    """Round throughput serial vs process vs thread at each client count."""
-    cores = default_worker_count()
-    metrics: dict[str, dict] = {}
-    for n_clients in client_counts:
-        workers = min(n_clients, max(2, cores))
-        serial = _rounds_per_sec(SerialExecutor(), n_clients, rounds, seed=7)
-        with ProcessExecutor(max_workers=workers) as pool:
-            process = _rounds_per_sec(pool, n_clients, rounds, seed=7)
-        with ThreadExecutor(max_workers=workers) as pool:
-            thread = _rounds_per_sec(pool, n_clients, rounds, seed=7)
-        metrics[f"federated_round_{n_clients}clients"] = {
-            "serial_rounds_per_sec": round(serial, 3),
-            "process_rounds_per_sec": round(process, 3),
-            "thread_rounds_per_sec": round(thread, 3),
-            "speedup": round(process / serial, 2),
-            "thread_speedup": round(thread / serial, 2),
-            "workers": workers,
-            "rows_per_client": ROWS_PER_CLIENT,
-            "transport": RESIDENT_TRANSPORT,
-            "cpu_count": cores,
-        }
-    return metrics
-
-
 def measure_latency_overlap() -> dict:
     """Scheduling overlap, decoupled from core count: blocked work units."""
     serial_start = time.perf_counter()
@@ -301,16 +234,8 @@ def measure_dtype_transport(
     }
 
 
-def run_runtime_bench(
-    client_counts: tuple[int, ...] = CLIENT_COUNTS, rounds: int = ROUNDS
-) -> dict:
+def run_runtime_bench() -> dict:
     """Measure all runtime probes and return the trajectory document."""
-    cores = default_worker_count()
-    metrics = measure_round_throughput(client_counts, rounds)
-    metrics["latency_overlap"] = measure_latency_overlap()
-    metrics["transport_bytes_per_round"] = measure_transport_bytes()
-    metrics["transport_bytes_float32"] = measure_dtype_transport()
-
     return {
         "benchmark": "runtime",
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -319,77 +244,26 @@ def run_runtime_bench(
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpus": os.cpu_count(),
-            "usable_cpus": cores,
+            "usable_cpus": default_worker_count(),
         },
         "config": {
             "dataset": "lab_iot",
-            "client_counts": list(client_counts),
-            "rounds": rounds,
             "rows_per_client": ROWS_PER_CLIENT,
             "local_epochs": LOCAL_EPOCHS,
             "batch_size": 64,
         },
-        "metrics": metrics,
+        "metrics": {
+            "latency_overlap": measure_latency_overlap(),
+            "transport_bytes_per_round": measure_transport_bytes(),
+            "transport_bytes_float32": measure_dtype_transport(),
+        },
         "notes": (
-            "Round throughput is CPU-bound: pool speedups scale with "
-            "physical cores (>=2x at 8 clients needs >=4 usable cores; a "
-            "1-core machine shows executor overhead instead), so every "
-            "entry records its cpu_count and the smoke gate only compares "
-            "them on a matching runner. latency_overlap isolates "
-            "scheduling overlap with blocked work units and is core-count "
-            "independent. transport_bytes_per_round is deterministic: a "
-            "steady-state round pickles only refs + seeds + metric floats, "
-            "with parameters riding shared memory instead of the task pipe; "
-            "the clients' partitions cross once, as install bytes."
+            "latency_overlap isolates scheduling overlap with blocked work "
+            "units and is core-count independent. transport_bytes_per_round "
+            "is deterministic: a steady-state round pickles only refs + "
+            "seeds + metric floats, with parameters riding shared memory "
+            "instead of the task pipe; the clients' partitions cross once, "
+            "as install bytes. Round throughput is measured by perfbench's "
+            "federated workload."
         ),
     }
-
-
-def write_results(document: dict, path: Path = RESULT_PATH) -> Path:
-    path.write_text(json.dumps(document, indent=2) + "\n")
-    return path
-
-
-def format_results(document: dict) -> str:
-    machine = document["machine"]
-    lines = [f"[bench:runtime] lab-IoT federated rounds ({machine['usable_cpus']} usable cpus)"]
-    for name, entry in document["metrics"].items():
-        if name.startswith("federated_round"):
-            lines.append(
-                f"  {name:28s} serial {entry['serial_rounds_per_sec']:>7.3f} rounds/s"
-                f" -> process {entry['process_rounds_per_sec']:>7.3f}"
-                f" / thread {entry['thread_rounds_per_sec']:>7.3f} rounds/s"
-                f"  ({entry['speedup']}x / {entry['thread_speedup']}x,"
-                f" {entry['workers']} workers)"
-            )
-        elif name == "latency_overlap":
-            lines.append(
-                f"  {name:28s} serial {entry['serial_seconds']:.3f}s"
-                f" -> process {entry['process_seconds']:.3f}s"
-                f"  ({entry['speedup']}x, {entry['tasks']} blocked tasks)"
-            )
-        elif name == "transport_bytes_float32":
-            lines.append(
-                f"  {name:28s} float64 {entry['float64_param_bytes_per_round']:,} B/round"
-                f" -> float32 {entry['float32_param_bytes_per_round']:,} B/round"
-                f"  ({entry['reduction']}x less, {entry['clients']} clients,"
-                f" shared-memory params)"
-            )
-        else:
-            lines.append(
-                f"  {name:28s} {entry['resident_delta_bytes_per_round']:,} B/round"
-                f"  ({entry['clients']} clients;"
-                f" one-time install {entry['resident_install_bytes']:,} B)"
-            )
-    return "\n".join(lines)
-
-
-def main() -> None:
-    document = run_runtime_bench()
-    path = write_results(document)
-    print(format_results(document))
-    print(f"[bench:runtime] wrote {path}")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,38 +1,20 @@
-"""Benchmark runner: ``python -m benchmarks.run [--json] [--suite ...]``.
+"""Benchmark runner: ``python -m benchmarks.run [--suite S | --smoke] [--json] [--no-write]``.
 
-Runs the benchmark suites and refreshes the ``BENCH_*.json`` perf-trajectory
-files at the repository root.  With ``--json`` the full document is printed
-to stdout (for CI consumption); otherwise a readable summary is shown.
-Either way the JSON files are (re)written unless ``--no-write`` is given.
+Each ``BENCH_<suite>.json`` at the repository root is a perf trajectory:
+the committed record of one suite's probes.  :data:`GATES` is the one
+table of bounds over those records -- every committed entry is named by
+at least one row -- and one evaluator and one printer serve both modes:
 
-``--smoke`` is the CI regression gate: it re-measures the gated entries of
-the committed trajectory files on the runner and exits non-zero if any of
-them regressed by more than ``--tolerance`` (default 30%).  The runtime
-trajectory (``BENCH_runtime.json``): the transport-bytes and latency-overlap
-probes are core-count independent and always compared, while the CPU-bound
-round throughput entries are *skipped* whenever the runner's usable core
-count differs from the one recorded in the committed entry (a 1-core
-container and a multi-core CI runner legitimately disagree about pool
-speedups).  The training trajectory (``BENCH_training.json``): the
-network-core step's tracemalloc peak must stay under a byte ceiling of the
-committed peak plus tolerance, and the mixed-precision rows -- the
-committed float32 epoch-or-step-latency speedup must hold >= 1.2x and
-re-measure within tolerance, and the float32 allocation ratio is re-checked
-alongside.  Epoch speed itself is measured end to end by the repository
-benchmark (``perfbench/run.py --workload train``), not here.
-The fault-tolerance trajectory (``BENCH_faults.json``) gates its seeded
-entries *exactly* -- round-completion bookkeeping and replay determinism
-are pure functions of the seeds -- and its recovery-latency probes with a
-tolerance band plus an absolute slack.  The serving trajectory
-(``BENCH_serving.json``) gates its HTTP latency-SLO row the same way:
-p50/p99 under the committed multi-client burst shape must stay under a
-tolerance-plus-slack ceiling and the admission queue must absorb the burst
-without rejections.  The observability trajectory (``BENCH_obs.json``)
-gates the disabled-path span overhead bound (re-measured, must stay under
-1% of a KiNETGAN epoch), the bit-identical-history guarantee under
-instrumentation, and checks the committed instrumented HTTP latency
-against the committed serving SLO ceilings.  Smoke mode never rewrites
-the trajectory files.
+* ``--suite S`` (``runtime``, ``training``, ``faults``, ``serving``,
+  ``obs`` or ``all``; default ``training``) runs the full suite, checks
+  the new document against the rows' bounds, prints the rows and
+  rewrites the trajectory file unless ``--no-write`` is given.
+* ``--smoke`` is the CI regression gate: it re-measures every row with
+  the rows' quick probes and never writes.
+
+The exit status is 1 if any row fails.  ``--json`` prints
+``{"suites": {suite: document}, "rows": [...], "ok": bool}`` instead of
+the text table (``suites`` is empty in smoke mode).
 """
 
 from __future__ import annotations
@@ -41,12 +23,16 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
+from pathlib import Path
 
-# BLAS thread pools must be pinned before numpy loads (this package's
-# ``__init__`` imports nothing): the committed trajectories were recorded
-# single-threaded, and on a 2-core host OpenBLAS's default two threads make
-# small products (the ``inverse_transform`` winners) several times slower.
-os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+if __name__ == "__main__":
+    # BLAS thread pools must be pinned before numpy loads (this package's
+    # ``__init__`` imports nothing): the committed trajectories were
+    # recorded single-threaded.  Only the program pins them; importing the
+    # gate table leaves the importing process's environment alone.
+    os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 from benchmarks import (  # noqa: E402
     bench_faults,
@@ -55,714 +41,312 @@ from benchmarks import (  # noqa: E402
     bench_serving,
     bench_training,
 )
-from repro.runtime import default_worker_count  # noqa: E402
 
-#: Absolute slack (seconds) on the recovery-latency gate: pool respawn and
-#: deadline abandonment are interpreter-spawn / scheduler bound, so a pure
-#: ratio band is too twitchy on shared runners.
-FAULT_LATENCY_SLACK_SECONDS = 1.0
+ROOT = Path(__file__).resolve().parent.parent
 
-#: Absolute slack (milliseconds) on the HTTP latency-SLO gate, added on top
-#: of the tolerance band: loopback HTTP latency on a shared runner carries
-#: scheduler jitter that a pure ratio ceiling would turn into flakes.
-SERVING_P50_SLACK_MS = 250.0
-SERVING_P99_SLACK_MS = 500.0
+#: Full-suite runners, by the suite name in ``BENCH_<suite>.json``.
+SUITES: dict[str, Callable[[], dict]] = {
+    "runtime": bench_runtime.run_runtime_bench,
+    "training": bench_training.run_training_bench,
+    "faults": bench_faults.run_faults_bench,
+    "serving": bench_serving.run_serving_bench,
+    "obs": bench_obs.run_obs_bench,
+}
 
-#: The smoke pass serves a smaller model than the committed trajectory
-#: (fewer training rows/epochs keep the gate fast); request latency only
-#: gets easier with the smaller generator, so the committed ceiling stays a
-#: valid upper bound.
-SERVING_SMOKE_ROWS = 600
-SERVING_SMOKE_EPOCHS = 2
-
-#: The observability smoke gate re-measures the disabled-path overhead
-#: bound on a small training run; the bound is a ratio of nanoseconds to
-#: an epoch measured in milliseconds, so the small model is ample.
-OBS_SMOKE_ROWS = 400
-OBS_SMOKE_EPOCHS = 2
-OBS_OVERHEAD_CEILING_PCT = 1.0
+CEILING, FLOOR, EXACT = "ceiling", "floor", "exact"
 
 
-def _smoke_runtime(tolerance: float) -> tuple[list[dict], list[str]]:
-    """Re-check the runtime trajectory; core-count-sensitive entries may skip.
+def trajectory_path(suite: str) -> Path:
+    return ROOT / f"BENCH_{suite}.json"
 
-    Always compared (deterministic / core-count independent):
 
-    * ``transport_bytes_per_round`` -- a steady-state round's pickled
-      bytes and the one-time install bytes must stay under a ceiling of the
-      committed counts plus tolerance (both are pure functions of the
-      client count and the model, so growth means a round started shipping
-      something new);
-    * ``transport_bytes_float32`` -- a float32 federated round must keep
-      mapping ~half the shared-memory parameter bytes of a float64 one
-      (buffer sizes are a pure function of the model dtype, so the floor
-      never goes below 1.5x);
-    * ``latency_overlap`` -- scheduling overlap of blocked work units
-      (re-measured twice on failure).
+def committed_metrics(suite: str) -> dict:
+    """The ``metrics`` of the committed ``BENCH_<suite>.json``."""
+    return json.loads(trajectory_path(suite).read_text())["metrics"]
 
-    Skipped with a visible row when the runner's usable core count differs
-    from the committed entry's ``cpu_count``: the ``federated_round_*``
-    process-pool speedups, which are meaningless to compare across core
-    counts.
+
+@dataclass(frozen=True)
+class Probe:
+    """A measurement with its retry budget.
+
+    Each callable is one attempt and returns ``{entry: {key: value}}``,
+    shaped like a trajectory's ``metrics``.  Timing-bound probes get a
+    second attempt: noise, not regressions, dominates short windows on
+    shared runners.
     """
-    if not bench_runtime.RESULT_PATH.exists():
-        return [], [f"no runtime baseline at {bench_runtime.RESULT_PATH}"]
-    baseline = json.loads(bench_runtime.RESULT_PATH.read_text())["metrics"]
-    cores = default_worker_count()
-    rows: list[dict] = []
-    failures: list[str] = []
 
-    entry = baseline.get("transport_bytes_per_round")
-    if entry is not None:
-        measured = bench_runtime.measure_transport_bytes(rounds=1)
-        for key in ("resident_delta_bytes_per_round", "resident_install_bytes"):
-            ceiling = int(entry[key] * (1.0 + tolerance))
-            ok = measured[key] <= ceiling
-            rows.append(
-                {
-                    "metric": f"transport_bytes_per_round.{key}",
-                    "baseline_bytes": entry[key],
-                    "measured_bytes": measured[key],
-                    "ceiling": ceiling,
-                    "status": "ok" if ok else "REGRESSED",
-                }
-            )
-            if not ok:
-                failures.append(
-                    f"transport_bytes_per_round: {key} {measured[key]:,} B > ceiling "
-                    f"{ceiling:,} B (baseline {entry[key]:,} B)"
-                )
-
-    entry = baseline.get("transport_bytes_float32")
-    if entry is not None:
-        measured = bench_runtime.measure_dtype_transport(rounds=1)
-        floor = max(entry["reduction"] * (1.0 - tolerance), 1.5)
-        ok = measured["reduction"] >= floor
-        rows.append(
-            {
-                "metric": "transport_bytes_float32",
-                "baseline_reduction": entry["reduction"],
-                "measured_reduction": measured["reduction"],
-                "floor": round(floor, 2),
-                "status": "ok" if ok else "REGRESSED",
-            }
-        )
-        if not ok:
-            failures.append(
-                f"transport_bytes_float32: reduction {measured['reduction']}x < "
-                f"allowed floor {floor:.2f}x (baseline {entry['reduction']}x)"
-            )
-
-    entry = baseline.get("latency_overlap")
-    if entry is not None:
-        floor = max(entry["speedup"] * (1.0 - tolerance), 1.0)
-        best = 0.0
-        for _attempt in range(2):
-            best = max(best, bench_runtime.measure_latency_overlap()["speedup"])
-            if best >= floor:
-                break
-        rows.append(
-            {
-                "metric": "latency_overlap",
-                "baseline_speedup": entry["speedup"],
-                "measured_speedup": best,
-                "floor": round(floor, 2),
-                "status": "ok" if best >= floor else "REGRESSED",
-            }
-        )
-        if best < floor:
-            failures.append(
-                f"latency_overlap: speedup {best}x < allowed floor {floor:.2f}x "
-                f"(baseline {entry['speedup']}x)"
-            )
-
-    for name, entry in baseline.items():
-        if not name.startswith("federated_round"):
-            continue
-        recorded_cores = entry.get("cpu_count")
-        if recorded_cores != cores:
-            rows.append(
-                {
-                    "metric": name,
-                    "status": "skipped",
-                    "reason": f"recorded on {recorded_cores} cpus, runner has {cores}",
-                }
-            )
-            continue
-        n_clients = int(name.removeprefix("federated_round_").removesuffix("clients"))
-        floor = entry["speedup"] * (1.0 - tolerance)
-        best = 0.0
-        for _attempt in range(2):
-            measured = bench_runtime.measure_round_throughput((n_clients,), rounds=2)[name]
-            best = max(best, measured["speedup"])
-            if best >= floor:
-                break
-        rows.append(
-            {
-                "metric": name,
-                "baseline_speedup": entry["speedup"],
-                "measured_speedup": best,
-                "floor": round(floor, 2),
-                "status": "ok" if best >= floor else "REGRESSED",
-            }
-        )
-        if best < floor:
-            failures.append(
-                f"{name}: process speedup {best}x < allowed floor {floor:.2f}x "
-                f"(baseline {entry['speedup']}x)"
-            )
-    return rows, failures
+    name: str
+    attempts: tuple[Callable[[], dict], ...]
 
 
-def _smoke_training(tolerance: float) -> tuple[list[dict], list[str]]:
-    """Re-check the training trajectory (``BENCH_training.json``).
+@dataclass(frozen=True)
+class Gate:
+    """One row: a bound on ``metrics[entry][key]`` of ``BENCH_<suite>.json``.
 
-    Two gates:
-
-    * ``step_allocations`` -- the network-core tracemalloc peak at the
-      training batch size must stay under a ceiling of the committed
-      ``now_bytes`` plus tolerance; the peak is deterministic, so it is
-      measured in a single pass.
-    * ``float32_*`` -- the mixed-precision rows: the committed trajectory
-      must keep a >= 1.2x float32 epoch *or* step-latency speedup (the
-      acceptance bar of the precision tier), the speedup is re-measured on
-      this runner against a tolerance-banded floor (with a longer-window
-      retry), and the float32 step-allocation ratio -- deterministic, the
-      arena simply holds half the bytes -- is re-checked in the same pass.
+    ``tolerance`` is the relative band around the committed value, or
+    ``None`` for a bound that does not depend on it.  ``absolute`` is the
+    slack a ceiling adds or the minimum a floor keeps; with
+    ``tolerance=None`` it is the bound itself.  An exact row with a
+    tolerance must reproduce the committed value.
     """
-    if not bench_training.RESULT_PATH.exists():
-        return [], [f"no training baseline at {bench_training.RESULT_PATH}"]
-    baseline_doc = json.loads(bench_training.RESULT_PATH.read_text())
-    baseline = baseline_doc["metrics"]
-    rows = int(baseline_doc.get("config", {}).get("rows", bench_training.BENCH_ROWS))
-    comparison: list[dict] = []
-    failures: list[str] = []
 
-    entry = baseline.get("step_allocations")
-    if entry is not None:
-        measured = bench_training.measure_step_allocations(rows)["now_bytes"]
-        ceiling = int(entry["now_bytes"] * (1.0 + tolerance))
-        ok = measured <= ceiling
-        comparison.append(
-            {
-                "metric": "step_allocations",
-                "baseline_bytes": entry["now_bytes"],
-                "measured_bytes": measured,
-                "ceiling": ceiling,
-                "status": "ok" if ok else "REGRESSED",
-            }
-        )
-        if not ok:
-            failures.append(
-                f"step_allocations: {measured:,} B > ceiling {ceiling:,} B "
-                f"(baseline {entry['now_bytes']:,} B)"
-            )
+    suite: str
+    entry: str
+    key: str
+    probe: Probe
+    kind: str
+    tolerance: float | None
+    absolute: object = 0.0
 
-    entry_epoch = baseline.get("float32_epoch")
-    entry_latency = baseline.get("float32_step_latency")
-    entry_alloc = baseline.get("float32_step_allocations")
-    if entry_epoch is not None or entry_latency is not None:
-        committed = max(
-            entry_epoch["speedup"] if entry_epoch else 0.0,
-            entry_latency["speedup"] if entry_latency else 0.0,
-        )
-        ok = committed >= 1.2
-        comparison.append(
-            {
-                "metric": "float32_committed",
-                "baseline_speedup": committed,
-                "measured_speedup": committed,
-                "floor": 1.2,
-                "status": "ok" if ok else "REGRESSED",
-            }
-        )
-        if not ok:
-            failures.append(
-                f"float32 committed speedup {committed}x < 1.2x -- rerun "
-                "`python -m benchmarks.run --suite training` on a quiet machine"
-            )
-        speed_floor = max(committed * (1.0 - tolerance), 1.0)
-        alloc_floor = (
-            max(entry_alloc["speedup"] * (1.0 - tolerance), 1.0) if entry_alloc else None
-        )
-        best_speed = 0.0
-        best_alloc = 0.0
-        for groups, reps in ((2, 2), (bench_training.EPOCH_GROUPS, bench_training.EPOCH_REPS)):
-            measured = bench_training.measure_precision(rows, groups, reps)
-            best_speed = max(
-                best_speed,
-                measured["float32_epoch"]["speedup"],
-                measured["float32_step_latency"]["speedup"],
-            )
-            best_alloc = max(best_alloc, measured["float32_step_allocations"]["speedup"])
-            if best_speed >= speed_floor and (alloc_floor is None or best_alloc >= alloc_floor):
-                break
-        ok = best_speed >= speed_floor
-        comparison.append(
-            {
-                "metric": "float32_speedup",
-                "baseline_speedup": committed,
-                "measured_speedup": best_speed,
-                "floor": round(speed_floor, 2),
-                "status": "ok" if ok else "REGRESSED",
-            }
-        )
-        if not ok:
-            failures.append(
-                f"float32 speedup: {best_speed}x < allowed floor {speed_floor:.2f}x "
-                f"(committed {committed}x)"
-            )
-        if alloc_floor is not None:
-            ok = best_alloc >= alloc_floor
-            comparison.append(
-                {
-                    "metric": "float32_step_allocations",
-                    "baseline_speedup": entry_alloc["speedup"],
-                    "measured_speedup": best_alloc,
-                    "floor": round(alloc_floor, 2),
-                    "status": "ok" if ok else "REGRESSED",
-                }
-            )
-            if not ok:
-                failures.append(
-                    f"float32_step_allocations: ratio {best_alloc}x < allowed floor "
-                    f"{alloc_floor:.2f}x (baseline {entry_alloc['speedup']}x)"
-                )
-    return comparison, failures
+    def bound(self, committed):
+        if self.tolerance is None:
+            return self.absolute
+        if self.kind == CEILING:
+            return committed * (1.0 + self.tolerance) + self.absolute
+        if self.kind == FLOOR:
+            return max(committed * (1.0 - self.tolerance), self.absolute)
+        return committed
 
-
-def _smoke_faults(tolerance: float) -> tuple[list[dict], list[str]]:
-    """Re-check the fault-tolerance trajectory (``BENCH_faults.json``).
-
-    The deterministic entries gate exactly: the seeded ``round_completion``
-    bookkeeping must reproduce bit-for-bit (injector draws are pure in
-    ``(seed, task_id, attempt)``) and ``replay_determinism`` must still
-    recover bit-identically.  The timing-bound ``recovery_latency`` probes
-    gate against a tolerance band plus an absolute slack, with one retry,
-    like the other wall-clock gates.
-    """
-    if not bench_faults.RESULT_PATH.exists():
-        return [], [f"no faults baseline at {bench_faults.RESULT_PATH}"]
-    baseline = json.loads(bench_faults.RESULT_PATH.read_text())["metrics"]
-    rows: list[dict] = []
-    failures: list[str] = []
-
-    entry = baseline.get("round_completion")
-    if entry is not None:
-        measured = bench_faults.measure_round_completion()
-        checks = ("rounds_completed", "clients_dropped", "task_completion_rate",
-                  "dropped_per_round")
-        ok = all(measured[key] == entry[key] for key in checks)
-        rows.append(
-            {
-                "metric": "round_completion",
-                "baseline_rate": entry["task_completion_rate"],
-                "measured_rate": measured["task_completion_rate"],
-                "status": "ok" if ok else "REGRESSED",
-            }
-        )
-        if not ok:
-            failures.append(
-                "round_completion: seeded completion bookkeeping diverged from "
-                f"the committed trajectory (now {measured['clients_dropped']} "
-                f"drops / rate {measured['task_completion_rate']}, committed "
-                f"{entry['clients_dropped']} / {entry['task_completion_rate']})"
-            )
-
-    entry = baseline.get("replay_determinism")
-    if entry is not None:
-        measured = bench_faults.measure_replay_determinism()
-        ok = bool(measured["bit_identical"])
-        rows.append(
-            {
-                "metric": "replay_determinism",
-                "measured_max_abs_diff": measured["max_abs_diff"],
-                "status": "ok" if ok else "REGRESSED",
-            }
-        )
-        if not ok:
-            failures.append(
-                "replay_determinism: recovered run diverged from the fault-free "
-                f"baseline (max |diff| {measured['max_abs_diff']})"
-            )
-
-    entry = baseline.get("recovery_latency")
-    if entry is not None:
-        for kind in ("crash", "straggler"):
-            key = f"{kind}_recovery_overhead_seconds"
-            ceiling = entry[key] * (1.0 + tolerance) + FAULT_LATENCY_SLACK_SECONDS
-            best = float("inf")
-            measured = None
-            for _attempt in range(2):
-                measured = bench_faults.measure_recovery_latency()
-                best = min(best, measured[key])
-                if best <= ceiling:
-                    break
-            unrecovered = measured[f"{kind}_unrecovered_tasks"]
-            ok = best <= ceiling and unrecovered == 0
-            rows.append(
-                {
-                    "metric": f"recovery_latency_{kind}",
-                    "baseline_overhead_seconds": entry[key],
-                    "measured_overhead_seconds": best,
-                    "ceiling_seconds": round(ceiling, 3),
-                    "status": "ok" if ok else "REGRESSED",
-                }
-            )
-            if not ok:
-                failures.append(
-                    f"recovery_latency_{kind}: overhead {best:.3f}s > ceiling "
-                    f"{ceiling:.3f}s (baseline {entry[key]}s)"
-                    if unrecovered == 0
-                    else f"recovery_latency_{kind}: {unrecovered} task(s) stayed "
-                    "unrecovered after the replay budget"
-                )
-    return rows, failures
-
-
-def _smoke_serving(tolerance: float) -> tuple[list[dict], list[str]]:
-    """Re-check the serving latency SLO (``BENCH_serving.json``).
-
-    Serves a (smaller) artifact over the HTTP front-end under the same
-    multi-client burst shape as the committed ``latency_slo`` entry and
-    gates p50/p99 against a tolerance band plus an absolute slack, with
-    one retry -- loopback HTTP latency is scheduler-bound, so the shape of
-    the gate mirrors the fault-recovery one.  A burst that sheds requests
-    (``rejected > 0``) fails outright: the queue must absorb it.
-    """
-    if not bench_serving.RESULT_PATH.exists():
-        return [], [f"no serving baseline at {bench_serving.RESULT_PATH}"]
-    baseline = json.loads(bench_serving.RESULT_PATH.read_text())["metrics"]
-    entry = baseline.get("latency_slo")
-    if entry is None:
-        return [], ["latency_slo missing from the committed BENCH_serving.json"]
-
-    import tempfile
-    from pathlib import Path
-
-    from repro.serve import save_model
-
-    rows: list[dict] = []
-    failures: list[str] = []
-    model = bench_serving._train_model(SERVING_SMOKE_ROWS, SERVING_SMOKE_EPOCHS)
-    with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
-        artifact = Path(tmp) / "kinetgan"
-        save_model(model, artifact, metadata={"benchmark": "serving-smoke"})
-        ceilings = {
-            "p50_ms": entry["p50_ms"] * (1.0 + tolerance) + SERVING_P50_SLACK_MS,
-            "p99_ms": entry["p99_ms"] * (1.0 + tolerance) + SERVING_P99_SLACK_MS,
-        }
-        best: dict | None = None
-        for _attempt in range(2):
-            measured = bench_serving.measure_http_latency(
-                artifact,
-                clients=entry["clients"],
-                requests_per_client=entry["requests_per_client"],
-                rows_per_request=entry["rows_per_request"],
-            )
-            if best is None or measured["p99_ms"] < best["p99_ms"]:
-                best = measured
-            if all(best[key] <= ceilings[key] for key in ceilings) and best["rejected"] == 0:
-                break
-    for key in ("p50_ms", "p99_ms"):
-        ok = best[key] <= ceilings[key]
-        rows.append(
-            {
-                "metric": f"latency_slo_{key.removesuffix('_ms')}",
-                "baseline_ms": entry[key],
-                "measured_ms": best[key],
-                "ceiling_ms": round(ceilings[key], 2),
-                "status": "ok" if ok else "REGRESSED",
-            }
-        )
-        if not ok:
-            failures.append(
-                f"latency_slo {key}: {best[key]}ms > ceiling {ceilings[key]:.1f}ms "
-                f"(committed {entry[key]}ms)"
-            )
-    if best["rejected"] != 0:
-        rows.append(
-            {"metric": "latency_slo_rejected", "measured": best["rejected"],
-             "status": "REGRESSED"}
-        )
-        failures.append(
-            f"latency_slo: {best['rejected']} request(s) rejected under the "
-            "burst; the admission queue must absorb the committed burst shape"
-        )
-    return rows, failures
-
-
-def _smoke_obs(tolerance: float) -> tuple[list[dict], list[str]]:
-    """Re-check the observability trajectory (``BENCH_obs.json``).
-
-    Three gates:
-
-    * the disabled-path overhead bound -- no-op span cost x spans per
-      epoch over a freshly measured small KiNETGAN epoch -- must stay
-      under :data:`OBS_OVERHEAD_CEILING_PCT` (an absolute 1% ceiling,
-      not a tolerance band: the bound is architecture-enforced and sits
-      orders of magnitude below it);
-    * the instrumented run's loss history must be bit-identical to the
-      uninstrumented one (observability never touches an RNG stream);
-    * the *committed* instrumented HTTP latency must sit under the
-      *committed* serving SLO ceilings (tolerance band plus the serving
-      slacks) -- a static consistency check between the two trajectory
-      files; the live latency re-measure happens in ``_smoke_serving``,
-      whose request path is metrics-instrumented end to end.
-    """
-    if not bench_obs.RESULT_PATH.exists():
-        return [], [f"no observability baseline at {bench_obs.RESULT_PATH}"]
-    rows: list[dict] = []
-    failures: list[str] = []
-
-    measured = bench_obs.measure_epoch_overhead(rows=OBS_SMOKE_ROWS, epochs=OBS_SMOKE_EPOCHS)
-    ok = measured["disabled_overhead_pct"] < OBS_OVERHEAD_CEILING_PCT
-    rows.append(
-        {
-            "metric": "disabled_overhead_pct",
-            "measured_pct": measured["disabled_overhead_pct"],
-            "ceiling_pct": OBS_OVERHEAD_CEILING_PCT,
-            "noop_span_ns": measured["noop_span_ns"],
-            "status": "ok" if ok else "REGRESSED",
-        }
-    )
-    if not ok:
-        failures.append(
-            f"obs disabled_overhead_pct: {measured['disabled_overhead_pct']}% >= "
-            f"ceiling {OBS_OVERHEAD_CEILING_PCT}% of a KiNETGAN epoch"
-        )
-
-    identical = bool(measured["history_bit_identical"])
-    rows.append(
-        {
-            "metric": "history_bit_identical",
-            "measured": identical,
-            "status": "ok" if identical else "REGRESSED",
-        }
-    )
-    if not identical:
-        failures.append(
-            "obs history_bit_identical: the traced training run diverged from "
-            "the untraced one -- instrumentation touched an RNG stream"
-        )
-
-    if bench_serving.RESULT_PATH.exists():
-        serving_slo = json.loads(bench_serving.RESULT_PATH.read_text())["metrics"].get(
-            "latency_slo"
-        )
-        committed = json.loads(bench_obs.RESULT_PATH.read_text())["metrics"].get(
-            "latency_slo_instrumented"
-        )
-        if serving_slo and committed:
-            slacks = {"p50_ms": SERVING_P50_SLACK_MS, "p99_ms": SERVING_P99_SLACK_MS}
-            for key, slack in slacks.items():
-                ceiling = serving_slo[key] * (1.0 + tolerance) + slack
-                ok = committed[key] <= ceiling
-                rows.append(
-                    {
-                        "metric": f"instrumented_{key.removesuffix('_ms')}",
-                        "committed_ms": committed[key],
-                        "ceiling_ms": round(ceiling, 2),
-                        "status": "ok" if ok else "REGRESSED",
-                    }
-                )
-                if not ok:
-                    failures.append(
-                        f"obs instrumented {key}: committed {committed[key]}ms > "
-                        f"serving-SLO ceiling {ceiling:.1f}ms -- rerun "
-                        "`python -m benchmarks.run --suite obs`"
-                    )
-    return rows, failures
-
-
-def _format_bound_row(row: dict) -> str:
-    """One readable line for a byte-ceiling, ratio-floor or skipped gate row."""
-    if row["status"] == "skipped":
-        return f"  {row['metric']:26s} skipped ({row['reason']})"
-    if "measured_bytes" in row:
-        return (
-            f"  {row['metric']:26s} baseline {row['baseline_bytes']:,} B"
-            f"  now {row['measured_bytes']:,} B"
-            f"  (ceiling {row['ceiling']:,} B)  {row['status']}"
-        )
-    kind = "reduction" if "baseline_reduction" in row else "speedup"
-    return (
-        f"  {row['metric']:26s} baseline {row['baseline_' + kind]:>7.2f}x"
-        f"  now {row['measured_' + kind]:>7.2f}x"
-        f"  (floor {row['floor']}x)  {row['status']}"
-    )
-
-
-def _run_smoke(tolerance: float, as_json: bool = False) -> int:
-    """Re-measure every gated entry and compare with the committed trajectories.
-
-    Timing noise, not regressions, is the dominant failure mode of short
-    windows on shared runners, so the wall-clock gates only fail if a
-    metric stays out of bounds after a retry.
-    """
-    runtime_comparison, runtime_failures = _smoke_runtime(tolerance)
-    training_comparison, training_failures = _smoke_training(tolerance)
-    faults_comparison, faults_failures = _smoke_faults(tolerance)
-    serving_comparison, serving_failures = _smoke_serving(tolerance)
-    obs_comparison, obs_failures = _smoke_obs(tolerance)
-    failures = (runtime_failures + training_failures + faults_failures
-                + serving_failures + obs_failures)
-
-    document = {
-        "benchmark": "bench-smoke",
-        "tolerance": tolerance,
-        "runtime_comparison": runtime_comparison,
-        "training_comparison": training_comparison,
-        "faults_comparison": faults_comparison,
-        "serving_comparison": serving_comparison,
-        "obs_comparison": obs_comparison,
-        "failures": failures,
-        "ok": not failures,
-    }
-    if as_json:
-        json.dump(document, sys.stdout, indent=2)
-        print()
-    else:
-        print(f"[bench:smoke] tolerance {tolerance:.0%}")
-        print(f"[bench:smoke] runtime trajectory ({default_worker_count()} usable cpus)")
-        for row in runtime_comparison:
-            print(_format_bound_row(row))
-        print("[bench:smoke] training trajectory")
-        for row in training_comparison:
-            print(_format_bound_row(row))
-        print("[bench:smoke] fault-tolerance trajectory")
-        for row in faults_comparison:
-            if row["metric"] == "round_completion":
-                print(
-                    f"  {row['metric']:26s} completion {row['measured_rate']:.2%}"
-                    f"  (committed {row['baseline_rate']:.2%}, exact)  {row['status']}"
-                )
-            elif row["metric"] == "replay_determinism":
-                print(
-                    f"  {row['metric']:26s} max |diff| {row['measured_max_abs_diff']:.1e}"
-                    f"  (must be bit-identical)  {row['status']}"
-                )
-            else:
-                print(
-                    f"  {row['metric']:26s} overhead {row['measured_overhead_seconds']:.3f}s"
-                    f"  (ceiling {row['ceiling_seconds']}s)  {row['status']}"
-                )
-        print("[bench:smoke] serving latency SLO (HTTP burst)")
-        for row in serving_comparison:
-            if "measured_ms" in row:
-                print(
-                    f"  {row['metric']:26s} {row['measured_ms']}ms"
-                    f"  (committed {row['baseline_ms']}ms, "
-                    f"ceiling {row['ceiling_ms']}ms)  {row['status']}"
-                )
-            else:
-                print(f"  {row['metric']:26s} {row.get('measured')}  {row['status']}")
-        print("[bench:smoke] observability plane")
-        for row in obs_comparison:
-            if row["metric"] == "disabled_overhead_pct":
-                print(
-                    f"  {row['metric']:26s} {row['measured_pct']:.4f}%"
-                    f"  (ceiling {row['ceiling_pct']}%, "
-                    f"noop span {row['noop_span_ns']}ns)  {row['status']}"
-                )
-            elif row["metric"] == "history_bit_identical":
-                print(
-                    f"  {row['metric']:26s} {row['measured']}"
-                    f"  (traced vs untraced training)  {row['status']}"
-                )
-            else:
-                print(
-                    f"  {row['metric']:26s} {row['committed_ms']}ms"
-                    f"  (ceiling {row['ceiling_ms']}ms)  {row['status']}"
-                )
-        if failures:
-            print("[bench:smoke] FAILED (after retry with longer windows):")
-            for failure in failures:
-                print(f"  - {failure}")
+    def check(self, committed, measured) -> dict:
+        bound = self.bound(committed)
+        if self.kind == CEILING:
+            ok = measured <= bound
+        elif self.kind == FLOOR:
+            ok = measured >= bound
         else:
-            print("[bench:smoke] ok - no gated metric regressed beyond tolerance")
-    return 1 if failures else 0
+            ok = measured == bound
+        return {
+            "suite": self.suite,
+            "row": f"{self.entry}.{self.key}",
+            "kind": self.kind,
+            "probe": self.probe.name,
+            "committed": committed,
+            "measured": measured,
+            "bound": bound,
+            "ok": bool(ok),
+        }
+
+
+def evaluate(gates: Sequence[Gate], committed: dict[str, dict]) -> list[dict]:
+    """Check every row against ``committed[suite]``, one probe at a time.
+
+    A probe's rows are judged together on one attempt: the first attempt
+    in which all of them hold, or else the last attempt.
+    """
+    results: list[dict] = []
+    for probe in dict.fromkeys(gate.probe for gate in gates):
+        rows = [gate for gate in gates if gate.probe is probe]
+        for attempt, measure in enumerate(probe.attempts, start=1):
+            measured = measure()
+            checked = [
+                gate.check(
+                    committed[gate.suite][gate.entry][gate.key], measured[gate.entry][gate.key]
+                )
+                for gate in rows
+            ]
+            if all(row["ok"] for row in checked):
+                break
+        for row in checked:
+            row["attempt"] = f"{attempt}/{len(probe.attempts)}"
+        results.extend(checked)
+    return results
+
+
+# --------------------------------------------------------------------------- #
+# Smoke probes.  The serving and observability probes train smaller models
+# than the full suites; request latency only gets easier with a smaller
+# generator, and the overhead bound is nanoseconds over an epoch measured
+# in milliseconds, so the committed bounds stay valid upper bounds.
+# --------------------------------------------------------------------------- #
+TRANSPORT = Probe(
+    "1 metered round",
+    (lambda: {"transport_bytes_per_round": bench_runtime.measure_transport_bytes(rounds=1)},),
+)
+DTYPE_TRANSPORT = Probe(
+    "1 metered round per dtype",
+    (lambda: {"transport_bytes_float32": bench_runtime.measure_dtype_transport(rounds=1)},),
+)
+OVERLAP = Probe(
+    "blocked tasks", (lambda: {"latency_overlap": bench_runtime.measure_latency_overlap()},) * 2
+)
+ARENA = Probe("arena step", (bench_training.measure_arena,))
+PRECISION = Probe(
+    "float32 vs float64 epochs",
+    (
+        lambda: bench_training.measure_precision(groups=2, reps=2),
+        bench_training.measure_precision,
+    ),
+)
+COMMITTED_TRAINING = Probe("committed record", (lambda: committed_metrics("training"),))
+COMPLETION = Probe(
+    "seeded rounds", (lambda: {"round_completion": bench_faults.measure_round_completion()},)
+)
+REPLAY = Probe(
+    "straggler replay",
+    (lambda: {"replay_determinism": bench_faults.measure_replay_determinism()},),
+)
+RECOVERY = Probe(
+    "injected faults", (lambda: {"recovery_latency": bench_faults.measure_recovery_latency()},) * 2
+)
+HTTP = Probe(
+    "HTTP burst, 600-row model",
+    (lambda: {"latency_slo": bench_serving.measure_latency_slo(rows=600, epochs=2)},) * 2,
+)
+OVERHEAD = Probe(
+    "400-row fits",
+    (lambda: {"epoch_overhead": bench_obs.measure_epoch_overhead(rows=400, epochs=2)},),
+)
+TRACED_HTTP = Probe(
+    "traced HTTP burst, 600-row model",
+    (
+        lambda: {
+            "latency_slo_instrumented": bench_obs.measure_instrumented_http(rows=600, epochs=2)
+        },
+    )
+    * 2,
+)
+
+# --------------------------------------------------------------------------- #
+# The gate table.  Latency ceilings carry an absolute slack on top of the
+# 30% band: process respawn, deadline abandonment and loopback HTTP are
+# scheduler-bound, so a pure ratio would flake on shared runners.
+# --------------------------------------------------------------------------- #
+GATES: tuple[Gate, ...] = (
+    Gate(
+        "runtime",
+        "transport_bytes_per_round",
+        "resident_delta_bytes_per_round",
+        TRANSPORT,
+        CEILING,
+        0.30,
+    ),
+    Gate(
+        "runtime", "transport_bytes_per_round", "resident_install_bytes", TRANSPORT, CEILING, 0.30
+    ),
+    Gate("runtime", "transport_bytes_float32", "reduction", DTYPE_TRANSPORT, FLOOR, 0.30, 1.5),
+    Gate("runtime", "latency_overlap", "speedup", OVERLAP, FLOOR, 0.30, 1.0),
+    Gate("training", "step_allocations", "now_bytes", ARENA, CEILING, 0.30),
+    Gate("training", "step_allocations_large_batch", "now_bytes", ARENA, CEILING, 0.30),
+    Gate("training", "neural_step_allocations", "now_bytes", ARENA, CEILING, 0.30),
+    Gate("training", "full_step_allocations", "now_bytes", ARENA, CEILING, 0.30),
+    Gate("training", "codec_roundtrip", "single_copy_fast_path", ARENA, EXACT, None, True),
+    Gate("training", "float32_epoch", "speedup", PRECISION, FLOOR, 0.30, 1.0),
+    Gate("training", "float32_step_allocations", "speedup", PRECISION, FLOOR, 0.30, 1.0),
+    # The precision tier's acceptance bar: the recorded float32 speedup.
+    Gate("training", "float32_epoch", "speedup", COMMITTED_TRAINING, FLOOR, None, 1.2),
+    Gate("faults", "round_completion", "rounds_completed", COMPLETION, EXACT, 0.0),
+    Gate("faults", "round_completion", "clients_dropped", COMPLETION, EXACT, 0.0),
+    Gate("faults", "round_completion", "task_completion_rate", COMPLETION, EXACT, 0.0),
+    Gate("faults", "round_completion", "dropped_per_round", COMPLETION, EXACT, 0.0),
+    Gate("faults", "replay_determinism", "bit_identical", REPLAY, EXACT, None, True),
+    Gate(
+        "faults",
+        "recovery_latency",
+        "crash_recovery_overhead_seconds",
+        RECOVERY,
+        CEILING,
+        0.30,
+        1.0,
+    ),
+    Gate("faults", "recovery_latency", "crash_unrecovered_tasks", RECOVERY, EXACT, None, 0),
+    Gate(
+        "faults",
+        "recovery_latency",
+        "straggler_recovery_overhead_seconds",
+        RECOVERY,
+        CEILING,
+        0.30,
+        1.0,
+    ),
+    Gate("faults", "recovery_latency", "straggler_unrecovered_tasks", RECOVERY, EXACT, None, 0),
+    Gate("serving", "latency_slo", "p50_ms", HTTP, CEILING, 0.30, 250.0),
+    Gate("serving", "latency_slo", "p99_ms", HTTP, CEILING, 0.30, 500.0),
+    Gate("serving", "latency_slo", "rejected", HTTP, EXACT, None, 0),
+    Gate("obs", "epoch_overhead", "disabled_overhead_pct", OVERHEAD, CEILING, None, 1.0),
+    Gate("obs", "epoch_overhead", "history_bit_identical", OVERHEAD, EXACT, None, True),
+    Gate("obs", "latency_slo_instrumented", "p50_ms", TRACED_HTTP, CEILING, 0.30, 250.0),
+    Gate("obs", "latency_slo_instrumented", "p99_ms", TRACED_HTTP, CEILING, 0.30, 500.0),
+    Gate("obs", "latency_slo_instrumented", "rejected", TRACED_HTTP, EXACT, None, 0),
+)
+
+_OPERATORS = {CEILING: "<=", FLOOR: ">=", EXACT: "=="}
+
+
+def _show(value) -> str:
+    if isinstance(value, float) and abs(value) < 1.0:
+        return f"{value:.4g}"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return f"{value:,.3f}".rstrip("0").rstrip(".")
+    return str(value)
+
+
+def format_rows(results: Sequence[dict]) -> str:
+    """The text table: one line per row, grouped by suite, then a verdict."""
+    lines: list[str] = []
+    width = max((len(row["row"]) for row in results), default=0)
+    suite = None
+    for row in results:
+        if row["suite"] != suite:
+            suite = row["suite"]
+            lines.append(f"[bench:{suite}] {trajectory_path(suite).name}")
+        lines.append(
+            f"  {row['row']:{width}s} {_show(row['measured']):>12} {_OPERATORS[row['kind']]}"
+            f" {_show(row['bound']):<12} committed {_show(row['committed']):<12}"
+            f" {'ok' if row['ok'] else 'FAILED':6s} {row['probe']}, attempt {row['attempt']}"
+        )
+    failed = [f"{row['suite']} {row['row']}" for row in results if not row["ok"]]
+    if failed:
+        lines.append(f"[bench] FAILED: {', '.join(failed)}")
+    else:
+        lines.append(f"[bench] ok: all {len(results)} rows hold")
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m benchmarks.run", description=__doc__
+    parser = argparse.ArgumentParser(prog="python -m benchmarks.run", description=__doc__)
+    parser.add_argument(
+        "--json", action="store_true", help="print the rows (and documents) as JSON"
     )
-    parser.add_argument("--json", action="store_true",
-                        help="print the full benchmark document(s) as JSON")
-    parser.add_argument("--suite",
-                        choices=("runtime", "serving", "training", "faults", "obs", "all"),
-                        default="training",
-                        help="which benchmark suite to run (default %(default)s)")
-    parser.add_argument("--rows", type=int, default=bench_training.BENCH_ROWS,
-                        help="lab-IoT rows for the training suite (default %(default)s)")
-    parser.add_argument("--no-write", action="store_true",
-                        help="do not rewrite the BENCH_*.json trajectory files")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI gate: quick re-measure vs the committed "
-                             "BENCH_*.json trajectories; never writes")
-    parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional regression in smoke "
-                             "mode (default %(default)s)")
+    parser.add_argument(
+        "--suite",
+        choices=(*SUITES, "all"),
+        default="training",
+        help="which benchmark suite to run (default %(default)s)",
+    )
+    parser.add_argument(
+        "--no-write", action="store_true", help="do not rewrite the BENCH_*.json trajectory files"
+    )
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="CI gate: quick re-measure of every row; never writes",
+    )
     args = parser.parse_args(argv)
 
-    if args.smoke:
-        return _run_smoke(args.tolerance, as_json=args.json)
-
+    committed = {suite: committed_metrics(suite) for suite in SUITES}
     documents: dict[str, dict] = {}
-    if args.suite in ("runtime", "all"):
-        document = bench_runtime.run_runtime_bench()
-        documents["runtime"] = document
-        if not args.no_write:
-            bench_runtime.write_results(document)
-    if args.suite in ("serving", "all"):
-        document = bench_serving.run_serving_bench()
-        documents["serving"] = document
-        if not args.no_write:
-            bench_serving.write_results(document)
-    if args.suite in ("training", "all"):
-        document = bench_training.run_training_bench(rows=args.rows)
-        documents["training"] = document
-        if not args.no_write:
-            bench_training.write_results(document)
-    if args.suite in ("faults", "all"):
-        document = bench_faults.run_faults_bench()
-        documents["faults"] = document
-        if not args.no_write:
-            bench_faults.write_results(document)
-    if args.suite in ("obs", "all"):
-        document = bench_obs.run_obs_bench()
-        documents["obs"] = document
-        if not args.no_write:
-            bench_obs.write_results(document)
+    gates: list[Gate] = []
+    if args.smoke:
+        gates = list(GATES)
+    else:
+        for suite in SUITES if args.suite == "all" else (args.suite,):
+            document = documents[suite] = SUITES[suite]()
+            full_run = Probe(f"full {suite} run", (lambda metrics=document["metrics"]: metrics,))
+            gates += [replace(gate, probe=full_run) for gate in GATES if gate.suite == suite]
+    results = evaluate(gates, committed)
+    ok = all(row["ok"] for row in results)
 
     if args.json:
-        payload = documents if len(documents) > 1 else next(iter(documents.values()))
-        json.dump(payload, sys.stdout, indent=2)
+        json.dump({"suites": documents, "rows": results, "ok": ok}, sys.stdout, indent=2)
         print()
     else:
-        for name, document in documents.items():
-            if name == "runtime":
-                print(bench_runtime.format_results(document))
-                if not args.no_write:
-                    print(f"[bench:runtime] wrote {bench_runtime.RESULT_PATH}")
-            elif name == "serving":
-                print(bench_serving.format_results(document))
-                if not args.no_write:
-                    print(f"[bench:serving] wrote {bench_serving.RESULT_PATH}")
-            elif name == "faults":
-                print(bench_faults.format_results(document))
-                if not args.no_write:
-                    print(f"[bench:faults] wrote {bench_faults.RESULT_PATH}")
-            elif name == "obs":
-                print(bench_obs.format_results(document))
-                if not args.no_write:
-                    print(f"[bench:obs] wrote {bench_obs.RESULT_PATH}")
-            else:
-                print(bench_training.format_results(document))
-                if not args.no_write:
-                    print(f"[bench:training] wrote {bench_training.RESULT_PATH}")
-    return 0
+        print(format_rows(results))
+    if not args.no_write:
+        for suite, document in documents.items():
+            trajectory_path(suite).write_text(json.dumps(document, indent=2) + "\n")
+            if not args.json:
+                print(f"[bench:{suite}] wrote {trajectory_path(suite)}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

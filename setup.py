@@ -1,8 +1,5 @@
-"""Setuptools shim.
-
-The canonical metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` also works in fully offline environments whose
-setuptools/wheel combination cannot build PEP-660 editable wheels.
+"""Package metadata: ``pip install -e .``, or ``pip install -e ".[test]"``
+for the test dependencies (``pytest``, ``hypothesis``).
 """
 
 from setuptools import find_packages, setup
@@ -18,4 +15,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
+    extras_require={"test": ["pytest", "hypothesis"]},
 )

@@ -140,10 +140,6 @@ class SecureAggregationSession:
         """Mask and record a client's update."""
         self._masked[client_id] = self.mask_update(client_id, update)
 
-    @property
-    def n_submitted(self) -> int:
-        return len(self._masked)
-
     def aggregate(self) -> StateDict:
         """Sum of all submitted updates (masks cancel); requires all clients."""
         missing = [cid for cid in self.client_ids if cid not in self._masked]

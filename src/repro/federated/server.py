@@ -237,10 +237,6 @@ class FederatedServer:
         indices = self.rng.choice(len(self.clients), size=count, replace=False)
         return sorted(int(i) for i in indices)
 
-    def select_clients(self) -> list[FederatedClient]:
-        """Sample the participants of one round."""
-        return [self.clients[i] for i in self._select_indices()]
-
     def _ensure_transport(self) -> _ResidentTransport:
         """Install clients / codec / buffers on the first round."""
         if self._transport_state is None:

@@ -136,16 +136,6 @@ class DomainCatalog:
                 return spec
         raise KeyError(f"no device named {name!r}")
 
-    def device_by_ip(self, ip: str) -> DeviceSpec | None:
-        for spec in self.devices:
-            if spec.ip == ip:
-                return spec
-        return None
-
-    @property
-    def device_ips(self) -> list[str]:
-        return [d.ip for d in self.devices]
-
     @property
     def event_names(self) -> list[str]:
         return [e.name for e in self.all_events()]

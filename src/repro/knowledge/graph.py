@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import networkx as nx
 
@@ -57,10 +57,6 @@ class KnowledgeGraph:
     def add_type(self, subject: str, class_name: str) -> Triple:
         """Assert ``subject rdf:type class_name``."""
         return self.add_triple(subject, RDF_TYPE, class_name)
-
-    def add_triples(self, triples: Iterable[tuple[str, str, object]]) -> None:
-        for subject, predicate, obj in triples:
-            self.add_triple(subject, predicate, obj)
 
     @staticmethod
     def _object_key(obj: object) -> str:
@@ -133,10 +129,6 @@ class KnowledgeGraph:
         if subject not in self._graph:
             return 0
         return self._graph.degree(subject)
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """The underlying networkx graph (a live reference, not a copy)."""
-        return self._graph
 
     # ------------------------------------------------------------------ #
     # Serialisation

@@ -198,9 +198,6 @@ class KGReasoner:
     def valid_destination_ips(self, event_name: str) -> set[str]:
         return set(self.constraints(event_name).destination_ips)
 
-    def valid_destination_ports(self, event_name: str) -> set[int]:
-        return set(self.constraints(event_name).destination_ports)
-
     def destination_port_range(self, event_name: str) -> tuple[int, int] | None:
         return self.constraints(event_name).destination_port_range
 

@@ -42,10 +42,6 @@ class Loss:
         return self.forward(prediction, target)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-
 class BinaryCrossEntropy(Loss):
     """Binary cross entropy.
 

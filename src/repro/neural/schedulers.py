@@ -44,10 +44,6 @@ class Scheduler:
     def compute_lr(self, step: int) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    @property
-    def current_lr(self) -> float:
-        return float(self.optimizer.lr)
-
 
 class StepDecay(Scheduler):
     """Multiply the learning rate by ``gamma`` every ``step_size`` steps."""

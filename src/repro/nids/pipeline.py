@@ -92,12 +92,6 @@ class UtilityResult:
             return float("nan")
         return float(np.mean([m["accuracy"] for m in self.per_classifier.values()]))
 
-    @property
-    def mean_f1(self) -> float:
-        if not self.per_classifier:
-            return float("nan")
-        return float(np.mean([m["f1"] for m in self.per_classifier.values()]))
-
     def as_row(self) -> dict[str, float | str]:
         row: dict[str, float | str] = {"source": self.source}
         for name, metrics in self.per_classifier.items():

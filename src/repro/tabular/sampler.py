@@ -292,10 +292,6 @@ class ConditionSampler:
         """Admissible values of a conditional attribute."""
         return list(self._categories[column])
 
-    def category_index(self, column: str) -> dict:
-        """Cached ``{value: code}`` lookup for a conditional attribute."""
-        return self._category_index[column]
-
     def condition_offset(self, column: str) -> int:
         """Start index of ``column``'s one-hot block inside C."""
         return self._offsets[column]

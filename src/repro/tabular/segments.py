@@ -153,14 +153,6 @@ class BlockLayout:
                 return candidates
         return self.argmax_matrix(matrix)
 
-    def one_hot_from_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Exact one-hot gathered region from block-local winner indices."""
-        rows = codes.shape[0]
-        out = np.zeros((rows, self.total), dtype=np.float64)
-        flat = self.starts[None, :] + codes
-        out[np.arange(rows)[:, None], flat] = 1.0
-        return out
-
     @staticmethod
     def _scratch_buffer(
         scratch: dict | None,

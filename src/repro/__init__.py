@@ -34,8 +34,9 @@ Top-level convenience re-exports cover the most common entry points:
 * :mod:`repro.runtime` -- the serial / process-pool executors the multi-node
   layers run on; seeded parallel runs are bit-identical to serial ones.
 * :mod:`repro.serve` -- versioned model artifacts (``save_model`` /
-  ``load_model`` with bit-identical reload sampling) and the micro-batching
-  ``SamplingService`` over an LRU model registry.
+  ``load_model`` with bit-identical reload sampling), the ``ServingPool``
+  every served request runs through (in-process or behind the HTTP
+  ``SamplingHTTPServer``) and chunked ``sample_stream``.
 * :mod:`repro.cli` -- ``python -m repro {datasets, generate, save, sample,
   serve, evaluate, federated, distributed}``, including the engine knobs
   ``--log-every``, ``--patience`` and ``--checkpoint-dir`` on ``generate``

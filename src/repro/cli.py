@@ -17,8 +17,8 @@ Nine commands cover the common workflows without writing any code:
       sample from a saved artifact *without retraining* (streamed to CSV in
       bounded-memory chunks; ``--condition attr=value`` fixes attributes);
 * ``python -m repro serve --artifact artifacts/kinetgan --requests 32``
-      run the batched sampling service over one or more artifacts and
-      report request-batching throughput; with ``--http`` it instead
+      run a burst of sampling requests over one or more artifacts through
+      the serving pool and report throughput; with ``--http`` it instead
       serves them over HTTP (``POST /sample``, ``GET /health``,
       ``GET /artifacts``) with a bounded admission queue, per-artifact
       concurrency limits, request deadlines and graceful drain (see
@@ -68,11 +68,11 @@ from repro.runtime import resolve_executor
 from repro.serve import (
     ArtifactError,
     ModelArtifact,
-    SampleRequest,
     SamplingHTTPServer,
-    SamplingService,
     ServingPool,
     fetch_json,
+    load_model,
+    sample_stream,
     save_model,
 )
 from repro.tabular.split import train_test_split
@@ -265,7 +265,7 @@ def _parse_conditions(pairs: list[str] | None) -> dict | None:
 def cmd_sample(args: argparse.Namespace) -> int:
     artifact = ModelArtifact.open(args.artifact)
     print(f"Loading {artifact.model_class} artifact from {artifact.directory} ...")
-    service = SamplingService(capacity=1, chunk_rows=args.chunk_rows)
+    model = load_model(artifact.directory)
     conditions = _parse_conditions(args.condition)
     output = Path(args.output)
     started = time.perf_counter()
@@ -273,8 +273,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     with open(output, "w", newline="") as handle:
         writer = csv.writer(handle)
         header_written = False
-        for chunk in service.sample_stream(
-            args.artifact, args.samples, conditions=conditions, seed=args.seed
+        for chunk in sample_stream(
+            model, args.samples, conditions, seed=args.seed, chunk_rows=args.chunk_rows
         ):
             if not header_written:
                 writer.writerow(chunk.schema.names)
@@ -300,13 +300,18 @@ def _validate_artifacts(paths: list[str]) -> None:
         raise SystemExit("cannot serve:\n  " + "\n  ".join(problems))
 
 
-def _serve_http(args: argparse.Namespace) -> int:
-    """``repro serve --http``: the network front-end (Ctrl-C drains)."""
-    with ServingPool(
+def _serving_pool(args: argparse.Namespace) -> ServingPool:
+    """The pool ``repro serve`` samples through, in-process or over HTTP."""
+    return ServingPool(
         {str(path): path for path in args.artifact},
         executor=args.workers,
         task_retries=args.retries,
-    ) as pool:
+    )
+
+
+def _serve_http(args: argparse.Namespace) -> int:
+    """``repro serve --http``: the network front-end (Ctrl-C drains)."""
+    with _serving_pool(args) as pool:
         server = SamplingHTTPServer(
             pool,
             host=args.host,
@@ -351,31 +356,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
     _validate_artifacts(args.artifact)
     if args.http:
         return _serve_http(args)
-    service = SamplingService(capacity=max(args.capacity, len(args.artifact)))
-    print(f"Warming {len(args.artifact)} artifact(s) "
-          f"(workers={args.workers}) ...")
-    service.warm(args.artifact, executor=args.workers)
     requests = [
-        SampleRequest(
-            artifact=str(args.artifact[i % len(args.artifact)]),
-            n=args.request_rows,
-            seed=args.seed + i,
-        )
+        (str(args.artifact[i % len(args.artifact)]), args.request_rows, None, args.seed + i)
         for i in range(args.requests)
     ]
-    started = time.perf_counter()
-    with service:
-        futures = [service.submit(request) for request in requests]
-        tables = [future.result() for future in futures]
-    elapsed = time.perf_counter() - started
-    rows = sum(table.n_rows for table in tables)
+    print(f"Loading {len(args.artifact)} artifact(s) (workers={args.workers}) ...")
+    with _serving_pool(args) as pool:
+        started = time.perf_counter()
+        results = pool.sample_batch(requests, timeout=args.request_deadline)
+        elapsed = time.perf_counter() - started
+    failures = [result.failure for result in results if result.failure is not None]
+    if failures:
+        raise SystemExit(f"{len(failures)} request(s) failed; first: {failures[0].message}")
+    rows = sum(result.value.n_rows for result in results)
     print(f"Served {len(requests)} requests / {rows} rows in {elapsed:.2f}s "
           f"({rows / elapsed if elapsed else float('inf'):,.0f} rows/s, "
           f"{len(requests) / elapsed if elapsed else float('inf'):,.1f} req/s)")
-    print(f"  generator passes : {service.stats.generator_passes} "
-          f"(micro-batched from {service.stats.requests} requests)")
-    print(f"  registry         : {service.registry.hits} hits, "
-          f"{service.registry.misses} misses, {service.registry.evictions} evictions")
     return 0
 
 
@@ -548,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fix a conditional attribute for every row (repeatable)")
 
     serve = subparsers.add_parser(
-        "serve", help="run the batched sampling service over saved artifacts"
+        "serve", help="serve sampling requests from saved artifacts"
     )
     serve.add_argument("--artifact", action="append", required=True,
                        help="artifact directory to serve (repeatable)")
@@ -556,8 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling requests to serve")
     serve.add_argument("--request-rows", type=_positive_int, default=256,
                        dest="request_rows", help="rows per request")
-    serve.add_argument("--capacity", type=_positive_int, default=4,
-                       help="LRU model-registry capacity")
     serve.add_argument("--seed", type=int, default=0,
                        help="base seed; request i samples with seed + i")
     serve.add_argument("--http", action="store_true",

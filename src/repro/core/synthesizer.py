@@ -133,7 +133,7 @@ class KiNETGAN(Synthesizer):
         rng = rng if rng is not None else sampling_rng(self.config.seed)
         condition_matrix = self.sample_conditions(n, conditions, rng)
         assert self.trainer is not None and self.transformer is not None
-        return self.transformer.decode(*self.trainer.share_codes([(condition_matrix, rng)]))
+        return self.transformer.decode(*self.trainer.share_codes(condition_matrix, rng))
 
     def sample_conditions(
         self, n: int, conditions: dict | None, rng: np.random.Generator

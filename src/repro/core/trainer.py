@@ -24,7 +24,7 @@ keeps the public :class:`TrainingHistory` record format stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -364,7 +364,7 @@ class KiNETGANTrainer:
             conditions = self.sampler.empirical_conditions(n, rng)
         if conditions.shape[0] != n:
             raise ValueError("conditions batch size does not match n")
-        winners, scalars = self.share_codes([(conditions, rng)])
+        winners, scalars = self.share_codes(conditions, rng)
         layout = self.transformer.softmax_layout()
         matrix = np.zeros((n, self.transformer.output_dim))
         matrix[:, self.transformer.tanh_columns()] = scalars
@@ -372,29 +372,28 @@ class KiNETGANTrainer:
         return matrix
 
     def share_codes(
-        self, parts: Sequence[tuple[np.ndarray, np.random.Generator]]
+        self, condition: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Winners and float64 tanh columns of a whole share, ready for
         :meth:`DataTransformer.decode` (see :meth:`iter_share_blocks`)."""
-        rows = sum(len(condition) for condition, _ in parts)
+        rows = len(condition)
         winners = np.empty((rows, self.transformer.softmax_layout().n_blocks), dtype=np.intp)
         scalars = np.empty((rows, self.transformer.tanh_columns().size))
-        for start, stop, block_winners, block_scalars in self.iter_share_blocks(parts):
+        for start, stop, block_winners, block_scalars in self.iter_share_blocks(condition, rng):
             winners[start:stop] = block_winners
             scalars[start:stop] = block_scalars
         return winners, scalars
 
     def iter_share_blocks(
-        self, parts: Sequence[tuple[np.ndarray, np.random.Generator]]
+        self, condition: np.ndarray, rng: np.random.Generator
     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """The blocked share step: ``(start, stop, winners, scalars)`` per block.
 
-        ``parts`` stacks ``(condition_matrix, rng)`` pairs, one per request.
-        Each block draws its rows' noise from their part's rng (chunked
-        normal draws are stream-identical to one draw) and runs the eval
-        forward up to the logits.  The winners are the soft output's
-        per-block argmax, ties to the lowest index -- exactly what hardening
-        the eval forward picks -- without building that output:
+        Each block draws its rows' noise from ``rng`` (chunked normal draws
+        are stream-identical to one draw) and runs the eval forward up to
+        the logits of ``condition``'s rows.  The winners are the soft
+        output's per-block argmax, ties to the lowest index -- exactly what
+        hardening the eval forward picks -- without building that output:
         :meth:`BlockLayout.softmax_argmax` takes each winner from the logits
         where a margin of ``2**10`` ulps proves it is the soft argmax, and
         runs the softmax only on the rows it cannot prove.  The scalars are
@@ -403,15 +402,7 @@ class KiNETGANTrainer:
         layout = self.transformer.softmax_layout()
         tanh_columns = self.transformer.tanh_columns()
         tau = self.generator.activation.tau
-        conditions = [condition for condition, _ in parts]
-        condition = conditions[0] if len(parts) == 1 else np.concatenate(conditions)
-        bounds = np.cumsum([0] + [len(c) for c in conditions])
         for start, stop in share_blocks(len(condition)):
-            noise = [
-                rng.normal(size=(min(stop, high) - max(start, low), self.config.embedding_dim))
-                for (_, rng), low, high in zip(parts, bounds[:-1], bounds[1:])
-                if low < stop and start < high
-            ]
-            noise = noise[0] if len(noise) == 1 else np.concatenate(noise)
+            noise = rng.normal(size=(stop - start, self.config.embedding_dim))
             logits = self.generator.logits(noise, condition[start:stop])
             yield start, stop, layout.softmax_argmax(logits, tau), np.tanh(logits[:, tanh_columns])

@@ -131,7 +131,7 @@ class FederatedKiNETGANSite:
     def sample(self, n: int, rng: np.random.Generator) -> Table:
         """Synthetic rows generated locally from the current weights."""
         condition = self.sampler.empirical_conditions(n, rng)
-        return self.transformer.decode(*self.trainer.share_codes([(condition, rng)]))
+        return self.transformer.decode(*self.trainer.share_codes(condition, rng))
 
     # ------------------------------------------------------------------ #
     # The mutable cross-round trainer state: everything a round changes

@@ -1,4 +1,4 @@
-"""Model serving: versioned artifacts, a batched sampling service, HTTP.
+"""Model serving: versioned artifacts, one serving pool, HTTP.
 
 The training layers produce fitted synthesizers; this package makes them
 *durable*, *servable* and *reachable over the network*:
@@ -13,17 +13,16 @@ The training layers produce fitted synthesizers; this package makes them
   The contract:
   ``load_model(save_model(m)).sample(n, seed)`` is bit-identical to
   ``m.sample(n, seed)``, in-process and across processes.
-* :mod:`repro.serve.service` -- :class:`SamplingService`, which loads
-  artifacts into an LRU :class:`ModelRegistry` (optionally warmed in
-  parallel over :mod:`repro.runtime` executors), micro-batches concurrent
-  ``sample(n, conditions)`` requests through the blocked share step and
-  one decode, and streams large requests in bounded-memory chunks.
-* :mod:`repro.serve.server` -- the HTTP front-end:
-  :class:`SamplingHTTPServer` over a :class:`ServingPool` of executor
-  workers sharing one resident copy of each model, with a bounded
-  admission queue (429 + ``Retry-After``), per-artifact concurrency
-  limits, request deadlines and graceful drain.  :func:`request_samples`
-  is the matching stdlib client.
+* :mod:`repro.serve.server` -- :class:`ServingPool`, the one serving
+  path: executor workers sharing one resident copy of each model.
+  ``repro serve`` runs its requests through it in-process, and the HTTP
+  front-end :class:`SamplingHTTPServer` runs each admitted request
+  through it behind a bounded admission queue (429 + ``Retry-After``),
+  per-artifact concurrency limits, request deadlines and graceful drain.
+  :func:`request_samples` is the matching stdlib client.
+* :mod:`repro.serve.service` -- :func:`sample_stream`, which yields a
+  loaded model's large sample in bounded-memory chunks (``repro
+  sample``).
 
 Exposed on the CLI as ``repro save``, ``repro sample --artifact`` and
 ``repro serve [--http]``.  Documentation: ``docs/serving.md`` (operator
@@ -46,17 +45,14 @@ from repro.serve.server import (
     fetch_json,
     request_samples,
 )
-from repro.serve.service import ModelRegistry, SampleRequest, SamplingService
+from repro.serve.service import sample_stream
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
     "SUPPORTED_FORMAT_VERSIONS",
     "ArtifactError",
     "ModelArtifact",
-    "ModelRegistry",
-    "SampleRequest",
     "SamplingHTTPServer",
-    "SamplingService",
     "ServingPool",
     "StateCodecError",
     "StateDecodeError",
@@ -65,5 +61,6 @@ __all__ = [
     "load_model",
     "model_registry",
     "request_samples",
+    "sample_stream",
     "save_model",
 ]

@@ -23,13 +23,14 @@ second host can request synthetic traffic.  Three pieces:
   serves everything already queued, then exits).
 * :func:`request_samples` / :func:`fetch_json` -- a tiny stdlib client.
 
-Determinism contract, unchanged from the in-process service: the rows of a
-response depend only on ``(artifact, n, conditions, seed)``.  A client on
-localhost receives samples **bit-identical** to ``model.sample(n, seed)``
-in-process -- continuous columns ride as base64 little-endian float64
-bytes (exact for every bit pattern), categorical values are JSON-native
-strings/ints (see :func:`table_to_wire`) -- enforced by
-``tests/serve/test_server.py``.
+Determinism contract: the rows of a response depend only on ``(artifact,
+n, conditions, seed)``.  A client on localhost receives samples
+**bit-identical** to ``model.sample(n, seed)`` in-process -- continuous
+columns ride as base64 little-endian float64 bytes (exact for every bit
+pattern), categorical values are JSON-native strings/ints (see
+:func:`table_to_wire`) -- enforced by ``tests/serve/test_server.py``.
+``repro serve`` without ``--http`` runs its requests through the same
+:meth:`ServingPool.sample_batch`.
 
 Operator documentation (knobs, capacity planning, runbook) lives in
 ``docs/serving.md``.
@@ -54,7 +55,7 @@ import numpy as np
 from repro.engine import sampling_rng
 from repro.obs import MetricsRegistry, default_registry
 from repro.runtime import Executor, TaskPolicy, resolve_executor
-from repro.serve.artifact import ArtifactError, ModelArtifact, load_model
+from repro.serve.artifact import ModelArtifact, load_model
 from repro.tabular.schema import ColumnSpec, TableSchema
 from repro.tabular.table import Table
 
@@ -145,52 +146,18 @@ def table_from_wire(document: dict) -> Table:
 # --------------------------------------------------------------------------- #
 # The serving pool
 # --------------------------------------------------------------------------- #
-def _unbind_step_workspaces(model: object) -> None:
-    """Detach single-stream step workspaces from every network in ``model``.
-
-    A fitted model's networks carry a bound
-    :class:`~repro.neural.workspace.Workspace` -- recycled scratch buffers
-    that make the *training* hot loop allocation-free but are only safe for
-    one forward pass at a time.  A resident serving model is sampled by
-    several worker threads concurrently, so the pool walks the model's
-    object graph and unbinds each ``Sequential`` before installing it
-    (see :meth:`repro.neural.network.Sequential.unbind_workspace`); the
-    allocating forward paths it falls back to are bit-identical.
-    """
-    from repro.neural.network import Sequential
-
-    seen: set[int] = set()
-    stack = [model]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Sequential):
-            node.unbind_workspace()
-            continue
-        if isinstance(node, dict):
-            stack.extend(node.values())
-        elif isinstance(node, (list, tuple)):
-            stack.extend(node)
-        else:
-            state = getattr(node, "__dict__", None)
-            if isinstance(state, dict):
-                stack.extend(state.values())
-
-
 def _pool_sample_task(payload: tuple):
     """Executor work unit: sample from a resident model.
 
-    ``payload`` is ``(state_ref, n, conditions, seed, default_seed)``.  The
-    model rides as a :class:`~repro.runtime.StateRef` -- resolved (and
-    cached) worker-side, so steady-state tasks ship only the ref and the
-    request parameters, never the model.
+    ``payload`` is ``(state_ref, n, conditions, seed)``.  The model rides
+    as a :class:`~repro.runtime.StateRef` -- resolved (and cached)
+    worker-side, so steady-state tasks ship only the ref and the request
+    parameters, never the model.  ``seed=None`` leaves the model on its
+    own sampling seed, exactly like ``model.sample(n)``.
     """
-    state_ref, n, conditions, seed, default_seed = payload
-    model = state_ref.resolve()
-    rng = sampling_rng(seed if seed is not None else default_seed)
-    return model.sample(n, conditions=conditions, rng=rng)
+    state_ref, n, conditions, seed = payload
+    rng = sampling_rng(seed) if seed is not None else None
+    return state_ref.resolve().sample(n, conditions=conditions, rng=rng)
 
 
 class ServingPool:
@@ -228,19 +195,21 @@ class ServingPool:
         self.task_retries = task_retries
         self.manifests: OrderedDict[str, dict] = OrderedDict()
         self._refs: dict[str, object] = {}
-        self._default_seeds: dict[str, int] = {}
+        self._samplers: dict[str, object] = {}
         self._aliases: dict[str, str] = {}
         try:
             for name, path in items:
                 artifact = ModelArtifact.open(path)
                 model = load_model(path)
-                _unbind_step_workspaces(model)
+                # A step workspace is single-stream scratch, and thread-pool
+                # workers sample one resident model concurrently; the
+                # allocating paths the networks fall back to are
+                # bit-identical (see Sequential.unbind_workspace).
+                for network in model.artifact_networks().values():
+                    network.unbind_workspace()
                 self.manifests[name] = dict(artifact.manifest)
                 self._refs[name] = self.executor.install(model)
-                config = getattr(model, "config", None)
-                self._default_seeds[name] = (
-                    config.seed if config is not None else getattr(model, "seed", 0)
-                )
+                self._samplers[name] = getattr(model, "sampler", None)
             # Aliases: the artifact's directory path (as given and resolved)
             # plus its basename when unambiguous, so clients can address a
             # model by name or by path interchangeably.
@@ -270,6 +239,22 @@ class ServingPool:
             return artifact
         return self._aliases.get(artifact)
 
+    def check_conditions(self, artifact: str, conditions: dict) -> None:
+        """Raise ``ValueError`` naming the first column of ``conditions``
+        that ``artifact`` (a canonical key) cannot condition on: an unknown
+        column, a value outside the column's categories, or any column at
+        all on an unconditional model."""
+        sampler = self._samplers[artifact]
+        for name, value in conditions.items():
+            if sampler is None:
+                raise ValueError(f"condition {name!r}: {artifact!r} takes no conditions")
+            try:
+                sampler.vector_from_values({name: value})
+            except KeyError:
+                raise ValueError(f"unknown condition column {name!r}") from None
+            except (TypeError, ValueError):
+                raise ValueError(f"condition {name!r}: {value!r} is not a category") from None
+
     def sample_batch(
         self,
         requests: list[tuple[str, int, dict | None, int | None]],
@@ -290,9 +275,7 @@ class ServingPool:
             key = self.resolve_name(artifact)
             if key is None:
                 raise KeyError(artifact)
-            payloads.append(
-                (self._refs[key], n, conditions, seed, self._default_seeds[key])
-            )
+            payloads.append((self._refs[key], n, conditions, seed))
         policy = TaskPolicy(timeout=timeout, retries=self.task_retries)
         return self.executor.map_tasks(_pool_sample_task, payloads, policy)
 
@@ -604,8 +587,9 @@ class SamplingHTTPServer:
         """Validate a parsed ``/sample`` body and enqueue it, or raise.
 
         Raises :class:`_HTTPError` 503 while draining, 400 for invalid
-        fields, 404 for unknown artifacts and 429 (with ``Retry-After``)
-        when the admission queue is full.
+        fields (``conditions`` included, checked against the artifact's
+        condition vocabulary), 404 for unknown artifacts and 429 (with
+        ``Retry-After``) when the admission queue is full.
         """
         if self._draining.is_set():
             raise _HTTPError(503, "server is draining; not admitting new requests")
@@ -630,6 +614,11 @@ class SamplingHTTPServer:
         if conditions is not None and not isinstance(conditions, dict):
             self.stats.bump("invalid")
             raise _HTTPError(400, "'conditions' must be an object or null")
+        try:
+            self.pool.check_conditions(key, conditions or {})
+        except ValueError as error:
+            self.stats.bump("invalid")
+            raise _HTTPError(400, str(error))
         seed = body.get("seed")
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             self.stats.bump("invalid")

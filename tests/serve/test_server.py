@@ -24,10 +24,13 @@ import pytest
 
 from repro.core import KiNETGAN, KiNETGANConfig
 from repro.engine import sampling_rng
+from repro.baselines import TVAE, IndependentSampler, TableGAN
+from repro.neural.network import Sequential
 from repro.serve import (
     SamplingHTTPServer,
     ServingPool,
     fetch_json,
+    model_registry,
     request_samples,
     save_model,
 )
@@ -73,6 +76,38 @@ def served(kinetgan_artifact):
     with ServingPool({"kinetgan": kinetgan_artifact}, executor="thread:2") as pool:
         with SamplingHTTPServer(pool, queue_depth=16) as server:
             yield server.url, pool, server
+
+
+def fit_servable(name: str, bundle):
+    """A cheaply fitted model of the servable class ``name``."""
+    train = bundle.table.head(400)
+    if name == "IndependentSampler":
+        return IndependentSampler(seed=3).fit(train)
+    if name == "TVAE":
+        return TVAE(small_config(), latent_dim=8).fit(train)
+    if name == "TableGAN":
+        return TableGAN(small_config(), label_column=bundle.label_column).fit(train)
+    model = model_registry()[name](small_config())
+    if isinstance(model, KiNETGAN):
+        model.fit(train, catalog=bundle.catalog, condition_columns=bundle.condition_columns)
+        return model
+    return model.fit(train)
+
+
+@pytest.fixture(scope="module")
+def servable_artifact(lab_bundle_small, tmp_path_factory):
+    """``name -> directory`` of a saved model of each servable class,
+    fitted on first use."""
+    root = tmp_path_factory.mktemp("servable")
+    saved: dict[str, Path] = {}
+
+    def artifact(name: str) -> Path:
+        if name not in saved:
+            saved[name] = root / name
+            save_model(fit_servable(name, lab_bundle_small), saved[name])
+        return saved[name]
+
+    return artifact
 
 
 def assert_tables_identical(a, b) -> None:
@@ -281,7 +316,8 @@ class TestRequestValidation:
         assert "max_rows" in body["error"]
 
     def test_bad_conditions_answer_400(self, served):
-        """A sampling-time error (unknown condition column) maps to 400."""
+        """An unknown condition column is refused at admission with a 400
+        that names the column and no Python exception class."""
         url, _pool, _server = served
         status, _headers, body = raw_post(
             url,
@@ -290,7 +326,36 @@ class TestRequestValidation:
             ).encode(),
         )
         assert status == 400
-        assert "sampling failed" in body["error"]
+        assert "'no_such_column'" in body["error"]
+        assert "KeyError" not in body["error"]
+
+    @pytest.mark.parametrize("value", ["not_a_real_event", ["a", "list"]])
+    def test_unknown_condition_value_answers_400(self, served, value):
+        url, _pool, server = served
+        invalid = server.stats.snapshot()["invalid"]
+        status, _headers, body = raw_post(
+            url,
+            json.dumps(
+                {"artifact": "kinetgan", "n": 8, "conditions": {"event_type": value}}
+            ).encode(),
+        )
+        assert status == 400
+        assert "'event_type'" in body["error"]
+        assert "Error" not in body["error"]
+        assert server.stats.snapshot()["invalid"] == invalid + 1
+
+    def test_conditions_on_unconditional_model_answer_400(self, servable_artifact):
+        with ServingPool({"tvae": servable_artifact("TVAE")}) as pool:
+            with SamplingHTTPServer(pool) as server:
+                status, _headers, body = raw_post(
+                    server.url,
+                    json.dumps(
+                        {"artifact": "tvae", "n": 8, "conditions": {"event_type": "x"}}
+                    ).encode(),
+                )
+        assert status == 400
+        assert "'event_type'" in body["error"]
+        assert "Error" not in body["error"]
 
 
 class TestBackpressure:
@@ -457,14 +522,15 @@ class TestServingPool:
         assert results[0].failure is not None
         assert results[0].failure.cause == "timeout"
 
-    def test_resident_models_have_workspaces_unbound(self, kinetgan_artifact):
+    @pytest.mark.parametrize("name", sorted(model_registry()))
+    def test_resident_models_have_workspaces_unbound(self, servable_artifact, name):
         """Installed models carry no step workspace: the recycled scratch
         buffers are single-stream, and thread-pool workers sample the same
-        resident object concurrently."""
-        from repro.neural.network import Sequential
-
-        with ServingPool({"kinetgan": kinetgan_artifact}, executor="thread:2") as pool:
-            model = pool._refs["kinetgan"].resolve()
+        resident object concurrently.  The walk over the whole object graph
+        is the oracle for the pool's explicit ``artifact_networks()`` list:
+        a network the list missed would still be bound here."""
+        with ServingPool({name: servable_artifact(name)}, executor="thread:2") as pool:
+            model = pool._refs[name].resolve()
             stack, seen, networks = [model], set(), 0
             while stack:
                 node = stack.pop()
@@ -487,7 +553,9 @@ class TestServingPool:
                     stack.extend(node)
                 elif isinstance(getattr(node, "__dict__", None), dict):
                     stack.extend(vars(node).values())
-        assert networks >= 2  # generator + discriminator at minimum
+            assert networks >= len(model.artifact_networks())
+            (result,) = pool.sample_batch([(name, 32, None, 5)])
+        assert result.failure is None
 
     def test_concurrent_thread_sampling_stays_bit_identical(
         self, kinetgan_artifact, fitted_kinetgan

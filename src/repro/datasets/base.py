@@ -4,11 +4,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.knowledge.catalog import DomainCatalog
 from repro.tabular.schema import TableSchema
 from repro.tabular.table import Table
 
-__all__ = ["DatasetBundle"]
+__all__ = ["DatasetBundle", "clip_scalar", "mixture"]
+
+
+def clip_scalar(value, low, high) -> float:
+    """``float(np.clip(value, low, high))`` for one scalar, without numpy's call cost.
+
+    The simulators clip every drawn feature one record at a time, where the
+    ufunc dispatch of ``np.clip`` dominated their run time.  ``min``/``max``
+    return the same value and sign for NaN, infinities, signed zeros, integer
+    bounds and numpy integer inputs, so the seeded datasets stay bit-identical
+    (pinned by ``tests/datasets/test_golden.py``).
+    """
+    return float(min(max(value, low), high))
+
+
+def mixture(weights: dict) -> tuple[tuple, np.ndarray]:
+    """The keys of a ``{choice: weight}`` mapping and their normalised probabilities.
+
+    Resolved once per mapping so the per-record ``rng.choice(len(keys), p=p)``
+    receives the same ``p`` it was always given.
+    """
+    values = np.asarray([weights[key] for key in weights])
+    return tuple(weights), values / values.sum()
 
 
 @dataclass

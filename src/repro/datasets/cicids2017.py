@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datasets.base import DatasetBundle
+from repro.datasets.base import DatasetBundle, clip_scalar, mixture
 from repro.knowledge.catalog import AttackSpec, DomainCatalog, EventSpec
 from repro.tabular.schema import ColumnSpec, TableSchema
 from repro.tabular.table import Table
@@ -104,6 +104,15 @@ _CLASS_PROFILES: dict[str, tuple[float, float, float, float, float, float]] = {
     "Bot": (12.8, 6.0, 6.0, 120.0, 1.5, 0.2),
     "Web Attack": (13.2, 9.0, 9.0, 300.0, 2.0, 0.2),
     "Infiltration": (13.5, 10.0, 12.0, 350.0, 1.2, 0.2),
+}
+
+#: The benign destination ports and their normalised mixture.
+_BENIGN_PORT_CHOICE = mixture(_BENIGN_PORTS)
+
+#: Per class, the log-means of the forward and backward packet sizes.
+_LOG_PACKET_SIZES = {
+    label: (np.log(max(fwd_size, 1.0)), np.log(max(fwd_size * 1.4, 1.0)))
+    for label, (_, _, _, fwd_size, _, _) in _CLASS_PROFILES.items()
 }
 
 _ALL_DST_PORTS = tuple(sorted(
@@ -204,30 +213,28 @@ class CICIDS2017Generator:
     def _generate_record(self, label: str) -> dict:
         rng = self._rng
         if label == "BENIGN":
-            ports = list(_BENIGN_PORTS)
-            port_weights = np.asarray([_BENIGN_PORTS[p] for p in ports])
-            dst_port = int(ports[rng.choice(len(ports), p=port_weights / port_weights.sum())])
+            ports, port_p = _BENIGN_PORT_CHOICE
+            dst_port = int(ports[rng.choice(len(ports), p=port_p)])
             protocol = "UDP" if dst_port in (53, 123) else "TCP"
         else:
             ports, protocols = _ATTACK_RULES[label]
             dst_port = int(ports[rng.integers(0, len(ports))])
             protocol = protocols[rng.integers(0, len(protocols))]
 
-        (log_duration, fwd_mean, bwd_mean, fwd_size, rate_factor, syn_share) = (
-            _CLASS_PROFILES[label]
-        )
-        duration = float(np.clip(rng.lognormal(log_duration, 1.0), 1.0, 1.2e8))
-        fwd_packets = float(np.clip(rng.poisson(fwd_mean) + 1, 1, 20_000))
-        bwd_packets = float(np.clip(rng.poisson(bwd_mean), 0, 20_000))
-        fwd_length = float(np.clip(rng.lognormal(np.log(max(fwd_size, 1.0)), 0.5), 0, 3000))
-        bwd_length = float(np.clip(rng.lognormal(np.log(max(fwd_size * 1.4, 1.0)), 0.6), 0, 3000))
+        (log_duration, fwd_mean, bwd_mean, _, rate_factor, syn_share) = _CLASS_PROFILES[label]
+        log_fwd_size, log_bwd_size = _LOG_PACKET_SIZES[label]
+        duration = clip_scalar(rng.lognormal(log_duration, 1.0), 1.0, 1.2e8)
+        fwd_packets = clip_scalar(rng.poisson(fwd_mean) + 1, 1, 20_000)
+        bwd_packets = clip_scalar(rng.poisson(bwd_mean), 0, 20_000)
+        fwd_length = clip_scalar(rng.lognormal(log_fwd_size, 0.5), 0, 3000)
+        bwd_length = clip_scalar(rng.lognormal(log_bwd_size, 0.6), 0, 3000)
         total_packets = fwd_packets + bwd_packets
         total_bytes = fwd_packets * fwd_length + bwd_packets * bwd_length
         seconds = max(duration / 1.0e6, 1e-6)
-        flow_bytes_per_s = float(np.clip(total_bytes / seconds * rate_factor, 0, 1.0e8))
-        flow_packets_per_s = float(np.clip(total_packets / seconds * rate_factor, 0, 1.0e6))
-        iat_mean = float(np.clip(duration / max(total_packets, 1.0), 0, 1.0e8))
-        syn_flags = float(np.clip(rng.binomial(int(fwd_packets), syn_share), 0, 100))
+        flow_bytes_per_s = clip_scalar(total_bytes / seconds * rate_factor, 0, 1.0e8)
+        flow_packets_per_s = clip_scalar(total_packets / seconds * rate_factor, 0, 1.0e6)
+        iat_mean = clip_scalar(duration / max(total_packets, 1.0), 0, 1.0e8)
+        syn_flags = clip_scalar(rng.binomial(int(fwd_packets), syn_share), 0, 100)
 
         return {
             "dst_port": dst_port,
@@ -240,13 +247,15 @@ class CICIDS2017Generator:
             "flow_bytes_per_s": flow_bytes_per_s,
             "flow_packets_per_s": flow_packets_per_s,
             "flow_iat_mean": iat_mean,
-            "fwd_iat_mean": float(np.clip(duration / max(fwd_packets, 1.0), 0, 1.0e8)),
+            "fwd_iat_mean": clip_scalar(duration / max(fwd_packets, 1.0), 0, 1.0e8),
             "syn_flag_count": syn_flags,
-            "ack_flag_count": float(np.clip(total_packets * (0.8 if protocol == "TCP" else 0.0), 0, 20_000)),
+            "ack_flag_count": clip_scalar(
+                total_packets * (0.8 if protocol == "TCP" else 0.0), 0, 20_000
+            ),
             "rst_flag_count": float(rng.poisson(2.0)) if label == "PortScan" else float(rng.poisson(0.1)),
-            "average_packet_size": float(np.clip(total_bytes / max(total_packets, 1.0), 0, 3000)),
-            "active_mean": float(np.clip(rng.lognormal(10.0, 1.5), 0, 1.0e8)),
-            "idle_mean": float(np.clip(rng.lognormal(12.0, 1.8), 0, 1.0e8)),
+            "average_packet_size": clip_scalar(total_bytes / max(total_packets, 1.0), 0, 3000),
+            "active_mean": clip_scalar(rng.lognormal(10.0, 1.5), 0, 1.0e8),
+            "idle_mean": clip_scalar(rng.lognormal(12.0, 1.8), 0, 1.0e8),
             "traffic_class": label,
         }
 

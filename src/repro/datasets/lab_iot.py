@@ -23,10 +23,11 @@ what makes the knowledge-guided discriminator evaluable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.datasets.base import DatasetBundle
+from repro.datasets.base import DatasetBundle, clip_scalar
 from repro.knowledge.catalog import AttackSpec, DeviceSpec, DomainCatalog, EventSpec
 from repro.tabular.schema import ColumnSpec, TableSchema
 from repro.tabular.table import Table
@@ -300,7 +301,9 @@ class LabIoTSimulator:
         self.catalog = lab_iot_catalog()
         self.schema = lab_iot_schema()
         self._rng = np.random.default_rng(self.seed)
-        self._events = {spec.name: spec for spec in self.catalog.all_events()}
+        self._plans = {
+            spec.name: _event_plan(spec, self.catalog) for spec in self.catalog.all_events()
+        }
 
     # ------------------------------------------------------------------ #
     def generate(self, n_records: int = 14_520) -> Table:
@@ -320,7 +323,7 @@ class LabIoTSimulator:
 
     def generate_event_batch(self, event_name: str, count: int) -> Table:
         """Generate ``count`` records of a single event type (used by tests)."""
-        if event_name not in self._events:
+        if event_name not in self._plans:
             raise KeyError(f"unknown event {event_name!r}")
         records = [self._generate_event(event_name) for _ in range(count)]
         return Table.from_records(self.schema, records)
@@ -328,24 +331,18 @@ class LabIoTSimulator:
     # ------------------------------------------------------------------ #
     def _generate_event(self, event_name: str) -> dict:
         rng = self._rng
-        spec = self._events[event_name]
-        protocol = spec.protocols[rng.integers(0, len(spec.protocols))]
-        source_device = spec.source_devices[rng.integers(0, len(spec.source_devices))]
-        src_ip = _DEVICE_IP[source_device]
-        destination_ips = self.catalog.destination_ips_for(event_name)
-        dst_ip = destination_ips[rng.integers(0, len(destination_ips))]
-        dst_port = int(spec.destination_ports[rng.integers(0, len(spec.destination_ports))])
-        low, high = spec.source_port_range if spec.source_port_range else (1024, 65535)
-        src_port = float(rng.integers(low, high + 1))
+        plan = self._plans[event_name]
+        protocol = plan.protocols[rng.integers(0, len(plan.protocols))]
+        src_ip = plan.src_ips[rng.integers(0, len(plan.src_ips))]
+        dst_ip = plan.dst_ips[rng.integers(0, len(plan.dst_ips))]
+        dst_port = plan.dst_ports[rng.integers(0, len(plan.dst_ports))]
+        src_port = float(rng.integers(plan.src_port_low, plan.src_port_high + 1))
 
-        packets_mean, bytes_per_packet, log_duration = _EVENT_PROFILES[event_name]
-        packet_count = float(
-            np.clip(rng.lognormal(np.log(packets_mean), 0.6), 1, 100_000)
+        packet_count = clip_scalar(rng.lognormal(plan.log_packets, 0.6), 1, 100_000)
+        byte_count = clip_scalar(
+            packet_count * rng.lognormal(plan.log_bytes_per_packet, 0.4), 40, 5.0e7
         )
-        byte_count = float(
-            np.clip(packet_count * rng.lognormal(np.log(bytes_per_packet), 0.4), 40, 5.0e7)
-        )
-        duration_ms = float(np.clip(rng.lognormal(log_duration, 0.8), 0.1, 600_000))
+        duration_ms = clip_scalar(rng.lognormal(plan.log_duration, 0.8), 0.1, 600_000)
 
         return {
             "event_type": event_name,
@@ -357,8 +354,40 @@ class LabIoTSimulator:
             "packet_count": packet_count,
             "byte_count": byte_count,
             "duration_ms": duration_ms,
-            "label": EVENT_LABELS[event_name],
+            "label": plan.label,
         }
+
+
+class _EventPlan(NamedTuple):
+    """The per-event constants of one simulated record, resolved once."""
+
+    protocols: tuple[str, ...]
+    src_ips: tuple[str, ...]
+    dst_ips: tuple[str, ...]
+    dst_ports: tuple[int, ...]
+    src_port_low: int
+    src_port_high: int
+    log_packets: float
+    log_bytes_per_packet: float
+    log_duration: float
+    label: str
+
+
+def _event_plan(spec: EventSpec, catalog: DomainCatalog) -> _EventPlan:
+    low, high = spec.source_port_range if spec.source_port_range else (1024, 65535)
+    packets_mean, bytes_per_packet, log_duration = _EVENT_PROFILES[spec.name]
+    return _EventPlan(
+        protocols=tuple(spec.protocols),
+        src_ips=tuple(_DEVICE_IP[device] for device in spec.source_devices),
+        dst_ips=tuple(catalog.destination_ips_for(spec.name)),
+        dst_ports=tuple(int(port) for port in spec.destination_ports),
+        src_port_low=low,
+        src_port_high=high,
+        log_packets=np.log(packets_mean),
+        log_bytes_per_packet=np.log(bytes_per_packet),
+        log_duration=log_duration,
+        label=EVENT_LABELS[spec.name],
+    )
 
 
 def load_lab_iot(n_records: int = 14_520, seed: int = 7) -> DatasetBundle:

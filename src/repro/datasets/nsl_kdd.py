@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datasets.base import DatasetBundle
+from repro.datasets.base import DatasetBundle, clip_scalar, mixture
 from repro.knowledge.catalog import DomainCatalog, EventSpec
 from repro.tabular.schema import ColumnSpec, TableSchema
 from repro.tabular.table import Table
@@ -120,6 +120,9 @@ _CLASS_PROFILES: dict[str, tuple[float, float, float, float, float, float, float
     "r2l": (3.2, 5.8, 7.0, 2.0, 2.0, 0.01, 0.90),
     "u2r": (3.8, 5.2, 6.8, 1.5, 1.5, 0.01, 0.85),
 }
+
+#: Per class, the service names and their normalised mixture.
+_SERVICE_CHOICES = {label: mixture(mix) for label, mix in _CLASS_SERVICES.items()}
 
 _REDUCED_COLUMNS = [
     "duration", "protocol_type", "service", "flag", "src_bytes", "dst_bytes",
@@ -238,18 +241,13 @@ class NSLKDDGenerator:
             for _ in range(int(count)):
                 records.append(self._generate_record(label))
         self._rng.shuffle(records)
-        records = records[:n_records]
-        if self.reduced:
-            records = [{k: record[k] for k in _REDUCED_COLUMNS} for record in records]
-        return Table.from_records(self.schema, records)
+        return Table.from_records(self.schema, records[:n_records])
 
     # ------------------------------------------------------------------ #
     def _generate_record(self, label: str) -> dict:
         rng = self._rng
-        service_mix = _CLASS_SERVICES[label]
-        services = list(service_mix)
-        weights = np.asarray([service_mix[s] for s in services])
-        service = services[rng.choice(len(services), p=weights / weights.sum())]
+        services, service_p = _SERVICE_CHOICES[label]
+        service = services[rng.choice(len(services), p=service_p)]
         protocols = _SERVICE_RULES[service]
         protocol = protocols[rng.integers(0, len(protocols))]
 
@@ -266,17 +264,17 @@ class NSLKDDGenerator:
                 allowed_flags[rng.integers(0, len(allowed_flags))]
             )
 
-        duration = float(np.clip(rng.lognormal(log_duration, 1.2), 0.0, 60_000.0))
+        duration = clip_scalar(rng.lognormal(log_duration, 1.2), 0.0, 60_000.0)
         if label == "dos":
-            duration = float(np.clip(rng.exponential(0.5), 0.0, 10.0))
-        src_bytes = float(np.clip(rng.lognormal(log_src, 1.0), 0.0, 1.0e9))
-        dst_bytes = float(np.clip(rng.lognormal(log_dst, 1.3), 0.0, 1.0e9))
-        count = float(np.clip(rng.poisson(count_mean), 0, 511))
-        srv_count = float(np.clip(rng.poisson(srv_count_mean), 0, 511))
-        serror_rate = float(np.clip(rng.normal(serror, 0.08), 0.0, 1.0))
-        rerror_rate = float(np.clip(rng.normal(0.05 if label != "probe" else 0.3, 0.05), 0.0, 1.0))
-        same_srv_rate = float(np.clip(rng.normal(same_srv, 0.08), 0.0, 1.0))
-        diff_srv_rate = float(np.clip(1.0 - same_srv_rate + rng.normal(0.0, 0.05), 0.0, 1.0))
+            duration = clip_scalar(rng.exponential(0.5), 0.0, 10.0)
+        src_bytes = clip_scalar(rng.lognormal(log_src, 1.0), 0.0, 1.0e9)
+        dst_bytes = clip_scalar(rng.lognormal(log_dst, 1.3), 0.0, 1.0e9)
+        count = clip_scalar(rng.poisson(count_mean), 0, 511)
+        srv_count = clip_scalar(rng.poisson(srv_count_mean), 0, 511)
+        serror_rate = clip_scalar(rng.normal(serror, 0.08), 0.0, 1.0)
+        rerror_rate = clip_scalar(rng.normal(0.05 if label != "probe" else 0.3, 0.05), 0.0, 1.0)
+        same_srv_rate = clip_scalar(rng.normal(same_srv, 0.08), 0.0, 1.0)
+        diff_srv_rate = clip_scalar(1.0 - same_srv_rate + rng.normal(0.0, 0.05), 0.0, 1.0)
         logged_in = 1 if (label in ("normal", "r2l", "u2r") and rng.uniform() < 0.7) else 0
 
         record = {
@@ -293,10 +291,10 @@ class NSLKDDGenerator:
             "rerror_rate": rerror_rate,
             "same_srv_rate": same_srv_rate,
             "diff_srv_rate": diff_srv_rate,
-            "dst_host_count": float(np.clip(rng.poisson(count_mean * 0.6) + 1, 1, 255)),
-            "dst_host_srv_count": float(np.clip(rng.poisson(srv_count_mean * 0.5) + 1, 1, 255)),
-            "dst_host_same_srv_rate": float(np.clip(rng.normal(same_srv, 0.1), 0.0, 1.0)),
-            "dst_host_serror_rate": float(np.clip(rng.normal(serror, 0.1), 0.0, 1.0)),
+            "dst_host_count": clip_scalar(rng.poisson(count_mean * 0.6) + 1, 1, 255),
+            "dst_host_srv_count": clip_scalar(rng.poisson(srv_count_mean * 0.5) + 1, 1, 255),
+            "dst_host_same_srv_rate": clip_scalar(rng.normal(same_srv, 0.1), 0.0, 1.0),
+            "dst_host_serror_rate": clip_scalar(rng.normal(serror, 0.1), 0.0, 1.0),
             "label": label,
         }
         if self.reduced:
@@ -320,15 +318,15 @@ class NSLKDDGenerator:
                 "num_outbound_cmds": 0.0,
                 "is_host_login": 0,
                 "is_guest_login": 1 if (label == "r2l" and rng.uniform() < 0.3) else 0,
-                "srv_serror_rate": float(np.clip(rng.normal(serror, 0.08), 0.0, 1.0)),
-                "srv_rerror_rate": float(np.clip(rng.normal(0.05, 0.05), 0.0, 1.0)),
-                "srv_diff_host_rate": float(np.clip(rng.normal(0.1, 0.08), 0.0, 1.0)),
-                "dst_host_diff_srv_rate": float(np.clip(rng.normal(1.0 - same_srv, 0.1), 0.0, 1.0)),
-                "dst_host_same_src_port_rate": float(np.clip(rng.normal(0.5, 0.2), 0.0, 1.0)),
-                "dst_host_srv_diff_host_rate": float(np.clip(rng.normal(0.1, 0.08), 0.0, 1.0)),
-                "dst_host_srv_serror_rate": float(np.clip(rng.normal(serror, 0.1), 0.0, 1.0)),
-                "dst_host_rerror_rate": float(np.clip(rng.normal(0.05, 0.05), 0.0, 1.0)),
-                "dst_host_srv_rerror_rate": float(np.clip(rng.normal(0.05, 0.05), 0.0, 1.0)),
+                "srv_serror_rate": clip_scalar(rng.normal(serror, 0.08), 0.0, 1.0),
+                "srv_rerror_rate": clip_scalar(rng.normal(0.05, 0.05), 0.0, 1.0),
+                "srv_diff_host_rate": clip_scalar(rng.normal(0.1, 0.08), 0.0, 1.0),
+                "dst_host_diff_srv_rate": clip_scalar(rng.normal(1.0 - same_srv, 0.1), 0.0, 1.0),
+                "dst_host_same_src_port_rate": clip_scalar(rng.normal(0.5, 0.2), 0.0, 1.0),
+                "dst_host_srv_diff_host_rate": clip_scalar(rng.normal(0.1, 0.08), 0.0, 1.0),
+                "dst_host_srv_serror_rate": clip_scalar(rng.normal(serror, 0.1), 0.0, 1.0),
+                "dst_host_rerror_rate": clip_scalar(rng.normal(0.05, 0.05), 0.0, 1.0),
+                "dst_host_srv_rerror_rate": clip_scalar(rng.normal(0.05, 0.05), 0.0, 1.0),
             }
         )
         return record

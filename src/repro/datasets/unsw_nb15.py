@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datasets.base import DatasetBundle
+from repro.datasets.base import DatasetBundle, clip_scalar, mixture
 from repro.knowledge.catalog import DomainCatalog, EventSpec
 from repro.tabular.schema import ColumnSpec, TableSchema
 from repro.tabular.table import Table
@@ -117,6 +117,9 @@ _CATEGORY_SERVICES: dict[str, dict[str, float]] = {
     "Shellcode": {"http": 0.30, "-": 0.70},
     "Worms": {"http": 0.45, "smtp": 0.25, "-": 0.30},
 }
+
+#: Per category, the service names and their normalised mixture.
+_SERVICE_CHOICES = {category: mixture(mix) for category, mix in _CATEGORY_SERVICES.items()}
 
 #: Per-category continuous profiles:
 #: (duration log-mean, sbytes log-mean, dbytes log-mean, spkts mean, sttl mean)
@@ -255,33 +258,30 @@ class UNSWNB15Generator:
             for _ in range(int(count)):
                 records.append(self._generate_record(category))
         self._rng.shuffle(records)
-        records = records[:n_records] if len(records) > n_records else records
-        if self.reduced:
-            records = [{k: record[k] for k in _REDUCED_COLUMNS} for record in records]
-        return Table.from_records(self.schema, records)
+        return Table.from_records(self.schema, records[:n_records])
 
     # ------------------------------------------------------------------ #
     def _generate_record(self, category: str) -> dict:
         rng = self._rng
-        service_mix = _CATEGORY_SERVICES[category]
-        services = list(service_mix)
-        service_weights = np.asarray([service_mix[s] for s in services])
-        service = services[rng.choice(len(services), p=service_weights / service_weights.sum())]
+        services, service_p = _SERVICE_CHOICES[category]
+        service = services[rng.choice(len(services), p=service_p)]
         protocols, ports = _SERVICE_RULES[service]
         proto = protocols[rng.integers(0, len(protocols))]
         state = _PROTO_STATES[proto][rng.integers(0, len(_PROTO_STATES[proto]))]
         dsport = int(ports[rng.integers(0, len(ports))])
 
         log_dur, log_sbytes, log_dbytes, spkts_mean, sttl_mean = _CATEGORY_PROFILES[category]
-        dur = float(np.clip(rng.lognormal(log_dur, 1.0), 0.0, 3600.0))
-        sbytes = float(np.clip(rng.lognormal(log_sbytes, 1.0), 0.0, 1.0e7))
-        dbytes = float(np.clip(rng.lognormal(log_dbytes, 1.2), 0.0, 1.0e7))
-        spkts = float(np.clip(rng.poisson(spkts_mean) + 1, 1, 10_000))
-        dpkts = float(np.clip(rng.poisson(max(spkts_mean * 0.8, 1.0)) + (1 if dbytes > 0 else 0), 0, 10_000))
-        sttl = float(np.clip(rng.normal(sttl_mean, 4.0), 0, 255))
-        dttl = float(np.clip(rng.normal(sttl_mean * 0.5 + 30.0, 6.0), 0, 255))
-        smeansz = float(np.clip(sbytes / max(spkts, 1.0), 0, 1500))
-        dmeansz = float(np.clip(dbytes / max(dpkts, 1.0), 0, 1500))
+        dur = clip_scalar(rng.lognormal(log_dur, 1.0), 0.0, 3600.0)
+        sbytes = clip_scalar(rng.lognormal(log_sbytes, 1.0), 0.0, 1.0e7)
+        dbytes = clip_scalar(rng.lognormal(log_dbytes, 1.2), 0.0, 1.0e7)
+        spkts = clip_scalar(rng.poisson(spkts_mean) + 1, 1, 10_000)
+        dpkts = clip_scalar(
+            rng.poisson(max(spkts_mean * 0.8, 1.0)) + (1 if dbytes > 0 else 0), 0, 10_000
+        )
+        sttl = clip_scalar(rng.normal(sttl_mean, 4.0), 0, 255)
+        dttl = clip_scalar(rng.normal(sttl_mean * 0.5 + 30.0, 6.0), 0, 255)
+        smeansz = clip_scalar(sbytes / max(spkts, 1.0), 0, 1500)
+        dmeansz = clip_scalar(dbytes / max(dpkts, 1.0), 0, 1500)
 
         record = {
             "proto": proto,
@@ -312,23 +312,23 @@ class UNSWNB15Generator:
                 "dstip": _DST_IPS[rng.integers(0, len(_DST_IPS))],
                 "sloss": float(rng.poisson(1.0) if is_tcp else 0.0),
                 "dloss": float(rng.poisson(0.6) if is_tcp else 0.0),
-                "sload": float(np.clip(sbytes * 8.0 / max(dur, 1e-3), 0, 1.0e9)),
-                "dload": float(np.clip(dbytes * 8.0 / max(dur, 1e-3), 0, 1.0e9)),
+                "sload": clip_scalar(sbytes * 8.0 / max(dur, 1e-3), 0, 1.0e9),
+                "dload": clip_scalar(dbytes * 8.0 / max(dur, 1e-3), 0, 1.0e9),
                 "swin": swin,
                 "dwin": swin,
                 "stcpb": float(rng.uniform(0, 4.2e9)) if is_tcp else 0.0,
                 "dtcpb": float(rng.uniform(0, 4.2e9)) if is_tcp else 0.0,
                 "trans_depth": float(rng.integers(0, 3)) if service == "http" else 0.0,
                 "res_bdy_len": float(rng.lognormal(5.0, 1.5)) if service == "http" else 0.0,
-                "sjit": float(np.clip(rng.lognormal(2.0, 1.5), 0, 1.0e5)),
-                "djit": float(np.clip(rng.lognormal(1.5, 1.5), 0, 1.0e5)),
+                "sjit": clip_scalar(rng.lognormal(2.0, 1.5), 0, 1.0e5),
+                "djit": clip_scalar(rng.lognormal(1.5, 1.5), 0, 1.0e5),
                 "stime": stime,
                 "ltime": stime + dur,
-                "sintpkt": float(np.clip(dur * 1000.0 / max(spkts, 1.0), 0, 1.0e4)),
-                "dintpkt": float(np.clip(dur * 1000.0 / max(dpkts, 1.0), 0, 1.0e4)),
-                "tcprtt": float(np.clip(rng.lognormal(-3.0, 1.0), 0, 10)) if is_tcp else 0.0,
-                "synack": float(np.clip(rng.lognormal(-3.5, 1.0), 0, 10)) if is_tcp else 0.0,
-                "ackdat": float(np.clip(rng.lognormal(-3.8, 1.0), 0, 10)) if is_tcp else 0.0,
+                "sintpkt": clip_scalar(dur * 1000.0 / max(spkts, 1.0), 0, 1.0e4),
+                "dintpkt": clip_scalar(dur * 1000.0 / max(dpkts, 1.0), 0, 1.0e4),
+                "tcprtt": clip_scalar(rng.lognormal(-3.0, 1.0), 0, 10) if is_tcp else 0.0,
+                "synack": clip_scalar(rng.lognormal(-3.5, 1.0), 0, 10) if is_tcp else 0.0,
+                "ackdat": clip_scalar(rng.lognormal(-3.8, 1.0), 0, 10) if is_tcp else 0.0,
                 "is_sm_ips_ports": 0,
                 "ct_state_ttl": float(rng.integers(0, 7)),
                 "ct_flw_http_mthd": float(rng.integers(0, 5)) if service == "http" else 0.0,

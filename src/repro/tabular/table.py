@@ -72,13 +72,12 @@ class Table:
         columns: dict[str, np.ndarray] = {}
         n = len(records)
         for name in schema.names:
-            values = np.empty(n, dtype=object)
             try:
-                for i, record in enumerate(records):
-                    values[i] = record[name]
+                columns[name] = np.fromiter(
+                    (record[name] for record in records), dtype=object, count=n
+                )
             except KeyError:
                 raise KeyError(f"record missing column {name!r}") from None
-            columns[name] = values
         return cls(schema, columns)
 
     @classmethod

@@ -110,14 +110,13 @@ class KiNETGANStep(TrainStep):
         self.trainer = trainer
         self.real_matrix = real_matrix
         # Real rows never change across a fit, so their exact KG validity
-        # and KG-column codes are computed once here instead of once per
-        # step; each step then just gathers by the sampled row indices.
+        # and KG-column codes are computed once per table instead of once
+        # per step; each step then just gathers by the sampled row indices.
         self._kg_valid: np.ndarray | None = None
         self._kg_rows: KGRows | None = None
         kg = trainer.kg_discriminator
         if kg is not None and kg.head is not None:
-            self._kg_valid = kg.hard_scores(table)
-            self._kg_rows = kg.kg_rows(table)
+            self._kg_valid, self._kg_rows = trainer.kg_arrays(table)
 
     def step(self, rng: np.random.Generator, batch_index: int) -> dict[str, float]:
         trainer = self.trainer
@@ -227,6 +226,31 @@ class KiNETGANTrainer:
         self._bce_targets: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self.history = TrainingHistory()
         self.engine: TrainingEngine | None = None
+        self._kg_cache: tuple[Table, np.ndarray, KGRows] | None = None
+
+    def __getstate__(self) -> dict:
+        # The KG arrays are a pure function of the table and are rebuilt on
+        # the first fit after unpickling, so installs never ship them.
+        state = self.__dict__.copy()
+        del state["_kg_cache"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _kg_cache=None)
+
+    def kg_arrays(self, table: Table) -> tuple[np.ndarray, KGRows]:
+        """Exact KG validity and KG-column rows of ``table``, memoized per table.
+
+        A federated site fits the same table object every round, so its
+        rows are scored once per process instead of once per round.
+        Tables are immutable, so the identity check is a complete key.
+        """
+        cached = self._kg_cache
+        if cached is None or cached[0] is not table:
+            kg = self.kg_discriminator
+            cached = (table, kg.hard_scores(table), kg.kg_rows(table))
+            self._kg_cache = cached
+        return cached[1], cached[2]
 
     # ------------------------------------------------------------------ #
     def fit(self, table: Table) -> TrainingHistory:

@@ -50,13 +50,24 @@ def sample_stream(
     rng = sampling_rng(seed if seed is not None else model.config.seed)
     condition = model.sample_conditions(n, conditions, rng)
     transformer = model.transformer
-    winners = np.empty((0, transformer.softmax_layout().n_blocks), dtype=np.intp)
-    scalars = np.empty((0, transformer.tanh_columns().size))
-    for _, stop, block_winners, block_scalars in model.trainer.iter_share_blocks(condition, rng):
-        winners = np.concatenate([winners, block_winners])
-        scalars = np.concatenate([scalars, block_scalars])
-        # Full chunks as they complete; the last block flushes the rest.
-        while len(winners) >= chunk_rows or (stop == n and len(winners)):
-            rows = min(chunk_rows, len(winners))
-            yield transformer.decode(winners[:rows], scalars[:rows])
-            winners, scalars = winners[rows:], scalars[rows:]
+    n_blocks, n_scalars = transformer.softmax_layout().n_blocks, transformer.tanh_columns().size
+    # Each block's rows are copied once into the chunk buffers they fall in;
+    # a chunk is decoded as soon as its last row is written.
+    blocks = model.trainer.iter_share_blocks(condition, rng)
+    chunk_start, winners, scalars = 0, None, None
+    for start, stop, block_winners, block_scalars in blocks:
+        row = start
+        while row < stop:
+            if winners is None:
+                size = min(chunk_rows, n - chunk_start)
+                winners = np.empty((size, n_blocks), dtype=np.intp)
+                scalars = np.empty((size, n_scalars))
+            end = min(stop, chunk_start + len(winners))
+            into = slice(row - chunk_start, end - chunk_start)
+            out_of = slice(row - start, end - start)
+            winners[into] = block_winners[out_of]
+            scalars[into] = block_scalars[out_of]
+            row = end
+            if end - chunk_start == len(winners):
+                yield transformer.decode(winners, scalars)
+                chunk_start, winners = end, None

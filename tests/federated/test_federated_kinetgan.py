@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.config import KiNETGANConfig
+from repro.core.trainer import KiNETGANTrainer
 from repro.federated.dp import DPFedAvgConfig
 from repro.federated.kinetgan import FederatedKiNETGAN
 from repro.federated.partition import label_skew_partition
+from repro.knowledge.reasoner import KGReasoner
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +44,23 @@ def fed_setup(lab_bundle_small, tiny_config):
     for i, part in enumerate(parts):
         fed.add_site(f"site-{i}", part)
     return fed, table
+
+
+def _three_site_fed(lab_bundle_small, tiny_config, fraction, seed=5):
+    table = lab_bundle_small.table.head(400)
+    rng = np.random.default_rng(2)
+    parts = label_skew_partition(table, "label", 3, rng, skew=0.3, min_rows=20)
+    fed = FederatedKiNETGAN(
+        reference_table=table.head(150),
+        config=tiny_config,
+        catalog=lab_bundle_small.catalog,
+        condition_columns=lab_bundle_small.condition_columns,
+        seed=seed,
+        client_fraction=fraction,
+    )
+    for i, part in enumerate(parts):
+        fed.add_site(f"site-{i}", part)
+    return fed
 
 
 class TestSetup:
@@ -115,24 +136,8 @@ class TestTraining:
                     client_fraction=bad,
                 )
 
-    def _fraction_fed(self, lab_bundle_small, tiny_config, fraction, seed=5):
-        table = lab_bundle_small.table.head(400)
-        rng = np.random.default_rng(2)
-        parts = label_skew_partition(table, "label", 3, rng, skew=0.3, min_rows=20)
-        fed = FederatedKiNETGAN(
-            reference_table=table.head(150),
-            config=tiny_config,
-            catalog=lab_bundle_small.catalog,
-            condition_columns=lab_bundle_small.condition_columns,
-            seed=seed,
-            client_fraction=fraction,
-        )
-        for i, part in enumerate(parts):
-            fed.add_site(f"site-{i}", part)
-        return fed
-
     def test_client_fraction_subsamples_sites_per_round(self, lab_bundle_small, tiny_config):
-        fed = self._fraction_fed(lab_bundle_small, tiny_config, fraction=0.5)
+        fed = _three_site_fed(lab_bundle_small, tiny_config, fraction=0.5)
         rounds = fed.run(num_rounds=3, local_epochs=1)
         all_ids = {site.site_id for site in fed.sites}
         for round_info in rounds:
@@ -140,8 +145,8 @@ class TestTraining:
             assert set(round_info.participants) <= all_ids
 
     def test_client_fraction_selection_is_seeded(self, lab_bundle_small, tiny_config):
-        fed_a = self._fraction_fed(lab_bundle_small, tiny_config, fraction=0.5, seed=5)
-        fed_b = self._fraction_fed(lab_bundle_small, tiny_config, fraction=0.5, seed=5)
+        fed_a = _three_site_fed(lab_bundle_small, tiny_config, fraction=0.5, seed=5)
+        fed_b = _three_site_fed(lab_bundle_small, tiny_config, fraction=0.5, seed=5)
         rounds_a = fed_a.run(num_rounds=2, local_epochs=1)
         rounds_b = fed_b.run(num_rounds=2, local_epochs=1)
         assert [r.participants for r in rounds_a] == [r.participants for r in rounds_b]
@@ -155,7 +160,7 @@ class TestTraining:
     ):
         """At the default fraction the coordinator RNG stream is untouched,
         so seeded runs recorded before the knob existed replay exactly."""
-        fed = self._fraction_fed(lab_bundle_small, tiny_config, fraction=1.0)
+        fed = _three_site_fed(lab_bundle_small, tiny_config, fraction=1.0)
         before = fed.rng.bit_generator.state
         selected = fed._select_sites()
         assert selected == [0, 1, 2]
@@ -177,3 +182,55 @@ class TestTraining:
             fed.add_site(f"s{i}", part)
         round_info = fed.run_round(local_epochs=1)
         assert round_info.epsilon is not None and round_info.epsilon > 0.0
+
+
+class TestSiteKGCache:
+    """A site's real-row KG arrays are scored once, not once per round."""
+
+    def _run(self, lab_bundle_small, tiny_config, rounds=3):
+        fed = _three_site_fed(lab_bundle_small, tiny_config, fraction=1.0)
+        for _ in range(rounds):
+            fed.run_round(local_epochs=1)
+        return fed
+
+    def test_each_site_table_scored_once_across_rounds(
+        self, lab_bundle_small, tiny_config, monkeypatch
+    ):
+        scored = []
+        validity_mask = KGReasoner.validity_mask
+
+        def spy(reasoner, table_or_columns):
+            scored.append(table_or_columns)
+            return validity_mask(reasoner, table_or_columns)
+
+        monkeypatch.setattr(KGReasoner, "validity_mask", spy)
+        fed = self._run(lab_bundle_small, tiny_config)
+        assert len(fed.rounds) == 3
+        assert len(scored) == fed.n_sites
+        assert [id(table) for table in scored] == [id(site.table) for site in fed.sites]
+
+    def test_cached_rounds_match_uncached_rounds(
+        self, lab_bundle_small, tiny_config, monkeypatch
+    ):
+        cached = self._run(lab_bundle_small, tiny_config)
+
+        def uncached(trainer, table):
+            kg = trainer.kg_discriminator
+            return kg.hard_scores(table), kg.kg_rows(table)
+
+        monkeypatch.setattr(KiNETGANTrainer, "kg_arrays", uncached)
+        fresh = self._run(lab_bundle_small, tiny_config)
+        for site_a, site_b in zip(cached.sites, fresh.sites):
+            assert site_a.trainer.history == site_b.trainer.history
+        for state_a, state_b in zip(cached.global_states(), fresh.global_states()):
+            for key in state_a:
+                np.testing.assert_array_equal(state_a[key], state_b[key])
+
+    def test_cache_stays_out_of_pickles(self, lab_bundle_small, tiny_config):
+        fed = self._run(lab_bundle_small, tiny_config, rounds=1)
+        trainer = fed.sites[0].trainer
+        assert trainer._kg_cache is not None
+        payload = pickle.dumps(trainer)
+        trainer._kg_cache = None
+        assert pickle.dumps(trainer) == payload
+        assert pickle.loads(payload)._kg_cache is None

@@ -148,6 +148,25 @@ class TestBlockedShare:
         assert forwards == [stop - start for start, stop in share_blocks(n)]
 
 
+    @pytest.mark.parametrize(
+        ("n", "chunk_rows"),
+        [
+            (300, 300),
+            (300, 4096),
+            (2 * SHARE_BLOCK_ROWS + 37, 2 * SHARE_BLOCK_ROWS + 37),
+            (5 * SHARE_BLOCK_ROWS + 3, 3 * SHARE_BLOCK_ROWS + 7),
+        ],
+    )
+    def test_chunks_spanning_blocks(self, artifacts, loaded, n, chunk_rows):
+        chunks = list(sample_stream(loaded["kinetgan"], n, seed=13, chunk_rows=chunk_rows))
+        sizes = [min(chunk_rows, n - start) for start in range(0, n, chunk_rows)]
+        assert [chunk.n_rows for chunk in chunks] == sizes
+        merged = chunks[0]
+        for chunk in chunks[1:]:
+            merged = merged.concat(chunk)
+        assert_tables_identical(artifacts["kinetgan"].sample(n, rng=sampling_rng(13)), merged)
+
+
 class TestLoadModelRoundTripThroughService:
     def test_loaded_model_serves_like_original(self, artifacts):
         loaded = load_model(artifacts["kinetgan_dir"])

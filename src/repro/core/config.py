@@ -39,7 +39,8 @@ class KiNETGANConfig:
         Probability of drawing the pivot conditional attribute uniformly over
         its range rather than by log-frequency (section III-A-3).
     use_knowledge_discriminator:
-        Master switch for ``D_KG`` (ablation A1 in DESIGN.md).
+        Master switch for ``D_KG`` (ablation A1,
+        ``benchmarks/test_ablation_knowledge.py``).
     use_valid_set_loss:
         When true (default) the knowledge graph is queried with the sampled
         condition values and the generator is additionally penalised for

@@ -2,8 +2,10 @@
 
 The paper evaluates on (1) a privately collected lab IoT capture and (2) the
 UNSW-NB15 dataset.  Neither is available in this offline environment, so this
-subpackage provides faithful synthetic stand-ins (see DESIGN.md section 2 for
-the substitution rationale):
+subpackage provides seeded synthetic stand-ins.  Each keeps what the
+experiments exercise -- the published schema and class imbalance, and the
+protocol/service/port rules the knowledge graph encodes -- and its module
+docstring states what it substitutes:
 
 * :mod:`repro.datasets.lab_iot` -- a parametric simulator of the paper's lab
   network (Blink camera, smart plug, motion sensor, tag manager) producing
@@ -20,7 +22,9 @@ the substitution rationale):
   point returning a :class:`~repro.datasets.base.DatasetBundle`.
 
 Every dataset publishes a :class:`~repro.knowledge.catalog.DomainCatalog`, so
-the knowledge-graph pipeline works identically on all of them.
+the knowledge-graph pipeline works identically on all of them.  The seeded
+output of every simulator is pinned bit for bit by the golden digests in
+``tests/datasets/test_golden.py``.
 """
 
 from repro.datasets.base import DatasetBundle

@@ -15,7 +15,7 @@ This subpackage simulates that deployment end to end:
 * :class:`repro.distributed.simulation.DistributedNIDSSimulation` -- splits
   a dataset across nodes (optionally non-IID), runs the whole exchange and
   compares local-only, synthetic-sharing and centralised-real detection
-  accuracy (benchmark A3 in DESIGN.md).
+  accuracy (experiment A3, ``benchmarks/test_distributed_nids.py``).
 """
 
 from repro.distributed.protocol import SyntheticShare, EvaluationSummary

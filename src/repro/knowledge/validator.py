@@ -8,7 +8,7 @@ scores over whole tables.  It is used in two places:
   KG query ``Q``); its per-step scoring of corrupted and generated rows
   runs on integer codes inside ``D_KG`` itself;
 * the evaluation harness reports the *constraint-violation rate* of each
-  synthesizer's output (our ablation A1 in DESIGN.md).
+  synthesizer's output (ablation A1, ``benchmarks/test_ablation_knowledge.py``).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ def clip_scalar(value, low, high) -> float:
     """``float(np.clip(value, low, high))`` for one scalar, without numpy's call cost.
 
     The simulators clip every drawn feature one record at a time, where the
-    ufunc dispatch of ``np.clip`` dominated their run time.  ``min``/``max``
+    ufunc dispatch of ``np.clip`` costs more than the draw.  ``min``/``max``
     return the same value and sign for NaN, infinities, signed zeros, integer
     bounds and numpy integer inputs, so the seeded datasets stay bit-identical
     (pinned by ``tests/datasets/test_golden.py``).
@@ -28,10 +28,9 @@ def clip_scalar(value, low, high) -> float:
 def mixture(weights: dict) -> tuple[tuple, np.ndarray]:
     """The keys of a ``{choice: weight}`` mapping and their normalised probabilities.
 
-    Resolved once per mapping so the per-record ``rng.choice(len(keys), p=p)``
-    receives the same ``p`` it was always given.
+    Resolved once per mapping, for the per-record ``rng.choice(len(keys), p=p)``.
     """
-    values = np.asarray([weights[key] for key in weights])
+    values = np.asarray(list(weights.values()))
     return tuple(weights), values / values.sum()
 
 

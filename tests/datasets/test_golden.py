@@ -16,6 +16,8 @@ and only re-record them for an intended change to a simulator's output.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 from collections.abc import Callable
 from functools import partial
 
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import LabIoTSimulator, available_datasets, load_dataset
+from repro.datasets.base import clip_scalar
 from repro.datasets.lab_iot import _EVENT_WEIGHTS
 from repro.tabular.table import Table
 
@@ -122,6 +125,17 @@ def test_digest_sees_float_bits():
         {**{name: table.column(name) for name in table.schema.names}, "duration_ms": nudged},
     )
     assert table_digest(changed) != table_digest(table)
+
+
+def test_clip_scalar_matches_np_clip():
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.5, -3.0, 1e12, np.float64(-0.0)]
+    integers = [3, np.int64(5), np.int64(-2), np.int64(600)]
+    bounds = [(0.0, 1.0), (0, 511), (-0.0, 1.0), (1, 100_000), (0.0, 0.0), (1.4e9, 1.5e9)]
+    for value, (low, high) in itertools.product(floats + integers, bounds):
+        expected = float(np.clip(value, low, high))
+        actual = clip_scalar(value, low, high)
+        assert type(actual) is float
+        assert np.float64(actual).tobytes() == np.float64(expected).tobytes(), (value, low, high)
 
 
 if __name__ == "__main__":

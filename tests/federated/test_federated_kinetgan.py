@@ -209,9 +209,7 @@ class TestSiteKGCache:
         assert len(scored) == fed.n_sites
         assert [id(table) for table in scored] == [id(site.table) for site in fed.sites]
 
-    def test_cached_rounds_match_uncached_rounds(
-        self, lab_bundle_small, tiny_config, monkeypatch
-    ):
+    def test_cached_rounds_match_uncached_rounds(self, lab_bundle_small, tiny_config, monkeypatch):
         cached = self._run(lab_bundle_small, tiny_config)
 
         def uncached(trainer, table):

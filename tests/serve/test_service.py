@@ -126,7 +126,9 @@ class TestStreaming:
 class TestBlockedShare:
     """Streamed requests cross share blocks like ``model.sample``."""
 
-    @pytest.mark.parametrize("chunk_rows", [1, 300, SHARE_BLOCK_ROWS + 188])
+    @pytest.mark.parametrize(
+        "chunk_rows", [1, 300, SHARE_BLOCK_ROWS + 188, 2 * SHARE_BLOCK_ROWS + 37, 4096]
+    )
     def test_stream_chunks_not_aligned_to_blocks(self, artifacts, loaded, monkeypatch, chunk_rows):
         n = 2 * SHARE_BLOCK_ROWS + 37
         generator = loaded["kinetgan"].trainer.generator
@@ -147,23 +149,11 @@ class TestBlockedShare:
         assert_tables_identical(artifacts["kinetgan"].sample(n, rng=sampling_rng(12)), merged)
         assert forwards == [stop - start for start, stop in share_blocks(n)]
 
-
-    @pytest.mark.parametrize(
-        ("n", "chunk_rows"),
-        [
-            (300, 300),
-            (300, 4096),
-            (2 * SHARE_BLOCK_ROWS + 37, 2 * SHARE_BLOCK_ROWS + 37),
-            (5 * SHARE_BLOCK_ROWS + 3, 3 * SHARE_BLOCK_ROWS + 7),
-        ],
-    )
-    def test_chunks_spanning_blocks(self, artifacts, loaded, n, chunk_rows):
+    def test_chunk_spanning_several_blocks(self, artifacts, loaded):
+        n, chunk_rows = 5 * SHARE_BLOCK_ROWS + 3, 3 * SHARE_BLOCK_ROWS + 7
         chunks = list(sample_stream(loaded["kinetgan"], n, seed=13, chunk_rows=chunk_rows))
-        sizes = [min(chunk_rows, n - start) for start in range(0, n, chunk_rows)]
-        assert [chunk.n_rows for chunk in chunks] == sizes
-        merged = chunks[0]
-        for chunk in chunks[1:]:
-            merged = merged.concat(chunk)
+        assert [chunk.n_rows for chunk in chunks] == [chunk_rows, n - chunk_rows]
+        merged = chunks[0].concat(chunks[1])
         assert_tables_identical(artifacts["kinetgan"].sample(n, rng=sampling_rng(13)), merged)
 
 

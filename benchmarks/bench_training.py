@@ -19,6 +19,10 @@ Metrics:
   gradient, which must escape the step and so stay freshly allocated.
 * ``full_step_allocations`` -- the complete ``KiNETGANStep``, which adds
   KG scoring and sampler work.
+* ``workspace_bytes`` -- bytes the generator, discriminator and
+  knowledge-head step workspaces hold after the bench's seeded one-epoch
+  fit plus a 5,000-row ``sample``: one buffer per layer and tag at its
+  tallest training height, nothing for the sample's eval forwards.
 * ``codec_roundtrip`` -- whether ``StateCodec`` takes the single-copy fast
   path (``flat_view`` detected) on the fitted generator's arena-backed
   state.
@@ -42,7 +46,7 @@ import numpy as np
 from repro.core import KiNETGAN, KiNETGANConfig
 from repro.core.trainer import KiNETGANStep
 from repro.datasets import load_lab_iot
-from repro.engine import seeded_rng
+from repro.engine import sampling_rng, seeded_rng
 from repro.federated.parameters import StateCodec
 
 BENCH_ROWS = 1500
@@ -50,6 +54,7 @@ BENCH_BATCH = 64
 EPOCH_GROUPS = 6
 EPOCH_REPS = 5
 LARGE_BATCH = 1024
+SAMPLE_ROWS = 5000
 
 
 def bench_config(epochs: int = 1, seed: int = 0, dtype: str = "float64") -> KiNETGANConfig:
@@ -75,10 +80,15 @@ def bench_config(epochs: int = 1, seed: int = 0, dtype: str = "float64") -> KiNE
 # --------------------------------------------------------------------------- #
 # Measurement helpers
 # --------------------------------------------------------------------------- #
-def _build_step(bundle, dtype: str = "float64") -> KiNETGANStep:
-    """A ready-to-step trainer (one warm-up epoch fits all the machinery)."""
+def _fit(bundle, dtype: str = "float64") -> KiNETGAN:
+    """The bench's seeded one-epoch fit (it builds all the step machinery)."""
     model = KiNETGAN(bench_config(epochs=1, dtype=dtype))
     model.fit(bundle.table, catalog=bundle.catalog, condition_columns=bundle.condition_columns)
+    return model
+
+
+def _build_step(bundle, model: KiNETGAN) -> KiNETGANStep:
+    """A ready-to-step trainer on a :func:`_fit` model of ``bundle``."""
     trainer = model.trainer
     real_matrix = trainer.transformer.transform(bundle.table, rng=seeded_rng(123))
     return KiNETGANStep(trainer, real_matrix, table=bundle.table)
@@ -184,9 +194,25 @@ def _full_step_peak(step: KiNETGANStep) -> int:
     return int(best)
 
 
+def _workspace_bytes(model: KiNETGAN) -> int:
+    """Bytes held by the generator, discriminator and knowledge-head workspaces."""
+    trainer = model.trainer
+    networks = [trainer.generator.network, trainer.discriminator.network]
+    if trainer.kg_discriminator is not None and trainer.kg_discriminator.head is not None:
+        networks.append(trainer.kg_discriminator.head)
+    return sum(net.workspace.nbytes() for net in networks if net.workspace is not None)
+
+
 def measure_arena() -> dict[str, dict]:
-    """Steady-state step peaks and the codec fast path on one fitted step."""
-    step = _build_step(load_lab_iot(n_records=BENCH_ROWS, seed=0))
+    """Steady-state step peaks, the codec fast path and the held scratch on
+    one fitted model."""
+    bundle = load_lab_iot(n_records=BENCH_ROWS, seed=0)
+    model = _fit(bundle)
+    # Measured before the step probes below grow the discriminator's
+    # workspace to batch 1024; the sample draws from its own seeded stream.
+    model.sample(SAMPLE_ROWS, rng=sampling_rng(1))
+    workspace = {"fit_epochs": 1, "sample_rows": SAMPLE_ROWS, "now_bytes": _workspace_bytes(model)}
+    step = _build_step(bundle, model)
     trainer = step.trainer
     peaks = {
         "step_allocations": (BENCH_BATCH, _network_step_peak(trainer, BENCH_BATCH)),
@@ -195,6 +221,7 @@ def measure_arena() -> dict[str, dict]:
         "full_step_allocations": (BENCH_BATCH, _full_step_peak(step)),
     }
     metrics = {name: {"batch_size": b, "now_bytes": peak} for name, (b, peak) in peaks.items()}
+    metrics["workspace_bytes"] = workspace
     state = trainer.generator.network.state_dict()
     metrics["codec_roundtrip"] = {
         "single_copy_fast_path": StateCodec(state)._flat_view(state) is not None
@@ -212,8 +239,8 @@ def measure_precision(groups: int = EPOCH_GROUPS, reps: int = EPOCH_REPS) -> dic
     half the bytes in the network-core step's surviving temporaries.
     """
     bundle = load_lab_iot(n_records=BENCH_ROWS, seed=0)
-    step_f64 = _build_step(bundle)
-    step_f32 = _build_step(bundle, dtype="float32")
+    step_f64 = _build_step(bundle, _fit(bundle))
+    step_f32 = _build_step(bundle, _fit(bundle, dtype="float32"))
     f64_times: list[float] = []
     f32_times: list[float] = []
     for _ in range(groups):  # interleave so load spikes hit both variants
@@ -277,7 +304,8 @@ NOTES = (
     "(Sequential forward/backward, fused optimizer, zero_grad); the wider "
     "neural_step_allocations peak is set by the generated batch and its "
     "gradient, which escape the step by design, and full_step_allocations "
-    "adds KG scoring and sampler work. Every peak is deterministic and "
-    "gated as a byte ceiling; perfbench's train workload measures epoch "
-    "speed end to end."
+    "adds KG scoring and sampler work. workspace_bytes is the step scratch "
+    "the three networks hold after the fit and a 5,000-row sample. Every "
+    "peak and byte count is deterministic and gated as a byte ceiling; "
+    "perfbench's train workload measures epoch speed end to end."
 )

@@ -229,6 +229,7 @@ GATES: tuple[Gate, ...] = (
     Gate("training", "step_allocations_large_batch", "now_bytes", ARENA, CEILING, 0.30),
     Gate("training", "neural_step_allocations", "now_bytes", ARENA, CEILING, 0.30),
     Gate("training", "full_step_allocations", "now_bytes", ARENA, CEILING, 0.30),
+    Gate("training", "workspace_bytes", "now_bytes", ARENA, CEILING, 0.30),
     Gate("training", "codec_roundtrip", "single_copy_fast_path", ARENA, EXACT, None, True),
     Gate("training", "float32_epoch", "speedup", PRECISION, FLOOR, 0.30, 1.0),
     Gate("training", "float32_step_allocations", "speedup", PRECISION, FLOOR, 0.30, 1.0),

@@ -65,19 +65,19 @@ class TabularOutputActivation(Layer):
                 tanh_cols.extend(range(start, end))
         self._tanh_columns = np.asarray(tanh_cols, dtype=np.intp)
         self._cache: np.ndarray | None = None
-        # Reusable scratch for the gather / Gumbel / softmax intermediates
-        # (keyed by shape inside BlockLayout._scratch_buffer).  The output
-        # matrix itself stays freshly allocated: it escapes as the generated
-        # batch and is held across the whole training step.
+        # Reusable scratch for the training passes' gather / Gumbel /
+        # softmax intermediates (keyed by shape inside
+        # BlockLayout._scratch_buffer).  The output matrix itself stays
+        # freshly allocated: it escapes as the generated batch and is held
+        # across the whole training step.
         self._scratch: dict | None = {}
 
     def bind_workspace(self, workspace) -> None:
-        # The scratch dict is single-stream, exactly like a step workspace:
-        # two concurrent forwards through it would overwrite each other's
-        # gather/softmax intermediates.  Unbinding (Sequential.
-        # unbind_workspace, used by the serving pool before sharing a model
-        # across sampler threads) therefore also disables scratch reuse;
-        # the allocating path is bit-identical.
+        # The scratch dict follows the step workspace: training passes
+        # reuse it, eval forwards never touch it (so sampling from several
+        # threads at once is safe either way), and an unbound layer
+        # (Sequential.unbind_workspace) allocates in training too; the
+        # allocating path is bit-identical.
         self._ws = workspace
         self._scratch = {} if workspace is not None else None
 
@@ -95,18 +95,24 @@ class TabularOutputActivation(Layer):
         return BlockLayout._scratch_buffer(self._scratch, key, shape, dtype)
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        # Eval forwards allocate their intermediates, like every layer's.
+        scratch = self._scratch if training else None
         out = np.empty_like(x)
         tanh_cols = self._tanh_columns
         if tanh_cols.size:
             # take -> tanh-in-place replays ``np.tanh(x[:, tanh_cols])``
             # without the two per-call temporaries.
-            span = self._buffer("tanh", (x.shape[0], tanh_cols.size), x.dtype)
+            span = BlockLayout._scratch_buffer(
+                scratch, "tanh", (x.shape[0], tanh_cols.size), x.dtype
+            )
             np.take(x, tanh_cols, axis=1, out=span)
             np.tanh(span, out=span)
             out[:, tanh_cols] = span
         layout = self._layout
         if layout.n_blocks:
-            gathered = self._buffer("gather", (x.shape[0], layout.total), x.dtype)
+            gathered = BlockLayout._scratch_buffer(
+                scratch, "gather", (x.shape[0], layout.total), x.dtype
+            )
             np.take(x, layout.columns, axis=1, out=gathered)
             if training:
                 # ``gathered - log(-log(u)) * tau`` staged in place through
@@ -115,7 +121,7 @@ class TabularOutputActivation(Layer):
                 # to ``random(size=..., dtype=float32)`` (float32), and
                 # ``u * (hi - lo) + lo`` in place returns the same bits.
                 lo, hi = 1e-12, 1.0 - 1e-12
-                uniform = self._buffer("gumbel", gathered.shape, x.dtype)
+                uniform = BlockLayout._scratch_buffer(scratch, "gumbel", gathered.shape, x.dtype)
                 self.rng.random(out=uniform, dtype=uniform.dtype)
                 np.multiply(uniform, hi - lo, out=uniform)
                 np.add(uniform, lo, out=uniform)
@@ -124,9 +130,7 @@ class TabularOutputActivation(Layer):
                 np.log(uniform, out=uniform)
                 np.multiply(uniform, self.tau, out=uniform)
                 np.subtract(gathered, uniform, out=gathered)
-            layout.scatter(
-                out, layout.softmax(gathered, tau=self.tau, scratch=self._scratch)
-            )
+            layout.scatter(out, layout.softmax(gathered, tau=self.tau, scratch=scratch))
         # Only training passes are differentiated; caching inference outputs
         # would pin the last sampled batch in warm serving registries.
         self._cache = out if training else None

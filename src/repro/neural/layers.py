@@ -4,6 +4,8 @@ Every layer follows the same contract:
 
 * ``forward(x, training=True)`` consumes a ``(batch, features)`` array and
   returns the layer output, caching whatever is needed for the backward pass.
+  An eval forward (``training=False``) caches nothing: it cannot be
+  differentiated, and it leaves no state on the layer.
 * ``backward(grad_output)`` consumes the gradient of the loss with respect to
   the layer output, accumulates parameter gradients into ``layer.grads``,
   returns the gradient with respect to the layer input, and releases the
@@ -22,8 +24,9 @@ Two optional fast paths, both bit-identical to the plain code:
   state entries through :meth:`Layer.arena_entries` so ``Sequential`` can
   re-house parameters and gradients as views into one flat buffer.
 * **Workspace buffers** (:mod:`repro.neural.workspace`): once a workspace is
-  bound via :meth:`Layer.bind_workspace`, forward/backward run through
-  recycled ``out=`` buffers instead of allocating fresh batch-sized arrays.
+  bound via :meth:`Layer.bind_workspace`, training forward/backward passes
+  run through recycled ``out=`` buffers instead of allocating fresh
+  batch-sized arrays.  Eval forwards always take the allocating path.
 """
 
 from __future__ import annotations
@@ -156,8 +159,8 @@ class Dense(Layer):
             raise ValueError(
                 f"Dense expected input of shape (batch, {self.in_features}), got {x.shape}"
             )
-        self._cache_input = x
-        ws = self._ws
+        self._cache_input = x if training else None
+        ws = self._ws if training else None
         if ws is None:
             out = x @ self.weight
         else:
@@ -238,9 +241,9 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        ws = self._ws
+        ws = self._ws if training else None
         if ws is None:
-            self._mask = x > 0.0
+            self._mask = x > 0.0 if training else None
             return np.maximum(x, 0.0)
         mask = ws.buffer(self, "mask", x.shape, dtype=bool)
         np.greater(x, 0.0, out=mask)
@@ -283,12 +286,14 @@ class LeakyReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        ws = self._ws
+        ws = self._ws if training else None
         if ws is None:
-            self._mask = x > 0.0
             if self._branchless:
+                self._mask = x > 0.0 if training else None
                 return np.maximum(self.negative_slope * x, x)
-            return np.where(self._mask, x, self.negative_slope * x)
+            mask = x > 0.0
+            self._mask = mask if training else None
+            return np.where(mask, x, self.negative_slope * x)
         mask = ws.buffer(self, "mask", x.shape, dtype=bool)
         np.greater(x, 0.0, out=mask)
         self._mask = mask
@@ -350,14 +355,14 @@ class Tanh(Layer):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        ws = self._ws
+        ws = self._ws if training else None
         if ws is None:
-            self._out = np.tanh(x)
+            out = np.tanh(x)
         else:
             out = ws.buffer(self, "fwd", x.shape)
             np.tanh(x, out=out)
-            self._out = out
-        return self._out
+        self._out = out if training else None
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -381,9 +386,9 @@ class Sigmoid(Layer):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        ws = self._ws
+        ws = self._ws if training else None
         if ws is None:
-            self._out = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+            out = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
         else:
             out = ws.buffer(self, "fwd", x.shape)
             np.clip(x, -60.0, 60.0, out=out)
@@ -391,8 +396,8 @@ class Sigmoid(Layer):
             np.exp(out, out=out)
             np.add(out, 1.0, out=out)
             np.divide(1.0, out, out=out)
-            self._out = out
-        return self._out
+        self._out = out if training else None
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -426,8 +431,9 @@ class Softmax(Layer):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        self._out = _softmax(x / self.temperature, axis=-1)
-        return self._out
+        out = _softmax(x / self.temperature, axis=-1)
+        self._out = out if training else None
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -468,8 +474,9 @@ class GumbelSoftmax(Layer):
             logits = (x + gumbel) / self.temperature
         else:
             logits = x / self.temperature
-        self._out = _softmax(logits, axis=-1)
-        return self._out
+        out = _softmax(logits, axis=-1)
+        self._out = out if training else None
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -579,7 +586,7 @@ class BatchNorm(Layer):
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         if x.shape[1] != self.num_features:
             raise ValueError(f"BatchNorm expected {self.num_features} features, got {x.shape[1]}")
-        ws = self._ws
+        ws = self._ws if training else None
         if training:
             if ws is None:
                 mean = x.mean(axis=0)
@@ -616,7 +623,7 @@ class BatchNorm(Layer):
             out = ws.buffer(self, "fwd", x.shape)
             np.multiply(self.gamma, x_hat, out=out)
             np.add(out, self.beta, out=out)
-        self._cache = (x_hat, inv_std)
+        self._cache = (x_hat, inv_std) if training else None
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -704,7 +711,7 @@ class Residual(Layer):
         h = x
         for layer in self.inner:
             h = layer.forward(h, training=training)
-        ws = self._ws
+        ws = self._ws if training else None
         if ws is None:
             return np.concatenate([x, h], axis=1)
         out = ws.buffer(self, "fwd", (x.shape[0], x.shape[1] + h.shape[1]))

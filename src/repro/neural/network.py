@@ -82,12 +82,14 @@ class Sequential:
         """Detach the shared step workspace from this network and its layers.
 
         A bound :class:`~repro.neural.workspace.Workspace` is single-stream
-        scratch: two concurrent ``forward`` passes through the same network
-        would overwrite each other's buffers.  Unbinding drops every layer
-        back to the allocating code paths -- bit-identical by the workspace
-        contract, just without buffer reuse -- which makes a fitted network
-        safe to sample from multiple threads at once.  The parameter arena
-        is untouched; call :meth:`consolidate` to re-bind a workspace.
+        scratch for *training* passes: two concurrent training passes
+        through the same network would overwrite each other's buffers.
+        Eval forwards never use it, so sampling a bound network from
+        several threads at once is already safe.  Unbinding drops every
+        layer's training passes back to the allocating code paths --
+        bit-identical by the workspace contract, just without buffer reuse
+        -- and frees the scratch the network held.  The parameter arena is
+        untouched; call :meth:`consolidate` to re-bind a workspace.
         """
         self.workspace = None
         for layer in self.layers:
@@ -99,9 +101,9 @@ class Sequential:
             x = layer.forward(x, training=training)
         ws = self.workspace
         if ws is not None and ws.owns(x):
-            # The output escapes the step (losses, samplers, attack scorers
-            # and predict paths may hold it across later forwards), so it
-            # must not alias a scratch buffer the next forward overwrites.
+            # A training output escapes the step (losses and attack scorers
+            # may hold it across later forwards), so it must not alias a
+            # scratch buffer the next forward overwrites.
             # Final outputs are the *small* arrays of the stack (logits,
             # class scores), so this copy costs far less than the per-layer
             # allocations the workspace removes.

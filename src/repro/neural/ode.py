@@ -54,13 +54,14 @@ class ODEBlock(Layer):
         if x.shape[1] != self.dim:
             raise ValueError(f"ODEBlock expected {self.dim} features, got {x.shape[1]}")
         h = x
-        self._trajectory = [h]
-        self._training = training
+        trajectory = [h]
         for step in range(self.num_steps):
             t = np.full((h.shape[0], 1), step * self.dt)
             dh = self.field.forward(np.concatenate([h, t], axis=1), training=training)
             h = h + self.dt * dh
-            self._trajectory.append(h)
+            trajectory.append(h)
+        # Only training passes are differentiated; an eval forward keeps no state.
+        self._trajectory = trajectory if training else None
         return h
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -74,7 +75,7 @@ class ODEBlock(Layer):
         for step in reversed(range(self.num_steps)):
             h_prev = self._trajectory[step]
             t = np.full((h_prev.shape[0], 1), step * self.dt)
-            self.field.forward(np.concatenate([h_prev, t], axis=1), training=self._training)
+            self.field.forward(np.concatenate([h_prev, t], axis=1), training=True)
             grad_field_out = self.dt * grad_h
             grad_field_in = self.field.backward(grad_field_out)
             grad_h = grad_h + grad_field_in[:, : self.dim]

@@ -1,11 +1,14 @@
 """Reusable step buffers for the neural hot path.
 
 A :class:`Workspace` is attached to every layer of a ``Sequential`` by
-``Sequential.consolidate()`` and caches full-batch scratch arrays keyed by
-``(layer, tag, shape)``.  Layers use it to run their forward/backward passes
-with ``out=`` ufunc calls into recycled buffers instead of allocating fresh
-batch-sized arrays on every step, which is where most of the training-loop
-allocation churn comes from.
+``Sequential.consolidate()`` and holds the scratch arrays of the network's
+*training* passes.  Layers use it to run their training forward/backward
+passes with ``out=`` ufunc calls into recycled buffers instead of
+allocating fresh batch-sized arrays on every step, which is where most of
+the training-loop allocation churn comes from.  Eval forwards
+(``training=False``) never touch it: they run the allocating code path and
+keep no backward cache, so sampling, scoring and predict paths leave
+nothing behind on the network and never write shared scratch.
 
 Rules for layers using a workspace buffer:
 
@@ -14,16 +17,30 @@ Rules for layers using a workspace buffer:
   reuses it;
 * arrays that escape the training step must not stay workspace-backed:
   ``Sequential.forward`` copies a workspace-owned final output before
-  returning it (see :meth:`Workspace.owns`), so callers -- samplers, attack
-  scorers, predict paths -- always receive an array the next forward cannot
+  returning it (see :meth:`Workspace.owns`), so callers -- losses and
+  attack scorers -- always receive an array the next forward cannot
   overwrite;
 * every buffered computation must replay the exact elementwise operations of
   the allocating code path so results stay bit-identical.
 
-Buffers are keyed by batch shape, so a fit with a ragged final batch simply
-keeps one extra set of buffers for that shape.  Workspaces pickle empty:
-buffer contents are scratch and the ``id(layer)`` keys would be stale in the
-receiving process anyway.
+**One buffer per family.**  A family is ``(layer, tag, trailing dims,
+dtype)``: every batch height a layer asks for under one tag is served from
+one base array, grown to the tallest height requested so far, as the base
+itself or its leading-rows view ``base[:rows]`` (C-contiguous, same start
+address).  A fit with a ragged final batch, or the knowledge head's
+variable-height training batches next to its 64-row generator pass, thus
+holds one set of buffers at the tallest height rather than one set per
+height.
+
+**Aliasing rule.**  Different heights of one family share memory, so no
+step may still hold a buffer of one height when it asks the same layer for
+another height.  Training passes through one network run one after
+another (forward, backward, optimizer step), and anything kept past a
+pass is copied out first (``Sequential.forward``'s output copy, the
+knowledge head's gradient scatter), which keeps that rule.
+
+Workspaces pickle empty: buffer contents are scratch and the ``id(layer)``
+keys would be stale in the receiving process anyway.
 """
 
 from __future__ import annotations
@@ -34,7 +51,7 @@ __all__ = ["Workspace"]
 
 
 class Workspace:
-    """Cache of reusable scratch arrays keyed by ``(layer, tag, shape)``.
+    """Step scratch arrays, one base array per ``(layer, tag, trailing dims, dtype)``.
 
     ``default_dtype`` is the dtype a layer gets when it asks for a buffer
     without one -- ``Sequential.consolidate()`` sets it to the network's
@@ -44,7 +61,10 @@ class Workspace:
     """
 
     def __init__(self, default_dtype: np.dtype | type = np.float64) -> None:
+        # Exact request key -> the base or its leading-rows view (the hit path).
         self._buffers: dict[tuple[int, str, tuple[int, ...], str], np.ndarray] = {}
+        # Family key -> base array at the tallest height served so far.
+        self._bases: dict[tuple[int, str, tuple[int, ...], str], np.ndarray] = {}
         self._buffer_ids: set[int] = set()
         self.default_dtype = np.dtype(default_dtype)
 
@@ -55,8 +75,10 @@ class Workspace:
         shape: tuple[int, ...],
         dtype: np.dtype | type | None = None,
     ) -> np.ndarray:
-        """The cached buffer for ``(owner, tag, shape)``, allocated on first use.
+        """The buffer for ``(owner, tag, shape)``: its family's base or a
+        leading-rows view of it, allocated or grown on first use.
 
+        ``shape`` has at least one dimension; its first is the height.
         Contents are undefined on return; callers must fully overwrite it.
         """
         # The network dtype dominates the training hot path; skip the
@@ -70,29 +92,40 @@ class Workspace:
         key = (id(owner), tag, shape, char)
         buf = self._buffers.get(key)
         if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[key] = buf
-            self._buffer_ids.add(id(buf))
+            buf = self._serve(key, dtype)
         return buf
+
+    def _serve(self, key: tuple[int, str, tuple[int, ...], str], dtype) -> np.ndarray:
+        """Miss path: view ``key``'s rows of its family base, growing the base first
+        when it is shorter (a grown family drops its views of the old base)."""
+        owner_id, tag, shape, char = key
+        family = (owner_id, tag, shape[1:], char)
+        rows = shape[0]
+        base = self._bases.get(family)
+        if base is None or base.shape[0] < rows:
+            if base is not None:
+                self._buffer_ids.discard(id(base))
+                for stale in [k for k in self._buffers if (k[0], k[1], k[2][1:], k[3]) == family]:
+                    del self._buffers[stale]
+            base = self._bases[family] = np.empty(shape, dtype=dtype)
+            self._buffer_ids.add(id(base))
+        view = base if base.shape[0] == rows else base[:rows]
+        self._buffers[key] = view
+        return view
 
     def owns(self, array: np.ndarray) -> bool:
         """Whether ``array`` is (a view of) one of this workspace's buffers.
 
         ``Sequential.forward`` uses this to hand callers an owned copy of any
-        workspace-backed output: network outputs escape the step (samplers,
-        attack scorers and predict paths hold them across later forwards),
-        so they must never alias a buffer the next forward will overwrite.
+        workspace-backed training output: network outputs escape the step
+        (losses and attack scorers hold them across later forwards), so they
+        must never alias a buffer the next forward will overwrite.
         """
         return id(array) in self._buffer_ids or id(array.base) in self._buffer_ids
 
-    def clear(self) -> None:
-        """Drop every cached buffer."""
-        self._buffers.clear()
-        self._buffer_ids.clear()
-
     def nbytes(self) -> int:
         """Total bytes currently held (introspection / tests)."""
-        return sum(buf.nbytes for buf in self._buffers.values())
+        return sum(base.nbytes for base in self._bases.values())
 
     # Scratch contents never travel: a pickled workspace arrives empty and
     # refills on first use in the receiving process.
@@ -101,5 +134,6 @@ class Workspace:
 
     def __setstate__(self, state: dict) -> None:
         self._buffers = {}
+        self._bases = {}
         self._buffer_ids = set()
         self.default_dtype = np.dtype(state.get("default_dtype", np.float64))

@@ -300,7 +300,8 @@ def test_optimizer_state_dict_round_trip_on_arena_path():
 # Workspace semantics
 # --------------------------------------------------------------------------- #
 class TestWorkspace:
-    def test_forward_output_does_not_alias_scratch(self):
+    @pytest.mark.parametrize("training", [False, True])
+    def test_forward_output_does_not_alias_scratch(self, training):
         """Outputs escape the step: a later forward must not clobber them.
 
         Regression test for the white-box membership-inference scorer, where
@@ -311,9 +312,9 @@ class TestWorkspace:
         network = _make_network(seed=30)
         x1 = np.random.default_rng(0).normal(size=(32, 6))
         x2 = np.random.default_rng(1).normal(size=(32, 6))
-        out1 = network.forward(x1, training=False)
+        out1 = network.forward(x1, training=training)
         frozen = out1.copy()
-        out2 = network.forward(x2, training=False)
+        out2 = network.forward(x2, training=training)
         assert np.array_equal(out1, frozen)
         assert not np.shares_memory(out1, out2)
         assert not network.workspace.owns(out1)
@@ -355,7 +356,7 @@ class TestWorkspace:
 
     def test_workspace_pickles_empty(self):
         network = _make_network(seed=35)
-        network.forward(np.zeros((8, 6)), training=False)
+        network.forward(np.zeros((8, 6)), training=True)
         assert network.workspace.nbytes() > 0
         clone = pickle.loads(pickle.dumps(network))
         assert clone.workspace.nbytes() == 0

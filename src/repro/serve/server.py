@@ -201,10 +201,11 @@ class ServingPool:
             for name, path in items:
                 artifact = ModelArtifact.open(path)
                 model = load_model(path)
-                # A step workspace is single-stream scratch, and thread-pool
-                # workers sample one resident model concurrently; the
-                # allocating paths the networks fall back to are
-                # bit-identical (see Sequential.unbind_workspace).
+                # Thread-pool workers sample one resident model
+                # concurrently.  Sampling runs eval forwards, which never
+                # touch a step workspace; unbinding also keeps any training
+                # pass on the resident copy on the allocating,
+                # bit-identical paths (see Sequential.unbind_workspace).
                 for network in model.artifact_networks().values():
                     network.unbind_workspace()
                 self.manifests[name] = dict(artifact.manifest)

@@ -46,7 +46,7 @@ def assert_one_buffer_per_family(ws: Workspace) -> None:
     for family, bufs in families.items():
         owners = {id(_memory_owner(buf)) for buf in bufs}
         assert len(owners) == 1, f"{family} holds {len(owners)} buffers"
-        tallest = max(bufs, key=lambda buf: buf.shape[0] if buf.ndim else 0)
+        tallest = max(bufs, key=lambda buf: buf.shape[0])
         assert _memory_owner(tallest).nbytes == tallest.nbytes, family
         expected += tallest.nbytes
     assert ws.nbytes() == expected
@@ -162,15 +162,6 @@ class TestEvalForward:
             network.forward(np.ones((rows, 6)), training=False)
         assert network.workspace.nbytes() == held
         assert_no_backward_cache(network)
-
-    def test_eval_forward_matches_the_unbound_network(self):
-        bound = _make_network(seed=5)
-        plain = _make_network(seed=5)
-        plain.unbind_workspace()
-        _train_pass(bound, 16, seed=1)
-        _train_pass(plain, 16, seed=1)
-        x = np.random.default_rng(2).normal(size=(50, 6))
-        assert np.array_equal(bound.forward(x, training=False), plain.forward(x, training=False))
 
     def test_eval_forward_cannot_be_differentiated(self):
         network = _make_network(seed=6)

@@ -1,13 +1,13 @@
-"""Tour of the knowledge pipeline: ontology -> NetworkKG -> reasoner -> rules.
+"""Tour of the knowledge pipeline: ontology -> NetworkKG -> constraint table.
 
 Run with::
 
     python examples/knowledge_graph_tour.py
 
 Shows how the UCO-extended ontology and the lab catalog combine into the
-NetworkKG, what validity queries the reasoner answers (including the paper's
-CVE-1999-0003 port-range example), and how invalid synthetic records are
-flagged.
+NetworkKG, the constraint table the reasoner compiles from it, what
+validity queries it answers (including the paper's CVE-1999-0003 port-range
+example), and how invalid synthetic records are flagged.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from repro.knowledge import (
 def main() -> None:
     ontology = default_network_ontology()
     print(f"Ontology: {len(ontology.classes)} classes, {len(ontology.properties)} properties")
-    print("  NetworkEvent properties:",
-          [p.name for p in ontology.properties_of("NetworkEvent")])
+    print("  NetworkEvent properties:", [p.name for p in ontology.properties_of("NetworkEvent")])
 
     bundle = load_lab_iot(n_records=2000, seed=3)
     graph = build_network_kg(bundle.catalog)
@@ -53,8 +52,17 @@ def main() -> None:
     for violation in reasoner.violations(invalid):
         print("   violation:", violation)
 
-    rules = reasoner.to_rule_set()
-    print(f"\nCompiled declarative rule set: {len(rules)} rules")
+    n_events = len(reasoner.event_names())
+    print(f"\nCompiled constraint table: {n_events} events, one row each per family")
+    for family in reasoner.families:
+        constrained = int((~family.allowed[:n_events]).any(axis=1).sum())
+        line = (
+            f"  {family.name:<16} {len(family.vocabulary):>3} allowed values, "
+            f"constrains {constrained}/{n_events} events"
+        )
+        if family.low is not None:
+            line += f", {int((family.low <= family.high).sum())} by a port range"
+        print(line)
 
     validator = BatchValidator(reasoner)
     report = validator.report(bundle.table)

@@ -4,20 +4,22 @@
 according to the NetworkKG, independently of whether it looks statistically
 real.  It has two parts:
 
-* a **hard rule check**: the generated batch is decoded back into records
-  and scored 0/1 by the :class:`~repro.knowledge.validator.BatchValidator`
-  (an exact KG query, the paper's ``Q``);
+* a **hard rule check**: the exact 0/1 validity of a row under the
+  reasoner's constraint table (the paper's ``Q`` query), read from the
+  tables :meth:`~repro.knowledge.reasoner.KGReasoner.bind` evaluates once
+  over the transformer's category lists;
 * a **learned refinement head**: a small MLP over the transformed blocks of
-  the KG-constrained columns, trained to separate valid combinations
-  (real rows and combinations enumerated from the knowledge graph) from
-  invalid ones (corrupted rows and generated rows the hard check rejects).
+  the KG-constrained columns.  Each step it sees three kinds of rows: the
+  real batch, labelled with its exact validity; corrupted copies of real
+  rows that the hard check rejects, labelled 0; and the generated batch,
+  labelled with its exact validity.  No row is enumerated from the graph.
   The head provides the *differentiable* path through which the generator
   receives the knowledge signal (equation 3: ``D_C = D_KG + D_M``).
 
 The head trains on integer codes, never on record dicts: the KG columns of
 the real rows arrive as :class:`KGRows` (encoder codes of the categorical
 KG columns plus the continuous KG values), are corrupted, scored against
-the precoded validity tables and encoded straight into the head's input.
+the bound tables and encoded straight into the head's input.
 Seeded fits depend bit for bit on the order of its draws on the shared
 ``rng`` (the trainer's stream):
 
@@ -118,16 +120,17 @@ class KnowledgeGuidedDiscriminator:
             raise ValueError(
                 "none of the knowledge-graph roles map to a column of the table schema"
             )
-        self._role_by_column: dict[str, str] = {
-            reasoner.field_map[role]: role
-            for role in _KG_ROLES
-            if reasoner.field_map.get(role) in schema_names
-        }
         self._event_column = reasoner.field_map["event_type"]
-        self._valid_mask_cache: dict[tuple[str, str], np.ndarray | None] = {}
         schema = transformer.schema
         self._categorical_kg = [n for n in self.kg_columns if schema.column(n).is_categorical]
         self._continuous_kg = [n for n in self.kg_columns if schema.column(n).is_continuous]
+        #: The reasoner's constraint table over the categorical KG columns'
+        #: categories (``None`` when the event column is not one of them).
+        self._bound = None
+        if self._event_column in self._categorical_kg:
+            self._bound = reasoner.bind(
+                {n: transformer.encoder(n).categories for n in self._categorical_kg}
+            )
         #: Corruption domains: schema categories with their encoder codes,
         #: and ``(low, high)`` value bounds.
         self._category_draws = [
@@ -172,173 +175,28 @@ class KnowledgeGuidedDiscriminator:
         """Exact 0/1 validity of decoded records (the KG query ``Q``)."""
         return self.validator.table_scores(table)
 
-    def _validity_tables(self):
-        """Precoded validity lookups over the encoders' category lists.
-
-        Every (event, category) validity decision is resolved once up front,
-        so scoring :class:`KGRows` is a handful of table gathers with no
-        per-value hashing.  Returns ``(event, base, checks, src_range)``:
-        the event column's position among the categorical KG columns, the
-        per-event base validity, ``(position, table)`` per checked
-        categorical column -- a ``(n_events, n_categories)`` boolean table
-        per membership role or one-hot port column -- and, for a continuous
-        source port, ``(position, lo, hi, active)`` per-event integer bounds
-        over the continuous KG columns.  The tables replicate
-        :meth:`KGReasoner.validity_mask` exactly: ``None`` events skip all
-        checks, unknown events are invalid, empty constraint sets leave a
-        role unconstrained, and unparseable port categories violate
-        whenever the row's event is known.  Returns ``None`` when the
-        layout does not fit (then scoring falls back to the batched
-        reasoner query).
-        """
-        cached = getattr(self, "_validity_tables_cache", "unset")
-        if cached != "unset":
-            return cached
-        from repro.knowledge.reasoner import _numeric_column
-        from repro.tabular.encoders import OneHotEncoder
-
-        reasoner = self.validator.reasoner
-        fm = reasoner.field_map
-        tr = self.transformer
-        names = set(tr.schema.names)
-        event_col = fm["event_type"]
-        dst_col = fm.get("destination_port")
-        src_col = fm.get("source_port")
-        usable = event_col in names and isinstance(tr.encoder(event_col), OneHotEncoder)
-        if dst_col in names and not isinstance(tr.encoder(dst_col), OneHotEncoder):
-            # Continuous destination ports need per-row set membership;
-            # leave that to the reasoner's batched path.
-            usable = False
-        for role in reasoner._MEMBERSHIP_ATTRS:
-            col = fm.get(role)
-            if col in names and not isinstance(tr.encoder(col), OneHotEncoder):
-                usable = False
-        if not usable:
-            self._validity_tables_cache = None
-            return None
-
-        events = list(tr.encoder(event_col).categories)
-        n_events = len(events)
-        skip = np.zeros(n_events, dtype=bool)
-        base = np.ones(n_events, dtype=bool)
-        constraints: list = [None] * n_events
-        for e, value in enumerate(events):
-            if value is None:
-                skip[e] = True
-                continue
-            c = reasoner._constraints.get(value)
-            constraints[e] = c
-            if c is None:
-                base[e] = False
-
-        def port_table(col: str, check) -> np.ndarray:
-            cats = np.empty(len(tr.encoder(col).categories), dtype=object)
-            cats[:] = list(tr.encoder(col).categories)
-            floats, parseable = _numeric_column(cats)
-            ints = np.zeros(len(cats), dtype=np.int64)
-            ints[parseable] = np.trunc(floats[parseable]).astype(np.int64)
-            tbl = np.ones((n_events, len(cats)), dtype=bool)
-            for e, c in enumerate(constraints):
-                if skip[e] or c is None:
-                    continue
-                ok = check(c, ints)
-                tbl[e] = parseable if ok is None else parseable & ok
-            return tbl
-
-        position = self._categorical_kg.index
-        checks = []
-        for role, attr in reasoner._MEMBERSHIP_ATTRS.items():
-            col = fm.get(role)
-            if col not in names:
-                continue
-            cats = list(tr.encoder(col).categories)
-            tbl = np.ones((n_events, len(cats)), dtype=bool)
-            for e, c in enumerate(constraints):
-                if skip[e] or c is None:
-                    continue
-                allowed = getattr(c, attr)
-                if not allowed:
-                    continue
-                tbl[e] = np.fromiter(
-                    (v in allowed for v in cats), dtype=bool, count=len(cats)
-                )
-            checks.append((position(col), tbl))
-
-        def dst_check(c, ints):
-            if not c.destination_ports and c.destination_port_range is None:
-                return None  # unconstrained: only parseability applies
-            ok = np.fromiter(
-                (int(p) in c.destination_ports for p in ints),
-                dtype=bool,
-                count=len(ints),
-            )
-            if c.destination_port_range is not None:
-                low, high = c.destination_port_range
-                ok |= (ints >= low) & (ints <= high)
-            return ok
-
-        if dst_col in names:
-            checks.append((position(dst_col), port_table(dst_col, dst_check)))
-
-        src_range = None
-        if src_col in names:
-            if isinstance(tr.encoder(src_col), OneHotEncoder):
-
-                def src_check(c, ints):
-                    if c.source_port_range is None:
-                        return None
-                    low, high = c.source_port_range
-                    return (ints >= low) & (ints <= high)
-
-                # For range-free events validity_mask applies no source-port
-                # check at all, so the table row must be all-True there --
-                # port_table's parseable-only default is wrong for them.
-                tbl = port_table(src_col, src_check)
-                for e, c in enumerate(constraints):
-                    if not skip[e] and c is not None and c.source_port_range is None:
-                        tbl[e] = True
-                checks.append((position(src_col), tbl))
-            else:
-                lo = np.full(n_events, np.iinfo(np.int64).min, dtype=np.int64)
-                hi = np.full(n_events, np.iinfo(np.int64).max, dtype=np.int64)
-                active = np.zeros(n_events, dtype=bool)
-                for e, c in enumerate(constraints):
-                    if skip[e] or c is None or c.source_port_range is None:
-                        continue
-                    active[e] = True
-                    lo[e], hi[e] = c.source_port_range
-                src_range = (self._continuous_kg.index(src_col), lo, hi, active)
-
-        self._validity_tables_cache = (position(event_col), base, checks, src_range)
-        return self._validity_tables_cache
-
     def _rows_valid(self, rows: KGRows) -> np.ndarray:
         """Exact per-row validity of :class:`KGRows` (``is_valid``'s rules).
 
-        Rows whose checked columns all hold known codes are resolved by
-        gathers from :meth:`_validity_tables`; rows with a -1 code (and
-        every row when the tables are unavailable) go through one batched
-        ``validity_mask`` call on their raw values.
+        Rows whose categorical KG columns all hold known codes are resolved
+        by gathers from the bound constraint tables, plus the reasoner's
+        family predicates on the continuous KG columns; rows with a -1 code
+        (and every row when no categorical event column was bound) go
+        through one batched ``validity_mask`` call on their raw values.
         """
-        tables = self._validity_tables()
-        if tables is None:
+        bound = self._bound
+        if bound is None:
             return self._reasoner_valid(rows)
-        event, base, checks, src_range = tables
         codes = rows.codes
-        ev = codes[:, event]
-        valid = base[ev]
-        for j, tbl in checks:
-            valid &= tbl[ev, codes[:, j]]
-        if src_range is not None:
-            j, lo, hi, active = src_range
-            act = active[ev]
-            if act.any():
-                x = rows.values[:, j]
-                finite = np.isfinite(x)
-                ints = np.trunc(np.where(finite, x, 0.0)).astype(np.int64)
-                valid &= ~act | (finite & (ints >= lo[ev]) & (ints <= hi[ev]))
+        events = codes[:, self._categorical_kg.index(self._event_column)]
+        valid = bound.known[events]
+        for j, column in enumerate(self._categorical_kg):
+            if column in bound.tables:
+                valid &= bound.tables[column][events, codes[:, j]]
+        for j, column in enumerate(self._continuous_kg):
+            valid &= bound.column_valid(column, events, rows.values[:, j])
         if rows.labels is not None:
-            unknown = (codes[:, [event] + [j for j, _ in checks]] < 0).any(axis=1)
+            unknown = (codes < 0).any(axis=1)
             if unknown.any():
                 valid[unknown] = self._reasoner_valid(rows.take(unknown))
         return valid
@@ -508,11 +366,10 @@ class KnowledgeGuidedDiscriminator:
     ) -> float:
         """One optimisation step of the learned head.
 
-        Positives: the real rows (valid by construction of the KG) -- plus
-        their exact validity is re-checked so mislabelled rows are dropped.
-        Negatives: corrupted copies of the first ``negatives`` real rows
-        that the hard check rejects, plus generated rows the hard check
-        rejects.
+        The head sees the real rows labelled with their exact validity,
+        corrupted copies of the first ``negatives`` real rows that the hard
+        check rejects (labelled 0), and the generated rows labelled with
+        their exact validity.
 
         The real rows' exact validity and :class:`KGRows` never change
         across a fit, so the KiNETGAN trainer computes them once and passes
@@ -554,52 +411,13 @@ class KnowledgeGuidedDiscriminator:
     # ------------------------------------------------------------------ #
     # Valid-set constraint (the paper's direct KG query for condition C)
     # ------------------------------------------------------------------ #
-    def _valid_mask(self, column: str, event_name: str) -> np.ndarray | None:
-        """Boolean mask of the column's categories that the KG allows for
-        ``event_name``, or ``None`` when the KG does not constrain them."""
-        key = (column, event_name)
-        if key in self._valid_mask_cache:
-            return self._valid_mask_cache[key]
-        mask: np.ndarray | None = None
-        role = self._role_by_column.get(column)
-        if (
-            role is not None
-            and role not in ("event_type", "source_port")
-            and self.reasoner.has_event(event_name)
-        ):
-            try:
-                valid = self.reasoner.valid_values(role, event_name)
-            except ValueError:
-                valid = set()
-            if valid:
-                categories = list(self.transformer.encoder(column).categories)
-                normalised = set(valid)
-                for value in list(valid):
-                    try:
-                        normalised.add(int(float(value)))
-                    except (TypeError, ValueError):
-                        pass
-                flags = []
-                for category in categories:
-                    hit = category in normalised
-                    if not hit:
-                        try:
-                            hit = int(float(category)) in normalised
-                        except (TypeError, ValueError):
-                            hit = False
-                    flags.append(hit)
-                candidate = np.asarray(flags, dtype=bool)
-                # An all-true or all-false mask carries no usable signal.
-                if candidate.any() and not candidate.all():
-                    mask = candidate
-        self._valid_mask_cache[key] = mask
-        return mask
-
     def _penalty_plans(self) -> list[tuple]:
         """Per constrained categorical column, ``(start, end, valid, pad)``.
 
-        ``valid[e]`` holds the block-local indices of the categories the KG
-        allows for event code ``e`` (``None``: unconstrained).  ``pad`` is
+        ``valid[e]`` holds the block-local indices of the categories the
+        bound constraint table allows for event code ``e``; it is ``None``
+        when that row is all-true or all-false, which carries no usable
+        signal (unconstrained, unknown and ``None`` events).  ``pad`` is
         ``None`` when the widest set exceeds :data:`_PADDED_MAX`; otherwise
         it stacks the sets per event code, padded with the index one past
         the block, plus an all-padding last row that code -1 selects.
@@ -607,19 +425,21 @@ class KnowledgeGuidedDiscriminator:
         plans = getattr(self, "_penalty_plans_cache", None)
         if plans is None:
             plans = []
-            events = self.transformer.encoder(self._event_column).categories
+            tables = self._bound.tables if self._bound is not None else {}
             for column in self._categorical_kg:
-                if column == self._event_column:
+                table = tables.get(column)
+                if table is None:
                     continue
                 info = self._kg_infos[column]
-                masks = [None if e is None else self._valid_mask(column, str(e)) for e in events]
-                valid = [None if m is None else np.nonzero(m)[0] for m in masks]
+                valid = [
+                    None if row.all() or not row.any() else np.nonzero(row)[0] for row in table
+                ]
                 widest = max((len(v) for v in valid if v is not None), default=0)
                 if not widest:
                     continue
                 pad = None
                 if widest <= _PADDED_MAX:
-                    pad = np.full((len(events) + 1, widest), info.dim, dtype=np.intp)
+                    pad = np.full((len(table) + 1, widest), info.dim, dtype=np.intp)
                     for e, v in enumerate(valid):
                         if v is not None:
                             pad[e, : len(v)] = v

@@ -1,4 +1,4 @@
-"""Knowledge representation: ontology, knowledge graph, rules and reasoning.
+"""Knowledge representation: ontology, knowledge graph and reasoning.
 
 The paper grounds KiNETGAN's knowledge-guided discriminator in a Network
 Traffic Knowledge Graph (NetworkKG) built on an extension of the Unified
@@ -11,10 +11,10 @@ Cybersecurity Ontology (UCO).  This subpackage provides the full pipeline:
   attacks and their valid attribute combinations) that datasets publish.
 * :mod:`repro.knowledge.builder` -- NetworkKG construction from an ontology
   plus a domain catalog.
-* :mod:`repro.knowledge.rules` -- declarative attribute-constraint rules.
 * :mod:`repro.knowledge.reasoner` -- validity queries over the NetworkKG
   (is this (event, protocol, IPs, ports) combination valid? which values are
-  admissible given a partial assignment?).
+  admissible for an event?), all answered from one compiled constraint
+  table.
 * :mod:`repro.knowledge.validator` -- batch validity scoring used by the
   knowledge-guided discriminator (D_KG) and the evaluation harness.
 """
@@ -27,16 +27,8 @@ from repro.knowledge.catalog import (
     DomainCatalog,
     EventSpec,
 )
-from repro.knowledge.rules import (
-    ImplicationRule,
-    MembershipRule,
-    RangeRule,
-    Rule,
-    RuleSet,
-    RuleViolation,
-)
 from repro.knowledge.builder import NetworkKGBuilder, build_network_kg
-from repro.knowledge.reasoner import KGReasoner
+from repro.knowledge.reasoner import KGReasoner, Violation
 from repro.knowledge.validator import BatchValidator, ValidityReport
 
 __all__ = [
@@ -48,15 +40,10 @@ __all__ = [
     "EventSpec",
     "AttackSpec",
     "DomainCatalog",
-    "Rule",
-    "MembershipRule",
-    "RangeRule",
-    "ImplicationRule",
-    "RuleSet",
-    "RuleViolation",
     "NetworkKGBuilder",
     "build_network_kg",
     "KGReasoner",
+    "Violation",
     "BatchValidator",
     "ValidityReport",
 ]

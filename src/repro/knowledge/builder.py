@@ -53,8 +53,9 @@ class NetworkKGBuilder:
         return graph
 
     # ------------------------------------------------------------------ #
-    def _assert(self, graph: KnowledgeGraph, subject: str, subject_class: str,
-                predicate: str, obj: object) -> None:
+    def _assert(
+        self, graph: KnowledgeGraph, subject: str, subject_class: str, predicate: str, obj: object
+    ) -> None:
         """Add a triple after checking the ontology admits it."""
         if not self.ontology.validate_assertion(subject_class, predicate):
             raise ValueError(
@@ -103,12 +104,20 @@ class NetworkKGBuilder:
                 self._assert(graph, uri, "EventType", "allowsDestinationPort", port_uri)
             if spec.destination_port_range is not None:
                 self._add_port_range(
-                    graph, uri, spec.name, "dst", "allowsDestinationPortRange",
+                    graph,
+                    uri,
+                    spec.name,
+                    "dst",
+                    "allowsDestinationPortRange",
                     spec.destination_port_range,
                 )
             if spec.source_port_range is not None:
                 self._add_port_range(
-                    graph, uri, spec.name, "src", "allowsSourcePortRange",
+                    graph,
+                    uri,
+                    spec.name,
+                    "src",
+                    "allowsSourcePortRange",
                     spec.source_port_range,
                 )
 
@@ -143,8 +152,6 @@ class NetworkKGBuilder:
                 self._assert(graph, uri, "Attack", "targetsPortRange", range_uri)
 
 
-def build_network_kg(
-    catalog: DomainCatalog, ontology: Ontology | None = None
-) -> KnowledgeGraph:
+def build_network_kg(catalog: DomainCatalog, ontology: Ontology | None = None) -> KnowledgeGraph:
     """Convenience wrapper: build the NetworkKG for ``catalog``."""
     return NetworkKGBuilder(ontology=ontology).build(catalog)

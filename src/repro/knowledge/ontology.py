@@ -100,9 +100,7 @@ class Ontology:
         if name not in self.classes:
             raise KeyError(f"unknown class {name!r}")
         return [
-            other
-            for other in self.classes
-            if other != name and self.is_subclass_of(other, name)
+            other for other in self.classes if other != name and self.is_subclass_of(other, name)
         ]
 
     def properties_of(self, class_name: str) -> list[OntologyProperty]:
@@ -141,7 +139,11 @@ def default_network_ontology() -> Ontology:
 
     # Network-activity extension (paper section IV-A, figure 2).
     onto.add_class("NetworkEvent", parent="Indicator", description="A captured network event")
-    onto.add_class("AttackEvent", parent="NetworkEvent", description="A network event that is part of an attack")
+    onto.add_class(
+        "AttackEvent",
+        parent="NetworkEvent",
+        description="A network event that is part of an attack",
+    )
     onto.add_class("BenignEvent", parent="NetworkEvent", description="Normal device communication")
     onto.add_class("Device", parent="Entity", description="A monitored IoT / mobile device")
     onto.add_class("IPAddress", parent="Entity", description="IPv4 address")

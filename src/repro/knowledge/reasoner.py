@@ -4,15 +4,38 @@
 discriminator needs (section III-B): given a (partial) record, is the
 attribute combination valid, and which values of a given attribute are
 admissible?  The reasoner works purely from the knowledge-graph triples the
-builder produced -- it never sees the original catalog -- and compiles them
-into per-event constraint tables the first time it is used.
+builder produced -- it never sees the original catalog.
+
+Validity
+--------
+``KGReasoner.__init__`` compiles the graph once into an immutable
+constraint table with five families: ``protocol``, ``source-ip``,
+``destination-ip``, ``destination-port`` and ``source-port``.  Every
+validity query is one evaluator over that table, which yields a violation
+mask per family (:meth:`KGReasoner.violation_masks`);
+:meth:`~KGReasoner.validity_mask`, :meth:`~KGReasoner.violations`, the
+:class:`~repro.knowledge.validator.BatchValidator` reports and the tables
+D_KG gets from :meth:`~KGReasoner.bind` all read those masks.  A row is
+valid when its event is known and no family is violated.  The special
+cases, stated once here:
+
+1. a ``None`` event is skipped: the row is valid whatever its other values;
+2. an unknown event (one the graph does not describe) is invalid, reported
+   as the ``known-event`` rule, and no family is checked for it;
+3. an empty allowed set leaves its family unconstrained for that event;
+4. an unparseable destination port (not a finite number) is invalid for
+   every known event, constrained or not; parsed ports are truncated to
+   integers;
+5. the source port is checked only when the event has a source-port range.
+
+A family whose column is missing from the record or table is not checked,
+and without an event column nothing is.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,25 +47,30 @@ from repro.knowledge.builder import (
 )
 from repro.knowledge.catalog import DEFAULT_FIELD_MAP
 from repro.knowledge.graph import KnowledgeGraph
-from repro.knowledge.rules import ImplicationRule, MembershipRule, RuleSet, RuleViolation
 
-__all__ = ["EventConstraints", "KGReasoner"]
+__all__ = [
+    "BoundConstraints",
+    "ConstraintFamily",
+    "EventConstraints",
+    "KGReasoner",
+    "KNOWN_EVENT",
+    "Violation",
+]
+
+#: Rule name of the violation an unknown event type raises.
+KNOWN_EVENT = "known-event"
 
 
 def _strip(uri: object, namespace: str) -> str:
     text = str(uri)
     if text.startswith(namespace):
-        return text[len(namespace):]
+        return text[len(namespace) :]
     return text
 
 
 def _numeric_column(values) -> tuple[np.ndarray, np.ndarray]:
-    """``(floats, parseable)`` for a possibly non-numeric column.
-
-    Mirrors the record path's ``int(float(value))`` contract: anything that
-    fails to parse (or is non-finite) is flagged unparseable and treated as
-    a violation wherever a port check applies.
-    """
+    """``(floats, parseable)`` for a possibly non-numeric column; anything
+    that fails to parse as a float, or is non-finite, is unparseable."""
     values = np.asarray(values)
     try:
         floats = values.astype(np.float64)
@@ -56,35 +84,112 @@ def _numeric_column(values) -> tuple[np.ndarray, np.ndarray]:
     return floats, np.isfinite(floats)
 
 
-@dataclass
+def _columns(table_or_columns) -> tuple[list[str], object, int]:
+    """``(names, get_column, n_rows)`` of a Table or a ``{column: array}`` mapping."""
+    if isinstance(table_or_columns, Mapping):
+        names = list(table_or_columns)
+        n_rows = len(table_or_columns[names[0]]) if names else 0
+        return names, table_or_columns.__getitem__, n_rows
+    table = table_or_columns
+    return list(table.schema.names), table.column, table.n_rows
+
+
+@dataclass(frozen=True)
 class EventConstraints:
-    """Compiled constraints for one event type."""
+    """What the knowledge graph allows for one event type (empty: unconstrained)."""
 
     name: str
     kind: str = "benign"
-    protocols: set[str] = field(default_factory=set)
-    source_ips: set[str] = field(default_factory=set)
-    destination_ips: set[str] = field(default_factory=set)
-    destination_ports: set[int] = field(default_factory=set)
+    protocols: frozenset[str] = frozenset()
+    source_ips: frozenset[str] = frozenset()
+    destination_ips: frozenset[str] = frozenset()
+    destination_ports: frozenset[int] = frozenset()
     destination_port_range: tuple[int, int] | None = None
     source_port_range: tuple[int, int] | None = None
 
-    def destination_port_valid(self, port: int) -> bool:
-        """A destination port is valid if it matches the explicit set or range."""
-        if not self.destination_ports and self.destination_port_range is None:
-            return True
-        if port in self.destination_ports:
-            return True
-        if self.destination_port_range is not None:
-            low, high = self.destination_port_range
-            return low <= port <= high
-        return False
 
-    def source_port_valid(self, port: int) -> bool:
-        if self.source_port_range is None:
-            return True
-        low, high = self.source_port_range
-        return low <= port <= high
+@dataclass(frozen=True)
+class Violation:
+    """One violated rule of one record."""
+
+    rule_name: str
+    attribute: str
+    value: object
+    reason: str
+
+
+@dataclass(frozen=True)
+class ConstraintFamily:
+    """One family of the compiled constraint table.
+
+    Raw values map to codes through the family's fixed ``vocabulary``, the
+    union of its allowed values over all events (a ``{value: code}`` dict,
+    or the sorted port array of a port family), plus one extra code,
+    ``len(vocabulary)``, for a value in no allowed set.  Row ``e`` of
+    ``allowed`` holds event ``e``'s membership bits (all true when the
+    event leaves the family unconstrained).  Port families parse their
+    values and add an inclusive per-event ``[low, high]`` range (empty:
+    ``low > high``) and ``needs_number``, the events for which an
+    unparseable value violates; membership families leave those ``None``.
+    """
+
+    name: str
+    role: str
+    vocabulary: dict | np.ndarray
+    allowed: np.ndarray
+    low: np.ndarray | None = None
+    high: np.ndarray | None = None
+    needs_number: np.ndarray | None = None
+
+    def encode(self, values) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """``(codes, ports, parseable)`` of raw values (ports: port families only)."""
+        absent = len(self.vocabulary)
+        if self.low is None:
+            get = self.vocabulary.get
+            codes = np.fromiter((get(value, absent) for value in values), np.intp, len(values))
+            return codes, None, None
+        floats, parseable = _numeric_column(values)
+        # Clipping keeps the int64 cast defined; no allowed port comes near 2**62.
+        ports = np.trunc(np.clip(np.where(parseable, floats, 0.0), -(2.0**62), 2.0**62))
+        ports = ports.astype(np.int64)
+        codes = np.full(len(ports), absent, dtype=np.intp)
+        if absent:
+            at = np.minimum(np.searchsorted(self.vocabulary, ports), absent - 1)
+            hit = self.vocabulary[at] == ports
+            codes[hit] = at[hit]
+        return codes, ports, parseable
+
+    def violated(self, events, codes, ports=None, parseable=None) -> np.ndarray:
+        """Violation mask of encoded values under table event codes (broadcasts)."""
+        out = ~self.allowed[events, codes]
+        if self.low is None:
+            return out
+        out &= (ports < self.low[events]) | (ports > self.high[events])
+        return np.where(parseable, out, self.needs_number[events])
+
+
+@dataclass(frozen=True)
+class BoundConstraints:
+    """The constraint table bound to fixed category lists (:meth:`KGReasoner.bind`).
+
+    Row ``e`` of each array belongs to the ``e``-th event category:
+    ``events`` is its table event code and ``known`` is false when the graph
+    does not describe it.  ``tables[column][e, c]`` is the family validity
+    of ``column``'s category ``c`` under event category ``e`` (all true for
+    unknown and ``None`` events).  ``families`` holds the families of the
+    constrained columns that were not bound, for :meth:`column_valid`.
+    """
+
+    events: np.ndarray
+    known: np.ndarray
+    tables: dict[str, np.ndarray]
+    families: dict[str, ConstraintFamily]
+
+    def column_valid(self, column: str, event_codes, values) -> np.ndarray:
+        """Family validity of raw ``values`` of an unbound column, per
+        event-category code."""
+        family = self.families[column]
+        return ~family.violated(self.events[event_codes], *family.encode(values))
 
 
 class KGReasoner:
@@ -97,63 +202,51 @@ class KGReasoner:
     ) -> None:
         self.graph = graph
         self.field_map = dict(field_map) if field_map is not None else dict(DEFAULT_FIELD_MAP)
-        self._constraints: dict[str, EventConstraints] = {}
-        self._compile()
-        # Lazily-built lookup registries for the batched validity mask; the
-        # constraint set is immutable after _compile(), so cached lookups
-        # never go stale.  Guarded by a lock because federated thread
-        # executors may share one reasoner across sites.
-        self._batch_tables: dict | None = None
-        self._batch_lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        # Locks cannot be pickled and the batch registries are a pure cache;
-        # both are rebuilt lazily on the other side.
-        state = self.__dict__.copy()
-        state["_batch_tables"] = None
-        state["_batch_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._batch_tables = None
-        self._batch_lock = threading.Lock()
+        self._constraints: dict[str, EventConstraints] = {
+            c.name: c for c in map(self._read_event, graph.entities_of_type("EventType"))
+        }
+        # Table event codes: one per graph event, then unknown, then None.
+        self._event_index: dict = {name: code for code, name in enumerate(self._constraints)}
+        self._unknown = len(self._event_index)
+        self._event_index[None] = self._unknown + 1
+        self.families: tuple[ConstraintFamily, ...] = self._compile_families()
 
     # ------------------------------------------------------------------ #
     # Compilation from triples
     # ------------------------------------------------------------------ #
-    def _compile(self) -> None:
-        for event_uri in self.graph.entities_of_type("EventType"):
-            name = _strip(event_uri, EVENT_NS)
-            constraints = EventConstraints(name=name)
-            kinds = self.graph.objects(event_uri, "hasEventKind")
-            if kinds:
-                constraints.kind = str(kinds[0])
-            constraints.protocols = {
-                _strip(obj, PROTOCOL_NS) for obj in self.graph.objects(event_uri, "allowsProtocol")
-            }
-            # Source IPs come from the devices allowed to originate the event.
-            for device_uri in self.graph.objects(event_uri, "allowsSourceDevice"):
-                for ip_uri in self.graph.objects(str(device_uri), "hasIPAddress"):
-                    constraints.source_ips.add(_strip(ip_uri, IP_NS))
-            # Destination IPs: explicit IPs plus resolved domains.
-            for ip_uri in self.graph.objects(event_uri, "allowsDestinationIP"):
-                constraints.destination_ips.add(_strip(ip_uri, IP_NS))
-            for domain_uri in self.graph.objects(event_uri, "allowsDestinationDomain"):
-                for ip_uri in self.graph.objects(str(domain_uri), "resolvesTo"):
-                    constraints.destination_ips.add(_strip(ip_uri, IP_NS))
-            # Destination ports: explicit ports plus an optional range.
-            for port_uri in self.graph.objects(event_uri, "allowsDestinationPort"):
-                numbers = self.graph.objects(str(port_uri), "portNumber")
-                if numbers:
-                    constraints.destination_ports.add(int(numbers[0]))
-                else:
-                    constraints.destination_ports.add(int(_strip(port_uri, PORT_NS)))
-            constraints.destination_port_range = self._read_range(
-                event_uri, "allowsDestinationPortRange"
+    def _read_event(self, event_uri: str) -> EventConstraints:
+        graph = self.graph
+        kinds = graph.objects(event_uri, "hasEventKind")
+        # Source IPs come from the devices allowed to originate the event.
+        source_ips = {
+            _strip(ip_uri, IP_NS)
+            for device_uri in graph.objects(event_uri, "allowsSourceDevice")
+            for ip_uri in graph.objects(str(device_uri), "hasIPAddress")
+        }
+        # Destination IPs: explicit IPs plus resolved domains.
+        destination_ips = {
+            _strip(ip_uri, IP_NS) for ip_uri in graph.objects(event_uri, "allowsDestinationIP")
+        }
+        for domain_uri in graph.objects(event_uri, "allowsDestinationDomain"):
+            destination_ips.update(
+                _strip(ip_uri, IP_NS) for ip_uri in graph.objects(str(domain_uri), "resolvesTo")
             )
-            constraints.source_port_range = self._read_range(event_uri, "allowsSourcePortRange")
-            self._constraints[name] = constraints
+        destination_ports = set()
+        for port_uri in graph.objects(event_uri, "allowsDestinationPort"):
+            numbers = graph.objects(str(port_uri), "portNumber")
+            destination_ports.add(int(numbers[0]) if numbers else int(_strip(port_uri, PORT_NS)))
+        return EventConstraints(
+            name=_strip(event_uri, EVENT_NS),
+            kind=str(kinds[0]) if kinds else "benign",
+            protocols=frozenset(
+                _strip(obj, PROTOCOL_NS) for obj in graph.objects(event_uri, "allowsProtocol")
+            ),
+            source_ips=frozenset(source_ips),
+            destination_ips=frozenset(destination_ips),
+            destination_ports=frozenset(destination_ports),
+            destination_port_range=self._read_range(event_uri, "allowsDestinationPortRange"),
+            source_port_range=self._read_range(event_uri, "allowsSourcePortRange"),
+        )
 
     def _read_range(self, event_uri: str, predicate: str) -> tuple[int, int] | None:
         ranges = self.graph.objects(event_uri, predicate)
@@ -165,6 +258,81 @@ class KGReasoner:
         if not lows or not highs:
             return None
         return int(lows[0]), int(highs[0])
+
+    def _compile_families(self) -> tuple[ConstraintFamily, ...]:
+        """The five families; rows of every array are the table event codes."""
+        events = list(self._constraints.values())
+        n_rows = len(events) + 2  # the unknown and None rows constrain nothing
+
+        def frozen(array: np.ndarray) -> np.ndarray:
+            array.flags.writeable = False
+            return array
+
+        def membership(vocabulary: list, sets: list) -> np.ndarray:
+            """``allowed`` over ``vocabulary`` plus the absent code; ``None``
+            sets leave their event unconstrained."""
+            allowed = np.ones((n_rows, len(vocabulary) + 1), dtype=bool)
+            for e, members in enumerate(sets):
+                if members is not None:
+                    allowed[e, :-1] = [value in members for value in vocabulary]
+                    allowed[e, -1] = False
+            return frozen(allowed)
+
+        families = []
+        for name, role, attr in (
+            ("protocol", "protocol", "protocols"),
+            ("source-ip", "source_ip", "source_ips"),
+            ("destination-ip", "destination_ip", "destination_ips"),
+        ):
+            sets = [getattr(c, attr) or None for c in events]
+            vocabulary = sorted(set().union(*filter(None, sets)), key=repr)
+            index = {value: code for code, value in enumerate(vocabulary)}
+            families.append(ConstraintFamily(name, role, index, membership(vocabulary, sets)))
+
+        def port_family(name, role, ports, ranges, needs_number) -> ConstraintFamily:
+            low = np.ones(n_rows, dtype=np.int64)
+            high = np.zeros(n_rows, dtype=np.int64)
+            for e, bounds in enumerate(ranges):
+                if bounds is not None:
+                    low[e], high[e] = bounds
+            flags = np.zeros(n_rows, dtype=bool)
+            flags[: len(events)] = needs_number
+            vocabulary = sorted(set().union(*filter(None, ports)))
+            return ConstraintFamily(
+                name,
+                role,
+                frozen(np.array(vocabulary, dtype=np.int64)),
+                membership(vocabulary, ports),
+                frozen(low),
+                frozen(high),
+                frozen(flags),
+            )
+
+        # A destination port is constrained by its explicit set, its range or
+        # both; an event with neither leaves it free but still needs a number.
+        destination_sets = [
+            c.destination_ports or (frozenset() if c.destination_port_range else None)
+            for c in events
+        ]
+        families.append(
+            port_family(
+                "destination-port",
+                "destination_port",
+                destination_sets,
+                [c.destination_port_range for c in events],
+                [True] * len(events),
+            )
+        )
+        families.append(
+            port_family(
+                "source-port",
+                "source_port",
+                [None if c.source_port_range is None else frozenset() for c in events],
+                [c.source_port_range for c in events],
+                [c.source_port_range is not None for c in events],
+            )
+        )
+        return tuple(families)
 
     # ------------------------------------------------------------------ #
     # Basic lookups
@@ -204,249 +372,6 @@ class KGReasoner:
     def source_port_range(self, event_name: str) -> tuple[int, int] | None:
         return self.constraints(event_name).source_port_range
 
-    # ------------------------------------------------------------------ #
-    # Validity queries (the paper's "Q" query)
-    # ------------------------------------------------------------------ #
-    def violations(self, record: dict) -> list[RuleViolation]:
-        """All constraint violations of a record, using the field map."""
-        fm = self.field_map
-        event_column = fm["event_type"]
-        violations: list[RuleViolation] = []
-        event_name = record.get(event_column)
-        if event_name is None:
-            return violations
-        if event_name not in self._constraints:
-            return [
-                RuleViolation(
-                    rule_name="known-event",
-                    attribute=event_column,
-                    value=event_name,
-                    reason="event type is not described in the knowledge graph",
-                )
-            ]
-        constraints = self._constraints[event_name]
-
-        def _check_membership(role: str, allowed: set, rule_name: str) -> None:
-            column = fm[role]
-            if not allowed or column not in record:
-                return
-            value = record[column]
-            if value not in allowed:
-                violations.append(
-                    RuleViolation(
-                        rule_name=rule_name,
-                        attribute=column,
-                        value=value,
-                        reason=f"invalid for event {event_name!r}",
-                    )
-                )
-
-        _check_membership("protocol", constraints.protocols, "protocol")
-        _check_membership("source_ip", constraints.source_ips, "source-ip")
-        _check_membership("destination_ip", constraints.destination_ips, "destination-ip")
-
-        dst_port_column = fm["destination_port"]
-        if dst_port_column in record:
-            try:
-                port = int(float(record[dst_port_column]))
-                if not constraints.destination_port_valid(port):
-                    violations.append(
-                        RuleViolation(
-                            rule_name="destination-port",
-                            attribute=dst_port_column,
-                            value=port,
-                            reason=f"port invalid for event {event_name!r}",
-                        )
-                    )
-            except (TypeError, ValueError):
-                violations.append(
-                    RuleViolation(
-                        rule_name="destination-port",
-                        attribute=dst_port_column,
-                        value=record[dst_port_column],
-                        reason="port is not numeric",
-                    )
-                )
-        src_port_column = fm["source_port"]
-        if src_port_column in record and constraints.source_port_range is not None:
-            try:
-                port = int(float(record[src_port_column]))
-                if not constraints.source_port_valid(port):
-                    violations.append(
-                        RuleViolation(
-                            rule_name="source-port",
-                            attribute=src_port_column,
-                            value=port,
-                            reason=f"port invalid for event {event_name!r}",
-                        )
-                    )
-            except (TypeError, ValueError):
-                violations.append(
-                    RuleViolation(
-                        rule_name="source-port",
-                        attribute=src_port_column,
-                        value=record[src_port_column],
-                        reason="port is not numeric",
-                    )
-                )
-        return violations
-
-    def is_valid(self, record: dict) -> bool:
-        """True when the record violates no knowledge-graph constraint."""
-        return not self.violations(record)
-
-    # ------------------------------------------------------------------ #
-    # Batched validity (the vectorized form of the "Q" query)
-    # ------------------------------------------------------------------ #
-    _MEMBERSHIP_ATTRS = {
-        "protocol": "protocols",
-        "source_ip": "source_ips",
-        "destination_ip": "destination_ips",
-    }
-
-    def _batch_registries(self) -> dict:
-        """Lazily-built persistent lookup state for :meth:`validity_mask`.
-
-        Value -> code registries grow monotonically across calls (first-seen
-        order), so the per-(event, role) allowed-value bitmaps and the sorted
-        per-event port arrays are computed once and reused every step instead
-        of being rebuilt per batch.
-        """
-        with self._batch_lock:
-            if self._batch_tables is None:
-                self._batch_tables = {
-                    "event_codes": {},  # event value -> code
-                    "event_info": [],   # code -> EventConstraints | "skip" | None
-                    "role_codes": {role: {} for role in self._MEMBERSHIP_ATTRS},
-                    "allowed": {},      # (role, event_code) -> bool lookup array
-                    "dst_ports": {      # event name -> sorted unique port array
-                        name: np.array(sorted(c.destination_ports), dtype=np.int64)
-                        for name, c in self._constraints.items()
-                    },
-                }
-        return self._batch_tables
-
-    def _allowed_lookup(self, tables: dict, role: str, event_id: int, allowed: set) -> np.ndarray:
-        """Bool array mapping a role's value codes to set membership."""
-        registry = tables["role_codes"][role]
-        lookup = tables["allowed"].get((role, event_id))
-        if lookup is None or lookup.size < len(registry):
-            values = list(registry)  # insertion order == code order
-            lookup = np.fromiter((v in allowed for v in values), dtype=bool, count=len(values))
-            tables["allowed"][(role, event_id)] = lookup
-        return lookup
-
-    def validity_mask(self, table_or_columns) -> np.ndarray:
-        """Per-row validity of a whole table as one boolean array.
-
-        Accepts a :class:`~repro.tabular.table.Table` or a ``{column:
-        array}`` mapping.  Rows are grouped by event type and every
-        constraint (protocol / IP memberships, port sets and ranges) is
-        checked with batched numpy operations, so the cost is a few C passes
-        per event instead of one Python ``violations()`` call per row.  The
-        semantics match :meth:`is_valid` row for row.
-
-        Because the constraint tables are immutable, the value -> code
-        registries and per-event allowed-value lookups live on the reasoner
-        and persist across calls: in steady state each call costs one
-        registry-mapping pass per constrained column plus a few small indexed
-        reads per event, with no per-batch set scans or ``np.isin`` calls.
-        """
-        if isinstance(table_or_columns, Mapping):
-            names = list(table_or_columns.keys())
-            get_column = table_or_columns.__getitem__
-            n_rows = len(table_or_columns[names[0]]) if names else 0
-        else:
-            names = list(table_or_columns.schema.names)
-            get_column = table_or_columns.column
-            n_rows = table_or_columns.n_rows
-
-        fm = self.field_map
-        event_column = fm["event_type"]
-        valid = np.ones(n_rows, dtype=bool)
-        if event_column not in names or n_rows == 0:
-            # No event attribute: nothing is constrained (matches the
-            # record path, where a missing event type yields no violations).
-            return valid
-
-        tables = self._batch_registries()
-        event_registry = tables["event_codes"]
-        ev_setdefault = event_registry.setdefault
-        event_codes = np.fromiter(
-            (ev_setdefault(v, len(event_registry)) for v in get_column(event_column)),
-            dtype=np.int64,
-            count=n_rows,
-        )
-        event_info = tables["event_info"]
-        if len(event_registry) > len(event_info):
-            with self._batch_lock:
-                for value, _code in list(event_registry.items())[len(event_info):]:
-                    if value is None:
-                        event_info.append("skip")
-                    else:
-                        event_info.append(self._constraints.get(value))
-
-        membership: dict[str, np.ndarray] = {}
-        for role in self._MEMBERSHIP_ATTRS:
-            column = fm.get(role)
-            if column in names:
-                registry = tables["role_codes"][role]
-                rsetdefault = registry.setdefault
-                membership[role] = np.fromiter(
-                    (rsetdefault(v, len(registry)) for v in get_column(column)),
-                    dtype=np.int64,
-                    count=n_rows,
-                )
-
-        numeric: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for role in ("destination_port", "source_port"):
-            column = fm.get(role)
-            if column in names:
-                numeric[role] = _numeric_column(get_column(column))
-
-        for event_id in np.unique(event_codes):
-            rows = np.nonzero(event_codes == event_id)[0]
-            constraints = event_info[event_id]
-            if constraints == "skip":  # event value was None
-                continue
-            if constraints is None:
-                valid[rows] = False
-                continue
-            for role, codes in membership.items():
-                allowed = getattr(constraints, self._MEMBERSHIP_ATTRS[role])
-                if not allowed:
-                    continue
-                lookup = self._allowed_lookup(tables, role, int(event_id), allowed)
-                valid[rows] &= lookup[codes[rows]]
-            if "destination_port" in numeric:
-                ports, parseable = numeric["destination_port"]
-                ok = parseable[rows].copy()
-                here = np.trunc(ports[rows][ok]).astype(np.int64)
-                if constraints.destination_ports or constraints.destination_port_range is not None:
-                    # Sorted-array membership == np.isin on the same set.
-                    allowed_ports = tables["dst_ports"][constraints.name]
-                    if allowed_ports.size:
-                        idx = np.minimum(
-                            np.searchsorted(allowed_ports, here), allowed_ports.size - 1
-                        )
-                        port_ok = allowed_ports[idx] == here
-                    else:
-                        port_ok = np.zeros(here.size, dtype=bool)
-                    if constraints.destination_port_range is not None:
-                        low, high = constraints.destination_port_range
-                        port_ok |= (here >= low) & (here <= high)
-                    ok[np.nonzero(ok)[0][~port_ok]] = False
-                valid[rows] &= ok
-            if "source_port" in numeric and constraints.source_port_range is not None:
-                ports, parseable = numeric["source_port"]
-                ok = parseable[rows].copy()
-                here = np.trunc(ports[rows][ok]).astype(np.int64)
-                low, high = constraints.source_port_range
-                in_range = (here >= low) & (here <= high)
-                ok[np.nonzero(ok)[0][~in_range]] = False
-                valid[rows] &= ok
-        return valid
-
     def valid_values(self, role: str, event_name: str) -> set:
         """Admissible values of a semantic role for a given event type.
 
@@ -469,78 +394,76 @@ class KGReasoner:
             return ports
         raise ValueError(f"unknown role {role!r}")
 
-    def sample_valid_record(self, event_name: str, rng) -> dict:
-        """Draw one attribute combination the knowledge graph deems valid.
-
-        Used by the knowledge-guided discriminator to provide positive
-        (valid) examples for condition vectors, per section III-B-1.
-        """
-        constraints = self.constraints(event_name)
-        fm = self.field_map
-        record: dict = {fm["event_type"]: event_name}
-        if constraints.protocols:
-            record[fm["protocol"]] = sorted(constraints.protocols)[
-                rng.integers(0, len(constraints.protocols))
-            ]
-        if constraints.source_ips:
-            record[fm["source_ip"]] = sorted(constraints.source_ips)[
-                rng.integers(0, len(constraints.source_ips))
-            ]
-        if constraints.destination_ips:
-            record[fm["destination_ip"]] = sorted(constraints.destination_ips)[
-                rng.integers(0, len(constraints.destination_ips))
-            ]
-        if constraints.destination_ports or constraints.destination_port_range is not None:
-            if constraints.destination_ports and (
-                constraints.destination_port_range is None or rng.uniform() < 0.5
-            ):
-                ports = sorted(constraints.destination_ports)
-                record[fm["destination_port"]] = ports[rng.integers(0, len(ports))]
-            else:
-                low, high = constraints.destination_port_range
-                record[fm["destination_port"]] = int(rng.integers(low, high + 1))
-        if constraints.source_port_range is not None:
-            low, high = constraints.source_port_range
-            record[fm["source_port"]] = int(rng.integers(low, high + 1))
-        return record
-
     # ------------------------------------------------------------------ #
-    # Rule-set compilation
+    # Validity (the paper's "Q" query; special cases: module docstring)
     # ------------------------------------------------------------------ #
-    def to_rule_set(self) -> RuleSet:
-        """Compile the per-event constraints into a declarative rule set."""
-        fm = self.field_map
-        event_column = fm["event_type"]
-        rules = RuleSet(name=f"rules[{self.graph.name}]")
-        rules.add(
-            MembershipRule(
-                attribute=event_column,
-                allowed=frozenset(self._constraints),
-                name="known-event",
-            )
+    def _event_codes(self, values) -> np.ndarray:
+        index, unknown = self._event_index, self._unknown
+        return np.fromiter(
+            (index.get(value, unknown) for value in values), dtype=np.intp, count=len(values)
         )
-        for name, constraints in self._constraints.items():
-            memberships: dict[str, frozenset] = {}
-            ranges: dict[str, tuple[float, float]] = {}
-            if constraints.protocols:
-                memberships[fm["protocol"]] = frozenset(constraints.protocols)
-            if constraints.source_ips:
-                memberships[fm["source_ip"]] = frozenset(constraints.source_ips)
-            if constraints.destination_ips:
-                memberships[fm["destination_ip"]] = frozenset(constraints.destination_ips)
-            if constraints.destination_port_range is not None and not constraints.destination_ports:
-                ranges[fm["destination_port"]] = constraints.destination_port_range
-            elif constraints.destination_ports and constraints.destination_port_range is None:
-                memberships[fm["destination_port"]] = frozenset(constraints.destination_ports)
-            if constraints.source_port_range is not None:
-                ranges[fm["source_port"]] = constraints.source_port_range
-            if memberships or ranges:
-                rules.add(
-                    ImplicationRule(
-                        when={event_column: name},
-                        memberships=memberships,
-                        ranges=ranges,
-                        name=f"event[{name}]",
-                    )
-                )
-        return rules
+
+    def violation_masks(self, table_or_columns) -> dict[str, np.ndarray]:
+        """Per-rule violation masks of a table or ``{column: array}`` mapping.
+
+        ``known-event`` first, then one mask per family whose column is
+        present, in :attr:`families` order; empty without an event column.
+        """
+        names, get_column, _ = _columns(table_or_columns)
+        event_column = self.field_map["event_type"]
+        if event_column not in names:
+            return {}
+        events = self._event_codes(get_column(event_column))
+        masks = {KNOWN_EVENT: events == self._unknown}
+        for family in self.families:
+            column = self.field_map.get(family.role)
+            if column in names:
+                masks[family.name] = family.violated(events, *family.encode(get_column(column)))
+        return masks
+
+    def validity_mask(self, table_or_columns) -> np.ndarray:
+        """Per-row validity of a whole table as one boolean array: the AND
+        of the negated :meth:`violation_masks`."""
+        _, _, n_rows = _columns(table_or_columns)
+        valid = np.ones(n_rows, dtype=bool)
+        for mask in self.violation_masks(table_or_columns).values():
+            valid &= ~mask
+        return valid
+
+    def violations(self, record: Mapping) -> list[Violation]:
+        """All violations of one record: the one-row evaluator plus messages."""
+        columns = {KNOWN_EVENT: self.field_map["event_type"]}
+        columns.update((f.name, self.field_map.get(f.role)) for f in self.families)
+        event = record.get(columns[KNOWN_EVENT])
+        found = []
+        for rule, mask in self.violation_masks({k: [v] for k, v in record.items()}).items():
+            if mask[0]:
+                reason = f"invalid for event {event!r}"
+                if rule == KNOWN_EVENT:
+                    reason = "event type is not described in the knowledge graph"
+                found.append(Violation(rule, columns[rule], record[columns[rule]], reason))
+        return found
+
+    def is_valid(self, record: Mapping) -> bool:
+        """True when the record violates no knowledge-graph constraint."""
+        return not self.violations(record)
+
+    def bind(self, categories_by_column: Mapping[str, Sequence]) -> BoundConstraints:
+        """The constraint table over fixed category lists (e.g. a transformer's).
+
+        ``categories_by_column`` must list the event column.  Each family
+        whose column is listed is evaluated once over every (event
+        category, category) pair, with the same predicates as
+        :meth:`violation_masks`; families over other columns stay in
+        ``families`` for per-row evaluation.
+        """
+        events = self._event_codes(categories_by_column[self.field_map["event_type"]])
+        tables, families = {}, {}
+        for family in self.families:
+            column = self.field_map.get(family.role)
+            if column in categories_by_column:
+                encoded = family.encode(categories_by_column[column])
+                tables[column] = ~family.violated(events[:, None], *encoded)
+            elif column is not None:
+                families[column] = family
+        return BoundConstraints(events, events != self._unknown, tables, families)

@@ -1,12 +1,13 @@
 """Batch validity scoring against the knowledge graph.
 
-:class:`BatchValidator` turns the per-record reasoner queries into vectorised
-scores over whole tables.  It is used in two places:
+:class:`BatchValidator` turns the reasoner's per-family violation masks
+into scores and reports over whole tables.  It is used in two places:
 
 * the knowledge-guided discriminator ``D_KG`` takes the exact 0/1 validity
   of the real training rows from :meth:`BatchValidator.table_scores` (the
   KG query ``Q``); its per-step scoring of corrupted and generated rows
-  runs on integer codes inside ``D_KG`` itself;
+  runs on integer codes, over the tables it binds from the reasoner
+  (:meth:`~repro.knowledge.reasoner.KGReasoner.bind`);
 * the evaluation harness reports the *constraint-violation rate* of each
   synthesizer's output (ablation A1, ``benchmarks/test_ablation_knowledge.py``).
 """
@@ -41,8 +42,7 @@ class ValidityReport:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         lines = [
-            f"ValidityReport: {self.valid}/{self.total} valid "
-            f"({100 * self.validity_rate:.1f}%)"
+            f"ValidityReport: {self.valid}/{self.total} valid ({100 * self.validity_rate:.1f}%)"
         ]
         for rule, count in sorted(self.violations_by_rule.items()):
             lines.append(f"  {rule}: {count} violations")
@@ -61,17 +61,12 @@ class BatchValidator:
 
     def report(self, table: Table) -> ValidityReport:
         """Full validity report with per-rule violation counts."""
-        violations_by_rule: dict[str, int] = {}
-        valid = 0
-        records = table.to_records()
-        for record in records:
-            violations = self.reasoner.violations(record)
-            if not violations:
-                valid += 1
-            for violation in violations:
-                violations_by_rule[violation.rule_name] = (
-                    violations_by_rule.get(violation.rule_name, 0) + 1
-                )
+        masks = self.reasoner.violation_masks(table)
+        invalid = np.zeros(table.n_rows, dtype=bool)
+        for mask in masks.values():
+            invalid |= mask
         return ValidityReport(
-            total=len(records), valid=valid, violations_by_rule=violations_by_rule
+            total=table.n_rows,
+            valid=int(table.n_rows - invalid.sum()),
+            violations_by_rule={rule: int(m.sum()) for rule, m in masks.items() if m.any()},
         )

@@ -137,22 +137,6 @@ class TestReasoner:
         with pytest.raises(ValueError):
             lab_reasoner.valid_values("nonsense-role", "dns_lookup")
 
-    def test_sample_valid_record_is_valid(self, lab_reasoner):
-        generator = np.random.default_rng(3)
-        for event in lab_reasoner.event_names():
-            record = lab_reasoner.sample_valid_record(event, generator)
-            assert lab_reasoner.is_valid(record), (event, record)
-
-    def test_rule_set_compilation_agrees_with_reasoner(self, lab_reasoner):
-        rules = lab_reasoner.to_rule_set()
-        generator = np.random.default_rng(5)
-        for event in lab_reasoner.event_names():
-            record = lab_reasoner.sample_valid_record(event, generator)
-            assert rules.is_valid(record)
-        bad = {"event_type": "dns_lookup", "protocol": "TCP"}
-        assert not rules.is_valid(bad)
-        assert not lab_reasoner.is_valid(bad)
-
 
 class TestBatchValidator:
     def test_real_lab_data_is_fully_valid(self, lab_reasoner, lab_bundle_small):
@@ -172,9 +156,7 @@ class TestBatchValidator:
         assert report.violations_by_rule.get("destination-port", 0) == 50
 
     def test_scores_are_binary(self, lab_reasoner, lab_bundle_small):
-        scores = BatchValidator(lab_reasoner).table_scores(
-            lab_bundle_small.table.head(30)
-        )
+        scores = BatchValidator(lab_reasoner).table_scores(lab_bundle_small.table.head(30))
         assert set(np.unique(scores)).issubset({0.0, 1.0})
 
 

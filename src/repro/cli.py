@@ -70,6 +70,7 @@ from repro.serve import (
     ModelArtifact,
     SamplingHTTPServer,
     ServingPool,
+    check_conditions,
     fetch_json,
     load_model,
     sample_stream,
@@ -267,6 +268,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     print(f"Loading {artifact.model_class} artifact from {artifact.directory} ...")
     model = load_model(artifact.directory)
     conditions = _parse_conditions(args.condition)
+    try:
+        check_conditions(getattr(model, "sampler", None), conditions or {}, args.artifact)
+    except ValueError as error:
+        raise SystemExit(f"repro sample: {error}") from None
     output = Path(args.output)
     started = time.perf_counter()
     rows_written = 0

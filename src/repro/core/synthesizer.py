@@ -63,7 +63,6 @@ class KiNETGAN(Synthesizer):
         reasoner: KGReasoner | None = None,
         condition_columns: list[str] | None = None,
         field_map: dict[str, str] | None = None,
-        **_: object,
     ) -> "KiNETGAN":
         """Fit the model on a real table.
 

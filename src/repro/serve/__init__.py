@@ -42,6 +42,7 @@ from repro.serve.codec import StateCodecError, StateDecodeError, StateEncodeErro
 from repro.serve.server import (
     SamplingHTTPServer,
     ServingPool,
+    check_conditions,
     fetch_json,
     request_samples,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "StateCodecError",
     "StateDecodeError",
     "StateEncodeError",
+    "check_conditions",
     "fetch_json",
     "load_model",
     "model_registry",

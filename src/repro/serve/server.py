@@ -56,13 +56,14 @@ from repro.engine import sampling_rng
 from repro.obs import MetricsRegistry, default_registry
 from repro.runtime import Executor, TaskPolicy, resolve_executor
 from repro.serve.artifact import ModelArtifact, load_model
-from repro.tabular.schema import ColumnSpec, TableSchema
+from repro.tabular.schema import ColumnSpec, TableSchema, tuples_from_json
 from repro.tabular.table import Table
 
 __all__ = [
     "ServingPool",
     "SamplingHTTPServer",
     "ServerStats",
+    "check_conditions",
     "request_samples",
     "fetch_json",
     "table_to_wire",
@@ -94,7 +95,100 @@ def table_to_wire(table: Table) -> dict:
     return {"schema": table.schema.to_dict(), "columns": columns}
 
 
-def _column_from_wire(spec: ColumnSpec, value) -> np.ndarray:
+def _same_value(value, category) -> bool:
+    """Whether a decoded ``value`` stands for ``category``: equal and of its
+    exact type, where a JSON array stands for an equal tuple."""
+    if type(category) is tuple:
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == len(category)
+            and all(map(_same_value, value, category))
+        )
+    return type(value) is type(category) and value == category
+
+
+class _CategoryMap:
+    """Decodes one categorical column onto its category objects.
+
+    A value of a category's exact type (``str``, ``int`` but not ``bool``,
+    or a JSON array for a tuple) that equals it becomes that very object,
+    so a decoded table holds pointers into the schema, as an in-process
+    sample does, instead of a fresh ``str`` or ``int`` per cell.  Every
+    other value (a bool, a float, anything outside the categories) stays as
+    ``json.loads`` made it.
+    """
+
+    __slots__ = ("lookup", "str_keys")
+
+    def __init__(self, categories: tuple) -> None:
+        self.lookup = {c: c for c in categories if type(c) in (str, int, tuple)}
+        self.str_keys = all(type(c) is str for c in self.lookup)
+
+    def __call__(self, values: list) -> np.ndarray:
+        """``values`` as an object array.  fromiter keeps each element's own
+        type; np.asarray would turn a mixed ``[21, "x"]`` column into
+        ``["21", "x"]``."""
+        # A plain lookup is exact when only a str can equal a key, or when
+        # the column holds nothing but ints and strs (a bool or a float can
+        # equal an int key, a JSON array a tuple key).
+        if self.str_keys or set(map(type, values)) <= {int, str}:
+            try:
+                found = map(self.lookup.get, values, values)
+                return np.fromiter(found, dtype=object, count=len(values))
+            except TypeError:  # an unhashable JSON array
+                pass
+        return np.fromiter(map(self.value, values), dtype=object, count=len(values))
+
+    def value(self, value):
+        try:
+            category = self.lookup.get(tuples_from_json(value), value)
+        except TypeError:  # a JSON object, or an array holding one
+            return value
+        return category if _same_value(value, category) else value
+
+
+class _WireSchema:
+    """A decoded schema document and the category map of each categorical column."""
+
+    __slots__ = ("schema", "category_maps")
+
+    def __init__(self, document) -> None:
+        self.schema = TableSchema.from_dict(document)
+        self.category_maps = {
+            spec.name: _CategoryMap(spec.categories) for spec in self.schema if spec.is_categorical
+        }
+
+
+# Decoded schema documents by their JSON text, least recently used first.
+_WIRE_SCHEMAS: OrderedDict[str, _WireSchema] = OrderedDict()
+_WIRE_SCHEMAS_KEPT = 16
+_WIRE_SCHEMAS_LOCK = threading.Lock()
+
+
+def _wire_schema(document) -> _WireSchema:
+    """The decoded form of a schema document, built once per distinct document.
+
+    Replies of one artifact then share one :class:`TableSchema` and its
+    category objects, as in-process samples share ``transformer.schema``.
+    The key is the document's JSON text, so documents that Python finds
+    equal but JSON does not (``true`` and ``1``) never share an entry.
+    """
+    try:
+        key = json.dumps(document)
+    except (TypeError, ValueError):  # not a JSON document: nothing to share
+        return _WireSchema(document)
+    with _WIRE_SCHEMAS_LOCK:
+        entry = _WIRE_SCHEMAS.get(key)
+        if entry is None:
+            entry = _WIRE_SCHEMAS[key] = _WireSchema(document)
+            if len(_WIRE_SCHEMAS) > _WIRE_SCHEMAS_KEPT:
+                _WIRE_SCHEMAS.popitem(last=False)
+        else:
+            _WIRE_SCHEMAS.move_to_end(key)
+    return entry
+
+
+def _column_from_wire(spec: ColumnSpec, value, category_map: _CategoryMap | None) -> np.ndarray:
     """One wire column as its storage array; ``ValueError`` if malformed."""
     if spec.is_continuous:
         if not (isinstance(value, dict) and set(value) == {"f8"} and isinstance(value["f8"], str)):
@@ -108,9 +202,7 @@ def _column_from_wire(spec: ColumnSpec, value) -> np.ndarray:
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if not isinstance(value, list):
         raise ValueError(f"column {spec.name!r}: expected a list, got {type(value).__name__}")
-    # fromiter keeps each element's own type; np.asarray would turn a mixed
-    # [21, "x"] column into ["21", "x"].
-    return np.fromiter(value, dtype=object, count=len(value))
+    return category_map(value)
 
 
 def table_from_wire(document: dict) -> Table:
@@ -118,20 +210,25 @@ def table_from_wire(document: dict) -> Table:
 
     The document may come off the network, so any malformed part raises
     ``ValueError`` (naming the column where there is one) instead of a
-    ``KeyError`` or ``TypeError`` from deep inside.
+    ``KeyError`` or ``TypeError`` from deep inside.  Tables decoded from one
+    schema document share one schema, and their categorical cells are that
+    schema's category objects (see :class:`_CategoryMap`).
     """
     try:
-        schema = TableSchema.from_dict(document["schema"])
+        wire_schema = _wire_schema(document["schema"])
         wire_columns = document["columns"]
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"malformed table document: {error!r}") from None
     if not isinstance(wire_columns, dict):
         raise ValueError("malformed table document: columns is not an object")
+    schema = wire_schema.schema
     columns = {}
     for spec in schema:
         if spec.name not in wire_columns:
             raise ValueError(f"column {spec.name!r}: missing")
-        columns[spec.name] = _column_from_wire(spec, wire_columns[spec.name])
+        columns[spec.name] = _column_from_wire(
+            spec, wire_columns[spec.name], wire_schema.category_maps.get(spec.name)
+        )
     if columns:
         lengths = Counter(len(values) for values in columns.values())
         n_rows = lengths.most_common(1)[0][0]
@@ -146,6 +243,23 @@ def table_from_wire(document: dict) -> Table:
 # --------------------------------------------------------------------------- #
 # The serving pool
 # --------------------------------------------------------------------------- #
+def check_conditions(sampler, conditions: dict, artifact: str) -> None:
+    """Raise ``ValueError`` naming the first column of ``conditions`` that
+    ``artifact``, a model with condition sampler ``sampler`` (``None`` when
+    unconditional), cannot condition on: an unknown column, a value outside
+    the column's categories, or any column at all on an unconditional model.
+    HTTP admission and ``repro sample`` both check requests with it."""
+    for name, value in conditions.items():
+        if sampler is None:
+            raise ValueError(f"condition {name!r}: {artifact!r} takes no conditions")
+        try:
+            sampler.vector_from_values({name: value})
+        except KeyError:
+            raise ValueError(f"unknown condition column {name!r}") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"condition {name!r}: {value!r} is not a category") from None
+
+
 def _pool_sample_task(payload: tuple):
     """Executor work unit: sample from a resident model.
 
@@ -241,20 +355,8 @@ class ServingPool:
         return self._aliases.get(artifact)
 
     def check_conditions(self, artifact: str, conditions: dict) -> None:
-        """Raise ``ValueError`` naming the first column of ``conditions``
-        that ``artifact`` (a canonical key) cannot condition on: an unknown
-        column, a value outside the column's categories, or any column at
-        all on an unconditional model."""
-        sampler = self._samplers[artifact]
-        for name, value in conditions.items():
-            if sampler is None:
-                raise ValueError(f"condition {name!r}: {artifact!r} takes no conditions")
-            try:
-                sampler.vector_from_values({name: value})
-            except KeyError:
-                raise ValueError(f"unknown condition column {name!r}") from None
-            except (TypeError, ValueError):
-                raise ValueError(f"condition {name!r}: {value!r} is not a category") from None
+        """:func:`check_conditions` for ``artifact`` (a canonical key)."""
+        check_conditions(self._samplers[artifact], conditions, artifact)
 
     def sample_batch(
         self,

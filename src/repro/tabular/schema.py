@@ -10,11 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ColumnSpec", "TableSchema", "CATEGORICAL", "CONTINUOUS"]
+__all__ = ["ColumnSpec", "TableSchema", "CATEGORICAL", "CONTINUOUS", "tuples_from_json"]
 
 CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"
 _KINDS = (CATEGORICAL, CONTINUOUS)
+
+
+def tuples_from_json(value):
+    """``value`` with every list or tuple in it turned into a tuple, recursively.
+
+    JSON has no tuples, so a tuple category comes back from ``json.loads``
+    as an (unhashable) array; this restores it.
+    """
+    if isinstance(value, (list, tuple)):
+        return tuple(map(tuples_from_json, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -164,13 +175,14 @@ class TableSchema:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TableSchema":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`, also after a JSON round trip (which
+        turns tuple categories into arrays; they become tuples again)."""
         return cls(
             [
                 ColumnSpec(
                     name=c["name"],
                     kind=c["kind"],
-                    categories=tuple(c.get("categories", ())),
+                    categories=tuple(map(tuples_from_json, c.get("categories", ()))),
                     minimum=c.get("minimum"),
                     maximum=c.get("maximum"),
                     sensitive=c.get("sensitive", False),

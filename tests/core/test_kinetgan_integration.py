@@ -104,6 +104,11 @@ class TestErrorHandling:
         with pytest.raises(ValueError):
             trained_kinetgan.sample(10, conditions={"event_type": "not_real"})
 
+    def test_unknown_fit_keyword_raises(self, lab_bundle_small, fast_config):
+        # A misspelt knowledge source must not train silently without D_KG.
+        with pytest.raises(TypeError, match="catalogue"):
+            KiNETGAN(fast_config).fit(lab_bundle_small.table, catalogue=lab_bundle_small.catalog)
+
 
 class TestKnowledgeAblation:
     def test_knowledge_guidance_improves_validity(self, lab_bundle_small):

@@ -13,6 +13,7 @@ import copy
 import json
 import random
 import re
+import sys
 import threading
 import time
 import urllib.error
@@ -209,6 +210,131 @@ class TestWireFormat:
         for document in ({}, {"schema": {}, "columns": {}}, {"schema": 3}, []):
             with pytest.raises(ValueError, match="malformed"):
                 table_from_wire(document)
+
+
+def _is_category(value, spec: ColumnSpec) -> bool:
+    return any(value is category for category in spec.categories)
+
+
+class TestCanonicalDecode:
+    """Decoded categorical cells are the schema's category objects."""
+
+    def test_decoded_cells_are_the_schema_categories(self, fitted_kinetgan):
+        table = fitted_kinetgan.sample(64, rng=sampling_rng(3))
+        rebuilt = table_from_wire(json.loads(json.dumps(table_to_wire(table))))
+        assert_tables_identical(table, rebuilt)
+        for spec in rebuilt.schema:
+            if spec.is_categorical:
+                assert all(_is_category(value, spec) for value in rebuilt.column(spec.name))
+
+    def test_replies_of_one_artifact_share_one_schema(self, served):
+        url, _pool, _server = served
+        first = request_samples(url, "kinetgan", 16, seed=1)
+        second = request_samples(url, "kinetgan", 16, seed=2)
+        assert first.schema is second.schema
+        spec = first.schema.column("event_type")
+        assert all(_is_category(value, spec) for value in second.column("event_type"))
+
+    def test_values_that_are_not_categories_keep_their_json_form(self):
+        schema = TableSchema(
+            [
+                ColumnSpec("port", "categorical", categories=(1, 21, "x")),
+                ColumnSpec("proto", "categorical", categories=("tcp", "udp")),
+            ]
+        )
+        body = json.dumps(
+            {
+                "schema": schema.to_dict(),
+                "columns": {
+                    "port": [True, 21.0, 21, 1, "x", "21", None],
+                    "proto": ["tcp", "icmp", 1, ["tcp"], {"a": 1}, "udp", False],
+                },
+            }
+        )
+        rebuilt = table_from_wire(json.loads(body))
+        port_spec, proto_spec = rebuilt.schema.column("port"), rebuilt.schema.column("proto")
+        port, proto = list(rebuilt.column("port")), list(rebuilt.column("proto"))
+        assert port == [True, 21.0, 21, 1, "x", "21", None]
+        assert [type(v) for v in port] == [bool, float, int, int, str, str, type(None)]
+        assert [_is_category(v, port_spec) for v in port] == [0, 0, 1, 1, 1, 0, 0]
+        assert proto == ["tcp", "icmp", 1, ["tcp"], {"a": 1}, "udp", False]
+        assert [type(v) for v in proto] == [str, str, int, list, dict, str, bool]
+        assert [_is_category(v, proto_spec) for v in proto] == [1, 0, 0, 0, 0, 1, 0]
+
+    def test_true_and_one_schemas_decode_apart(self):
+        def document(categories: str) -> dict:
+            return json.loads(
+                '{"schema": {"columns": [{"name": "flag", "kind": "categorical", '
+                f'"categories": {categories}}}]}}, "columns": {{"flag": [1, true]}}}}'
+            )
+
+        ones = table_from_wire(document("[1, 2]"))
+        trues = table_from_wire(document("[true, 2]"))
+        assert [type(c) for c in ones.schema.column("flag").categories] == [int, int]
+        assert [type(c) for c in trues.schema.column("flag").categories] == [bool, int]
+        # The int 1 is the category of the first; JSON's true stays a bool.
+        assert [type(v) for v in ones.column("flag")] == [int, bool]
+        assert ones.column("flag")[0] is ones.schema.column("flag").categories[0]
+
+    def test_tuple_categories_round_trip(self):
+        categories = ((21, "x"), (80, ("tcp", 1)))
+        schema = TableSchema(
+            [
+                ColumnSpec("pair", "categorical", categories=categories),
+                ColumnSpec("bytes", "continuous"),
+            ]
+        )
+        pairs = np.fromiter([(21, "x"), (80, ("tcp", 1)), (21, "x")], dtype=object, count=3)
+        table = Table(schema, {"pair": pairs, "bytes": np.array([1.5, -0.0, 2.0])})
+        rebuilt = table_from_wire(json.loads(json.dumps(table_to_wire(table))))
+        assert_tables_identical(table, rebuilt)
+        spec = rebuilt.schema.column("pair")
+        assert spec.categories == categories
+        assert all(_is_category(value, spec) for value in rebuilt.column("pair"))
+        # An array that only Python finds equal to a tuple category stays as it came.
+        mixed = table_to_wire(table)
+        mixed["columns"]["pair"] = [[21, "x"], [21.0, "x"], [80, ["tcp", True]]]
+        decoded = list(table_from_wire(json.loads(json.dumps(mixed))).column("pair"))
+        assert decoded[0] is spec.categories[0]
+        assert decoded[1:] == [[21.0, "x"], [80, ["tcp", True]]]
+
+    def test_threads_decoding_one_document_get_equal_tables(self):
+        # A schema of its own, so the threads race to build its decoded form;
+        # a lost update of the memo would leave them with two schemas.
+        schema = TableSchema(
+            [
+                ColumnSpec("port", "categorical", categories=(21, 443, "threads")),
+                ColumnSpec("bytes", "continuous"),
+            ]
+        )
+        ports = np.array([21, 443, "threads"] * 20, dtype=object)
+        table = Table(schema, {"port": ports, "bytes": np.arange(60.0)})
+        body = json.dumps(table_to_wire(table))
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        decoded: list[list] = [[] for _ in range(n_threads)]
+
+        def decode(slot: int) -> None:
+            barrier.wait(timeout=30)
+            for _ in range(50):
+                decoded[slot].append(table_from_wire(json.loads(body)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decode, args=(i,)) for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        tables = [rebuilt for slot in decoded for rebuilt in slot]
+        assert len(tables) == 50 * n_threads
+        for rebuilt in tables:
+            assert_tables_identical(table, rebuilt)
+        assert len({id(rebuilt.schema) for rebuilt in tables}) == 1
 
 
 class TestHTTPParity:

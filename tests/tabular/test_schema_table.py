@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,13 @@ class TestTableSchema:
         restored = TableSchema.from_dict(tiny_schema.to_dict())
         assert restored.names == tiny_schema.names
         assert restored.column("label").sensitive
+
+    def test_tuple_categories_survive_json(self):
+        categories = ((21, "x"), (80, ("tcp", 1)), "plain")
+        schema = TableSchema([ColumnSpec("pair", "categorical", categories=categories)])
+        restored = TableSchema.from_dict(json.loads(json.dumps(schema.to_dict())))
+        assert restored.column("pair").categories == categories
+        assert [type(c) for c in restored.column("pair").categories] == [tuple, tuple, str]
 
 
 class TestTable:

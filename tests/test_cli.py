@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -92,6 +93,15 @@ class TestCommands:
         assert "INDEPENDENT" in out and "REAL" in out
 
 
+@pytest.fixture(scope="module")
+def kinetgan_artifact(tmp_path_factory):
+    """A saved 1-epoch KiNETGAN (conditional on the lab_iot columns)."""
+    artifact = tmp_path_factory.mktemp("cli") / "kinetgan"
+    argv = ["save", "--dataset", "lab_iot", "--model", "kinetgan", "--records", "400"]
+    assert main(argv + ["--epochs", "1", "--artifact-dir", str(artifact)]) == 0
+    return artifact
+
+
 class TestServingCommands:
     def test_save_sample_serve_round_trip(self, tmp_path, capsys):
         artifact = tmp_path / "artifact"
@@ -148,30 +158,13 @@ class TestServingCommands:
         out = capsys.readouterr().out
         assert "Served 4 requests / 80 rows" in out
 
-    def test_sample_with_condition_on_conditional_model(self, tmp_path, capsys):
-        artifact = tmp_path / "kinetgan"
-        assert main(
-            [
-                "save",
-                "--dataset",
-                "lab_iot",
-                "--model",
-                "kinetgan",
-                "--records",
-                "400",
-                "--epochs",
-                "1",
-                "--artifact-dir",
-                str(artifact),
-            ]
-        ) == 0
-        capsys.readouterr()
+    def test_sample_with_condition_on_conditional_model(self, kinetgan_artifact, tmp_path):
         output = tmp_path / "attack.csv"
         assert main(
             [
                 "sample",
                 "--artifact",
-                str(artifact),
+                str(kinetgan_artifact),
                 "--samples",
                 "40",
                 "--condition",
@@ -183,23 +176,24 @@ class TestServingCommands:
         rows = output.read_text().strip().splitlines()[1:]
         assert len(rows) == 40
         # Conditioning is soft (a 1-epoch generator need not obey it); the
-        # exact conditioned-sampling parity is covered in tests/serve.  Here
-        # we check the plumbing: an unknown condition value must fail loudly.
-        capsys.readouterr()
-        with pytest.raises(ValueError, match="not in categories"):
-            main(
-                [
-                    "sample",
-                    "--artifact",
-                    str(artifact),
-                    "--samples",
-                    "5",
-                    "--condition",
-                    "event_type=not_a_real_event",
-                    "--output",
-                    str(tmp_path / "bad.csv"),
-                ]
-            )
+        # exact conditioned-sampling parity is covered in tests/serve.
+
+    @pytest.mark.parametrize(
+        ("condition", "message"),
+        [
+            ("event_type=not_a_real_event", "condition 'event_type': 'not_a_real_event' is not"),
+            ("not_a_column=1", "unknown condition column 'not_a_column'"),
+        ],
+    )
+    def test_sample_rejects_unknown_condition_before_writing(
+        self, kinetgan_artifact, tmp_path, condition, message
+    ):
+        output = tmp_path / "bad.csv"
+        argv = ["sample", "--artifact", str(kinetgan_artifact), "--samples", "5"]
+        with pytest.raises(SystemExit, match=re.escape(message)) as exit_info:
+            main(argv + ["--condition", condition, "--output", str(output)])
+        assert "\n" not in str(exit_info.value)
+        assert not output.exists()
 
     def test_serve_parser_defaults(self):
         parser = build_parser()

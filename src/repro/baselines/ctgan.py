@@ -15,6 +15,15 @@ from repro.core.synthesizer import KiNETGAN
 
 __all__ = ["CTGAN"]
 
+_KNOWLEDGE_SOURCES = ("catalog", "knowledge_graph", "reasoner")
+
+
+def reject_knowledge_sources(model: str, fit_kwargs: dict) -> None:
+    """``TypeError`` naming every knowledge source given to a knowledge-free fit."""
+    given = [name for name in _KNOWLEDGE_SOURCES if fit_kwargs.get(name) is not None]
+    if given:
+        raise TypeError(f"{model} has no knowledge discriminator; drop {', '.join(given)}")
+
 
 class CTGAN(KiNETGAN):
     """Conditional tabular GAN without knowledge guidance."""
@@ -33,8 +42,7 @@ class CTGAN(KiNETGAN):
         super().__init__(config)
 
     def fit(self, table, **kwargs):  # type: ignore[override]
-        """Fit ignoring any knowledge source (CTGAN is knowledge-free)."""
-        kwargs.pop("catalog", None)
-        kwargs.pop("knowledge_graph", None)
-        kwargs.pop("reasoner", None)
+        """Fit without a knowledge source: CTGAN is knowledge-free, so a
+        ``catalog``, ``knowledge_graph`` or ``reasoner`` is a ``TypeError``."""
+        reject_knowledge_sources(type(self).__name__, kwargs)
         return super().fit(table, **kwargs)

@@ -10,6 +10,7 @@ and the discriminator integrates its first hidden layer before classifying.
 
 from __future__ import annotations
 
+from repro.baselines.ctgan import reject_knowledge_sources
 from repro.core.config import KiNETGANConfig
 from repro.core.discriminator import DataDiscriminator
 from repro.core.generator import ConditionalGenerator, TabularOutputActivation
@@ -92,9 +93,8 @@ class OCTGAN(KiNETGAN):
         self.ode_steps = ode_steps
 
     def fit(self, table, **kwargs):  # type: ignore[override]
-        kwargs.pop("catalog", None)
-        kwargs.pop("knowledge_graph", None)
-        kwargs.pop("reasoner", None)
+        """Fit without a knowledge source (``TypeError`` if one is given)."""
+        reject_knowledge_sources(type(self).__name__, kwargs)
         return super().fit(table, **kwargs)
 
     def _extra_artifact_state(self) -> dict:

@@ -23,6 +23,8 @@ keeps the public :class:`TrainingHistory` record format stable.
 
 from __future__ import annotations
 
+import collections
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -38,6 +40,7 @@ from repro.knowledge.reasoner import KGReasoner
 from repro.neural.losses import BinaryCrossEntropy
 from repro.neural.network import Sequential
 from repro.neural.optimizers import Adam
+from repro.runtime.executor import default_worker_count
 from repro.tabular.sampler import ConditionSampler
 from repro.tabular.table import Table
 from repro.tabular.transformer import DataTransformer
@@ -61,6 +64,52 @@ def share_blocks(rows: int) -> list[tuple[int, int]]:
     """
     stops = [*range(SHARE_BLOCK_ROWS, rows - SHARE_BLOCK_ROWS + 1, SHARE_BLOCK_ROWS), rows]
     return list(zip([0, *stops[:-1]], stops))
+
+
+#: Name prefix of the threads that help run a share's block forwards.
+SHARE_THREAD_PREFIX = "share-block-"
+
+
+def _share_threads() -> int:
+    """Threads one share's block forwards may use: one per CPU this process
+    may run on (see :meth:`KiNETGANTrainer.iter_share_blocks`)."""
+    return default_worker_count()
+
+
+class _ShareBlock:
+    """One share block: its rows, its noise and the outputs it is written into.
+
+    Built on the calling thread, which draws the noise and allocates the
+    outputs; :meth:`run` may then execute on any thread.
+    """
+
+    __slots__ = ("start", "stop", "noise", "winners", "scalars", "done", "error")
+
+    def __init__(
+        self, trainer: "KiNETGANTrainer", start: int, stop: int, rng: np.random.Generator
+    ) -> None:
+        transformer, rows = trainer.transformer, stop - start
+        self.start, self.stop = start, stop
+        self.noise = rng.normal(size=(rows, trainer.config.embedding_dim))
+        self.winners = np.empty((rows, transformer.softmax_layout().n_blocks), dtype=np.intp)
+        self.scalars = np.empty((rows, transformer.tanh_columns().size))
+        self.done = False
+        self.error: BaseException | None = None
+
+    def run(self, trainer: "KiNETGANTrainer", condition: np.ndarray) -> None:
+        try:
+            trainer._share_forward(
+                self.noise, condition[self.start : self.stop], self.winners, self.scalars
+            )
+        except BaseException as error:  # raised by result(), on the caller
+            self.error = error
+        self.noise = None
+        self.done = True
+
+    def result(self) -> tuple[int, int, np.ndarray, np.ndarray]:
+        if self.error is not None:
+            raise self.error
+        return self.start, self.stop, self.winners, self.scalars
 
 
 @dataclass
@@ -422,11 +471,105 @@ class KiNETGANTrainer:
         where a margin of ``2**10`` ulps proves it is the soft argmax, and
         runs the softmax only on the rows it cannot prove.  The scalars are
         the tanh of the same logits, the bits the eval forward writes.
+
+        Threading rule (the one statement of it; the serving and
+        architecture docs link here).  A share of one block runs inline on
+        the calling thread and starts no thread.  A longer share overlaps
+        its block forwards on up to one thread per CPU this process may run
+        on: the caller computes blocks itself next to that many helpers
+        minus one, which start with the share and are joined when it ends
+        or when the iterator is closed early.  Every block's noise is drawn
+        from ``rng`` on the calling thread, in block order, so the stream
+        is the one-thread stream; the blocks are yielded in block order,
+        into arrays the caller allocated; and at most ``2 * threads``
+        blocks are drawn and not yet yielded.  Eval forwards
+        and ``softmax_argmax`` keep no state, so the blocks' bits do not
+        depend on which thread ran them.
         """
+        blocks = share_blocks(len(condition))
+        threads = min(_share_threads(), len(blocks))
+        if threads > 1:
+            yield from self._overlapped_share_blocks(condition, rng, blocks, threads)
+            return
+        for start, stop in blocks:
+            block = _ShareBlock(self, start, stop, rng)
+            block.run(self, condition)
+            yield block.result()
+
+    def _share_forward(
+        self, noise: np.ndarray, condition: np.ndarray, winners: np.ndarray, scalars: np.ndarray
+    ) -> None:
+        """One block's eval forward, written into ``winners`` and ``scalars``."""
+        logits = self.generator.logits(noise, condition)
         layout = self.transformer.softmax_layout()
-        tanh_columns = self.transformer.tanh_columns()
-        tau = self.generator.activation.tau
-        for start, stop in share_blocks(len(condition)):
-            noise = rng.normal(size=(stop - start, self.config.embedding_dim))
-            logits = self.generator.logits(noise, condition[start:stop])
-            yield start, stop, layout.softmax_argmax(logits, tau), np.tanh(logits[:, tanh_columns])
+        layout.softmax_argmax(logits, self.generator.activation.tau, out=winners)
+        np.tanh(logits[:, self.transformer.tanh_columns()], out=scalars)
+
+    def _overlapped_share_blocks(
+        self,
+        condition: np.ndarray,
+        rng: np.random.Generator,
+        blocks: list[tuple[int, int]],
+        threads: int,
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """:meth:`iter_share_blocks` on the caller plus ``threads - 1`` helpers.
+
+        ``todo`` holds drawn blocks nobody has claimed, in block order.
+        Helpers claim from its front; the caller, waiting for the block it
+        yields next, claims from the front too instead of idling.
+        """
+        todo: collections.deque[_ShareBlock] = collections.deque()
+        changed = threading.Condition()
+        closed = False
+
+        def claim_and_run() -> bool:
+            with changed:
+                if not todo:
+                    return False
+                block = todo.popleft()
+            block.run(self, condition)
+            with changed:
+                changed.notify_all()
+            return True
+
+        def helper() -> None:
+            while True:
+                with changed:
+                    while not todo and not closed:
+                        changed.wait()
+                    if closed:
+                        return
+                claim_and_run()
+
+        helpers = [
+            threading.Thread(target=helper, name=f"{SHARE_THREAD_PREFIX}{i}", daemon=True)
+            for i in range(threads - 1)
+        ]
+        ahead: collections.deque[_ShareBlock] = collections.deque()
+        next_block = 0
+        try:
+            for thread in helpers:
+                thread.start()
+            for k in range(len(blocks)):
+                while next_block < min(len(blocks), k + 2 * threads):
+                    # Noise is drawn here, on the calling thread, in block order.
+                    block = _ShareBlock(self, *blocks[next_block], rng)
+                    ahead.append(block)
+                    with changed:
+                        todo.append(block)
+                        changed.notify()
+                    next_block += 1
+                block = ahead.popleft()
+                while not block.done:
+                    if not claim_and_run():
+                        with changed:
+                            while not block.done:
+                                changed.wait()
+                yield block.result()
+        finally:
+            with changed:
+                closed = True
+                changed.notify_all()
+            for thread in helpers:
+                if thread.is_alive():
+                    thread.join()

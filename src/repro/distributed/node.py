@@ -65,7 +65,8 @@ class DeviceNode:
         kwargs: dict = {}
         if isinstance(self.synthesizer, KiNETGAN):
             kwargs["condition_columns"] = self.condition_columns
-            if self.catalog is not None:
+            # Knowledge-free family members (CTGAN, OCTGAN) reject a catalog.
+            if self.catalog is not None and self.synthesizer.config.use_knowledge_discriminator:
                 kwargs["catalog"] = self.catalog
         self.synthesizer.fit(self.table, **kwargs)
         if self.catalog is not None:

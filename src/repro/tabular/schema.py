@@ -28,6 +28,18 @@ def tuples_from_json(value):
     return value
 
 
+def _categories_from_json(column: dict) -> tuple:
+    """A column document's categories; ``ValueError`` naming the column unless
+    they are an array (a string would otherwise split into its characters)."""
+    categories = column.get("categories", ())
+    if not isinstance(categories, (list, tuple)):
+        raise ValueError(
+            f"column {column.get('name')!r}: categories must be an array, "
+            f"got {type(categories).__name__}"
+        )
+    return tuple(map(tuples_from_json, categories))
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """Description of a single column.
@@ -182,7 +194,7 @@ class TableSchema:
                 ColumnSpec(
                     name=c["name"],
                     kind=c["kind"],
-                    categories=tuple(map(tuples_from_json, c.get("categories", ()))),
+                    categories=_categories_from_json(c),
                     minimum=c.get("minimum"),
                     maximum=c.get("maximum"),
                     sensitive=c.get("sensitive", False),

@@ -203,7 +203,9 @@ class BlockLayout:
             out[:, gcols] = flat
         return out
 
-    def softmax_argmax(self, matrix: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    def softmax_argmax(
+        self, matrix: np.ndarray, tau: float = 1.0, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """``argmax(softmax(gather(matrix), tau))`` without the full softmax.
 
         The winner of each block is taken from the scores themselves and
@@ -222,10 +224,13 @@ class BlockLayout:
         the block sum each round by under a few ulps and never invert an
         order, so the soft maximum is strict and sits at the scores' first
         argmax.  The method keeps no state on the layout (shared layouts
-        are used from several threads) and allocates its buffers.
+        are used from several threads) and allocates its buffers; ``out``,
+        an ``intp`` array of shape ``(rows, n_blocks)``, receives the
+        winners when given.
         """
         rows = matrix.shape[0]
-        out = np.empty((rows, self.n_blocks), dtype=np.intp)
+        if out is None:
+            out = np.empty((rows, self.n_blocks), dtype=np.intp)
         unsure = np.zeros(rows, dtype=bool)
         margin = -(2**10) * float(np.finfo(matrix.dtype).eps) * tau
         with np.errstate(invalid="ignore"):

@@ -70,9 +70,17 @@ class TestCTGAN:
         model = CTGAN(_fast_config())
         assert model.config.use_knowledge_discriminator is False
         assert model.config.lambda_knowledge == 0.0
-        # Passing a catalog is silently ignored rather than an error.
+        # ``catalog=None`` is no knowledge source, so the fit accepts it.
         model.fit(tiny_table, catalog=None, condition_columns=["label"])
         assert model.trainer.kg_discriminator is None
+
+    @pytest.mark.parametrize("source", ["catalog", "knowledge_graph", "reasoner"])
+    @pytest.mark.parametrize("cls", [CTGAN, OCTGAN])
+    def test_knowledge_source_raises_type_error(self, cls, source, tiny_table):
+        model = cls(_fast_config())
+        with pytest.raises(TypeError, match=source):
+            model.fit(tiny_table, condition_columns=["label"], **{source: object()})
+        assert model.trainer is None
 
     def test_conditional_sampling_supported(self, tiny_table):
         model = CTGAN(_fast_config()).fit(tiny_table, condition_columns=["label"])

@@ -8,19 +8,33 @@ from the logits wherever a margin proves them equal to the soft output's
 from public pieces: ``sample_inputs`` (or the sampler plus one normal draw),
 one generator forward over all rows, ``harden`` and ``inverse_transform``.
 Row counts straddle the block size.
+
+A share of several blocks overlaps its block forwards on helper threads
+(``KiNETGANTrainer.iter_share_blocks``).  The fan-out tests pin every
+consumer against the one-thread path bit for bit, with the thread count
+forced through ``_share_threads``, and check that one-block shares start no
+thread and that an abandoned stream leaves no helper behind.
 """
 
 from __future__ import annotations
+
+import gc
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.baselines.octgan import OCTGAN
 from repro.core import KiNETGAN, KiNETGANConfig
-from repro.core.trainer import SHARE_BLOCK_ROWS
+from repro.core import trainer as trainer_module
+from repro.core.trainer import SHARE_BLOCK_ROWS, SHARE_THREAD_PREFIX, share_blocks
 from repro.engine import sampling_rng
 from repro.federated.kinetgan import FederatedKiNETGAN
 from repro.federated.partition import label_skew_partition
+from repro.runtime.executor import default_worker_count
+from repro.serve.service import sample_stream
 
 B = SHARE_BLOCK_ROWS
 ROW_COUNTS = (1, B - 1, B, B + 1, 2 * B + 37)
@@ -70,9 +84,11 @@ VARIANTS = {
 
 def fit_model(bundle, cls=KiNETGAN, **overrides) -> KiNETGAN:
     fitted = cls(small_config(**overrides))
+    # OCTGAN is knowledge-free and rejects a catalog.
+    catalog = bundle.catalog if fitted.config.use_knowledge_discriminator else None
     fitted.fit(
         bundle.table.head(400),
-        catalog=bundle.catalog,
+        catalog=catalog,
         condition_columns=bundle.condition_columns,
     )
     return fitted
@@ -182,3 +198,182 @@ def test_non_integer_row_counts_rejected_before_drawing(sampler, bad, plain_mode
 def test_numpy_integer_row_counts_accepted(sampler, plain_model, federation):
     target = federation if sampler == "federated" else plain_model
     assert target.sample(np.int64(7), rng=sampling_rng(1)).n_rows == 7
+
+
+# ---------------------------------------------------------------------- #
+# Fan-out: block forwards overlapped on helper threads.
+
+FAN_OUT_ROWS = (2 * B, 2 * B + 37, 7 * B + 1)
+
+
+def helper_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith(SHARE_THREAD_PREFIX)]
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Names of the share helper threads started during the test."""
+    names: list[str] = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if thread.name.startswith(SHARE_THREAD_PREFIX):
+            names.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return names
+
+
+def with_threads(monkeypatch, threads, fn):
+    monkeypatch.setattr(trainer_module, "_share_threads", lambda: threads)
+    return fn()
+
+
+def concat(tables):
+    merged = tables[0]
+    for table in tables[1:]:
+        merged = merged.concat(table)
+    return merged
+
+
+@pytest.mark.parametrize("threads", (2, 3))
+@pytest.mark.parametrize("n", FAN_OUT_ROWS)
+def test_fan_out_sample_matches_one_thread(model, n, threads, monkeypatch, started):
+    rng, expected_rng = sampling_rng(5), sampling_rng(5)
+    expected = with_threads(monkeypatch, 1, lambda: model.sample(n, rng=expected_rng))
+    assert started == []
+    got = with_threads(monkeypatch, threads, lambda: model.sample(n, rng=rng))
+    assert_tables_identical(expected, got)
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+    assert len(started) == min(threads, len(share_blocks(n))) - 1
+    assert helper_threads() == []
+
+
+@pytest.mark.parametrize("n", FAN_OUT_ROWS)
+def test_fan_out_federated_sample_matches_one_thread(federation, n, monkeypatch, started):
+    expected = with_threads(monkeypatch, 1, lambda: federation.sample(n, rng=sampling_rng(4)))
+    got = with_threads(monkeypatch, 2, lambda: federation.sample(n, rng=sampling_rng(4)))
+    assert_tables_identical(expected, got)
+    # The sites split the rows, so only the largest share fans out per site.
+    assert bool(started) == (n == 7 * B + 1)
+
+
+@pytest.mark.parametrize("n", FAN_OUT_ROWS)
+def test_fan_out_stream_matches_one_thread(plain_model, n, monkeypatch, started):
+    def stream():
+        return list(sample_stream(plain_model, n, seed=6, chunk_rows=B + 188))
+
+    expected = with_threads(monkeypatch, 1, stream)
+    got = with_threads(monkeypatch, 2, stream)
+    assert [chunk.n_rows for chunk in got] == [chunk.n_rows for chunk in expected]
+    assert_tables_identical(concat(expected), concat(got))
+    assert started
+
+
+def test_thread_count_follows_cpu_affinity(plain_model, started):
+    """Unpatched, a share uses one thread per CPU it may run on: under
+    ``taskset -c 0`` even a seven-block share runs inline."""
+    n = 7 * B + 1
+    plain_model.sample(n, rng=sampling_rng(1))
+    assert len(started) == min(default_worker_count(), len(share_blocks(n))) - 1
+
+
+def test_blocks_yielded_in_block_order(plain_model, monkeypatch):
+    """Blocks come back in block order with their one-thread bits, even when
+    later blocks finish first because the first forward is slowed."""
+    trainer, n = plain_model.trainer, 7 * B + 1
+    condition = trainer.sampler.empirical_conditions(n, sampling_rng(3))
+
+    def blocks():
+        return list(trainer.iter_share_blocks(condition, sampling_rng(4)))
+
+    expected = with_threads(monkeypatch, 1, blocks)
+    real_logits, calls = trainer.generator.logits, []
+
+    def slow_first_call(noise, condition):
+        calls.append(None)
+        if len(calls) == 1:
+            time.sleep(0.1)
+        return real_logits(noise, condition)
+
+    monkeypatch.setattr(trainer.generator, "logits", slow_first_call)
+    got = with_threads(monkeypatch, 3, blocks)
+    assert [(start, stop) for start, stop, _, _ in got] == share_blocks(n)
+    for (_, _, winners, scalars), (_, _, got_winners, got_scalars) in zip(expected, got):
+        assert np.array_equal(winners, got_winners)
+        assert np.array_equal(scalars, got_scalars)
+
+
+def test_one_block_share_starts_no_thread(plain_model, monkeypatch, started):
+    # Serve requests are 64 rows; the validity probe draws 256.
+    with_threads(monkeypatch, 4, lambda: plain_model.sample(64, rng=sampling_rng(1)))
+    with_threads(monkeypatch, 4, lambda: plain_model.trainer.generate_matrix(256))
+    assert started == []
+
+
+@pytest.mark.parametrize("abandon", ["close", "drop"])
+def test_abandoned_stream_joins_its_helpers(plain_model, monkeypatch, started, abandon):
+    monkeypatch.setattr(trainer_module, "_share_threads", lambda: 3)
+    stream = sample_stream(plain_model, 7 * B + 1, seed=6, chunk_rows=B)
+    next(stream)
+    assert len(started) == 2
+    if abandon == "close":
+        stream.close()
+    else:
+        del stream
+        gc.collect()
+    assert helper_threads() == []
+
+
+def test_helper_error_raised_on_caller(plain_model, monkeypatch, started):
+    generator = plain_model.trainer.generator
+    real_logits = generator.logits
+    calls = []
+
+    def failing_logits(noise, condition):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("forward failed")
+        return real_logits(noise, condition)
+
+    monkeypatch.setattr(generator, "logits", failing_logits)
+    monkeypatch.setattr(trainer_module, "_share_threads", lambda: 2)
+    with pytest.raises(RuntimeError, match="forward failed"):
+        plain_model.sample(7 * B + 1, rng=sampling_rng(1))
+    assert started
+    assert helper_threads() == []
+
+
+def test_concurrent_fan_out_shares_under_switch_pressure(plain_model, monkeypatch):
+    """Two callers fan out on one model at once, with more threads than
+    cores and a tiny switch interval; a lost or misplaced block would change
+    a table.  The callers run on joined threads so the test cannot hang."""
+    n = 7 * B + 1
+    expected = [
+        with_threads(monkeypatch, 1, lambda s=seed: plain_model.sample(n, rng=sampling_rng(s)))
+        for seed in (2, 3)
+    ]
+    monkeypatch.setattr(trainer_module, "_share_threads", lambda: 3)
+    got: dict[int, list] = {0: [], 1: []}
+
+    def caller(slot, seed):
+        for _ in range(3):
+            got[slot].append(plain_model.sample(n, rng=sampling_rng(seed)))
+
+    callers = [threading.Thread(target=caller, args=(i, seed)) for i, seed in enumerate((2, 3))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    for slot in (0, 1):
+        assert len(got[slot]) == 3
+        for table in got[slot]:
+            assert_tables_identical(expected[slot], table)
+    assert helper_threads() == []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import IndependentSampler
+from repro.baselines import CTGAN, IndependentSampler
 from repro.distributed import (
     Coordinator,
     DeviceNode,
@@ -71,6 +71,20 @@ class TestDeviceNode:
         share = node.produce_share(100, rng=rng)
         assert share.validity_rate is not None
         assert 0.0 <= share.validity_rate <= 1.0
+
+    def test_knowledge_free_synthesizer_fits_without_catalog(self, lab_bundle_small, fast_config):
+        node = DeviceNode(
+            node_id="iot",
+            table=lab_bundle_small.table.head(300),
+            label_column="label",
+            catalog=lab_bundle_small.catalog,
+            condition_columns=["event_type", "label"],
+            synthesizer=CTGAN(fast_config),
+        )
+        node.fit_synthesizer()
+        assert node.synthesizer.trainer.kg_discriminator is None
+        # The node still scores its share against the catalog's graph.
+        assert node.produce_share(50).validity_rate is not None
 
 
 class TestCoordinator:

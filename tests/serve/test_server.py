@@ -90,7 +90,9 @@ def fit_servable(name: str, bundle):
         return TableGAN(small_config(), label_column=bundle.label_column).fit(train)
     model = model_registry()[name](small_config())
     if isinstance(model, KiNETGAN):
-        model.fit(train, catalog=bundle.catalog, condition_columns=bundle.condition_columns)
+        # CTGAN and OCTGAN are knowledge-free and reject a catalog.
+        catalog = bundle.catalog if model.config.use_knowledge_discriminator else None
+        model.fit(train, catalog=catalog, condition_columns=bundle.condition_columns)
         return model
     return model.fit(train)
 
@@ -210,6 +212,15 @@ class TestWireFormat:
         for document in ({}, {"schema": {}, "columns": {}}, {"schema": 3}, []):
             with pytest.raises(ValueError, match="malformed"):
                 table_from_wire(document)
+
+    def test_string_categories_in_schema_raise_value_error(self, fitted_kinetgan):
+        table = fitted_kinetgan.sample(8, rng=sampling_rng(1))
+        document = json.loads(json.dumps(table_to_wire(table)))
+        column = next(c for c in document["schema"]["columns"] if c["kind"] == "categorical")
+        # A string would otherwise decode as one category per character.
+        column["categories"] = "".join(map(str, column["categories"]))
+        with pytest.raises(ValueError, match=re.escape(repr(column["name"]))):
+            table_from_wire(document)
 
 
 def _is_category(value, spec: ColumnSpec) -> bool:

@@ -79,6 +79,12 @@ class TestTableSchema:
         assert restored.column("pair").categories == categories
         assert [type(c) for c in restored.column("pair").categories] == [tuple, tuple, str]
 
+    @pytest.mark.parametrize("categories", ["tcp", {"tcp": 1}, 3])
+    def test_non_array_categories_rejected(self, categories):
+        document = {"columns": [{"name": "proto", "kind": "categorical", "categories": categories}]}
+        with pytest.raises(ValueError, match="'proto'"):
+            TableSchema.from_dict(document)
+
 
 class TestTable:
     def test_from_records_and_row_access(self, tiny_table):

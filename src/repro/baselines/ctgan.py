@@ -15,20 +15,12 @@ from repro.core.synthesizer import KiNETGAN
 
 __all__ = ["CTGAN"]
 
-_KNOWLEDGE_SOURCES = ("catalog", "knowledge_graph", "reasoner")
-
-
-def reject_knowledge_sources(model: str, fit_kwargs: dict) -> None:
-    """``TypeError`` naming every knowledge source given to a knowledge-free fit."""
-    given = [name for name in _KNOWLEDGE_SOURCES if fit_kwargs.get(name) is not None]
-    if given:
-        raise TypeError(f"{model} has no knowledge discriminator; drop {', '.join(given)}")
-
 
 class CTGAN(KiNETGAN):
     """Conditional tabular GAN without knowledge guidance."""
 
     name = "CTGAN"
+    knowledge_free = True
 
     def __init__(self, config: KiNETGANConfig | None = None) -> None:
         config = config if config is not None else KiNETGANConfig()
@@ -40,9 +32,3 @@ class CTGAN(KiNETGAN):
             uniform_probability=0.0,
         )
         super().__init__(config)
-
-    def fit(self, table, **kwargs):  # type: ignore[override]
-        """Fit without a knowledge source: CTGAN is knowledge-free, so a
-        ``catalog``, ``knowledge_graph`` or ``reasoner`` is a ``TypeError``."""
-        reject_knowledge_sources(type(self).__name__, kwargs)
-        return super().fit(table, **kwargs)

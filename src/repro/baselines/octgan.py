@@ -10,7 +10,6 @@ and the discriminator integrates its first hidden layer before classifying.
 
 from __future__ import annotations
 
-from repro.baselines.ctgan import reject_knowledge_sources
 from repro.core.config import KiNETGANConfig
 from repro.core.discriminator import DataDiscriminator
 from repro.core.generator import ConditionalGenerator, TabularOutputActivation
@@ -80,6 +79,7 @@ class OCTGAN(KiNETGAN):
     """Neural-ODE conditional tabular GAN (no knowledge guidance)."""
 
     name = "OCTGAN"
+    knowledge_free = True
 
     def __init__(self, config: KiNETGANConfig | None = None, ode_steps: int = 3) -> None:
         config = config if config is not None else KiNETGANConfig()
@@ -91,11 +91,6 @@ class OCTGAN(KiNETGAN):
         )
         super().__init__(config)
         self.ode_steps = ode_steps
-
-    def fit(self, table, **kwargs):  # type: ignore[override]
-        """Fit without a knowledge source (``TypeError`` if one is given)."""
-        reject_knowledge_sources(type(self).__name__, kwargs)
-        return super().fit(table, **kwargs)
 
     def _extra_artifact_state(self) -> dict:
         return {"ode_steps": self.ode_steps}

@@ -45,6 +45,11 @@ class KiNETGAN(Synthesizer):
 
     name = "KiNETGAN"
 
+    #: True for family members built without a knowledge discriminator
+    #: (CTGAN, OCTGAN): their :meth:`fit` rejects a knowledge source, and
+    #: callers holding one (``DeviceNode``) keep it back.
+    knowledge_free = False
+
     def __init__(self, config: KiNETGANConfig | None = None) -> None:
         self.config = config if config is not None else KiNETGANConfig()
         self.transformer: DataTransformer | None = None
@@ -68,8 +73,14 @@ class KiNETGAN(Synthesizer):
 
         Exactly one of ``catalog``, ``knowledge_graph`` or ``reasoner`` should
         be supplied to enable the knowledge-guided discriminator; with none of
-        them, D_KG is disabled.
+        them, D_KG is disabled.  A :attr:`knowledge_free` model raises
+        ``TypeError`` for any of them.
         """
+        if self.knowledge_free:
+            sources = {"catalog": catalog, "knowledge_graph": knowledge_graph, "reasoner": reasoner}
+            given = [name for name, source in sources.items() if source is not None]
+            if given:
+                raise TypeError(f"{self.name} has no knowledge discriminator; drop {', '.join(given)}")
         config = self.config
         self.reasoner = self._resolve_reasoner(catalog, knowledge_graph, reasoner, field_map)
 

@@ -24,7 +24,9 @@ keeps the public :class:`TrainingHistory` record format stable.
 from __future__ import annotations
 
 import collections
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -40,7 +42,7 @@ from repro.knowledge.reasoner import KGReasoner
 from repro.neural.losses import BinaryCrossEntropy
 from repro.neural.network import Sequential
 from repro.neural.optimizers import Adam
-from repro.runtime.executor import default_worker_count
+from repro.runtime.executor import default_worker_count, in_pool_worker
 from repro.tabular.sampler import ConditionSampler
 from repro.tabular.table import Table
 from repro.tabular.transformer import DataTransformer
@@ -66,14 +68,39 @@ def share_blocks(rows: int) -> list[tuple[int, int]]:
     return list(zip([0, *stops[:-1]], stops))
 
 
-#: Name prefix of the threads that help run a share's block forwards.
+#: Name prefix of the threads that help run share block forwards.
 SHARE_THREAD_PREFIX = "share-block-"
 
 
 def _share_threads() -> int:
     """Threads one share's block forwards may use: one per CPU this process
-    may run on (see :meth:`KiNETGANTrainer.iter_share_blocks`)."""
-    return default_worker_count()
+    may run on, or just the caller in a process-pool worker, whose sibling
+    workers hold those CPUs (see :meth:`KiNETGANTrainer.iter_share_blocks`)."""
+    return 1 if in_pool_worker() else default_worker_count()
+
+
+_helpers: tuple[int, ThreadPoolExecutor] | None = None
+_helpers_lock = threading.Lock()
+
+
+def _share_helpers(size: int) -> ThreadPoolExecutor:
+    """The process's pool of ``size`` share helper threads, started on
+    demand and kept (see :meth:`KiNETGANTrainer.iter_share_blocks`)."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None or _helpers[0] != size:
+            # A replaced pool winds down once its last share lets go of it.
+            _helpers = (size, ThreadPoolExecutor(size, thread_name_prefix=SHARE_THREAD_PREFIX))
+        return _helpers[1]
+
+
+def _forget_share_helpers() -> None:
+    global _helpers
+    _helpers = None  # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_forget_share_helpers)
 
 
 class _ShareBlock:
@@ -83,7 +110,7 @@ class _ShareBlock:
     outputs; :meth:`run` may then execute on any thread.
     """
 
-    __slots__ = ("start", "stop", "noise", "winners", "scalars", "done", "error")
+    __slots__ = ("start", "stop", "noise", "winners", "scalars")
 
     def __init__(
         self, trainer: "KiNETGANTrainer", start: int, stop: int, rng: np.random.Generator
@@ -93,23 +120,12 @@ class _ShareBlock:
         self.noise = rng.normal(size=(rows, trainer.config.embedding_dim))
         self.winners = np.empty((rows, transformer.softmax_layout().n_blocks), dtype=np.intp)
         self.scalars = np.empty((rows, transformer.tanh_columns().size))
-        self.done = False
-        self.error: BaseException | None = None
 
     def run(self, trainer: "KiNETGANTrainer", condition: np.ndarray) -> None:
-        try:
-            trainer._share_forward(
-                self.noise, condition[self.start : self.stop], self.winners, self.scalars
-            )
-        except BaseException as error:  # raised by result(), on the caller
-            self.error = error
+        trainer._share_forward(
+            self.noise, condition[self.start : self.stop], self.winners, self.scalars
+        )
         self.noise = None
-        self.done = True
-
-    def result(self) -> tuple[int, int, np.ndarray, np.ndarray]:
-        if self.error is not None:
-            raise self.error
-        return self.start, self.stop, self.winners, self.scalars
 
 
 @dataclass
@@ -474,27 +490,60 @@ class KiNETGANTrainer:
 
         Threading rule (the one statement of it; the serving and
         architecture docs link here).  A share of one block runs inline on
-        the calling thread and starts no thread.  A longer share overlaps
+        the calling thread and starts no thread, and so does every share in
+        a worker process of a ``ProcessExecutor`` pool, whose sibling
+        workers already hold the other CPUs.  A longer share overlaps
         its block forwards on up to one thread per CPU this process may run
-        on: the caller computes blocks itself next to that many helpers
-        minus one, which start with the share and are joined when it ends
-        or when the iterator is closed early.  Every block's noise is drawn
-        from ``rng`` on the calling thread, in block order, so the stream
-        is the one-thread stream; the blocks are yielded in block order,
-        into arrays the caller allocated; and at most ``2 * threads``
-        blocks are drawn and not yet yielded.  Eval forwards
-        and ``softmax_argmax`` keep no state, so the blocks' bits do not
-        depend on which thread ran them.
+        on: the caller plus the process's share helpers, one pool of that
+        many threads minus one, started on first use and then kept for
+        every later share.  Every block's noise is drawn from ``rng`` on
+        the calling thread, in block order, so the stream is the one-thread
+        stream; at most ``2 * threads`` blocks are drawn and not yet
+        yielded, each handed to the helpers; the caller, waiting for the
+        next block, runs the oldest ones no helper has started; and blocks
+        are yielded in block order, into arrays the caller allocated.
+        Closing the iterator early drops its unstarted blocks and waits
+        for its running ones.  Eval forwards and ``softmax_argmax`` keep no
+        state, so the blocks' bits do not depend on which thread ran them.
+
+        The helpers outlive a share on purpose.  Threads started per share
+        each took a glibc malloc arena from the free list and left its
+        block temporaries there as untrimmed free memory, which raised
+        serve's peak RSS by 7%; and concurrent callers in one process (a
+        ``ServingPool`` or ``ThreadExecutor`` worker per share) share the
+        one pool instead of each adding their own helpers.
         """
         blocks = share_blocks(len(condition))
         threads = min(_share_threads(), len(blocks))
-        if threads > 1:
-            yield from self._overlapped_share_blocks(condition, rng, blocks, threads)
-            return
-        for start, stop in blocks:
-            block = _ShareBlock(self, start, stop, rng)
-            block.run(self, condition)
-            yield block.result()
+        helpers = _share_helpers(_share_threads() - 1) if threads > 1 else None
+        ahead: collections.deque[tuple[_ShareBlock, Future | None]] = collections.deque()
+        drawn = 0
+        try:
+            for _ in blocks:
+                while drawn < len(blocks) and len(ahead) < 2 * threads:
+                    # Noise is drawn here, on the calling thread, in block order.
+                    block = _ShareBlock(self, *blocks[drawn], rng)
+                    job = helpers.submit(block.run, self, condition) if helpers else None
+                    ahead.append((block, job))
+                    drawn += 1
+                block, job = ahead.popleft()
+                if job is None:
+                    block.run(self, condition)
+                else:
+                    # Until a helper finishes this block, the caller runs the
+                    # oldest blocks no helper has started (this one included).
+                    for other, other_job in [(block, job), *ahead]:
+                        if job.done():
+                            break
+                        if not other_job.cancelled() and other_job.cancel():
+                            other.run(self, condition)
+                    if not job.cancelled():
+                        job.result()
+                yield block.start, block.stop, block.winners, block.scalars
+        finally:
+            # Closed early: drop the blocks no helper has started and wait
+            # for the running ones, so no block outlives the iterator.
+            wait([job for _, job in ahead if job is not None and not job.cancel()])
 
     def _share_forward(
         self, noise: np.ndarray, condition: np.ndarray, winners: np.ndarray, scalars: np.ndarray
@@ -504,72 +553,3 @@ class KiNETGANTrainer:
         layout = self.transformer.softmax_layout()
         layout.softmax_argmax(logits, self.generator.activation.tau, out=winners)
         np.tanh(logits[:, self.transformer.tanh_columns()], out=scalars)
-
-    def _overlapped_share_blocks(
-        self,
-        condition: np.ndarray,
-        rng: np.random.Generator,
-        blocks: list[tuple[int, int]],
-        threads: int,
-    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        """:meth:`iter_share_blocks` on the caller plus ``threads - 1`` helpers.
-
-        ``todo`` holds drawn blocks nobody has claimed, in block order.
-        Helpers claim from its front; the caller, waiting for the block it
-        yields next, claims from the front too instead of idling.
-        """
-        todo: collections.deque[_ShareBlock] = collections.deque()
-        changed = threading.Condition()
-        closed = False
-
-        def claim_and_run() -> bool:
-            with changed:
-                if not todo:
-                    return False
-                block = todo.popleft()
-            block.run(self, condition)
-            with changed:
-                changed.notify_all()
-            return True
-
-        def helper() -> None:
-            while True:
-                with changed:
-                    while not todo and not closed:
-                        changed.wait()
-                    if closed:
-                        return
-                claim_and_run()
-
-        helpers = [
-            threading.Thread(target=helper, name=f"{SHARE_THREAD_PREFIX}{i}", daemon=True)
-            for i in range(threads - 1)
-        ]
-        ahead: collections.deque[_ShareBlock] = collections.deque()
-        next_block = 0
-        try:
-            for thread in helpers:
-                thread.start()
-            for k in range(len(blocks)):
-                while next_block < min(len(blocks), k + 2 * threads):
-                    # Noise is drawn here, on the calling thread, in block order.
-                    block = _ShareBlock(self, *blocks[next_block], rng)
-                    ahead.append(block)
-                    with changed:
-                        todo.append(block)
-                        changed.notify()
-                    next_block += 1
-                block = ahead.popleft()
-                while not block.done:
-                    if not claim_and_run():
-                        with changed:
-                            while not block.done:
-                                changed.wait()
-                yield block.result()
-        finally:
-            with changed:
-                closed = True
-                changed.notify_all()
-            for thread in helpers:
-                if thread.is_alive():
-                    thread.join()

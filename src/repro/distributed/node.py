@@ -65,8 +65,7 @@ class DeviceNode:
         kwargs: dict = {}
         if isinstance(self.synthesizer, KiNETGAN):
             kwargs["condition_columns"] = self.condition_columns
-            # Knowledge-free family members (CTGAN, OCTGAN) reject a catalog.
-            if self.catalog is not None and self.synthesizer.config.use_knowledge_discriminator:
+            if self.catalog is not None and not self.synthesizer.knowledge_free:
                 kwargs["catalog"] = self.catalog
         self.synthesizer.fit(self.table, **kwargs)
         if self.catalog is not None:

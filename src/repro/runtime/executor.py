@@ -86,6 +86,21 @@ def default_worker_count() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+#: Set in each worker process of a :class:`ProcessExecutor` pool.
+_in_pool_worker = False
+
+
+def _mark_pool_worker() -> None:
+    global _in_pool_worker
+    _in_pool_worker = True
+
+
+def in_pool_worker() -> bool:
+    """Whether this process is a worker of a :class:`ProcessExecutor` pool,
+    whose sibling workers already occupy the CPUs it may run on."""
+    return _in_pool_worker
+
+
 @dataclass(frozen=True)
 class _TracedTask:
     """Picklable envelope carrying the dispatching span's trace context.
@@ -536,7 +551,7 @@ class ProcessExecutor(Executor):
             # when the worker dies.
             resource_tracker.ensure_running()
             self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=context
+                max_workers=self.max_workers, mp_context=context, initializer=_mark_pool_worker
             )
             self._evicted_names.clear()
         return self._pool

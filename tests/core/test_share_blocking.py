@@ -9,16 +9,17 @@ from public pieces: ``sample_inputs`` (or the sampler plus one normal draw),
 one generator forward over all rows, ``harden`` and ``inverse_transform``.
 Row counts straddle the block size.
 
-A share of several blocks overlaps its block forwards on helper threads
-(``KiNETGANTrainer.iter_share_blocks``).  The fan-out tests pin every
-consumer against the one-thread path bit for bit, with the thread count
-forced through ``_share_threads``, and check that one-block shares start no
-thread and that an abandoned stream leaves no helper behind.
+A share of several blocks overlaps its block forwards on the process's
+share helper threads (``KiNETGANTrainer.iter_share_blocks``).  The fan-out
+tests pin every consumer against the one-thread path bit for bit, with the
+thread count forced through ``_share_threads``, and check that one-block
+shares start no thread and that no block of an abandoned stream runs on.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 import threading
 import time
@@ -33,7 +34,7 @@ from repro.core.trainer import SHARE_BLOCK_ROWS, SHARE_THREAD_PREFIX, share_bloc
 from repro.engine import sampling_rng
 from repro.federated.kinetgan import FederatedKiNETGAN
 from repro.federated.partition import label_skew_partition
-from repro.runtime.executor import default_worker_count
+from repro.runtime.executor import ProcessExecutor, default_worker_count
 from repro.serve.service import sample_stream
 
 B = SHARE_BLOCK_ROWS
@@ -85,7 +86,7 @@ VARIANTS = {
 def fit_model(bundle, cls=KiNETGAN, **overrides) -> KiNETGAN:
     fitted = cls(small_config(**overrides))
     # OCTGAN is knowledge-free and rejects a catalog.
-    catalog = bundle.catalog if fitted.config.use_knowledge_discriminator else None
+    catalog = None if fitted.knowledge_free else bundle.catalog
     fitted.fit(
         bundle.table.head(400),
         catalog=catalog,
@@ -206,13 +207,11 @@ def test_numpy_integer_row_counts_accepted(sampler, plain_model, federation):
 FAN_OUT_ROWS = (2 * B, 2 * B + 37, 7 * B + 1)
 
 
-def helper_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith(SHARE_THREAD_PREFIX)]
-
-
 @pytest.fixture
 def started(monkeypatch):
-    """Names of the share helper threads started during the test."""
+    """Names of the share helper threads started during the test, which
+    begins without a helper pool (the previous one winds down once dropped)."""
+    monkeypatch.setattr(trainer_module, "_helpers", None)
     names: list[str] = []
     real_start = threading.Thread.start
 
@@ -246,8 +245,7 @@ def test_fan_out_sample_matches_one_thread(model, n, threads, monkeypatch, start
     got = with_threads(monkeypatch, threads, lambda: model.sample(n, rng=rng))
     assert_tables_identical(expected, got)
     assert rng.bit_generator.state == expected_rng.bit_generator.state
-    assert len(started) == min(threads, len(share_blocks(n))) - 1
-    assert helper_threads() == []
+    assert 1 <= len(started) <= threads - 1
 
 
 @pytest.mark.parametrize("n", FAN_OUT_ROWS)
@@ -274,9 +272,9 @@ def test_fan_out_stream_matches_one_thread(plain_model, n, monkeypatch, started)
 def test_thread_count_follows_cpu_affinity(plain_model, started):
     """Unpatched, a share uses one thread per CPU it may run on: under
     ``taskset -c 0`` even a seven-block share runs inline."""
-    n = 7 * B + 1
-    plain_model.sample(n, rng=sampling_rng(1))
-    assert len(started) == min(default_worker_count(), len(share_blocks(n))) - 1
+    plain_model.sample(7 * B + 1, rng=sampling_rng(1))
+    assert bool(started) == (default_worker_count() > 1)
+    assert len(started) <= default_worker_count() - 1
 
 
 def test_blocks_yielded_in_block_order(plain_model, monkeypatch):
@@ -310,12 +308,25 @@ def test_one_block_share_starts_no_thread(plain_model, monkeypatch, started):
     with_threads(monkeypatch, 4, lambda: plain_model.sample(64, rng=sampling_rng(1)))
     with_threads(monkeypatch, 4, lambda: plain_model.trainer.generate_matrix(256))
     assert started == []
+    assert trainer_module._helpers is None
 
 
 @pytest.mark.parametrize("abandon", ["close", "drop"])
-def test_abandoned_stream_joins_its_helpers(plain_model, monkeypatch, started, abandon):
+def test_abandoned_stream_leaves_no_block_running(plain_model, monkeypatch, started, abandon):
+    """Closing a stream early drops its unstarted blocks and waits for its
+    running ones: no forward of it runs once the close returns."""
+    generator = plain_model.trainer.generator
+    real_logits, calls = generator.logits, []
+
+    def slow_logits(noise, condition):
+        time.sleep(0.01)
+        calls.append(None)
+        return real_logits(noise, condition)
+
+    monkeypatch.setattr(generator, "logits", slow_logits)
     monkeypatch.setattr(trainer_module, "_share_threads", lambda: 3)
-    stream = sample_stream(plain_model, 7 * B + 1, seed=6, chunk_rows=B)
+    n = 7 * B + 1
+    stream = sample_stream(plain_model, n, seed=6, chunk_rows=B)
     next(stream)
     assert len(started) == 2
     if abandon == "close":
@@ -323,7 +334,9 @@ def test_abandoned_stream_joins_its_helpers(plain_model, monkeypatch, started, a
     else:
         del stream
         gc.collect()
-    assert helper_threads() == []
+    ran = len(calls)
+    time.sleep(0.1)
+    assert len(calls) == ran < len(share_blocks(n))
 
 
 def test_helper_error_raised_on_caller(plain_model, monkeypatch, started):
@@ -342,10 +355,15 @@ def test_helper_error_raised_on_caller(plain_model, monkeypatch, started):
     with pytest.raises(RuntimeError, match="forward failed"):
         plain_model.sample(7 * B + 1, rng=sampling_rng(1))
     assert started
-    assert helper_threads() == []
+    # The helpers survive a failed block and serve the next share.
+    monkeypatch.setattr(generator, "logits", real_logits)
+    expected = with_threads(monkeypatch, 1, lambda: plain_model.sample(3 * B, rng=sampling_rng(2)))
+    got = with_threads(monkeypatch, 2, lambda: plain_model.sample(3 * B, rng=sampling_rng(2)))
+    assert_tables_identical(expected, got)
+    assert len(started) == 1
 
 
-def test_concurrent_fan_out_shares_under_switch_pressure(plain_model, monkeypatch):
+def test_concurrent_fan_out_shares_under_switch_pressure(plain_model, monkeypatch, started):
     """Two callers fan out on one model at once, with more threads than
     cores and a tiny switch interval; a lost or misplaced block would change
     a table.  The callers run on joined threads so the test cannot hang."""
@@ -376,4 +394,30 @@ def test_concurrent_fan_out_shares_under_switch_pressure(plain_model, monkeypatc
         assert len(got[slot]) == 3
         for table in got[slot]:
             assert_tables_identical(expected[slot], table)
-    assert helper_threads() == []
+    # Both callers' blocks went to one pool of ``threads - 1`` helpers.
+    assert 1 <= len(started) <= 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_drops_the_parents_helpers(plain_model, monkeypatch, started):
+    """A forked child has none of its parent's threads, so it must not
+    inherit the parent's helper pool."""
+    with_threads(monkeypatch, 2, lambda: plain_model.sample(2 * B, rng=sampling_rng(1)))
+    assert trainer_module._helpers is not None
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if trainer_module._helpers is None else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _worker_share_threads(_) -> int:
+    return trainer_module._share_threads()
+
+
+def test_process_pool_workers_run_shares_inline():
+    """A process-pool worker's siblings hold the other CPUs, so its shares
+    use one thread; the coordinating process keeps the affinity's count."""
+    with ProcessExecutor(1) as executor:
+        assert executor.map(_worker_share_threads, [None]) == [1]
+    assert trainer_module._share_threads() == default_worker_count()

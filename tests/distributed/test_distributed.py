@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import CTGAN, IndependentSampler
+from repro.core import KiNETGAN
 from repro.distributed import (
     Coordinator,
     DeviceNode,
@@ -85,6 +86,21 @@ class TestDeviceNode:
         assert node.synthesizer.trainer.kg_discriminator is None
         # The node still scores its share against the catalog's graph.
         assert node.produce_share(50).validity_rate is not None
+
+    def test_ablated_kinetgan_still_gets_the_catalog(self, lab_bundle_small, fast_config):
+        """D_KG switched off is not knowledge-free: the model keeps its reasoner."""
+        config = fast_config.with_overrides(use_knowledge_discriminator=False)
+        node = DeviceNode(
+            node_id="iot",
+            table=lab_bundle_small.table.head(300),
+            label_column="label",
+            catalog=lab_bundle_small.catalog,
+            condition_columns=["event_type", "label"],
+            synthesizer=KiNETGAN(config),
+        )
+        node.fit_synthesizer()
+        assert node.synthesizer.trainer.kg_discriminator is None
+        assert node.synthesizer.reasoner is not None
 
 
 class TestCoordinator:

@@ -91,7 +91,7 @@ def fit_servable(name: str, bundle):
     model = model_registry()[name](small_config())
     if isinstance(model, KiNETGAN):
         # CTGAN and OCTGAN are knowledge-free and reject a catalog.
-        catalog = bundle.catalog if model.config.use_knowledge_discriminator else None
+        catalog = None if model.knowledge_free else bundle.catalog
         model.fit(train, catalog=catalog, condition_columns=bundle.condition_columns)
         return model
     return model.fit(train)

@@ -29,7 +29,7 @@ Top-level convenience re-exports cover the most common entry points:
   evaluation battery (Table I, Figures 3-7) plus divergence / propensity /
   coverage diagnostics and Renyi-DP accounting.
 * :mod:`repro.distributed` -- the synthetic-sharing distributed NIDS scenario.
-* :mod:`repro.federated` -- FedAvg / secure aggregation / DP-FedAvg and
+* :mod:`repro.federated` -- FedAvg / FedProx / DP-FedAvg and
   federated KiNETGAN (the paper's future-work agenda).
 * :mod:`repro.runtime` -- the serial / process-pool executors the multi-node
   layers run on; seeded parallel runs are bit-identical to serial ones.

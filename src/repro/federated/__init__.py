@@ -1,13 +1,11 @@
 """Federated learning for distributed NIDS (the paper's future-work agenda).
 
-The paper's conclusion sketches three extensions this subpackage implements:
+The paper's conclusion sketches the extensions this subpackage implements:
 
 * **federated detector training** -- devices jointly train one intrusion
   detector by exchanging only model weights
   (:class:`FederatedClient` / :class:`FederatedServer`,
   :class:`FederatedNIDSSimulation`);
-* **secure aggregation** -- simulated pairwise-masking so the coordinator
-  only ever sees sums of updates (:class:`SecureAggregationSession`);
 * **differential privacy for contributions** -- client-level DP-FedAvg with
   Renyi-DP accounting (:class:`DPFedAvgConfig`, :class:`DPFedAvgMechanism`);
 * **federated KiNETGAN** -- the generative model itself is trained across
@@ -15,13 +13,7 @@ The paper's conclusion sketches three extensions this subpackage implements:
   without any traffic leaving a device (:class:`FederatedKiNETGAN`).
 """
 
-from repro.federated.aggregation import (
-    SecureAggregationSession,
-    fedavg_aggregate,
-    median_aggregate,
-    safe_mean,
-    trimmed_mean_aggregate,
-)
+from repro.federated.aggregation import fedavg_aggregate, safe_mean
 from repro.federated.client import ClientUpdate, FederatedClient
 from repro.federated.dp import DPFedAvgConfig, DPFedAvgMechanism
 from repro.federated.kinetgan import (
@@ -65,10 +57,7 @@ __all__ = [
     "flatten_state",
     "unflatten_state",
     "fedavg_aggregate",
-    "trimmed_mean_aggregate",
-    "median_aggregate",
     "safe_mean",
-    "SecureAggregationSession",
     "DPFedAvgConfig",
     "DPFedAvgMechanism",
     "ClientUpdate",

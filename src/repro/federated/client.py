@@ -17,12 +17,13 @@ partition and training config -- is installed into the execution plane
 *once* with :meth:`repro.runtime.Executor.install`, and each round ships
 only a :class:`ClientRoundTask` of refs plus the child
 :class:`~numpy.random.SeedSequence` spawned *in the parent* just before
-dispatch.  The broadcast global parameters arrive as a flattened
-:class:`~repro.federated.parameters.StateCodec` buffer in a shared array,
-and the worker writes its flattened update into its private row of the
-round's ``(clients, total_params)`` result matrix -- under the process
-executor both travel through :mod:`multiprocessing.shared_memory`, so a
-steady-state round pickles nothing but refs and a seed.
+dispatch.  The parameters travel through the server's
+:class:`~repro.federated.parameters.FlatChannel`: the task's
+:class:`~repro.federated.parameters.FlatSlot` reads the broadcast global
+state and stores the flattened update in the client's row of the round's
+result matrix -- under the process executor both live in
+:mod:`multiprocessing.shared_memory`, so a steady-state round pickles
+nothing but refs and a seed.
 
 ``run_client_round`` is the module-level function a pool maps over;
 because the child seed is fixed at spawn time, serial, thread and process
@@ -37,11 +38,11 @@ from typing import Callable
 import numpy as np
 
 from repro.engine import SupervisedStep, TrainingEngine
-from repro.federated.parameters import StateCodec, StateDict, copy_state, state_subtract
+from repro.federated.parameters import FlatSlot, StateDict, state_subtract
 from repro.neural.losses import CrossEntropy
 from repro.neural.network import Sequential
 from repro.neural.optimizers import SGD
-from repro.runtime.state import BufferRef, StateRef
+from repro.runtime.state import StateRef
 
 __all__ = [
     "ClientUpdate",
@@ -142,11 +143,11 @@ class FederatedClient:
         if rng is None:
             rng = np.random.default_rng(self.spawn_round_seed())
         model = self.model_fn()
-        model.load_state_dict(copy_state(global_state))
+        model.load_state_dict(global_state)
         reference_params: list[np.ndarray] | None = None
         if self.proximal_mu > 0:
             reference_model = self.model_fn()
-            reference_model.load_state_dict(copy_state(global_state))
+            reference_model.load_state_dict(global_state)
             reference_params = [param for param, _ in reference_model.parameters()]
 
         grad_hook = None
@@ -186,7 +187,7 @@ class FederatedClient:
     def evaluate(self, state: StateDict, features: np.ndarray, labels: np.ndarray) -> float:
         """Accuracy of the given parameters on an arbitrary labelled set."""
         model = self.model_fn()
-        model.load_state_dict(copy_state(state))
+        model.load_state_dict(state)
         features = np.asarray(features, dtype=getattr(model, "dtype", np.float64))
         predictions = model.forward(features, training=False)
         return float((predictions.argmax(axis=1) == np.asarray(labels, dtype=int)).mean())
@@ -228,35 +229,30 @@ class FederatedClient:
 class ClientRoundTask:
     """One round of local training on a worker-resident client.
 
-    Everything heavy is addressed by ref: ``client`` resolves to the
-    installed :class:`FederatedClient`, ``codec`` to the shared
-    :class:`~repro.federated.parameters.StateCodec`, ``global_params`` to
-    the broadcast flattened global state and ``update_out`` to this
-    client's row of the round's ``(clients, total_params)`` update matrix.
-    Only the refs and the parent-spawned round seed cross the task pipe.
+    ``client`` resolves to the installed :class:`FederatedClient` and
+    ``params`` is the client's :class:`~repro.federated.parameters.FlatSlot`
+    of the server's parameter channel: the broadcast global state in, the
+    flattened update out.  Only the refs and the parent-spawned round seed
+    cross the task pipe.
     """
 
     client: StateRef
-    codec: StateRef
-    global_params: BufferRef
-    update_out: BufferRef
+    params: FlatSlot
     round_seed: np.random.SeedSequence
 
     def run(self) -> ClientUpdate:
-        """Execute the round; the flattened update lands in ``update_out``.
+        """Execute the round; the flattened update lands in the slot's row.
 
         The returned :class:`ClientUpdate` carries the metrics only (its
         ``update`` dict is empty): the caller rebuilds the state delta from
-        the shared update matrix, so no parameter bytes ride the result
+        the channel's result matrix, so no parameter bytes ride the result
         pipe.
         """
         client: FederatedClient = self.client.resolve()
-        codec: StateCodec = self.codec.resolve()
-        # The broadcast buffer is only valid for the duration of the round;
-        # decoding a copy detaches the update computation from it.
-        global_state = codec.decode(np.array(self.global_params.resolve(), copy=True))
-        update = client.local_update(global_state, rng=np.random.default_rng(self.round_seed))
-        codec.encode(update.update, out=self.update_out.resolve())
+        update = client.local_update(
+            self.params.global_state(), rng=np.random.default_rng(self.round_seed)
+        )
+        self.params.store(update.update)
         update.update = {}
         return update
 

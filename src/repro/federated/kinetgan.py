@@ -29,7 +29,8 @@ from repro.engine import sampling_rng, seeded_rng
 from repro.federated.aggregation import safe_mean
 from repro.federated.dp import DPFedAvgConfig, DPFedAvgMechanism
 from repro.federated.parameters import (
-    StateCodec,
+    FlatChannel,
+    FlatSlot,
     StateDict,
     copy_state,
     state_add,
@@ -41,7 +42,7 @@ from repro.knowledge.catalog import DomainCatalog
 from repro.knowledge.reasoner import KGReasoner
 from repro.obs import span
 from repro.runtime import Executor, map_with_quorum, resolve_executor
-from repro.runtime.state import BufferRef, StateRef
+from repro.runtime.state import StateRef
 from repro.tabular.sampler import ConditionSampler
 from repro.tabular.table import Table
 from repro.tabular.transformer import DataTransformer
@@ -95,26 +96,8 @@ class FederatedKiNETGANSite:
 
     def set_state(self, generator_state: StateDict, discriminator_state: StateDict) -> None:
         """Load broadcast global states into the local networks."""
-        self.trainer.generator.network.load_state_dict(copy_state(generator_state))
-        self.trainer.discriminator.network.load_state_dict(copy_state(discriminator_state))
-
-    def load_flat_state(
-        self,
-        generator_codec: StateCodec,
-        generator_vector: np.ndarray,
-        discriminator_codec: StateCodec,
-        discriminator_vector: np.ndarray,
-    ) -> None:
-        """Load broadcast flat parameter vectors directly into the networks.
-
-        ``StateCodec.decode_into`` copies each vector straight into the live
-        network arrays (one ``np.copyto`` for arena-backed networks), so the
-        broadcast needs no intermediate per-tensor state dictionary.
-        """
-        generator_codec.decode_into(generator_vector, self.trainer.generator.network.state_dict())
-        discriminator_codec.decode_into(
-            discriminator_vector, self.trainer.discriminator.network.state_dict()
-        )
+        self.trainer.generator.network.load_state_dict(generator_state)
+        self.trainer.discriminator.network.load_state_dict(discriminator_state)
 
     def train_local(self, epochs: int) -> dict[str, float]:
         """Run ``epochs`` local KiNETGAN epochs on the private table."""
@@ -234,21 +217,17 @@ class _SiteRoundTask:
     """One site's local-training slice of a round (executor work unit).
 
     The whole site lives in the execution plane (installed once); the round
-    ships down only this task -- refs, the mutable trainer state and the
-    epoch count -- and the broadcast weights arrive through the shared
-    flattened buffers.  The worker leaves its updated weights in its rows
-    of the ``(sites, total_params)`` result matrices and returns the new
-    trainer state plus the round metrics.
+    ships down only this task -- the site ref, the mutable trainer state,
+    one :class:`~repro.federated.parameters.FlatSlot` per network and the
+    epoch count.  The worker loads the broadcast weights through the
+    slots, leaves its trained weights in their result rows and returns the
+    new trainer state plus the round metrics.
     """
 
     site: StateRef
     trainer_state: dict
-    generator_codec: StateRef
-    discriminator_codec: StateRef
-    global_generator: BufferRef
-    global_discriminator: BufferRef
-    generator_out: BufferRef
-    discriminator_out: BufferRef
+    generator: FlatSlot
+    discriminator: FlatSlot
     local_epochs: int
 
 
@@ -257,87 +236,17 @@ def _run_site_round(task: _SiteRoundTask) -> tuple[dict, dict[str, list[float]],
     with span("federated.site_round"):
         site: FederatedKiNETGANSite = task.site.resolve()
         site.load_trainer_state(task.trainer_state)
-        generator_codec: StateCodec = task.generator_codec.resolve()
-        discriminator_codec: StateCodec = task.discriminator_codec.resolve()
-        # Broadcast buffers are only valid for the round; decode_into copies
-        # the shared vectors straight into the live network arrays (no
-        # intermediate state dict, and a single memcpy per network when
-        # arenas are intact).
-        site.load_flat_state(
-            generator_codec,
-            np.asarray(task.global_generator.resolve()),
-            discriminator_codec,
-            np.asarray(task.global_discriminator.resolve()),
-        )
+        # The broadcast vectors go straight into the live network arrays (a
+        # single memcpy per network when arenas are intact).
+        generator_state, discriminator_state = site.get_state()
+        task.generator.load_into(generator_state)
+        task.discriminator.load_into(discriminator_state)
         lengths = site.history_lengths()
         metrics = site.train_local(task.local_epochs)
         generator_state, discriminator_state = site.get_state()
-        generator_codec.encode(generator_state, out=task.generator_out.resolve())
-        discriminator_codec.encode(discriminator_state, out=task.discriminator_out.resolve())
+        task.generator.store(generator_state)
+        task.discriminator.store(discriminator_state)
         return site.trainer_state(), site.history_tail(lengths), metrics
-
-
-class _SiteTransport:
-    """Parent-side bookkeeping of the resident site transport.
-
-    Sites are installed lazily (``add_site`` may be called between rounds)
-    and the flattened weight buffers are re-allocated when the site count
-    grows; both codecs are installed once, derived from the initial global
-    states.
-    """
-
-    def __init__(
-        self, executor: Executor, generator_template: StateDict, discriminator_template: StateDict
-    ) -> None:
-        self.executor = executor
-        self.generator_codec = StateCodec(generator_template)
-        self.discriminator_codec = StateCodec(discriminator_template)
-        self.generator_codec_ref = executor.install(self.generator_codec)
-        self.discriminator_codec_ref = executor.install(self.discriminator_codec)
-        self.site_refs: dict[str, StateRef] = {}
-        # Broadcast/result buffers run in the codecs' transport dtype, so a
-        # float32 model's rounds move half the bytes of a float64 model's.
-        self.global_generator = executor.shared_array(
-            (self.generator_codec.dim,), dtype=self.generator_codec.dtype
-        )
-        self.global_discriminator = executor.shared_array(
-            (self.discriminator_codec.dim,), dtype=self.discriminator_codec.dtype
-        )
-        self.generator_out = None
-        self.discriminator_out = None
-        self._capacity = 0
-
-    def ensure_sites(self, sites: list[FederatedKiNETGANSite]) -> None:
-        for site in sites:
-            if site.site_id not in self.site_refs:
-                self.site_refs[site.site_id] = self.executor.install(site)
-        if len(sites) > self._capacity:
-            for buffer in (self.generator_out, self.discriminator_out):
-                if buffer is not None:
-                    buffer.close()
-            self._capacity = len(sites)
-            self.generator_out = self.executor.shared_array(
-                (self._capacity, self.generator_codec.dim), dtype=self.generator_codec.dtype
-            )
-            self.discriminator_out = self.executor.shared_array(
-                (self._capacity, self.discriminator_codec.dim),
-                dtype=self.discriminator_codec.dtype,
-            )
-
-    def close(self) -> None:
-        for ref in self.site_refs.values():
-            self.executor.evict(ref)
-        self.site_refs.clear()
-        self.executor.evict(self.generator_codec_ref)
-        self.executor.evict(self.discriminator_codec_ref)
-        for buffer in (
-            self.global_generator,
-            self.global_discriminator,
-            self.generator_out,
-            self.discriminator_out,
-        ):
-            if buffer is not None:
-                buffer.close()
 
 
 @dataclass
@@ -432,18 +341,26 @@ class FederatedKiNETGAN:
         self.rounds: list[FederatedKiNETGANRound] = []
         self._global_generator: StateDict | None = None
         self._global_discriminator: StateDict | None = None
-        self._transport_state: _SiteTransport | None = None
+        # The round transport, built on the first round: every site
+        # installed once (sites added later join on the next round), plus
+        # one parameter channel per network.
+        self._site_refs: dict[str, StateRef] = {}
+        self._channels: tuple[FlatChannel, FlatChannel] | None = None
 
     def release_transport(self) -> None:
         """Release the resident round transport but keep the executor open.
 
         For coordinators sharing a caller-owned executor: frees the
-        installed sites, codecs and shared weight buffers without shutting
-        the workers down (mirrors ``FederatedServer.release_transport``).
+        installed sites and both parameter channels without shutting the
+        workers down (mirrors ``FederatedServer.release_transport``).
         """
-        if self._transport_state is not None:
-            self._transport_state.close()
-            self._transport_state = None
+        for ref in self._site_refs.values():
+            self.executor.evict(ref)
+        self._site_refs.clear()
+        if self._channels is not None:
+            for channel in self._channels:
+                channel.close()
+            self._channels = None
 
     def close(self) -> None:
         """Release the round transport and the executor's worker pool."""
@@ -493,6 +410,18 @@ class FederatedKiNETGAN:
             generator_state, discriminator_state = self.sites[0].get_state()
             self._global_generator = copy_state(generator_state)
             self._global_discriminator = copy_state(discriminator_state)
+
+    def _ensure_transport(self) -> tuple[FlatChannel, FlatChannel]:
+        """Open both parameter channels once and install any new site."""
+        if self._channels is None:
+            self._channels = (
+                FlatChannel(self.executor, self._global_generator),
+                FlatChannel(self.executor, self._global_discriminator),
+            )
+        for site in self.sites:
+            if site.site_id not in self._site_refs:
+                self._site_refs[site.site_id] = self.executor.install(site)
+        return self._channels
 
     def _select_sites(self) -> list[int]:
         """Seeded per-round site subset (indices into ``self.sites``).
@@ -545,32 +474,18 @@ class FederatedKiNETGAN:
         assert self._global_generator is not None and self._global_discriminator is not None
 
         selected = self._select_sites()
-        if self._transport_state is None:
-            self._transport_state = _SiteTransport(
-                self.executor, self._global_generator, self._global_discriminator
-            )
-        transport = self._transport_state
-        transport.ensure_sites(self.sites)
-        assert transport.generator_out is not None and transport.discriminator_out is not None
-        transport.generator_codec.encode(
-            self._global_generator, out=transport.global_generator.array
-        )
-        transport.discriminator_codec.encode(
-            self._global_discriminator, out=transport.global_discriminator.array
-        )
+        generator_channel, discriminator_channel = self._ensure_transport()
+        generator_channel.publish(self._global_generator, len(selected))
+        discriminator_channel.publish(self._global_discriminator, len(selected))
         # Captured before dispatch: under the in-process executors the
         # worker appends to the parent's own history object mid-map.
         history_lengths = [self.sites[index].history_lengths() for index in selected]
         tasks = [
             _SiteRoundTask(
-                site=transport.site_refs[self.sites[index].site_id],
+                site=self._site_refs[self.sites[index].site_id],
                 trainer_state=self.sites[index].trainer_state(),
-                generator_codec=transport.generator_codec_ref,
-                discriminator_codec=transport.discriminator_codec_ref,
-                global_generator=transport.global_generator.ref(),
-                global_discriminator=transport.global_discriminator.ref(),
-                generator_out=transport.generator_out.ref(slot),
-                discriminator_out=transport.discriminator_out.ref(slot),
+                generator=generator_channel.slot(slot),
+                discriminator=discriminator_channel.slot(slot),
                 local_epochs=local_epochs,
             )
             for slot, index in enumerate(selected)
@@ -599,12 +514,8 @@ class FederatedKiNETGAN:
             participants.append(site.site_id)
             site.load_trainer_state(trainer_state)
             site.apply_history_tail(history_lengths[slot], history_tail)
-            generator_state = transport.generator_codec.decode(
-                np.array(transport.generator_out.array[slot], copy=True)
-            )
-            discriminator_state = transport.discriminator_codec.decode(
-                np.array(transport.discriminator_out.array[slot], copy=True)
-            )
+            generator_state = generator_channel.result(slot)
+            discriminator_state = discriminator_channel.result(slot)
             # Mirror the worker's trained weights onto the parent site.
             site.set_state(generator_state, discriminator_state)
             generator_states.append(generator_state)
@@ -616,7 +527,7 @@ class FederatedKiNETGAN:
                 continue
             # Roll a dropped site back to its pre-round snapshot: the task
             # still carries the trainer state captured before dispatch, the
-            # broadcast buffers still hold the round's global weights, and
+            # channels still hold the round's global weights, and
             # an empty tail truncates any half-round history entries an
             # in-process attempt appended before failing.
             site = self.sites[index]
@@ -624,12 +535,9 @@ class FederatedKiNETGAN:
             site.apply_history_tail(
                 history_lengths[slot], {name: [] for name in site._HISTORY_FIELDS}
             )
-            site.load_flat_state(
-                transport.generator_codec,
-                transport.global_generator.array,
-                transport.discriminator_codec,
-                transport.global_discriminator.array,
-            )
+            generator_state, discriminator_state = site.get_state()
+            generator_channel.load_into(generator_state)
+            discriminator_channel.load_into(discriminator_state)
 
         generator_losses = [m.get("generator_loss", float("nan")) for m in metrics_list]
         discriminator_losses = [m.get("discriminator_loss", float("nan")) for m in metrics_list]

@@ -12,15 +12,29 @@ encodes into float32 vectors -- half the bytes per federated round -- while
 anything else keeps the historical float64 layout.  The historical helpers
 (``flatten_state``, ``weighted_average``, ...) are kept as thin wrappers
 over the codec.
+
+:class:`FlatChannel` is the one round transport built on the codec: a
+parent-owned broadcast vector plus a ``(units, total_params)`` result
+matrix in the execution plane, addressed by workers through picklable
+:class:`FlatSlot` s.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.runtime import Executor
+    from repro.runtime.state import BufferRef, SharedBuffer, StateRef
 
 __all__ = [
     "StateDict",
     "StateCodec",
+    "FlatChannel",
+    "FlatSlot",
     "copy_state",
     "zeros_like_state",
     "state_add",
@@ -45,10 +59,10 @@ class StateCodec:
 
     The layout is taken from a template state with keys sorted, so two
     states with the same keys and shapes always encode to the same vector
-    positions -- the invariant both FedAvg stacking and the secure
-    aggregation masking rely on.  ``encode_many`` packs a whole round of
-    client states into one ``(clients, total_params)`` matrix; aggregation
-    then reduces over axis 0 in a single pass.
+    positions -- the invariant FedAvg stacking and the round transport
+    rely on.  ``encode_many`` packs a whole round of client states into
+    one ``(clients, total_params)`` matrix; aggregation then reduces over
+    axis 0 in a single pass.
 
     The transport dtype (:attr:`dtype`) is float32 when every floating
     entry of the template is float32, float64 otherwise -- so float32
@@ -194,8 +208,8 @@ class StateCodec:
 
         Floating template dtypes are restored; any non-float entry stays
         in the transport dtype, because decoded vectors are usually
-        *aggregates* (means, medians, masked sums) and casting those back
-        to an integer dtype would silently truncate them.
+        *aggregates* (weighted means, DP-noised averages) and casting those
+        back to an integer dtype would silently truncate them.
         """
         vector = np.asarray(vector, dtype=self.dtype)
         if vector.shape != (self.dim,):
@@ -230,6 +244,87 @@ class StateCodec:
             start, end = self._spans[key]
             state[key][...] = vector[start:end].reshape(self.shapes[key])
         return state
+
+
+@dataclass
+class FlatSlot:
+    """A worker's view of one :class:`FlatChannel` row (picklable).
+
+    Three refs: the installed codec, the broadcast vector and this unit's
+    row of the result matrix.  The broadcast is only valid for the round,
+    so everything a worker keeps past its task is a copy.
+    """
+
+    codec: StateRef
+    broadcast: BufferRef
+    row: BufferRef
+
+    def global_state(self) -> StateDict:
+        """A standalone state decoded from (a copy of) the broadcast vector."""
+        codec: StateCodec = self.codec.resolve()
+        return codec.decode(np.array(self.broadcast.resolve(), copy=True))
+
+    def load_into(self, live_state: StateDict) -> StateDict:
+        """Copy the broadcast vector straight into a live network's arrays."""
+        codec: StateCodec = self.codec.resolve()
+        return codec.decode_into(self.broadcast.resolve(), live_state)
+
+    def store(self, state: StateDict) -> None:
+        """Encode ``state`` into this unit's row of the result matrix."""
+        codec: StateCodec = self.codec.resolve()
+        codec.encode(state, out=self.row.resolve())
+
+
+class FlatChannel:
+    """One flat-parameter stream of a round-based workload (parent side).
+
+    Installs its :class:`StateCodec` into the executor once and holds, in
+    the codec's transport dtype, the broadcast vector and a
+    ``(units, total_params)`` result matrix that grows when a round has
+    more units than rows.  Under the process executor both live in shared
+    memory, so a round's parameters never touch the task pipe; under
+    serial/thread executors the slots resolve to the parent's own arrays.
+    """
+
+    def __init__(self, executor: Executor, template: StateDict) -> None:
+        self.executor = executor
+        self.codec = StateCodec(template)
+        self._codec_ref = executor.install(self.codec)
+        self._broadcast = executor.shared_array((self.codec.dim,), dtype=self.codec.dtype)
+        self._results: SharedBuffer | None = None
+        self._rows = 0
+
+    def publish(self, state: StateDict, units: int) -> None:
+        """Broadcast ``state`` for a round of ``units`` result rows."""
+        if units > self._rows:
+            if self._results is not None:
+                self._results.close()
+            self._results = self.executor.shared_array(
+                (units, self.codec.dim), dtype=self.codec.dtype
+            )
+            self._rows = units
+        self.codec.encode(state, out=self._broadcast.array)
+
+    def slot(self, row: int) -> FlatSlot:
+        """The picklable slot a round task carries for result row ``row``."""
+        assert self._results is not None, "publish before handing out slots"
+        return FlatSlot(self._codec_ref, self._broadcast.ref(), self._results.ref(row))
+
+    def result(self, row: int) -> StateDict:
+        """The state a worker stored in ``row``, decoded from a copy."""
+        assert self._results is not None, "publish before reading results"
+        return self.codec.decode(np.array(self._results.array[row], copy=True))
+
+    def load_into(self, state: StateDict) -> StateDict:
+        """Copy the round's broadcast vector into ``state`` (parent side)."""
+        return self.codec.decode_into(self._broadcast.array, state)
+
+    def close(self) -> None:
+        """Evict the codec and release both buffers."""
+        self.executor.evict(self._codec_ref)
+        self._broadcast.close()
+        if self._results is not None:
+            self._results.close()
 
 
 def _check_compatible(a: StateDict, b: StateDict) -> None:
@@ -318,7 +413,7 @@ def flatten_state(state: StateDict) -> tuple[np.ndarray, Layout]:
     """Flatten a state into a single vector plus the layout needed to undo it.
 
     Keys are sorted so that two states with the same keys always flatten to
-    the same layout (required by the secure-aggregation masking).
+    the same layout.
     """
     codec = StateCodec(state)
     return codec.encode(state), codec.layout

@@ -3,8 +3,8 @@
 :class:`FederatedServer` drives the classic synchronous FL loop the paper's
 future-work section sketches for distributed NIDS: broadcast the global
 detector, let each selected device train locally on traffic it cannot share,
-aggregate the updates (optionally through simulated secure aggregation and a
-client-level DP mechanism) and repeat.
+federated-average the updates (optionally through a client-level DP
+mechanism) and repeat.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.federated.aggregation import (
-    SecureAggregationSession,
-    fedavg_aggregate,
-    median_aggregate,
-    safe_mean,
-    trimmed_mean_aggregate,
-)
+from repro.federated.aggregation import fedavg_aggregate, safe_mean
 from repro.federated.client import (
     ClientRoundTask,
     ClientUpdate,
@@ -28,54 +22,12 @@ from repro.federated.client import (
     run_client_round,
 )
 from repro.federated.dp import DPFedAvgConfig, DPFedAvgMechanism
-from repro.federated.parameters import StateCodec, StateDict, copy_state, state_add, state_scale
+from repro.federated.parameters import FlatChannel, StateDict, state_add, state_scale
 from repro.neural.network import Sequential
 from repro.runtime import Executor, map_with_quorum, resolve_executor
+from repro.runtime.state import StateRef
 
 __all__ = ["FederatedRound", "FederatedHistory", "FederatedServer"]
-
-#: Aggregation rules selectable by name.
-AGGREGATORS: dict[str, Callable[..., StateDict]] = {
-    "fedavg": fedavg_aggregate,
-    "trimmed_mean": trimmed_mean_aggregate,
-    "median": median_aggregate,
-}
-
-
-class _ResidentTransport:
-    """Parent-side bookkeeping of the resident-state round transport.
-
-    Installed once per server/executor pair: every client (its partition
-    and config) plus the shared :class:`StateCodec`, one broadcast buffer
-    for the flattened global state and one ``(clients, total_params)``
-    matrix the workers write their flattened updates into.  Under the
-    process executor all four live in shared memory, so a round's
-    parameter traffic never touches the task pipe; under serial/thread
-    executors the refs resolve to the parent's own objects and arrays.
-    """
-
-    def __init__(
-        self, executor: Executor, clients: list[FederatedClient], template: StateDict
-    ) -> None:
-        self.executor = executor
-        self.codec = StateCodec(template)
-        self.codec_ref = executor.install(self.codec)
-        self.client_refs = [executor.install(client) for client in clients]
-        # Buffers inherit the codec's transport dtype: float32 models ship
-        # (and shared-memory map) half the bytes per round.
-        self.global_buffer = executor.shared_array((self.codec.dim,), dtype=self.codec.dtype)
-        self.update_buffer = executor.shared_array(
-            (len(clients), self.codec.dim), dtype=self.codec.dtype
-        )
-
-    def close(self) -> None:
-        for ref in self.client_refs:
-            self.executor.evict(ref)
-        self.client_refs = []
-        self.executor.evict(self.codec_ref)
-        self.global_buffer.close()
-        self.update_buffer.close()
-
 
 @dataclass
 class FederatedRound:
@@ -121,11 +73,9 @@ class FederatedServer:
         self,
         model_fn: Callable[[], Sequential],
         clients: list[FederatedClient],
-        aggregator: str = "fedavg",
         client_fraction: float = 1.0,
         server_lr: float = 1.0,
         dp_config: DPFedAvgConfig | None = None,
-        secure_aggregation: bool = False,
         seed: int = 0,
         executor: Executor | str | int | None = None,
         min_clients: int = 1,
@@ -137,8 +87,6 @@ class FederatedServer:
         ----------
         model_fn:
             The shared architecture factory (same one the clients use).
-        aggregator:
-            ``"fedavg"`` (example-weighted), ``"trimmed_mean"`` or ``"median"``.
         client_fraction:
             Fraction of clients selected per round (at least one is always
             selected).
@@ -148,10 +96,6 @@ class FederatedServer:
         dp_config:
             When given, client updates are clipped and the averaged update is
             noised per DP-FedAvg; the spent epsilon is reported per round.
-        secure_aggregation:
-            Route updates through the simulated pairwise-masking protocol.
-            Only meaningful with the unweighted aggregators; with FedAvg the
-            weighting is applied before masking.
         executor:
             How client rounds run: ``None``/``"serial"`` (default) trains
             participants in-process, ``int N > 1`` / ``"process[:N]"`` fans
@@ -179,8 +123,6 @@ class FederatedServer:
         """
         if not clients:
             raise ValueError("need at least one client")
-        if aggregator not in AGGREGATORS:
-            raise ValueError(f"unknown aggregator {aggregator!r}; options: {sorted(AGGREGATORS)}")
         if not 0.0 < client_fraction <= 1.0:
             raise ValueError("client_fraction must be in (0, 1]")
         if server_lr <= 0:
@@ -195,10 +137,8 @@ class FederatedServer:
         self.retry_backoff = retry_backoff
         self.model_fn = model_fn
         self.clients = list(clients)
-        self.aggregator = aggregator
         self.client_fraction = client_fraction
         self.server_lr = server_lr
-        self.secure_aggregation = secure_aggregation
         self.executor = resolve_executor(executor)
         self.rng = np.random.default_rng(seed)
 
@@ -206,7 +146,10 @@ class FederatedServer:
         self.global_state: StateDict = self.global_model.state_dict()
         self.dp_mechanism = DPFedAvgMechanism(dp_config, rng=self.rng) if dp_config else None
         self.history = FederatedHistory()
-        self._transport_state: _ResidentTransport | None = None
+        # The round transport, built on the first round: every client
+        # installed once, plus one parameter channel.
+        self._client_refs: list[StateRef] = []
+        self._channel: FlatChannel | None = None
 
     def release_transport(self) -> None:
         """Release the resident round transport but keep the executor open.
@@ -215,9 +158,12 @@ class FederatedServer:
         simulation runs several servers over one pool): frees the installed
         clients and shared buffers without shutting the workers down.
         """
-        if self._transport_state is not None:
-            self._transport_state.close()
-            self._transport_state = None
+        for ref in self._client_refs:
+            self.executor.evict(ref)
+        self._client_refs = []
+        if self._channel is not None:
+            self._channel.close()
+            self._channel = None
 
     def close(self) -> None:
         """Release the round transport and the executor's worker pool."""
@@ -237,13 +183,12 @@ class FederatedServer:
         indices = self.rng.choice(len(self.clients), size=count, replace=False)
         return sorted(int(i) for i in indices)
 
-    def _ensure_transport(self) -> _ResidentTransport:
-        """Install clients / codec / buffers on the first round."""
-        if self._transport_state is None:
-            self._transport_state = _ResidentTransport(
-                self.executor, self.clients, self.global_state
-            )
-        return self._transport_state
+    def _ensure_transport(self) -> FlatChannel:
+        """Install the clients and open the parameter channel on the first round."""
+        if self._channel is None:
+            self._client_refs = [self.executor.install(client) for client in self.clients]
+            self._channel = FlatChannel(self.executor, self.global_state)
+        return self._channel
 
     def run_round(
         self,
@@ -255,20 +200,17 @@ class FederatedServer:
         Local training is fanned out through the server's executor.  Each
         participant is addressed by its installed ref and the round ships
         only a :class:`ClientRoundTask` (refs + a round seed spawned here,
-        before dispatch); the broadcast parameters and the update matrix
-        travel through shared buffers.  Serial, thread and process
+        before dispatch); the broadcast parameters and the updates travel
+        through the server's :class:`FlatChannel`.  Serial, thread and process
         execution run exactly the same code on exactly the same streams.
         """
         indices = self._select_indices()
-        transport = self._ensure_transport()
-        codec = transport.codec
-        codec.encode(self.global_state, out=transport.global_buffer.array)
+        channel = self._ensure_transport()
+        channel.publish(self.global_state, len(indices))
         tasks = [
             ClientRoundTask(
-                client=transport.client_refs[index],
-                codec=transport.codec_ref,
-                global_params=transport.global_buffer.ref(),
-                update_out=transport.update_buffer.ref(slot),
+                client=self._client_refs[index],
+                params=channel.slot(slot),
                 round_seed=self.clients[index].spawn_round_seed(),
             )
             for slot, index in enumerate(indices)
@@ -286,20 +228,21 @@ class FederatedServer:
             backoff=self.retry_backoff,
             unit="client",
         )
-        # Workers leave their flattened updates in the shared matrix; decode
-        # (copy) each surviving row back into a state dictionary.
+        # Workers leave their flattened updates in the channel's result
+        # matrix; decode (copy) each surviving row back into a state.
         updates: list[ClientUpdate] = []
         for slot, update in survivors:
-            update.update = codec.decode(
-                np.array(transport.update_buffer.array[slot], copy=True)
-            )
+            update.update = channel.result(slot)
             updates.append(update)
 
         if self.dp_mechanism is not None:
             for update in updates:
                 update.update = self.dp_mechanism.clip_update(update.update)
 
-        aggregated = self._aggregate(updates)
+        aggregated = fedavg_aggregate(
+            [update.update for update in updates],
+            [float(update.n_examples) for update in updates],
+        )
 
         if self.dp_mechanism is not None:
             aggregated = self.dp_mechanism.noise_average(aggregated, n_clients=len(updates))
@@ -308,7 +251,7 @@ class FederatedServer:
         self.global_state = state_add(
             self.global_state, state_scale(aggregated, self.server_lr)
         )
-        self.global_model.load_state_dict(copy_state(self.global_state))
+        self.global_model.load_state_dict(self.global_state)
 
         global_accuracy = None
         if eval_features is not None and eval_labels is not None:
@@ -340,31 +283,6 @@ class FederatedServer:
         for _ in range(num_rounds):
             self.run_round(eval_features, eval_labels)
         return self.history
-
-    # ------------------------------------------------------------------ #
-    def _aggregate(self, updates: list[ClientUpdate]) -> StateDict:
-        states = [update.update for update in updates]
-        if self.secure_aggregation:
-            # Weight before masking so the masked sum already reflects FedAvg
-            # weights, then divide by the total weight after unmasking.
-            weights = (
-                [float(update.n_examples) for update in updates]
-                if self.aggregator == "fedavg"
-                else [1.0] * len(updates)
-            )
-            total_weight = sum(weights)
-            session = SecureAggregationSession(
-                client_ids=[update.client_id for update in updates],
-                template=states[0],
-                seed=int(self.rng.integers(0, 2**31 - 1)),
-            )
-            for update, weight in zip(updates, weights):
-                session.submit(update.client_id, state_scale(update.update, weight))
-            return state_scale(session.aggregate(), 1.0 / total_weight)
-
-        if self.aggregator == "fedavg":
-            return AGGREGATORS["fedavg"](states, [float(u.n_examples) for u in updates])
-        return AGGREGATORS[self.aggregator](states)
 
     # ------------------------------------------------------------------ #
     def _model_input(self, features: np.ndarray) -> np.ndarray:

@@ -8,9 +8,10 @@
 * :mod:`repro.privacy.membership_inference` -- white-box and fully-black-box
   membership inference against a synthesizer (Fig. 7).
 * :mod:`repro.privacy.dp` -- Laplace / Gaussian mechanisms and a simple
-  composition accountant (used by the PATE-GAN baseline and the examples).
+  composition accountant, as standalone utilities: no synthesizer, example
+  or benchmark uses them (PATE-GAN tracks its own Laplace budget).
 * :mod:`repro.privacy.accountant` -- Renyi-DP (moments) accounting for the
-  subsampled Gaussian mechanism, used by DP-SGD and DP-FedAvg training.
+  subsampled Gaussian mechanism, used by DP-FedAvg training.
 """
 
 from repro.privacy.dp import (

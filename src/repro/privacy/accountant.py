@@ -1,9 +1,10 @@
 """Renyi differential-privacy accounting for (subsampled) Gaussian mechanisms.
 
-The :class:`CompositionAccountant` in :mod:`repro.privacy.dp` adds epsilons
-linearly, which is far too loose for iterative training (DP-SGD, DP-FedAvg,
-PATE-style noisy aggregation repeated over many rounds).  This module
-implements the standard Renyi-DP (moments) accountant:
+Adding epsilons linearly (the standalone :class:`CompositionAccountant` in
+:mod:`repro.privacy.dp`) is far too loose for iterative training, where a
+subsampled Gaussian mechanism repeats every step or round (DP-SGD,
+DP-FedAvg in :mod:`repro.federated.dp`).  This module implements the
+standard Renyi-DP (moments) accountant:
 
 * :func:`rdp_gaussian` -- RDP curve of the plain Gaussian mechanism.
 * :func:`rdp_subsampled_gaussian` -- the Mironov et al. upper bound for the

@@ -26,8 +26,9 @@ Design rules (every call site follows them, new ones must too):
    flattened parameter delta.  Broadcast/result parameter matrices travel
    through :meth:`Executor.shared_array`
    (:class:`multiprocessing.shared_memory` under the process executor, the
-   parent's own arrays under serial/thread), so steady-state rounds ship
-   only the bytes that changed.
+   parent's own arrays under serial/thread), allocated per flat stream by
+   :class:`repro.federated.parameters.FlatChannel`, so steady-state rounds
+   ship only the bytes that changed.
 3. **Child seeds are spawned in the parent.**  Every payload carries a
    :class:`numpy.random.SeedSequence` child spawned *before* dispatch, so
    the randomness a work unit consumes depends only on (parent seed, spawn

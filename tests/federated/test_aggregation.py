@@ -1,18 +1,12 @@
-"""Tests for the aggregation rules and the simulated secure aggregation."""
+"""Tests for the FedAvg aggregation rule and the round-metric mean."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.federated.aggregation import (
-    SecureAggregationSession,
-    fedavg_aggregate,
-    median_aggregate,
-    safe_mean,
-    trimmed_mean_aggregate,
-)
-from repro.federated.parameters import flatten_state, state_add, state_scale
+from repro.federated.aggregation import fedavg_aggregate, safe_mean
+from repro.federated.parameters import state_add, state_scale
 
 
 def make_state(seed: int = 0, scale: float = 1.0) -> dict:
@@ -35,93 +29,11 @@ class TestAggregationRules:
         for key in aggregated:
             np.testing.assert_allclose(aggregated[key], expected[key])
 
-    def test_median_resists_an_extreme_client(self):
-        honest = [make_state(i, scale=0.1) for i in range(4)]
-        byzantine = make_state(99, scale=1000.0)
-        aggregated = median_aggregate(honest + [byzantine])
-        flat, _ = flatten_state(aggregated)
-        assert np.abs(flat).max() < 10.0
-
-    def test_trimmed_mean_resists_an_extreme_client(self):
-        honest = [make_state(i, scale=0.1) for i in range(4)]
-        byzantine = make_state(99, scale=1000.0)
-        aggregated = trimmed_mean_aggregate(honest + [byzantine], trim_fraction=0.25)
-        flat, _ = flatten_state(aggregated)
-        assert np.abs(flat).max() < 10.0
-
-    def test_trimmed_mean_zero_trim_is_plain_mean(self):
-        updates = [make_state(i) for i in range(3)]
-        trimmed = trimmed_mean_aggregate(updates, trim_fraction=0.0)
-        mean = fedavg_aggregate(updates)
-        for key in trimmed:
-            np.testing.assert_allclose(trimmed[key], mean[key])
-
-    def test_trim_fraction_validation(self):
-        with pytest.raises(ValueError):
-            trimmed_mean_aggregate([make_state()], trim_fraction=0.5)
-
     def test_incompatible_layouts_rejected(self):
         good = make_state()
         bad = {"other": np.zeros(3)}
         with pytest.raises(ValueError):
-            median_aggregate([good, bad])
-
-
-class TestSecureAggregation:
-    def test_sum_matches_plain_sum(self):
-        updates = {f"c{i}": make_state(i) for i in range(4)}
-        session = SecureAggregationSession(list(updates), template=updates["c0"], seed=3)
-        for client_id, update in updates.items():
-            session.submit(client_id, update)
-        aggregated = session.aggregate()
-        expected = None
-        for update in updates.values():
-            expected = update if expected is None else state_add(expected, update)
-        for key in aggregated:
-            np.testing.assert_allclose(aggregated[key], expected[key], atol=1e-9)
-
-    def test_mean_matches_plain_mean(self):
-        updates = {f"c{i}": make_state(i) for i in range(3)}
-        session = SecureAggregationSession(list(updates), template=updates["c0"], seed=1)
-        for client_id, update in updates.items():
-            session.submit(client_id, update)
-        mean = session.aggregate_mean()
-        expected = fedavg_aggregate(list(updates.values()))
-        for key in mean:
-            np.testing.assert_allclose(mean[key], expected[key], atol=1e-9)
-
-    def test_masked_update_hides_the_raw_update(self):
-        updates = {f"c{i}": make_state(i, scale=0.01) for i in range(3)}
-        session = SecureAggregationSession(list(updates), template=updates["c0"], seed=5)
-        masked = session.mask_update("c0", updates["c0"])
-        raw, _ = flatten_state(updates["c0"])
-        # The pairwise masks are O(1) noise on top of an O(0.01) signal, so
-        # the masked vector must be very far from the raw one.
-        assert np.linalg.norm(masked - raw) > 10 * np.linalg.norm(raw)
-
-    def test_missing_submission_blocks_aggregation(self):
-        updates = {f"c{i}": make_state(i) for i in range(3)}
-        session = SecureAggregationSession(list(updates), template=updates["c0"], seed=2)
-        session.submit("c0", updates["c0"])
-        session.submit("c1", updates["c1"])
-        with pytest.raises(RuntimeError):
-            session.aggregate()
-
-    def test_unknown_client_and_bad_layout_rejected(self):
-        updates = {f"c{i}": make_state(i) for i in range(2)}
-        session = SecureAggregationSession(list(updates), template=updates["c0"], seed=2)
-        with pytest.raises(KeyError):
-            session.mask_update("stranger", updates["c0"])
-        with pytest.raises(ValueError):
-            session.mask_update("c0", {"different": np.zeros(4)})
-
-    def test_needs_at_least_two_clients(self):
-        with pytest.raises(ValueError):
-            SecureAggregationSession(["solo"], template=make_state())
-
-    def test_duplicate_client_ids_rejected(self):
-        with pytest.raises(ValueError):
-            SecureAggregationSession(["a", "a"], template=make_state())
+            fedavg_aggregate([good, bad])
 
 
 class TestSafeMean:

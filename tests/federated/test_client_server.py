@@ -109,8 +109,6 @@ class TestFederatedServer:
         with pytest.raises(ValueError):
             FederatedServer(model_fn, [])
         with pytest.raises(ValueError):
-            FederatedServer(model_fn, clients, aggregator="mystery")
-        with pytest.raises(ValueError):
             FederatedServer(model_fn, clients, client_fraction=0.0)
         with pytest.raises(ValueError):
             FederatedServer(model_fn, clients, server_lr=0.0)
@@ -129,27 +127,6 @@ class TestFederatedServer:
         server = FederatedServer(model_fn, clients, client_fraction=0.5, seed=1)
         round_info = server.run_round()
         assert len(round_info.participants) == 2
-
-    def test_robust_aggregators_run(self):
-        clients = make_clients(4)
-        for aggregator in ("median", "trimmed_mean"):
-            server = FederatedServer(model_fn, clients, aggregator=aggregator, seed=0)
-            server.run(2)
-            X_test, y_test = make_blobs(200, seed=42)
-            assert server.evaluate(X_test, y_test) > 0.6
-
-    def test_secure_aggregation_matches_plain_fedavg(self):
-        clients_a = make_clients(3)
-        clients_b = make_clients(3)
-        X_test, y_test = make_blobs(200, seed=7)
-        plain = FederatedServer(model_fn, clients_a, seed=0)
-        masked = FederatedServer(model_fn, clients_b, secure_aggregation=True, seed=0)
-        plain.run(3)
-        masked.run(3)
-        # The protocols compute the same average (up to mask-cancellation
-        # round-off), so the resulting detectors agree on almost all points.
-        agreement = (plain.predict(X_test) == masked.predict(X_test)).mean()
-        assert agreement > 0.95
 
     def test_dp_training_runs_and_reports_epsilon(self):
         clients = make_clients(3)

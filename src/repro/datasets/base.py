@@ -26,12 +26,19 @@ def clip_scalar(value, low, high) -> float:
 
 
 def mixture(weights: dict) -> tuple[tuple, np.ndarray]:
-    """The keys of a ``{choice: weight}`` mapping and their normalised probabilities.
+    """The keys of a ``{choice: weight}`` mapping and the CDF of their mixture.
 
-    Resolved once per mapping, for the per-record ``rng.choice(len(keys), p=p)``.
+    Resolved once per mapping.  ``cdf.searchsorted(rng.random(), side="right")``
+    then draws the index that ``rng.choice(len(keys), p=p)`` draws, from the
+    same single uniform: it is numpy's own weighted ``Generator.choice``
+    without the per-call validation of ``p`` (pinned by
+    ``tests/datasets/test_mixture.py``).
     """
     values = np.asarray(list(weights.values()))
-    return tuple(weights), values / values.sum()
+    p = values / values.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return tuple(weights), cdf
 
 
 @dataclass

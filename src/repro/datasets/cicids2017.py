@@ -106,7 +106,7 @@ _CLASS_PROFILES: dict[str, tuple[float, float, float, float, float, float]] = {
     "Infiltration": (13.5, 10.0, 12.0, 350.0, 1.2, 0.2),
 }
 
-#: The benign destination ports and their normalised mixture.
+#: The benign destination ports and the CDF of their mixture.
 _BENIGN_PORT_CHOICE = mixture(_BENIGN_PORTS)
 
 #: Per class, the log-means of the forward and backward packet sizes.
@@ -213,8 +213,8 @@ class CICIDS2017Generator:
     def _generate_record(self, label: str) -> dict:
         rng = self._rng
         if label == "BENIGN":
-            ports, port_p = _BENIGN_PORT_CHOICE
-            dst_port = int(ports[rng.choice(len(ports), p=port_p)])
+            ports, port_cdf = _BENIGN_PORT_CHOICE
+            dst_port = int(ports[port_cdf.searchsorted(rng.random(), side="right")])
             protocol = "UDP" if dst_port in (53, 123) else "TCP"
         else:
             ports, protocols = _ATTACK_RULES[label]

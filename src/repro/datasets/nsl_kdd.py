@@ -121,7 +121,7 @@ _CLASS_PROFILES: dict[str, tuple[float, float, float, float, float, float, float
     "u2r": (3.8, 5.2, 6.8, 1.5, 1.5, 0.01, 0.85),
 }
 
-#: Per class, the service names and their normalised mixture.
+#: Per class, the service names and the CDF of their mixture.
 _SERVICE_CHOICES = {label: mixture(mix) for label, mix in _CLASS_SERVICES.items()}
 
 _REDUCED_COLUMNS = [
@@ -246,8 +246,8 @@ class NSLKDDGenerator:
     # ------------------------------------------------------------------ #
     def _generate_record(self, label: str) -> dict:
         rng = self._rng
-        services, service_p = _SERVICE_CHOICES[label]
-        service = services[rng.choice(len(services), p=service_p)]
+        services, service_cdf = _SERVICE_CHOICES[label]
+        service = services[service_cdf.searchsorted(rng.random(), side="right")]
         protocols = _SERVICE_RULES[service]
         protocol = protocols[rng.integers(0, len(protocols))]
 

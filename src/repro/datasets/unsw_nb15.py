@@ -118,7 +118,7 @@ _CATEGORY_SERVICES: dict[str, dict[str, float]] = {
     "Worms": {"http": 0.45, "smtp": 0.25, "-": 0.30},
 }
 
-#: Per category, the service names and their normalised mixture.
+#: Per category, the service names and the CDF of their mixture.
 _SERVICE_CHOICES = {category: mixture(mix) for category, mix in _CATEGORY_SERVICES.items()}
 
 #: Per-category continuous profiles:
@@ -263,8 +263,8 @@ class UNSWNB15Generator:
     # ------------------------------------------------------------------ #
     def _generate_record(self, category: str) -> dict:
         rng = self._rng
-        services, service_p = _SERVICE_CHOICES[category]
-        service = services[rng.choice(len(services), p=service_p)]
+        services, service_cdf = _SERVICE_CHOICES[category]
+        service = services[service_cdf.searchsorted(rng.random(), side="right")]
         protocols, ports = _SERVICE_RULES[service]
         proto = protocols[rng.integers(0, len(protocols))]
         state = _PROTO_STATES[proto][rng.integers(0, len(_PROTO_STATES[proto]))]

@@ -27,8 +27,9 @@ Determinism contract: the rows of a response depend only on ``(artifact,
 n, conditions, seed)``.  A client on localhost receives samples
 **bit-identical** to ``model.sample(n, seed)`` in-process -- continuous
 columns ride as base64 little-endian float64 bytes (exact for every bit
-pattern), categorical values are JSON-native strings/ints (see
-:func:`table_to_wire`) -- enforced by ``tests/serve/test_server.py``.
+pattern), categorical columns as base64 integer codes into the schema's
+categories (see :func:`table_to_wire`) -- enforced by
+``tests/serve/test_server.py``.
 ``repro serve`` without ``--http`` runs its requests through the same
 :meth:`ServingPool.sample_batch`.
 
@@ -80,24 +81,32 @@ def table_to_wire(table: Table) -> dict:
     Exact and strict JSON: a float64 column travels as
     ``{"f8": <base64 of its little-endian IEEE-754 bytes>}``, so every bit
     survives (NaN payloads, infinities and ``-0.0`` included) and no
-    non-standard ``NaN`` token is ever written.  Categorical values are
-    native JSON strings or ints, and the schema rides its own ``to_dict``
-    form.
+    non-standard ``NaN`` token is ever written.  A categorical column
+    travels as ``{"u1"|"u2"|"u4": <base64 of its little-endian codes>}``,
+    the narrowest width that holds its largest code, with an ``"extra"``
+    array when some cell is not a category (see :class:`_CategoryCodes`).
+    The schema rides its own ``to_dict`` form.
     """
+    document = table.schema.to_dict()
+    codes = _wire_schema(document).codes
     columns: dict = {}
     for spec in table.schema:
         values = table.column(spec.name)
         if spec.is_continuous:
-            raw = values.astype("<f8", copy=False).tobytes()
-            columns[spec.name] = {"f8": base64.b64encode(raw).decode("ascii")}
+            columns[spec.name] = {"f8": _base64_text(values.astype("<f8", copy=False))}
         else:
-            columns[spec.name] = values.tolist()
-    return {"schema": table.schema.to_dict(), "columns": columns}
+            columns[spec.name] = codes[spec.name].encode(values)
+    return {"schema": document, "columns": columns}
+
+
+# The code widths of a categorical wire column: its key and the dtype of its
+# little-endian unsigned codes, narrowest first.
+_CODE_WIDTHS = {"u1": np.dtype("<u1"), "u2": np.dtype("<u2"), "u4": np.dtype("<u4")}
 
 
 def _same_value(value, category) -> bool:
-    """Whether a decoded ``value`` stands for ``category``: equal and of its
-    exact type, where a JSON array stands for an equal tuple."""
+    """Whether ``value`` stands for ``category``: equal and of its exact
+    type, where a list (what JSON makes of a tuple) stands for an equal tuple."""
     if type(category) is tuple:
         return (
             isinstance(value, (list, tuple))
@@ -107,55 +116,120 @@ def _same_value(value, category) -> bool:
     return type(value) is type(category) and value == category
 
 
-class _CategoryMap:
-    """Decodes one categorical column onto its category objects.
+def _code_width(top: int) -> str:
+    """The narrowest code width that holds the code ``top``."""
+    return next(key for key, dtype in _CODE_WIDTHS.items() if top < 256**dtype.itemsize)
 
-    A value of a category's exact type (``str``, ``int`` but not ``bool``,
-    or a JSON array for a tuple) that equals it becomes that very object,
-    so a decoded table holds pointers into the schema, as an in-process
-    sample does, instead of a fresh ``str`` or ``int`` per cell.  Every
-    other value (a bool, a float, anything outside the categories) stays as
-    ``json.loads`` made it.
+
+def _base64_text(values: np.ndarray) -> str:
+    """An array's bytes, in its dtype's byte order, as base64 text."""
+    return base64.b64encode(values.tobytes()).decode("ascii")
+
+
+def _base64_bytes(name: str, text: str) -> bytes:
+    """The bytes of a wire column's base64 text; ``ValueError`` naming it if bad."""
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as error:  # binascii.Error, or a non-ASCII str
+        raise ValueError(f"column {name!r}: bad base64 ({error})") from None
+
+
+class _CategoryCodes:
+    """One categorical column's integer codes into its schema's categories.
+
+    Code ``k < len(categories)`` is the ``k``-th category object itself, so
+    a decoded table holds pointers into the schema, as an in-process sample
+    does.  A cell is coded only when :func:`_same_value` says it stands for
+    its category; every other cell (a bool, a float, anything outside the
+    categories) rides in the column's ``"extra"`` array, and code
+    ``len(categories) + j`` decodes to ``extra[j]`` as ``json.loads`` made it.
     """
 
-    __slots__ = ("lookup", "str_keys")
+    __slots__ = ("categories", "lookup", "plain", "str_only", "width")
 
     def __init__(self, categories: tuple) -> None:
-        self.lookup = {c: c for c in categories if type(c) in (str, int, tuple)}
-        self.str_keys = all(type(c) is str for c in self.lookup)
+        self.categories = np.fromiter(categories, dtype=object, count=len(categories))
+        self.lookup = {category: code for code, category in enumerate(categories)}
+        kinds = set(map(type, categories))
+        self.plain = kinds <= {int, str}
+        self.str_only = kinds == {str}
+        self.width = _code_width(len(categories) - 1)
 
-    def __call__(self, values: list) -> np.ndarray:
-        """``values`` as an object array.  fromiter keeps each element's own
-        type; np.asarray would turn a mixed ``[21, "x"]`` column into
-        ``["21", "x"]``."""
-        # A plain lookup is exact when only a str can equal a key, or when
-        # the column holds nothing but ints and strs (a bool or a float can
-        # equal an int key, a JSON array a tuple key).
-        if self.str_keys or set(map(type, values)) <= {int, str}:
+    def encode(self, values: np.ndarray) -> dict:
+        """``{width: <base64 codes>}``, plus ``"extra"`` if some cell is no category."""
+        # A plain lookup is exact when only a str can equal a key (a str
+        # subclass equal to one crosses JSON as that very string anyway), or
+        # when int and str cells meet int and str keys (a bool or a float can
+        # equal an int key, a list a tuple key).
+        if self.str_only or (self.plain and set(map(type, values)) <= {int, str}):
             try:
-                found = map(self.lookup.get, values, values)
-                return np.fromiter(found, dtype=object, count=len(values))
-            except TypeError:  # an unhashable JSON array
+                found = map(self.lookup.__getitem__, values)
+                codes = np.fromiter(found, dtype=_CODE_WIDTHS[self.width], count=len(values))
+                return {self.width: _base64_text(codes)}
+            except (KeyError, TypeError):  # a cell that is no category
                 pass
-        return np.fromiter(map(self.value, values), dtype=object, count=len(values))
+        codes = np.fromiter(map(self.code, values), dtype=np.int64, count=len(values))
+        others = np.flatnonzero(codes < 0)
+        codes[others] = np.arange(len(self.categories), len(self.categories) + len(others))
+        width = _code_width(len(self.categories) + len(others) - 1)
+        column = {width: _base64_text(codes.astype(_CODE_WIDTHS[width]))}
+        if len(others):
+            column["extra"] = values[others].tolist()
+        return column
 
-    def value(self, value):
+    def code(self, value) -> int:
+        """The code of ``value``, or -1 if it is no category."""
         try:
-            category = self.lookup.get(tuples_from_json(value), value)
-        except TypeError:  # a JSON object, or an array holding one
-            return value
-        return category if _same_value(value, category) else value
+            code = self.lookup.get(tuples_from_json(value), -1)
+        except TypeError:  # a dict, or a list holding one
+            return -1
+        return code if code >= 0 and _same_value(value, self.categories[code]) else -1
+
+    def decode(self, name: str, column) -> np.ndarray:
+        """A wire column as its object array; ``ValueError`` naming it if malformed."""
+        if not isinstance(column, dict):
+            raise ValueError(
+                f'column {name!r}: expected {{"u1"|"u2"|"u4": <base64>}}, '
+                f"got {type(column).__name__}"
+            )
+        widths = column.keys() - {"extra"}
+        if len(widths) != 1 or not widths <= _CODE_WIDTHS.keys():
+            raise ValueError(
+                f'column {name!r}: expected one code width key ("u1", "u2" or "u4") and '
+                f'an optional "extra", got keys {sorted(map(repr, column))}'
+            )
+        (width,) = widths
+        if not isinstance(column[width], str):
+            raise ValueError(f"column {name!r}: codes are not a base64 string")
+        raw = _base64_bytes(name, column[width])
+        if len(raw) % _CODE_WIDTHS[width].itemsize:
+            raise ValueError(f"column {name!r}: {len(raw)} bytes is not a {width} count")
+        codes = np.frombuffer(raw, dtype=_CODE_WIDTHS[width])
+        extra = column.get("extra", [])
+        if not isinstance(extra, list):
+            raise ValueError(f'column {name!r}: "extra" is not an array')
+        values = self.categories
+        if extra:
+            values = np.concatenate([values, np.fromiter(extra, dtype=object, count=len(extra))])
+        try:
+            return values[codes]
+        except IndexError:
+            raise ValueError(
+                f"column {name!r}: code {int(codes.max())} is past its {len(values)} values"
+            ) from None
 
 
 class _WireSchema:
-    """A decoded schema document and the category map of each categorical column."""
+    """A decoded schema document and the codes of each categorical column."""
 
-    __slots__ = ("schema", "category_maps")
+    __slots__ = ("schema", "codes")
 
     def __init__(self, document) -> None:
         self.schema = TableSchema.from_dict(document)
-        self.category_maps = {
-            spec.name: _CategoryMap(spec.categories) for spec in self.schema if spec.is_categorical
+        self.codes = {
+            spec.name: _CategoryCodes(spec.categories)
+            for spec in self.schema
+            if spec.is_categorical
         }
 
 
@@ -169,7 +243,8 @@ def _wire_schema(document) -> _WireSchema:
     """The decoded form of a schema document, built once per distinct document.
 
     Replies of one artifact then share one :class:`TableSchema` and its
-    category objects, as in-process samples share ``transformer.schema``.
+    category objects, as in-process samples share ``transformer.schema``,
+    and the server encodes every reply through the same category lookups.
     The key is the document's JSON text, so documents that Python finds
     equal but JSON does not (``true`` and ``1``) never share an entry.
     """
@@ -188,21 +263,16 @@ def _wire_schema(document) -> _WireSchema:
     return entry
 
 
-def _column_from_wire(spec: ColumnSpec, value, category_map: _CategoryMap | None) -> np.ndarray:
+def _column_from_wire(spec: ColumnSpec, value, codes: _CategoryCodes | None) -> np.ndarray:
     """One wire column as its storage array; ``ValueError`` if malformed."""
     if spec.is_continuous:
         if not (isinstance(value, dict) and set(value) == {"f8"} and isinstance(value["f8"], str)):
             raise ValueError(f'column {spec.name!r}: expected {{"f8": <base64>}}')
-        try:
-            raw = base64.b64decode(value["f8"], validate=True)
-        except ValueError as error:  # binascii.Error
-            raise ValueError(f"column {spec.name!r}: bad base64 ({error})") from None
+        raw = _base64_bytes(spec.name, value["f8"])
         if len(raw) % 8:
             raise ValueError(f"column {spec.name!r}: {len(raw)} bytes is not a float64 count")
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if not isinstance(value, list):
-        raise ValueError(f"column {spec.name!r}: expected a list, got {type(value).__name__}")
-    return category_map(value)
+    return codes.decode(spec.name, value)
 
 
 def table_from_wire(document: dict) -> Table:
@@ -212,7 +282,7 @@ def table_from_wire(document: dict) -> Table:
     ``ValueError`` (naming the column where there is one) instead of a
     ``KeyError`` or ``TypeError`` from deep inside.  Tables decoded from one
     schema document share one schema, and their categorical cells are that
-    schema's category objects (see :class:`_CategoryMap`).
+    schema's category objects (see :class:`_CategoryCodes`).
     """
     try:
         wire_schema = _wire_schema(document["schema"])
@@ -227,7 +297,7 @@ def table_from_wire(document: dict) -> Table:
         if spec.name not in wire_columns:
             raise ValueError(f"column {spec.name!r}: missing")
         columns[spec.name] = _column_from_wire(
-            spec, wire_columns[spec.name], wire_schema.category_maps.get(spec.name)
+            spec, wire_columns[spec.name], wire_schema.codes.get(spec.name)
         )
     if columns:
         lengths = Counter(len(values) for values in columns.values())
@@ -762,7 +832,7 @@ class SamplingHTTPServer:
             "queue_depth": self._queue.qsize(),
             "queue_capacity": self.queue_depth,
             "artifacts": self.pool.artifact_names,
-            "workers": getattr(self.pool.executor, "workers", 1),
+            "workers": getattr(self.pool.executor, "max_workers", 1),
             "request_deadline": self.request_deadline,
             "stats": self.stats.snapshot(),
             "runtime": self._runtime_health(),

@@ -135,33 +135,88 @@ def _reject_constant(token: str):
 
 
 _NOT_BASE64 = "!*#$%&?~ -_."
+_CODE_WIDTHS = {"u1": np.uint8, "u2": np.uint16, "u4": np.uint32}
+
+
+def _objects(values: list) -> np.ndarray:
+    """``values`` as an object array, one cell per item (lists and dicts included)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _payload_key(column: dict) -> str:
+    """The key of a wire column's base64 payload: ``"f8"`` or its code width."""
+    return next(key for key in column if key != "extra")
 
 
 def _mutate(document: dict, rng: random.Random) -> tuple[str, dict]:
     """One seeded mutation of a reply document: ``(column it breaks, copy)``."""
     mutated = copy.deepcopy(document)
     columns = mutated["columns"]
-    floats = [name for name, value in columns.items() if isinstance(value, dict)]
-    kind = rng.choice(["truncate", "corrupt", "resize", "drop", "scalar"])
-    name = rng.choice(floats if kind in ("truncate", "corrupt", "resize") else list(columns))
-    if kind == "truncate":
-        text = columns[name]["f8"]
-        columns[name]["f8"] = text[: rng.randrange(len(text))]
-    elif kind == "corrupt":
-        text = columns[name]["f8"]
-        at = rng.randrange(len(text))
-        # Overwrite a character or insert one: strict decoding rejects both.
-        columns[name]["f8"] = text[:at] + rng.choice(_NOT_BASE64) + text[at + rng.randrange(2) :]
-    elif kind == "resize":
-        raw = base64.b64decode(columns[name]["f8"])
-        delta = rng.choice([-16, -8, -3, -1, 1, 5, 8, 24])
-        raw = raw[:delta] if delta < 0 else raw + bytes(delta)
-        columns[name]["f8"] = base64.b64encode(raw).decode("ascii")
+    coded = [name for name, column in columns.items() if "f8" not in column]
+    kind = rng.choice(
+        ["truncate", "corrupt", "resize", "drop", "scalar", "past_end", "width", "extra"]
+    )
+    name = rng.choice(coded if kind in ("past_end", "width", "extra") else list(columns))
+    column = columns[name]
+    if kind in ("truncate", "corrupt", "resize", "past_end"):
+        key = _payload_key(column)
+        text = column[key]
+        if kind == "truncate":
+            column[key] = text[: rng.randrange(len(text))]
+        elif kind == "corrupt":
+            at = rng.randrange(len(text))
+            # Overwrite a character or insert one: strict decoding rejects both.
+            column[key] = text[:at] + rng.choice(_NOT_BASE64) + text[at + rng.randrange(2) :]
+        elif kind == "resize":
+            # A row more or fewer, or a byte count no width divides.
+            raw = base64.b64decode(text)
+            delta = rng.choice([-16, -8, -3, -1, 1, 5, 8, 24])
+            raw = raw[:delta] if delta < 0 else raw + bytes(delta)
+            column[key] = base64.b64encode(raw).decode("ascii")
+        else:
+            codes = np.frombuffer(base64.b64decode(text), dtype=_CODE_WIDTHS[key]).copy()
+            spec = next(c for c in mutated["schema"]["columns"] if c["name"] == name)
+            n_values = len(spec["categories"]) + len(column.get("extra", []))
+            top = np.iinfo(codes.dtype).max
+            codes[rng.randrange(len(codes))] = rng.randrange(n_values, top + 1)
+            column[key] = base64.b64encode(codes.tobytes()).decode("ascii")
     elif kind == "drop":
         del columns[name]
+    elif kind == "scalar":
+        columns[name] = rng.choice([0, 64, 1.5, "x", None, True, ["x"], {}])
+    elif kind == "width":
+        key = _payload_key(column)
+        other = rng.choice([k for k in ("u1", "u2", "u4", "u8", "i1", "f8") if k != key])
+        if rng.random() < 0.5:  # swap the width key
+            column[other] = column.pop(key)
+        else:  # or add a second one
+            column[other] = column[key]
     else:
-        columns[name] = rng.choice([0, 64, 1.5, "x", None, True])
+        column["extra"] = rng.choice([0, "x", {"a": 1}, None, True, 1.5])
     return name, mutated
+
+
+def _wide_table() -> Table:
+    """A table whose columns take every wire form but ``u4``: a 300-category
+    column at ``u2``, a mixed column at ``u1`` and a float column, each
+    categorical column with cells that ride in ``"extra"``."""
+    wide = tuple(f"w{i}" for i in range(300))
+    schema = TableSchema(
+        [
+            ColumnSpec("wide", "categorical", categories=wide),
+            ColumnSpec("port", "categorical", categories=(21, 443, "x")),
+            ColumnSpec("bytes", "continuous"),
+        ]
+    )
+    rows = 24
+    return Table(
+        schema,
+        {
+            "wide": _objects([wide[(37 * i) % 300] for i in range(rows - 2)] + ["w300", 7]),
+            "port": _objects([21, 443, "x", True, 21.0, "21"] * (rows // 6)),
+            "bytes": np.linspace(-1.0, 1.0, rows),
+        },
+    )
 
 
 class TestWireFormat:
@@ -200,13 +255,56 @@ class TestWireFormat:
         assert status == 200
         expected = fitted_kinetgan.sample(64, rng=sampling_rng(5))
         assert_tables_identical(expected, table_from_wire(reply))
+        wide = json.loads(json.dumps(table_to_wire(_wide_table())))
+        assert_tables_identical(_wide_table(), table_from_wire(wide))
+        assert [_payload_key(column) for column in wide["columns"].values()] == ["u2", "u1", "f8"]
         rng = random.Random(20241017)
         for _ in range(300):
-            name, mutated = _mutate(reply, rng)
+            name, mutated = _mutate(rng.choice([reply, wide]), rng)
             # pytest.raises lets a KeyError, IndexError or TypeError escape,
             # and fails if the mutated document decodes at all.
             with pytest.raises(ValueError, match=re.escape(repr(name))):
                 table_from_wire(mutated)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda column: column.pop("u2"), "one code width key"),
+            (lambda column: column.update(u1=column["u2"]), "one code width key"),
+            (lambda column: column.update(codes=column["u2"]), "one code width key"),
+            (lambda column: column.update(u2=7), "not a base64 string"),
+            (lambda column: column.update(u2="AA!A"), "bad base64"),
+            (lambda column: column.update(u2="AAAA"), "3 bytes is not a u2 count"),
+            (
+                lambda column: column.update(
+                    u2=base64.b64encode(np.full(24, 302, dtype="<u2").tobytes()).decode()
+                ),
+                "code 302 is past its 302 values",
+            ),
+            (lambda column: column.update(extra={"0": 7}), '"extra" is not an array'),
+        ],
+        ids=[
+            "no-width",
+            "two-widths",
+            "unknown-key",
+            "not-text",
+            "base64",
+            "bytes",
+            "past-end",
+            "extra",
+        ],
+    )
+    def test_malformed_code_column_raises_value_error_naming_it(self, edit, message):
+        document = json.loads(json.dumps(table_to_wire(_wide_table())))
+        edit(document["columns"]["wide"])
+        with pytest.raises(ValueError, match=f"'wide'.*{re.escape(message)}"):
+            table_from_wire(document)
+
+    def test_list_form_of_a_categorical_column_is_rejected(self):
+        document = json.loads(json.dumps(table_to_wire(_wide_table())))
+        document["columns"]["port"] = [21] * 24
+        with pytest.raises(ValueError, match="'port'.*got list"):
+            table_from_wire(document)
 
     def test_malformed_document_raises_value_error(self):
         for document in ({}, {"schema": {}, "columns": {}}, {"schema": 3}, []):
@@ -253,16 +351,18 @@ class TestCanonicalDecode:
                 ColumnSpec("proto", "categorical", categories=("tcp", "udp")),
             ]
         )
-        body = json.dumps(
+        table = Table(
+            schema,
             {
-                "schema": schema.to_dict(),
-                "columns": {
-                    "port": [True, 21.0, 21, 1, "x", "21", None],
-                    "proto": ["tcp", "icmp", 1, ["tcp"], {"a": 1}, "udp", False],
-                },
-            }
+                "port": _objects([True, 21.0, 21, 1, "x", "21", None]),
+                "proto": _objects(["tcp", "icmp", 1, ["tcp"], {"a": 1}, "udp", False]),
+            },
         )
-        rebuilt = table_from_wire(json.loads(body))
+        document = json.loads(json.dumps(table_to_wire(table)))
+        # Only the cells that are no category ride as JSON.
+        assert document["columns"]["port"]["extra"] == [True, 21.0, "21", None]
+        assert document["columns"]["proto"]["extra"] == ["icmp", 1, ["tcp"], {"a": 1}, False]
+        rebuilt = table_from_wire(document)
         port_spec, proto_spec = rebuilt.schema.column("port"), rebuilt.schema.column("proto")
         port, proto = list(rebuilt.column("port")), list(rebuilt.column("proto"))
         assert port == [True, 21.0, 21, 1, "x", "21", None]
@@ -273,19 +373,74 @@ class TestCanonicalDecode:
         assert [_is_category(v, proto_spec) for v in proto] == [1, 0, 0, 0, 0, 1, 0]
 
     def test_true_and_one_schemas_decode_apart(self):
-        def document(categories: str) -> dict:
-            return json.loads(
-                '{"schema": {"columns": [{"name": "flag", "kind": "categorical", '
-                f'"categories": {categories}}}]}}, "columns": {{"flag": [1, true]}}}}'
-            )
+        def decoded(categories: tuple) -> Table:
+            schema = TableSchema([ColumnSpec("flag", "categorical", categories=categories)])
+            table = Table(schema, {"flag": _objects([1, True])})
+            return table_from_wire(json.loads(json.dumps(table_to_wire(table))))
 
-        ones = table_from_wire(document("[1, 2]"))
-        trues = table_from_wire(document("[true, 2]"))
+        ones = decoded((1, 2))
+        trues = decoded((True, 2))
         assert [type(c) for c in ones.schema.column("flag").categories] == [int, int]
         assert [type(c) for c in trues.schema.column("flag").categories] == [bool, int]
         # The int 1 is the category of the first; JSON's true stays a bool.
         assert [type(v) for v in ones.column("flag")] == [int, bool]
         assert ones.column("flag")[0] is ones.schema.column("flag").categories[0]
+        # And the other way round: true is the category of the second.
+        assert [type(v) for v in trues.column("flag")] == [int, bool]
+        assert trues.column("flag")[1] is trues.schema.column("flag").categories[0]
+
+    def test_one_schema_holding_one_and_true_codes_each_by_type(self):
+        schema = TableSchema(
+            [
+                ColumnSpec("count", "categorical", categories=(1, 2)),
+                ColumnSpec("flag", "categorical", categories=(True, False)),
+            ]
+        )
+        cells = [1, True, 2, False, 1.0]
+        table = Table(schema, {"count": _objects(cells), "flag": _objects(cells)})
+        document = json.loads(json.dumps(table_to_wire(table)))
+        assert document["columns"]["count"]["extra"] == [True, False, 1.0]
+        assert document["columns"]["flag"]["extra"] == [1, 2, 1.0]
+        rebuilt = table_from_wire(document)
+        for name, coded in (("count", [1, 0, 1, 0, 0]), ("flag", [0, 1, 0, 1, 0])):
+            values = list(rebuilt.column(name))
+            assert values == cells
+            assert [type(v) for v in values] == [int, bool, int, bool, float]
+            spec = rebuilt.schema.column(name)
+            assert [_is_category(v, spec) for v in values] == coded
+
+    @pytest.mark.parametrize(
+        "n_categories, n_extra, width",
+        [
+            (3, 0, "u1"),
+            (256, 0, "u1"),
+            (255, 1, "u1"),
+            (257, 0, "u2"),
+            (256, 1, "u2"),
+            (65_536, 0, "u2"),
+            (65_537, 0, "u4"),
+        ],
+    )
+    def test_code_width_is_the_narrowest_that_holds_the_largest_code(
+        self, n_categories, n_extra, width
+    ):
+        categories = tuple(f"c{i}" for i in range(n_categories))
+        schema = TableSchema(
+            [
+                ColumnSpec("code", "categorical", categories=categories),
+                ColumnSpec("bytes", "continuous"),
+            ]
+        )
+        cells = [categories[-1], categories[0], categories[n_categories // 2]] + [-1] * n_extra
+        table = Table(schema, {"code": _objects(cells), "bytes": np.arange(float(len(cells)))})
+        document = json.loads(json.dumps(table_to_wire(table)))
+        assert set(document["columns"]["code"]) == ({width, "extra"} if n_extra else {width})
+        codes = base64.b64decode(document["columns"]["code"][width])
+        assert len(codes) == len(cells) * np.dtype(_CODE_WIDTHS[width]).itemsize
+        rebuilt = table_from_wire(document)
+        assert_tables_identical(table, rebuilt)
+        spec = rebuilt.schema.column("code")
+        assert [_is_category(v, spec) for v in rebuilt.column("code")] == [1, 1, 1] + [0] * n_extra
 
     def test_tuple_categories_round_trip(self):
         categories = ((21, "x"), (80, ("tcp", 1)))
@@ -303,9 +458,14 @@ class TestCanonicalDecode:
         assert spec.categories == categories
         assert all(_is_category(value, spec) for value in rebuilt.column("pair"))
         # An array that only Python finds equal to a tuple category stays as it came.
-        mixed = table_to_wire(table)
-        mixed["columns"]["pair"] = [[21, "x"], [21.0, "x"], [80, ["tcp", True]]]
-        decoded = list(table_from_wire(json.loads(json.dumps(mixed))).column("pair"))
+        mixed = Table(
+            schema,
+            {
+                "pair": _objects([[21, "x"], [21.0, "x"], [80, ["tcp", True]]]),
+                "bytes": np.zeros(3),
+            },
+        )
+        decoded = list(table_from_wire(json.loads(json.dumps(table_to_wire(mixed)))).column("pair"))
         assert decoded[0] is spec.categories[0]
         assert decoded[1:] == [[21.0, "x"], [80, ["tcp", True]]]
 
@@ -392,6 +552,12 @@ class TestEndpoints:
         assert health["queue_capacity"] == server.queue_depth
         assert health["artifacts"] == ["kinetgan"]
         assert set(health["stats"]) >= {"served", "rejected", "timeouts"}
+
+    @pytest.mark.parametrize("executor, workers", [("thread:3", 3), ("serial", 1)])
+    def test_health_reports_the_pool_worker_count(self, kinetgan_artifact, executor, workers):
+        with ServingPool({"kinetgan": kinetgan_artifact}, executor=executor) as pool:
+            with SamplingHTTPServer(pool) as server:
+                assert fetch_json(server.url, "/health")["workers"] == workers
 
     def test_artifacts_document_carries_manifests(self, served):
         url, _pool, _server = served

@@ -13,7 +13,7 @@ The paper's conclusion sketches the extensions this subpackage implements:
   without any traffic leaving a device (:class:`FederatedKiNETGAN`).
 """
 
-from repro.federated.aggregation import fedavg_aggregate, safe_mean
+from repro.federated.aggregation import safe_mean
 from repro.federated.client import ClientUpdate, FederatedClient
 from repro.federated.dp import DPFedAvgConfig, DPFedAvgMechanism
 from repro.federated.kinetgan import (
@@ -24,16 +24,9 @@ from repro.federated.kinetgan import (
 from repro.federated.parameters import (
     StateCodec,
     StateDict,
-    clip_state_norm,
     copy_state,
-    flatten_state,
-    state_add,
-    state_l2_norm,
-    state_scale,
     state_subtract,
-    unflatten_state,
     weighted_average,
-    zeros_like_state,
 )
 from repro.federated.partition import dirichlet_partition, iid_partition, label_skew_partition
 from repro.federated.server import FederatedHistory, FederatedRound, FederatedServer
@@ -47,16 +40,8 @@ __all__ = [
     "StateCodec",
     "StateDict",
     "copy_state",
-    "zeros_like_state",
-    "state_add",
     "state_subtract",
-    "state_scale",
-    "state_l2_norm",
-    "clip_state_norm",
     "weighted_average",
-    "flatten_state",
-    "unflatten_state",
-    "fedavg_aggregate",
     "safe_mean",
     "DPFedAvgConfig",
     "DPFedAvgMechanism",

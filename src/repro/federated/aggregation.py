@@ -1,18 +1,15 @@
-"""Server-side aggregation of client updates.
+"""Round-summary aggregation: :func:`safe_mean` averages per-client metrics.
 
-The aggregation rule operates on client *updates* (state dictionaries, see
-:mod:`repro.federated.parameters`): :func:`fedavg_aggregate` is the
-example-count-weighted mean of McMahan et al.  :func:`safe_mean` averages
-the per-client round metrics.
+The parameter aggregation rule itself -- the example-count-weighted FedAvg
+mean of McMahan et al. -- is :func:`repro.federated.parameters.weighted_average`,
+which reduces the rows of a round's flat result matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.federated.parameters import StateDict, weighted_average
-
-__all__ = ["fedavg_aggregate", "safe_mean"]
+__all__ = ["safe_mean"]
 
 
 def safe_mean(values: list[float]) -> float:
@@ -28,7 +25,3 @@ def safe_mean(values: list[float]) -> float:
         return float("nan")
     return float(np.mean(finite))
 
-
-def fedavg_aggregate(updates: list[StateDict], weights: list[float] | None = None) -> StateDict:
-    """Example-count-weighted average of client updates (FedAvg)."""
-    return weighted_average(updates, weights)

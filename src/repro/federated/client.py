@@ -244,8 +244,8 @@ class ClientRoundTask:
         """Execute the round; the flattened update lands in the slot's row.
 
         The returned :class:`ClientUpdate` carries the metrics only (its
-        ``update`` dict is empty): the caller rebuilds the state delta from
-        the channel's result matrix, so no parameter bytes ride the result
+        ``update`` dict is empty): the caller averages the deltas in the
+        channel's result matrix, so no parameter bytes ride the result
         pipe.
         """
         client: FederatedClient = self.client.resolve()

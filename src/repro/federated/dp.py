@@ -5,8 +5,8 @@ protocols and differential privacy mechanisms to protect individual data
 contributions" when federating KiNETGAN.  This module implements the
 client-level DP-FedAvg recipe of McMahan et al.:
 
-1. every selected client's update (``local - global``) is clipped to a fixed
-   L2 norm,
+1. every selected client's update (``local - global``, one flat row of the
+   round's result matrix) is clipped to a fixed L2 norm,
 2. the server adds Gaussian noise calibrated to that clipping norm to the
    *average* update,
 3. the privacy loss is tracked with the Renyi-DP accountant
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.federated.parameters import StateDict, clip_state_norm
+from repro.federated.parameters import StateCodec
 from repro.privacy.accountant import RDPAccountant
 
 __all__ = ["DPFedAvgConfig", "DPFedAvgMechanism"]
@@ -65,14 +65,21 @@ class DPFedAvgMechanism:
         self._clip_events: list[float] = []
 
     # ------------------------------------------------------------------ #
-    def clip_update(self, update: StateDict) -> StateDict:
-        """Clip one client update to the configured norm (records the norm)."""
-        clipped, norm = clip_state_norm(update, self.config.clip_norm)
-        self._clip_events.append(norm)
-        return clipped
+    def clip_rows(self, rows: np.ndarray, codec: StateCodec) -> None:
+        """Clip each flat client update in ``rows`` to the configured norm.
 
-    def noise_average(self, average: StateDict, n_clients: int) -> StateDict:
-        """Add calibrated Gaussian noise to the averaged update.
+        Rows are scaled in place and every pre-clipping norm is recorded;
+        ``codec`` supplies the layout the norm is summed over
+        (:meth:`StateCodec.l2_norm`).
+        """
+        for row in rows:
+            norm = codec.l2_norm(row)
+            self._clip_events.append(norm)
+            if norm > self.config.clip_norm:
+                row *= self.config.clip_norm / norm
+
+    def noise_average(self, average: np.ndarray, n_clients: int) -> np.ndarray:
+        """Add calibrated Gaussian noise to the flat averaged update.
 
         The averaged update of ``n_clients`` clipped contributions has
         per-client sensitivity ``clip_norm / n_clients``, so the noise
@@ -86,12 +93,8 @@ class DPFedAvgMechanism:
         # Noise is drawn in float64 (one seeded stream regardless of model
         # dtype) and the sum rounds back to the update's own dtype, so a
         # float32 model's noised average stays float32.
-        return {
-            key: (value + self.rng.normal(0.0, std, size=value.shape)).astype(
-                value.dtype, copy=False
-            )
-            for key, value in average.items()
-        }
+        noise = self.rng.normal(0.0, std, size=average.shape)
+        return (average + noise).astype(average.dtype, copy=False)
 
     def record_round(self, sample_rate: float) -> None:
         """Account one federated round at the given client-sampling rate."""

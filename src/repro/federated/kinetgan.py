@@ -33,8 +33,6 @@ from repro.federated.parameters import (
     FlatSlot,
     StateDict,
     copy_state,
-    state_add,
-    state_subtract,
     weighted_average,
 )
 from repro.knowledge.builder import build_network_kg
@@ -502,24 +500,21 @@ class FederatedKiNETGAN:
             unit="site",
         )
 
-        generator_states: list[StateDict] = []
-        discriminator_states: list[StateDict] = []
         weights: list[float] = []
         metrics_list: list[dict] = []
         participants: list[str] = []
-        surviving_slots = set()
-        for slot, (trainer_state, history_tail, metrics) in survivors:
-            surviving_slots.add(slot)
+        surviving_slots = [slot for slot, _result in survivors]
+        generator_rows = generator_channel.rows(surviving_slots)
+        discriminator_rows = discriminator_channel.rows(surviving_slots)
+        for row, (slot, (trainer_state, history_tail, metrics)) in enumerate(survivors):
             site = self.sites[selected[slot]]
             participants.append(site.site_id)
             site.load_trainer_state(trainer_state)
             site.apply_history_tail(history_lengths[slot], history_tail)
-            generator_state = generator_channel.result(slot)
-            discriminator_state = discriminator_channel.result(slot)
             # Mirror the worker's trained weights onto the parent site.
-            site.set_state(generator_state, discriminator_state)
-            generator_states.append(generator_state)
-            discriminator_states.append(discriminator_state)
+            generator_state, discriminator_state = site.get_state()
+            generator_channel.codec.decode_into(generator_rows[row], generator_state)
+            discriminator_channel.codec.decode_into(discriminator_rows[row], discriminator_state)
             weights.append(float(site.n_records))
             metrics_list.append(metrics)
         for slot, index in enumerate(selected):
@@ -542,14 +537,12 @@ class FederatedKiNETGAN:
         generator_losses = [m.get("generator_loss", float("nan")) for m in metrics_list]
         discriminator_losses = [m.get("discriminator_loss", float("nan")) for m in metrics_list]
 
-        new_generator = self._aggregate(
-            generator_states, weights, self._global_generator, self.dp_generator
+        self._global_generator = self._aggregate(
+            generator_channel, generator_rows, weights, self.dp_generator
         )
-        new_discriminator = self._aggregate(
-            discriminator_states, weights, self._global_discriminator, self.dp_discriminator
+        self._global_discriminator = self._aggregate(
+            discriminator_channel, discriminator_rows, weights, self.dp_discriminator
         )
-        self._global_generator = new_generator
-        self._global_discriminator = new_discriminator
 
         epsilon = None
         if self.dp_generator is not None:
@@ -571,20 +564,22 @@ class FederatedKiNETGAN:
 
     def _aggregate(
         self,
-        states: list[StateDict],
+        channel: FlatChannel,
+        rows: np.ndarray,
         weights: list[float],
-        global_state: StateDict,
         dp_mechanism: DPFedAvgMechanism | None,
     ) -> StateDict:
+        """The new global state from the survivors' trained ``rows``."""
         if dp_mechanism is None:
-            return weighted_average(states, weights)
-        # DP path: clip each site's *delta* and noise the averaged delta.
-        deltas = [
-            dp_mechanism.clip_update(state_subtract(state, global_state)) for state in states
-        ]
-        averaged = weighted_average(deltas, weights)
-        averaged = dp_mechanism.noise_average(averaged, n_clients=len(deltas))
-        return state_add(global_state, averaged)
+            return channel.codec.decode(weighted_average(rows, weights))
+        # DP path: clip each site's *delta* against the broadcast global
+        # state and noise the averaged delta.
+        rows -= channel.broadcast
+        dp_mechanism.clip_rows(rows, channel.codec)
+        averaged = dp_mechanism.noise_average(
+            weighted_average(rows, weights), n_clients=len(rows)
+        )
+        return channel.codec.decode(channel.broadcast + averaged)
 
     def run(self, num_rounds: int, local_epochs: int = 1) -> list[FederatedKiNETGANRound]:
         """Run several rounds; returns the per-round summaries."""

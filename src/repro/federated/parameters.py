@@ -2,21 +2,20 @@
 
 Federated averaging operates on model *state dictionaries* (the
 ``name -> ndarray`` mapping produced by
-:meth:`repro.neural.network.Sequential.state_dict`).  The workhorse here is
-:class:`StateCodec`, a fixed flattened-buffer layout derived from a template
-state: it encodes any compatible state into one contiguous vector (and a
-batch of states into a ``(clients, total_params)`` matrix), so aggregation
-rules become single stacked array operations instead of per-tensor Python
-loops.  The transport dtype follows the template: an all-float32 state
-encodes into float32 vectors -- half the bytes per federated round -- while
-anything else keeps the historical float64 layout.  The historical helpers
-(``flatten_state``, ``weighted_average``, ...) are kept as thin wrappers
-over the codec.
+:meth:`repro.neural.network.Sequential.state_dict`) laid out as flat
+vectors.  The workhorse here is :class:`StateCodec`, a fixed
+flattened-buffer layout derived from a template state: it encodes any
+compatible state into one contiguous vector and back.  The transport dtype
+follows the template: an all-float32 state encodes into float32 vectors --
+half the bytes per federated round -- while anything else keeps the
+historical float64 layout.
 
 :class:`FlatChannel` is the one round transport built on the codec: a
 parent-owned broadcast vector plus a ``(units, total_params)`` result
 matrix in the execution plane, addressed by workers through picklable
-:class:`FlatSlot` s.
+:class:`FlatSlot` s.  A round aggregates the surviving rows of that matrix
+where they are: :func:`weighted_average` (FedAvg) reduces them in one
+stacked pass.
 """
 
 from __future__ import annotations
@@ -36,22 +35,12 @@ __all__ = [
     "FlatChannel",
     "FlatSlot",
     "copy_state",
-    "zeros_like_state",
-    "state_add",
     "state_subtract",
-    "state_scale",
-    "state_l2_norm",
-    "clip_state_norm",
     "weighted_average",
-    "flatten_state",
-    "unflatten_state",
 ]
 
 #: A model state: parameter (and buffer) name to array.
 StateDict = dict[str, np.ndarray]
-
-#: A flattening layout: (key, shape) in encoding order.
-Layout = list[tuple[str, tuple[int, ...]]]
 
 
 class StateCodec:
@@ -59,10 +48,8 @@ class StateCodec:
 
     The layout is taken from a template state with keys sorted, so two
     states with the same keys and shapes always encode to the same vector
-    positions -- the invariant FedAvg stacking and the round transport
-    rely on.  ``encode_many`` packs a whole round of client states into
-    one ``(clients, total_params)`` matrix; aggregation then reduces over
-    axis 0 in a single pass.
+    positions -- the invariant the round transport's result matrix and
+    FedAvg over its rows rely on.
 
     The transport dtype (:attr:`dtype`) is float32 when every floating
     entry of the template is float32, float64 otherwise -- so float32
@@ -101,11 +88,6 @@ class StateCodec:
         return state
 
     # ------------------------------------------------------------------ #
-    @property
-    def layout(self) -> Layout:
-        """The ``(key, shape)`` list in encoding order (sorted keys)."""
-        return [(key, self.shapes[key]) for key in self.keys]
-
     def _validate(self, state: StateDict) -> None:
         if set(state) != set(self.keys):
             raise ValueError("state dictionaries have different keys")
@@ -194,22 +176,14 @@ class StateCodec:
             vector[start:end] = np.asarray(state[key], dtype=self.dtype).ravel()
         return vector
 
-    def encode_many(self, states: list[StateDict]) -> np.ndarray:
-        """Pack ``states`` into a ``(len(states), dim)`` transport-dtype matrix."""
-        if not states:
-            raise ValueError("need at least one state to encode")
-        matrix = np.empty((len(states), self.dim), dtype=self.dtype)
-        for row, state in enumerate(states):
-            self.encode(state, out=matrix[row])
-        return matrix
-
     def decode(self, vector: np.ndarray) -> StateDict:
         """Inverse of :meth:`encode`.
 
         Floating template dtypes are restored; any non-float entry stays
         in the transport dtype, because decoded vectors are usually
         *aggregates* (weighted means, DP-noised averages) and casting those
-        back to an integer dtype would silently truncate them.
+        back to an integer dtype would silently truncate them.  The entries
+        are views of ``vector`` wherever no cast is needed.
         """
         vector = np.asarray(vector, dtype=self.dtype)
         if vector.shape != (self.dim,):
@@ -228,9 +202,10 @@ class StateCodec:
         """Copy a flat ``vector`` into an existing state's arrays in place.
 
         The in-place inverse of :meth:`encode`: where :meth:`decode` builds a
-        standalone dictionary (what aggregation wants), this fills the live
+        dictionary over the vector (a new global state), this fills the live
         arrays of an already-built model -- the broadcast path of a resident
-        federated site.  Arena-backed states take a single ``np.copyto``.
+        federated site and the parent mirroring a trained row onto its own
+        site.  Arena-backed states take a single ``np.copyto``.
         """
         vector = np.asarray(vector, dtype=self.dtype)
         if vector.shape != (self.dim,):
@@ -244,6 +219,18 @@ class StateCodec:
             start, end = self._spans[key]
             state[key][...] = vector[start:end].reshape(self.shapes[key])
         return state
+
+    def l2_norm(self, vector: np.ndarray) -> float:
+        """Global L2 norm of a flat vector, in float64.
+
+        The squares are summed per key span in layout order, so the norm of
+        an encoded state is the one a per-tensor loop over its entries gives,
+        bit for bit (the DP clipping factor depends on it).
+        """
+        total = 0.0
+        for start, end in self._spans.values():
+            total += float((np.asarray(vector[start:end], dtype=np.float64) ** 2).sum())
+        return float(np.sqrt(total))
 
 
 @dataclass
@@ -310,14 +297,19 @@ class FlatChannel:
         assert self._results is not None, "publish before handing out slots"
         return FlatSlot(self._codec_ref, self._broadcast.ref(), self._results.ref(row))
 
-    def result(self, row: int) -> StateDict:
-        """The state a worker stored in ``row``, decoded from a copy."""
+    @property
+    def broadcast(self) -> np.ndarray:
+        """The round's broadcast vector (read-only by convention)."""
+        return self._broadcast.array
+
+    def rows(self, slots: list[int]) -> np.ndarray:
+        """A ``(len(slots), dim)`` copy of the result rows ``slots``, in order."""
         assert self._results is not None, "publish before reading results"
-        return self.codec.decode(np.array(self._results.array[row], copy=True))
+        return self._results.array[slots]
 
     def load_into(self, state: StateDict) -> StateDict:
         """Copy the round's broadcast vector into ``state`` (parent side)."""
-        return self.codec.decode_into(self._broadcast.array, state)
+        return self.codec.decode_into(self.broadcast, state)
 
     def close(self) -> None:
         """Evict the codec and release both buffers."""
@@ -340,99 +332,32 @@ def copy_state(state: StateDict) -> StateDict:
     return {key: np.array(value, copy=True) for key, value in state.items()}
 
 
-def zeros_like_state(state: StateDict) -> StateDict:
-    """A state of zeros with the same keys and shapes."""
-    return {key: np.zeros_like(value) for key, value in state.items()}
-
-
-def state_add(a: StateDict, b: StateDict) -> StateDict:
-    """Element-wise ``a + b``."""
-    _check_compatible(a, b)
-    return {key: a[key] + b[key] for key in a}
-
-
 def state_subtract(a: StateDict, b: StateDict) -> StateDict:
     """Element-wise ``a - b`` (e.g. the client update ``local - global``)."""
     _check_compatible(a, b)
     return {key: a[key] - b[key] for key in a}
 
 
-def state_scale(state: StateDict, factor: float) -> StateDict:
-    """Element-wise ``factor * state``."""
-    return {key: factor * value for key, value in state.items()}
+def weighted_average(rows: np.ndarray, weights: list[float] | None = None) -> np.ndarray:
+    """Weighted mean of a ``(units, dim)`` matrix of flat states (FedAvg).
 
-
-def state_l2_norm(state: StateDict) -> float:
-    """Global L2 norm over every entry of the state."""
-    total = 0.0
-    for value in state.values():
-        total += float((np.asarray(value, dtype=np.float64) ** 2).sum())
-    return float(np.sqrt(total))
-
-
-def clip_state_norm(state: StateDict, max_norm: float) -> tuple[StateDict, float]:
-    """Scale ``state`` so its global L2 norm is at most ``max_norm``.
-
-    Returns the (possibly scaled) copy and the pre-clipping norm; this is the
-    client-update clipping step of DP-FedAvg.
+    ``rows`` are encoded states -- a round's surviving rows of a
+    :class:`FlatChannel` result matrix.  ``weights`` default to uniform;
+    they are normalised internally, so per-client example counts give the
+    canonical FedAvg weighting.  The mean is taken in float64 and rounded
+    back to the rows' transport dtype.
     """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    norm = state_l2_norm(state)
-    if norm <= max_norm or norm == 0.0:
-        return copy_state(state), norm
-    return state_scale(state, max_norm / norm), norm
-
-
-def weighted_average(states: list[StateDict], weights: list[float] | None = None) -> StateDict:
-    """Weighted element-wise average of several states (FedAvg).
-
-    ``weights`` defaults to uniform; they are normalised internally, so
-    passing per-client example counts gives the canonical FedAvg weighting.
-    The whole round is one stacked ``np.average`` over the codec's
-    ``(clients, total_params)`` matrix.
-    """
-    if not states:
-        raise ValueError("need at least one state to average")
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or not len(rows):
+        raise ValueError("need a non-empty (units, dim) matrix to average")
     if weights is None:
-        weights = [1.0] * len(states)
-    if len(weights) != len(states):
-        raise ValueError("weights and states must have the same length")
+        weights = [1.0] * len(rows)
+    if len(weights) != len(rows):
+        raise ValueError("weights and rows must have the same length")
     weight_array = np.asarray(weights, dtype=np.float64)
     if np.any(weight_array < 0):
         raise ValueError("weights must be non-negative")
     if float(weight_array.sum()) <= 0:
         raise ValueError("weights must not all be zero")
-
-    codec = StateCodec(states[0])
-    matrix = codec.encode_many(states)
-    return codec.decode(np.average(matrix, axis=0, weights=weight_array))
-
-
-def flatten_state(state: StateDict) -> tuple[np.ndarray, Layout]:
-    """Flatten a state into a single vector plus the layout needed to undo it.
-
-    Keys are sorted so that two states with the same keys always flatten to
-    the same layout.
-    """
-    codec = StateCodec(state)
-    return codec.encode(state), codec.layout
-
-
-def unflatten_state(vector: np.ndarray, layout: Layout) -> StateDict:
-    """Inverse of :func:`flatten_state` (the vector's floating dtype is kept)."""
-    vector = np.asarray(vector)
-    if not np.issubdtype(vector.dtype, np.floating):
-        vector = vector.astype(np.float64)
-    state: StateDict = {}
-    cursor = 0
-    for key, shape in layout:
-        size = int(np.prod(shape)) if shape else 1
-        chunk = vector[cursor : cursor + size]
-        if chunk.size != size:
-            raise ValueError("vector is too short for the given layout")
-        state[key] = chunk.reshape(shape)
-        cursor += size
-    if cursor != vector.size:
-        raise ValueError("vector is longer than the given layout")
-    return state
+    average = np.average(rows, axis=0, weights=weight_array)
+    return average.astype(rows.dtype, copy=False)

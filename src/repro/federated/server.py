@@ -14,15 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from repro.federated.aggregation import fedavg_aggregate, safe_mean
-from repro.federated.client import (
-    ClientRoundTask,
-    ClientUpdate,
-    FederatedClient,
-    run_client_round,
-)
+from repro.federated.aggregation import safe_mean
+from repro.federated.client import ClientRoundTask, FederatedClient, run_client_round
 from repro.federated.dp import DPFedAvgConfig, DPFedAvgMechanism
-from repro.federated.parameters import FlatChannel, StateDict, state_add, state_scale
+from repro.federated.parameters import FlatChannel, StateDict, weighted_average
 from repro.neural.network import Sequential
 from repro.runtime import Executor, map_with_quorum, resolve_executor
 from repro.runtime.state import StateRef
@@ -229,28 +224,20 @@ class FederatedServer:
             unit="client",
         )
         # Workers leave their flattened updates in the channel's result
-        # matrix; decode (copy) each surviving row back into a state.
-        updates: list[ClientUpdate] = []
-        for slot, update in survivors:
-            update.update = channel.result(slot)
-            updates.append(update)
-
+        # matrix; the surviving rows are clipped and averaged where they are.
+        updates = [update for _slot, update in survivors]
+        rows = channel.rows([slot for slot, _update in survivors])
         if self.dp_mechanism is not None:
-            for update in updates:
-                update.update = self.dp_mechanism.clip_update(update.update)
+            self.dp_mechanism.clip_rows(rows, channel.codec)
 
-        aggregated = fedavg_aggregate(
-            [update.update for update in updates],
-            [float(update.n_examples) for update in updates],
-        )
+        aggregated = weighted_average(rows, [float(update.n_examples) for update in updates])
 
         if self.dp_mechanism is not None:
             aggregated = self.dp_mechanism.noise_average(aggregated, n_clients=len(updates))
             self.dp_mechanism.record_round(sample_rate=len(updates) / len(self.clients))
 
-        self.global_state = state_add(
-            self.global_state, state_scale(aggregated, self.server_lr)
-        )
+        # The broadcast vector still holds the round's global state.
+        self.global_state = channel.codec.decode(channel.broadcast + self.server_lr * aggregated)
         self.global_model.load_state_dict(self.global_state)
 
         global_accuracy = None

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.federated.aggregation import fedavg_aggregate, safe_mean
-from repro.federated.parameters import state_add, state_scale
+from repro.federated.aggregation import safe_mean
+from repro.federated.parameters import StateCodec, weighted_average
 
 
 def make_state(seed: int = 0, scale: float = 1.0) -> dict:
@@ -20,20 +20,24 @@ def make_state(seed: int = 0, scale: float = 1.0) -> dict:
 class TestAggregationRules:
     def test_fedavg_matches_weighted_average(self):
         updates = [make_state(i) for i in range(3)]
-        weights = [10.0, 20.0, 70.0]
-        aggregated = fedavg_aggregate(updates, weights)
-        expected = state_add(
-            state_add(state_scale(updates[0], 0.1), state_scale(updates[1], 0.2)),
-            state_scale(updates[2], 0.7),
-        )
+        codec = StateCodec(updates[0])
+        rows = np.stack([codec.encode(update) for update in updates])
+        aggregated = codec.decode(weighted_average(rows, [10.0, 20.0, 70.0]))
         for key in aggregated:
-            np.testing.assert_allclose(aggregated[key], expected[key])
+            expected = 0.1 * updates[0][key] + 0.2 * updates[1][key] + 0.7 * updates[2][key]
+            np.testing.assert_allclose(aggregated[key], expected)
 
     def test_incompatible_layouts_rejected(self):
+        """A state laid out differently from the round's codec never reaches
+        the result matrix FedAvg reduces: the codec rejects it on both the
+        store (encode) and the load (decode_into) side."""
         good = make_state()
         bad = {"other": np.zeros(3)}
+        codec = StateCodec(good)
         with pytest.raises(ValueError):
-            fedavg_aggregate([good, bad])
+            codec.encode(bad)
+        with pytest.raises(ValueError):
+            codec.decode_into(codec.encode(good), bad)
 
 
 class TestSafeMean:

@@ -96,10 +96,12 @@ class TestFederatedClient:
         plain = FederatedClient("p", X, y, model_fn, local_epochs=4, seed=0)
         prox = FederatedClient("q", X, y, model_fn, local_epochs=4, proximal_mu=5.0, seed=0)
         global_state = model_fn().state_dict()
-        from repro.federated.parameters import state_l2_norm
 
-        plain_norm = state_l2_norm(plain.local_update(global_state).update)
-        prox_norm = state_l2_norm(prox.local_update(global_state).update)
+        def l2_norm(update: dict) -> float:
+            return float(np.sqrt(sum((value**2).sum() for value in update.values())))
+
+        plain_norm = l2_norm(plain.local_update(global_state).update)
+        prox_norm = l2_norm(prox.local_update(global_state).update)
         assert prox_norm < plain_norm
 
 

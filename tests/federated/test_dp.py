@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from repro.federated.dp import DPFedAvgConfig, DPFedAvgMechanism
-from repro.federated.parameters import state_l2_norm
+from repro.federated.parameters import StateCodec
+
+CODEC = StateCodec({"layers.0.weight": np.zeros((5, 4)), "layers.0.bias": np.zeros(4)})
 
 
-def make_update(seed: int = 0, scale: float = 1.0) -> dict:
-    rng = np.random.default_rng(seed)
-    return {
-        "layers.0.weight": scale * rng.normal(size=(5, 4)),
-        "layers.0.bias": scale * rng.normal(size=(4,)),
-    }
+def make_update(seed: int = 0, scale: float = 1.0) -> np.ndarray:
+    """One flat client update in ``CODEC``'s layout."""
+    return scale * np.random.default_rng(seed).normal(size=CODEC.dim)
 
 
 class TestConfigValidation:
@@ -40,16 +39,17 @@ class TestConfigValidation:
 class TestMechanism:
     def test_clip_bounds_update_norm(self):
         mechanism = DPFedAvgMechanism(DPFedAvgConfig(clip_norm=1.0), rng=np.random.default_rng(0))
-        clipped = mechanism.clip_update(make_update(scale=10.0))
-        assert state_l2_norm(clipped) <= 1.0 + 1e-9
+        rows = np.stack([make_update(seed, scale=10.0) for seed in range(3)])
+        mechanism.clip_rows(rows, CODEC)
+        assert all(np.linalg.norm(row) <= 1.0 + 1e-9 for row in rows)
         assert mechanism.clipped_fraction == 1.0
 
     def test_small_update_not_clipped(self):
         mechanism = DPFedAvgMechanism(DPFedAvgConfig(clip_norm=100.0), rng=np.random.default_rng(0))
         update = make_update(scale=0.01)
-        clipped = mechanism.clip_update(update)
-        for key in update:
-            np.testing.assert_allclose(clipped[key], update[key])
+        rows = update[np.newaxis].copy()
+        mechanism.clip_rows(rows, CODEC)
+        np.testing.assert_array_equal(rows[0], update)
         assert mechanism.clipped_fraction == 0.0
 
     def test_noise_average_changes_values_when_enabled(self):
@@ -58,10 +58,7 @@ class TestMechanism:
         )
         average = make_update(scale=0.1)
         noised = mechanism.noise_average(average, n_clients=4)
-        different = any(
-            not np.allclose(noised[key], average[key]) for key in average
-        )
-        assert different
+        assert not np.allclose(noised, average)
 
     def test_zero_noise_multiplier_is_identity_and_infinite_epsilon(self):
         mechanism = DPFedAvgMechanism(
@@ -69,20 +66,19 @@ class TestMechanism:
         )
         average = make_update(scale=0.1)
         noised = mechanism.noise_average(average, n_clients=4)
-        for key in average:
-            np.testing.assert_allclose(noised[key], average[key])
+        np.testing.assert_array_equal(noised, average)
         assert mechanism.epsilon() == float("inf")
 
     def test_noise_scales_inversely_with_cohort_size(self):
         config = DPFedAvgConfig(clip_norm=1.0, noise_multiplier=1.0)
-        zeros = {"w": np.zeros(20_000)}
+        zeros = np.zeros(20_000)
         small_cohort = DPFedAvgMechanism(config, rng=np.random.default_rng(1)).noise_average(
             zeros, n_clients=2
         )
         large_cohort = DPFedAvgMechanism(config, rng=np.random.default_rng(1)).noise_average(
             zeros, n_clients=200
         )
-        assert np.std(small_cohort["w"]) > 10 * np.std(large_cohort["w"])
+        assert np.std(small_cohort) > 10 * np.std(large_cohort)
 
     def test_epsilon_grows_with_rounds(self):
         mechanism = DPFedAvgMechanism(

@@ -15,7 +15,7 @@ import pytest
 from repro.core.config import KiNETGANConfig
 from repro.federated.client import FederatedClient
 from repro.federated.kinetgan import FederatedKiNETGAN
-from repro.federated.parameters import FlatChannel
+from repro.federated.parameters import FlatChannel, StateCodec
 from repro.federated.partition import label_skew_partition
 from repro.federated.server import FederatedServer
 from repro.federated.simulation import DetectorFactory
@@ -61,8 +61,13 @@ class TestFlatChannel:
         slot.load_into(live)
         assert all(np.array_equal(live[key], broadcast[key]) for key in live)
         slot.store(_state(3, dtype))
-        stored = channel.result(1)
+        rows = channel.rows([1])
+        assert rows.shape == (1, channel.codec.dim) and rows.dtype == dtype
+        stored = channel.codec.decode(rows[0])
         assert all(np.array_equal(stored[key], _state(3, dtype)[key]) for key in stored)
+        # The rows are a copy: rewriting the result matrix leaves them alone.
+        slot.store(_state(5, dtype))
+        assert np.array_equal(rows[0], channel.codec.encode(_state(3, dtype)))
         parent = _state(4, dtype)
         channel.load_into(parent)
         assert all(np.array_equal(parent[key], broadcast[key]) for key in parent)
@@ -74,7 +79,7 @@ class TestFlatChannel:
             channel.publish(_state(0), units=1)
             channel.publish(_state(0), units=3)
             channel.slot(2).store(_state(5))
-            assert np.array_equal(channel.result(2)["layers.0.bias"], _state(5)["layers.0.bias"])
+            assert np.array_equal(channel.rows([2])[0], channel.codec.encode(_state(5)))
             # The outgrown matrix was released: only the broadcast vector and
             # the current result matrix remain mapped.
             assert len(executor._buffers) == 2
@@ -151,3 +156,68 @@ def test_server_release_frees_the_process_plane():
         assert executor._installed and executor._buffers
         server.release_transport()
         _assert_process_plane_empty(executor)
+
+
+class TestSteadyStateRoundCodecCalls:
+    """A round averages the channel's result rows where they are.
+
+    With every codec already built, a steady-state round of either
+    coordinator constructs no :class:`StateCodec` and encodes only the
+    broadcasts plus one store per unit: survivors are never decoded into
+    dictionaries and re-encoded for aggregation.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"construct": 0, "encode": 0}
+
+        def counting(name, method):
+            def wrapper(self, *args, **kwargs):
+                counts[name] += 1
+                return method(self, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(StateCodec, "__init__", counting("construct", StateCodec.__init__))
+        monkeypatch.setattr(StateCodec, "encode", counting("encode", StateCodec.encode))
+        return counts
+
+    def test_federated_kinetgan_round(self, calls, lab_bundle_small):
+        table = lab_bundle_small.table.head(400)
+        parts = label_skew_partition(
+            table, "label", 4, np.random.default_rng(0), skew=0.5, min_rows=20
+        )
+        with FederatedKiNETGAN(
+            reference_table=table.head(150),
+            config=CONFIG,
+            catalog=lab_bundle_small.catalog,
+            condition_columns=lab_bundle_small.condition_columns,
+            seed=0,
+        ) as fed:
+            for i, part in enumerate(parts):
+                fed.add_site(f"site-{i}", part)
+            fed.run_round()
+            calls.update(construct=0, encode=0)
+            fed.run_round()
+        # Two networks: one broadcast each plus one store per site.
+        assert calls == {"construct": 0, "encode": 2 * (1 + 4)}
+
+    def test_federated_server_round(self, calls):
+        model_fn = DetectorFactory(n_features=5, n_classes=2, hidden_dims=(8,), seed=0)
+        rng = np.random.default_rng(0)
+        clients = [
+            FederatedClient(
+                f"c{i}",
+                rng.normal(size=(64, 5)),
+                rng.integers(0, 2, size=64),
+                model_fn,
+                batch_size=32,
+                seed=i,
+            )
+            for i in range(4)
+        ]
+        with FederatedServer(model_fn, clients, seed=0) as server:
+            server.run_round()
+            calls.update(construct=0, encode=0)
+            server.run_round()
+        assert calls == {"construct": 0, "encode": 1 + 4}

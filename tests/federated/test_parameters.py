@@ -1,4 +1,4 @@
-"""Tests for the state-dictionary arithmetic used by federated averaging."""
+"""Tests for the flat state layout and the FedAvg mean over its rows."""
 
 from __future__ import annotations
 
@@ -7,18 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.federated.dp import DPFedAvgConfig, DPFedAvgMechanism
 from repro.federated.parameters import (
     StateCodec,
-    clip_state_norm,
     copy_state,
-    flatten_state,
-    state_add,
-    state_l2_norm,
-    state_scale,
     state_subtract,
-    unflatten_state,
     weighted_average,
-    zeros_like_state,
 )
 
 
@@ -31,6 +25,12 @@ def make_state(seed: int = 0, scale: float = 1.0) -> dict:
     }
 
 
+def encode_rows(states: list[dict]) -> tuple[StateCodec, np.ndarray]:
+    """The states as one ``(len(states), dim)`` matrix, like a round's results."""
+    codec = StateCodec(states[0])
+    return codec, np.stack([codec.encode(state) for state in states])
+
+
 class TestBasicArithmetic:
     def test_copy_is_deep(self):
         state = make_state()
@@ -38,31 +38,17 @@ class TestBasicArithmetic:
         cloned["layers.0.bias"][0] = 999.0
         assert state["layers.0.bias"][0] != 999.0
 
-    def test_zeros_like_matches_shapes(self):
-        state = make_state()
-        zeros = zeros_like_state(state)
-        assert set(zeros) == set(state)
-        for key in state:
-            assert zeros[key].shape == state[key].shape
-            assert np.all(zeros[key] == 0.0)
-
     def test_add_subtract_roundtrip(self):
         a, b = make_state(1), make_state(2)
-        roundtrip = state_subtract(state_add(a, b), b)
+        delta = state_subtract(a, b)
         for key in a:
-            np.testing.assert_allclose(roundtrip[key], a[key])
-
-    def test_scale(self):
-        state = make_state(3)
-        doubled = state_scale(state, 2.0)
-        for key in state:
-            np.testing.assert_allclose(doubled[key], 2.0 * state[key])
+            np.testing.assert_allclose(delta[key] + b[key], a[key])
 
     def test_incompatible_keys_rejected(self):
         a = make_state()
         b = {key: value for key, value in make_state().items() if "bias" not in key}
         with pytest.raises(ValueError):
-            state_add(a, b)
+            state_subtract(a, b)
 
     def test_incompatible_shapes_rejected(self):
         a = make_state()
@@ -73,57 +59,87 @@ class TestBasicArithmetic:
 
 
 class TestNorms:
+    """The codec's flat norm and the DP clip built on it."""
+
+    @staticmethod
+    def _clip(state: dict, max_norm: float) -> tuple[np.ndarray, float]:
+        codec, rows = encode_rows([state])
+        mechanism = DPFedAvgMechanism(DPFedAvgConfig(clip_norm=max_norm))
+        mechanism.clip_rows(rows, codec)
+        return rows[0], mechanism._clip_events[0]
+
     def test_l2_norm_matches_flat_vector(self):
         state = make_state(4)
-        flat, _ = flatten_state(state)
-        assert state_l2_norm(state) == pytest.approx(float(np.linalg.norm(flat)))
+        codec = StateCodec(state)
+        flat = codec.encode(state)
+        assert codec.l2_norm(flat) == pytest.approx(float(np.linalg.norm(flat)))
+        per_tensor = sum(float((state[key] ** 2).sum()) for key in codec.keys)
+        assert codec.l2_norm(flat) == float(np.sqrt(per_tensor))
 
     def test_clip_noop_when_under_limit(self):
         state = make_state(5, scale=1e-3)
-        clipped, norm = clip_state_norm(state, max_norm=100.0)
+        clipped, norm = self._clip(state, max_norm=100.0)
         assert norm < 100.0
-        for key in state:
-            np.testing.assert_allclose(clipped[key], state[key])
+        np.testing.assert_array_equal(clipped, StateCodec(state).encode(state))
 
     def test_clip_scales_to_limit(self):
         state = make_state(6, scale=10.0)
-        clipped, norm = clip_state_norm(state, max_norm=1.0)
+        clipped, norm = self._clip(state, max_norm=1.0)
         assert norm > 1.0
-        assert state_l2_norm(clipped) == pytest.approx(1.0, rel=1e-9)
+        assert StateCodec(state).l2_norm(clipped) == pytest.approx(1.0, rel=1e-9)
 
     def test_clip_rejects_nonpositive_norm(self):
         with pytest.raises(ValueError):
-            clip_state_norm(make_state(), max_norm=0.0)
+            DPFedAvgConfig(clip_norm=0.0)
 
 
 class TestWeightedAverage:
     def test_uniform_average(self):
         a, b = make_state(1), make_state(2)
-        average = weighted_average([a, b])
+        codec, rows = encode_rows([a, b])
+        average = codec.decode(weighted_average(rows))
         for key in a:
             np.testing.assert_allclose(average[key], 0.5 * (a[key] + b[key]))
 
     def test_weighting_by_examples(self):
         a, b = make_state(1), make_state(2)
-        average = weighted_average([a, b], weights=[3.0, 1.0])
+        codec, rows = encode_rows([a, b])
+        average = codec.decode(weighted_average(rows, weights=[3.0, 1.0]))
         for key in a:
             np.testing.assert_allclose(average[key], 0.75 * a[key] + 0.25 * b[key])
 
     def test_rejects_empty_and_bad_weights(self):
+        _, rows = encode_rows([make_state(), make_state()])
         with pytest.raises(ValueError):
-            weighted_average([])
+            weighted_average(rows[:0])
         with pytest.raises(ValueError):
-            weighted_average([make_state()], weights=[1.0, 2.0])
+            weighted_average(rows[0])
         with pytest.raises(ValueError):
-            weighted_average([make_state(), make_state()], weights=[0.0, 0.0])
+            weighted_average(rows[:1], weights=[1.0, 2.0])
         with pytest.raises(ValueError):
-            weighted_average([make_state(), make_state()], weights=[-1.0, 2.0])
+            weighted_average(rows, weights=[0.0, 0.0])
+        with pytest.raises(ValueError):
+            weighted_average(rows, weights=[-1.0, 2.0])
 
     def test_average_of_identical_states_is_identity(self):
         state = make_state(7)
-        average = weighted_average([state, copy_state(state), copy_state(state)])
+        codec, rows = encode_rows([state, copy_state(state), copy_state(state)])
+        average = codec.decode(weighted_average(rows))
         for key in state:
             np.testing.assert_allclose(average[key], state[key])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_average_is_rounded_back_to_the_transport_dtype(self, dtype):
+        states = [
+            {key: value.astype(dtype) for key, value in make_state(seed).items()}
+            for seed in range(3)
+        ]
+        _, rows = encode_rows(states)
+        weights = [1.0, 2.0, 4.0]
+        average = weighted_average(rows, weights)
+        assert average.dtype == dtype
+        expected = np.average(rows.astype(np.float64), axis=0, weights=weights)
+        np.testing.assert_array_equal(average, expected.astype(dtype))
 
 
 class TestFlattenUnflatten:
@@ -131,25 +147,26 @@ class TestFlattenUnflatten:
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_property(self, seed):
         state = make_state(seed)
-        flat, layout = flatten_state(state)
-        restored = unflatten_state(flat, layout)
+        codec = StateCodec(state)
+        restored = codec.decode(codec.encode(state))
         assert set(restored) == set(state)
         for key in state:
-            np.testing.assert_allclose(restored[key], state[key])
+            np.testing.assert_array_equal(restored[key], state[key])
 
     def test_layout_is_sorted_and_stable(self):
         state = make_state()
-        _, layout = flatten_state(state)
-        keys = [key for key, _ in layout]
-        assert keys == sorted(keys)
+        codec = StateCodec(state)
+        assert list(codec.keys) == sorted(state)
+        reordered = {key: state[key] for key in reversed(list(state))}
+        np.testing.assert_array_equal(StateCodec(reordered).encode(reordered), codec.encode(state))
 
     def test_wrong_vector_length_rejected(self):
-        state = make_state()
-        flat, layout = flatten_state(state)
+        codec = StateCodec(make_state())
+        flat = codec.encode(make_state())
         with pytest.raises(ValueError):
-            unflatten_state(flat[:-1], layout)
+            codec.decode(flat[:-1])
         with pytest.raises(ValueError):
-            unflatten_state(np.concatenate([flat, [0.0]]), layout)
+            codec.decode(np.concatenate([flat, [0.0]]))
 
     @given(
         weights=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=2, max_size=5)
@@ -157,12 +174,10 @@ class TestFlattenUnflatten:
     @settings(max_examples=25, deadline=None)
     def test_weighted_average_is_convex_combination(self, weights):
         """Every coordinate of the average lies within the per-state extremes."""
-        states = [make_state(seed) for seed in range(len(weights))]
-        average = weighted_average(states, weights)
-        for key in states[0]:
-            stacked = np.stack([state[key] for state in states])
-            assert np.all(average[key] <= stacked.max(axis=0) + 1e-12)
-            assert np.all(average[key] >= stacked.min(axis=0) - 1e-12)
+        _, rows = encode_rows([make_state(seed) for seed in range(len(weights))])
+        average = weighted_average(rows, weights)
+        assert np.all(average <= rows.max(axis=0) + 1e-12)
+        assert np.all(average >= rows.min(axis=0) - 1e-12)
 
 
 class TestStateCodec:
@@ -190,28 +205,14 @@ class TestStateCodec:
         state_a["counter"] = np.array([1], dtype=np.int64)
         state_b = make_state(2)
         state_b["counter"] = np.array([2], dtype=np.int64)
-        average = weighted_average([state_a, state_b])
+        codec, rows = encode_rows([state_a, state_b])
+        average = codec.decode(weighted_average(rows))
         assert average["counter"][0] == pytest.approx(1.5)
 
     def test_dim_counts_every_parameter(self):
         state = make_state()
         codec = StateCodec(state)
         assert codec.dim == sum(value.size for value in state.values())
-
-    def test_encode_many_stacks_clients_rows(self):
-        states = [make_state(seed) for seed in range(3)]
-        codec = StateCodec(states[0])
-        matrix = codec.encode_many(states)
-        assert matrix.shape == (3, codec.dim)
-        for row, state in enumerate(states):
-            np.testing.assert_allclose(matrix[row], codec.encode(state))
-
-    def test_layout_matches_flatten_state(self):
-        state = make_state()
-        codec = StateCodec(state)
-        flat, layout = flatten_state(state)
-        assert codec.layout == layout
-        np.testing.assert_allclose(codec.encode(state), flat)
 
     def test_incompatible_states_rejected(self):
         codec = StateCodec(make_state())
@@ -223,8 +224,6 @@ class TestStateCodec:
             codec.encode(bad)
         with pytest.raises(ValueError):
             codec.decode(np.zeros(codec.dim + 1))
-        with pytest.raises(ValueError):
-            codec.encode_many([])
 
     @given(
         weights=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=2, max_size=5)
@@ -233,7 +232,8 @@ class TestStateCodec:
     def test_weighted_average_matches_per_tensor_loop(self, weights):
         """The stacked np.average equals the seed's per-tensor accumulation."""
         states = [make_state(seed) for seed in range(len(weights))]
-        stacked = weighted_average(states, weights)
+        codec, rows = encode_rows(states)
+        stacked = codec.decode(weighted_average(rows, weights))
         normalised = np.asarray(weights) / np.sum(weights)
         for key in states[0]:
             expected = sum(w * state[key] for w, state in zip(normalised, states))

@@ -45,6 +45,7 @@ from repro.datasets import load_lab_iot
 from repro.distributed.simulation import DistributedNIDSSimulation
 from repro.engine import sampling_rng
 from repro.federated.client import FederatedClient
+from repro.federated.dp import DPFedAvgConfig
 from repro.federated.kinetgan import FederatedKiNETGAN
 from repro.federated.partition import label_skew_partition
 from repro.federated.server import FederatedServer
@@ -269,6 +270,47 @@ class TestServerParityFloat32(TestServerParity):
         assert history.final_accuracy == float((predictions == labels).mean())
 
 
+class TestServerDPParity(_GoldenParity):
+    """DP-FedAvg on the detector server: clipped updates (the clip norm is
+    chosen so some updates are scaled and some are not), a noised average,
+    a non-unit server learning rate and the per-round epsilon.  The clip
+    norms themselves are part of the pinned output."""
+
+    MODEL_FN = TestServerParity.MODEL_FN
+    DP = DPFedAvgConfig(clip_norm=0.15, noise_multiplier=0.5)
+
+    @classmethod
+    def _run(cls, bundle, executor):
+        with FederatedServer(
+            cls.MODEL_FN,
+            _make_clients(3, cls.MODEL_FN),
+            server_lr=0.8,
+            dp_config=cls.DP,
+            seed=0,
+            executor=executor,
+        ) as server:
+            server.run(2)
+            return server.global_state, server.history.rounds, server.dp_mechanism._clip_events
+
+    @pytest.mark.parametrize("executor_factory", MATRIX)
+    def test_global_state_and_history_bit_identical(self, baseline, executor_factory):
+        state, rounds, clip_norms = self._run(None, executor_factory())
+        _assert_states_equal(baseline[0], state)
+        assert baseline[1] == rounds
+        assert baseline[2] == clip_norms
+
+
+class TestServerDPParityFloat32(TestServerDPParity):
+    """DP-FedAvg with a float32 detector: the noise is drawn in float64 and
+    the noised average rounds back to float32."""
+
+    RTOL = 1e-4
+    MODEL_FN = TestServerParityFloat32.MODEL_FN
+
+    def test_global_state_is_float32(self, baseline):
+        assert {np.asarray(value).dtype for value in baseline[0].values()} == {np.dtype(np.float32)}
+
+
 class TestDistributedSimulationParity(_GoldenParity):
     @staticmethod
     def _run(bundle, executor):
@@ -360,6 +402,63 @@ class TestFederatedKiNETGANParityFloat32(TestFederatedKiNETGANParity):
             assert {np.asarray(value).dtype for value in state.values()} == {
                 np.dtype(np.float32)
             }
+
+
+class TestFederatedKiNETGANDPParity(_GoldenParity):
+    """DP-FedAvg on federated KiNETGAN, two rounds: each site's weight delta
+    is clipped (some generator deltas exceed the clip norm, some do not),
+    the averaged delta is noised per network and epsilon is accounted.  The
+    clip norms of both networks are part of the pinned output."""
+
+    CONFIG = TestFederatedKiNETGANParity.CONFIG
+    DP = DPFedAvgConfig(clip_norm=1.0, noise_multiplier=0.5)
+
+    @classmethod
+    def _run(cls, bundle, executor):
+        table = bundle.table.head(300)
+        rng = np.random.default_rng(0)
+        parts = label_skew_partition(table, "label", 2, rng, skew=0.5, min_rows=20)
+        with FederatedKiNETGAN(
+            reference_table=table.head(150),
+            config=cls.CONFIG,
+            catalog=bundle.catalog,
+            condition_columns=bundle.condition_columns,
+            dp_config=cls.DP,
+            seed=0,
+            executor=executor,
+        ) as fed:
+            for i, part in enumerate(parts):
+                fed.add_site(f"site-{i}", part)
+            rounds = fed.run(num_rounds=2, local_epochs=1)
+            generator_state, discriminator_state = fed.global_states()
+            clip_norms = [fed.dp_generator._clip_events, fed.dp_discriminator._clip_events]
+            return generator_state, discriminator_state, fed.sample(60), rounds, clip_norms
+
+    @pytest.mark.parametrize("executor_factory", MATRIX)
+    def test_global_weights_and_sample_bit_identical(
+        self, baseline, lab_bundle_small, executor_factory
+    ):
+        generator_state, discriminator_state, sample, rounds, clip_norms = self._run(
+            lab_bundle_small, executor_factory()
+        )
+        _assert_states_equal(baseline[0], generator_state)
+        _assert_states_equal(baseline[1], discriminator_state)
+        for name in baseline[2].schema.names:
+            assert list(baseline[2].column(name)) == list(sample.column(name)), name
+        assert baseline[3] == rounds
+        assert baseline[4] == clip_norms
+
+
+class TestFederatedKiNETGANDPParityFloat32(TestFederatedKiNETGANDPParity):
+    """The DP round with a float32 engine: float32 deltas, float64 norms and
+    noise, a float32 noised average."""
+
+    RTOL = 1e-4
+    CONFIG = TestFederatedKiNETGANParityFloat32.CONFIG
+
+    def test_global_states_are_float32(self, baseline):
+        for state in baseline[:2]:
+            assert {np.asarray(value).dtype for value in state.values()} == {np.dtype(np.float32)}
 
 
 class TestSingleSiteKiNETGANParity(_GoldenParity):
@@ -491,10 +590,14 @@ def write_golden(path: Path = GOLDEN_PATH) -> None:
     classes = [
         TestServerParity,
         TestServerParityFloat32,
+        TestServerDPParity,
+        TestServerDPParityFloat32,
         TestFederatedSimulationParity,
         TestDistributedSimulationParity,
         TestFederatedKiNETGANParity,
         TestFederatedKiNETGANParityFloat32,
+        TestFederatedKiNETGANDPParity,
+        TestFederatedKiNETGANDPParityFloat32,
         TestSingleSiteKiNETGANParity,
         TestSingleSiteKiNETGANParityFloat32,
     ]

@@ -2,7 +2,7 @@
 
 This package reproduces "KiNETGAN: Enabling Distributed Network Intrusion
 Detection through Knowledge-Infused Synthetic Data Generation" (ICDCS 2024)
-as a self-contained Python library built only on numpy / scipy / networkx.
+as a self-contained Python library built only on numpy and scipy.
 
 Architecturally the package is layered around one shared training engine:
 :mod:`repro.engine` owns every epoch/batch loop in the repository -- seeded

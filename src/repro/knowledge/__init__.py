@@ -6,7 +6,7 @@ Cybersecurity Ontology (UCO).  This subpackage provides the full pipeline:
 
 * :mod:`repro.knowledge.ontology` -- the UCO-extended ontology (classes such
   as ``NetworkEvent``, ``DomainURL``, properties such as ``hasProtocol``).
-* :mod:`repro.knowledge.graph` -- a triple store over ``networkx``.
+* :mod:`repro.knowledge.graph` -- an insertion-ordered triple store.
 * :mod:`repro.knowledge.catalog` -- the domain catalog (devices, events,
   attacks and their valid attribute combinations) that datasets publish.
 * :mod:`repro.knowledge.builder` -- NetworkKG construction from an ontology

@@ -1,10 +1,18 @@
-"""A triple-store knowledge graph over networkx.
+"""A triple-store knowledge graph over an insertion-ordered index.
 
 Entities are string URIs in a ``namespace:localname`` convention (for
 example ``event:MotionDetected`` or ``proto:TCP``); literals are plain
 Python scalars.  The store supports the small query surface the reasoner
 needs: pattern matching over (subject, predicate, object), neighbourhood
 queries and type lookups.
+
+The index is three plain dicts: every entity (subject, object or literal)
+maps to its value, every subject maps to ``{object key: {predicate}}``, and
+every entity carries its degree.  All of them keep first-insertion order,
+so triples iterate by subject in the order entities were first seen (an
+entity first used as an object keeps that place once it gains out-edges),
+then by target in first-edge order, then by predicate in insertion order.
+A repeated triple is one edge.
 """
 
 from __future__ import annotations
@@ -12,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
-
-import networkx as nx
 
 __all__ = ["Triple", "KnowledgeGraph"]
 
@@ -33,25 +39,34 @@ class Triple:
 
 
 class KnowledgeGraph:
-    """A multigraph-backed triple store with simple pattern queries."""
+    """An insertion-ordered triple store with simple pattern queries."""
 
     def __init__(self, name: str = "NetworkKG") -> None:
         self.name = name
-        self._graph = nx.MultiDiGraph(name=name)
+        # Entity key -> value: the literal for literal keys, the key itself otherwise.
+        self._values: dict[str, object] = {}
+        # Subject -> {object key -> {predicate: None}} (dicts as ordered sets).
+        self._out: dict[str, dict[str, dict[str, None]]] = {}
+        # Entity key -> in-degree plus out-degree (a self-loop counts twice).
+        self._degree: dict[str, int] = {}
+        self._num_triples = 0
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
     def add_triple(self, subject: str, predicate: str, obj: object) -> Triple:
-        """Assert a triple; literals are stored as node attributes on edges."""
+        """Assert a triple; literals get a repr-stable ``literal:`` entity key."""
         if not subject or not predicate:
             raise ValueError("subject and predicate must be non-empty")
-        self._graph.add_node(subject)
-        # Literals become their repr-stable string node plus a literal flag.
+        self._values.setdefault(subject, subject)
         object_key = self._object_key(obj)
-        if object_key not in self._graph:
-            self._graph.add_node(object_key, literal=not isinstance(obj, str), value=obj)
-        self._graph.add_edge(subject, object_key, key=predicate, predicate=predicate)
+        self._values.setdefault(object_key, obj)
+        predicates = self._out.setdefault(subject, {}).setdefault(object_key, {})
+        if predicate not in predicates:
+            predicates[predicate] = None
+            self._num_triples += 1
+            self._degree[subject] = self._degree.get(subject, 0) + 1
+            self._degree[object_key] = self._degree.get(object_key, 0) + 1
         return Triple(subject, predicate, obj)
 
     def add_type(self, subject: str, class_name: str) -> Triple:
@@ -68,11 +83,11 @@ class KnowledgeGraph:
     # Queries
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return self._graph.number_of_edges()
+        return self._num_triples
 
     @property
     def num_entities(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._values)
 
     def triples(
         self,
@@ -81,22 +96,20 @@ class KnowledgeGraph:
         obj: object | None = None,
     ) -> Iterator[Triple]:
         """Iterate triples matching the given pattern (``None`` = wildcard)."""
-        if subject is not None and subject not in self._graph:
-            return
-        edges = (
-            self._graph.out_edges(subject, keys=True, data=True)
-            if subject is not None
-            else self._graph.edges(keys=True, data=True)
-        )
+        if subject is not None:
+            subjects = (subject,) if subject in self._out else ()
+        else:
+            # Entity order, so a subject first seen as an object keeps that place.
+            subjects = (key for key in self._values if key in self._out)
         object_key = self._object_key(obj) if obj is not None else None
-        for s, o_key, key, data in edges:
-            if predicate is not None and key != predicate:
-                continue
-            if object_key is not None and o_key != object_key:
-                continue
-            node_data = self._graph.nodes[o_key]
-            value = node_data.get("value", o_key)
-            yield Triple(s, key, value)
+        for s in subjects:
+            for o_key, predicates in self._out[s].items():
+                if object_key is not None and o_key != object_key:
+                    continue
+                value = self._values[o_key]
+                for key in predicates:
+                    if predicate is None or key == predicate:
+                        yield Triple(s, key, value)
 
     def objects(self, subject: str, predicate: str) -> list:
         """All objects ``o`` with ``(subject, predicate, o)`` asserted."""
@@ -117,18 +130,14 @@ class KnowledgeGraph:
         return [str(o) for o in self.objects(subject, RDF_TYPE)]
 
     def predicates(self) -> set[str]:
-        return {key for _, _, key in self._graph.edges(keys=True)}
+        return {key for targets in self._out.values() for keys in targets.values() for key in keys}
 
     def neighbors(self, subject: str) -> list[str]:
         """Entities directly reachable from ``subject`` (any predicate)."""
-        if subject not in self._graph:
-            return []
-        return list(self._graph.successors(subject))
+        return list(self._out.get(subject, ()))
 
     def degree(self, subject: str) -> int:
-        if subject not in self._graph:
-            return 0
-        return self._graph.degree(subject)
+        return self._degree.get(subject, 0)
 
     # ------------------------------------------------------------------ #
     # Serialisation

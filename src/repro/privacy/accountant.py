@@ -18,7 +18,10 @@ standard Renyi-DP (moments) accountant:
 Only ``numpy`` / ``scipy`` are required; the computation follows the widely
 used reference implementations (TensorFlow Privacy / Opacus) restricted to
 integer Renyi orders, which is accurate enough for the training regimes this
-package runs.
+package runs.  ``scipy.special`` (about 18 MB resident) is imported on the
+first subsampled-Gaussian evaluation rather than with this module, so
+processes that load the federated layers but never run a DP round do not
+pay for it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "DEFAULT_ORDERS",
@@ -82,6 +84,8 @@ def _rdp_subsampled_gaussian_one(q: float, sigma: float, alpha: int) -> float:
         return 0.0
     if q == 1.0:
         return alpha / (2.0 * sigma**2)
+    from scipy import special
+
     log_sum = -math.inf
     log_q = math.log(q)
     log_1mq = math.log1p(-q)

@@ -85,10 +85,10 @@ def table_to_wire(table: Table) -> dict:
     travels as ``{"u1"|"u2"|"u4": <base64 of its little-endian codes>}``,
     the narrowest width that holds its largest code, with an ``"extra"``
     array when some cell is not a category (see :class:`_CategoryCodes`).
-    The schema rides its own ``to_dict`` form.
+    The schema rides its own ``to_dict`` form, built once per schema (see
+    :func:`_schema_wire`) and shared by every reply that carries it.
     """
-    document = table.schema.to_dict()
-    codes = _wire_schema(document).codes
+    document, codes = _schema_wire(table.schema)
     columns: dict = {}
     for spec in table.schema:
         values = table.column(spec.name)
@@ -233,10 +233,26 @@ class _WireSchema:
         }
 
 
-# Decoded schema documents by their JSON text, least recently used first.
+# Decoded schema documents by their JSON text, and encode-side entries by the
+# ids of a schema's column specs; least recently used first in both.
 _WIRE_SCHEMAS: OrderedDict[str, _WireSchema] = OrderedDict()
+_SCHEMA_DOCUMENTS: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
 _WIRE_SCHEMAS_KEPT = 16
-_WIRE_SCHEMAS_LOCK = threading.Lock()
+# Reentrant: an encode-side miss builds its decode-side entry under the lock.
+_WIRE_SCHEMAS_LOCK = threading.RLock()
+
+
+def _remember(cache: OrderedDict, key, build):
+    """``cache[key]``, made by ``build()`` on a miss; keeps the newest entries."""
+    with _WIRE_SCHEMAS_LOCK:
+        entry = cache.get(key)
+        if entry is None:
+            entry = cache[key] = build()
+            if len(cache) > _WIRE_SCHEMAS_KEPT:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
+    return entry
 
 
 def _wire_schema(document) -> _WireSchema:
@@ -252,15 +268,24 @@ def _wire_schema(document) -> _WireSchema:
         key = json.dumps(document)
     except (TypeError, ValueError):  # not a JSON document: nothing to share
         return _WireSchema(document)
-    with _WIRE_SCHEMAS_LOCK:
-        entry = _WIRE_SCHEMAS.get(key)
-        if entry is None:
-            entry = _WIRE_SCHEMAS[key] = _WireSchema(document)
-            if len(_WIRE_SCHEMAS) > _WIRE_SCHEMAS_KEPT:
-                _WIRE_SCHEMAS.popitem(last=False)
-        else:
-            _WIRE_SCHEMAS.move_to_end(key)
-    return entry
+    return _remember(_WIRE_SCHEMAS, key, lambda: _WireSchema(document))
+
+
+def _schema_wire(schema: TableSchema) -> tuple[dict, dict[str, _CategoryCodes]]:
+    """A schema's wire document and category codes, found without building either.
+
+    The key is the identity of the schema's column specs: they are frozen,
+    so the same specs always give the same document, and the entry holds
+    them, so their ids cannot be reused while it is kept.
+    """
+    specs = tuple(schema.columns)
+
+    def build() -> tuple:
+        document = schema.to_dict()
+        return specs, document, _wire_schema(document).codes
+
+    _, document, codes = _remember(_SCHEMA_DOCUMENTS, tuple(map(id, specs)), build)
+    return document, codes
 
 
 def _column_from_wire(spec: ColumnSpec, value, codes: _CategoryCodes | None) -> np.ndarray:

@@ -336,6 +336,37 @@ class TestCanonicalDecode:
             if spec.is_categorical:
                 assert all(_is_category(value, spec) for value in rebuilt.column(spec.name))
 
+    def test_second_encode_of_a_schema_builds_no_key(self, monkeypatch):
+        schema = TableSchema(
+            [
+                ColumnSpec("port", "categorical", categories=(21, 443, "encode-memo")),
+                ColumnSpec("bytes", "continuous"),
+            ]
+        )
+        table = Table(schema, {"port": _objects([21, "encode-memo"]), "bytes": np.ones(2)})
+        calls = {"to_dict": 0, "dumps": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(TableSchema, "to_dict", counting("to_dict", TableSchema.to_dict))
+        monkeypatch.setattr(json, "dumps", counting("dumps", json.dumps))
+        first = table_to_wire(table)
+        assert calls == {"to_dict": 1, "dumps": 1}
+        second = table_to_wire(Table(schema, {"port": _objects([443]), "bytes": np.zeros(1)}))
+        assert calls == {"to_dict": 1, "dumps": 1}
+        assert second["schema"] is first["schema"]
+        # Equal specs that are other objects get their own entry and the same document.
+        copied = TableSchema([copy.copy(spec) for spec in schema])
+        third = table_to_wire(Table(copied, {"port": _objects([21]), "bytes": np.zeros(1)}))
+        assert calls == {"to_dict": 2, "dumps": 2}
+        assert third["schema"] == first["schema"]
+        assert third["columns"]["port"] == {"u1": base64.b64encode(bytes([0])).decode()}
+
     def test_replies_of_one_artifact_share_one_schema(self, served):
         url, _pool, _server = served
         first = request_samples(url, "kinetgan", 16, seed=1)

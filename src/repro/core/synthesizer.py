@@ -15,7 +15,7 @@ from repro.knowledge.catalog import DomainCatalog
 from repro.knowledge.graph import KnowledgeGraph
 from repro.knowledge.reasoner import KGReasoner
 from repro.knowledge.validator import BatchValidator, ValidityReport
-from repro.tabular.sampler import ConditionSampler
+from repro.tabular.sampler import ConditionCodes, ConditionSampler
 from repro.tabular.table import Table
 from repro.tabular.transformer import DataTransformer
 
@@ -141,21 +141,29 @@ class KiNETGAN(Synthesizer):
         attack traffic only.
         """
         rng = rng if rng is not None else sampling_rng(self.config.seed)
-        condition_matrix = self.sample_conditions(n, conditions, rng)
+        codes = self.condition_codes(n, conditions, rng)
         assert self.trainer is not None and self.transformer is not None
-        return self.transformer.decode(*self.trainer.share_codes(condition_matrix, rng))
+        out = self.transformer.decoded_rows(len(codes))
+        self.trainer.share_into(codes, rng, out)
+        return out.table()
 
-    def sample_conditions(
+    def condition_codes(
         self, n: int, conditions: dict | None, rng: np.random.Generator
-    ) -> np.ndarray:
-        """The condition matrix ``sample(n, conditions, rng)`` draws first
-        (fixed ``conditions`` are tiled without touching ``rng``)."""
+    ) -> ConditionCodes:
+        """The conditions ``sample(n, conditions, rng)`` draws first, as
+        codes (fixed ``conditions`` are repeated without touching ``rng``)."""
         self._require_fitted(self._fitted)
         n = require_row_count(n)
         assert self.sampler is not None
         if conditions is not None:
-            return np.tile(self.sampler.vector_from_values(conditions), (n, 1))
-        return self.sampler.empirical_conditions(n, rng)
+            return self.sampler.fixed_codes(conditions, n)
+        return self.sampler.empirical_codes(n, rng)
+
+    def sample_conditions(
+        self, n: int, conditions: dict | None, rng: np.random.Generator
+    ) -> np.ndarray:
+        """The condition matrix of :meth:`condition_codes` (the same draw)."""
+        return self.condition_codes(n, conditions, rng).matrix()
 
     def sample_inputs(
         self,

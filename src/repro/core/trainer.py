@@ -43,9 +43,9 @@ from repro.neural.losses import BinaryCrossEntropy
 from repro.neural.network import Sequential
 from repro.neural.optimizers import Adam
 from repro.runtime.executor import default_worker_count, in_pool_worker
-from repro.tabular.sampler import ConditionSampler
+from repro.tabular.sampler import ConditionCodes, ConditionSampler
 from repro.tabular.table import Table
-from repro.tabular.transformer import DataTransformer
+from repro.tabular.transformer import DataTransformer, DecodedRows
 
 __all__ = ["TrainingHistory", "KiNETGANStep", "KiNETGANTrainer"]
 
@@ -103,11 +103,18 @@ if hasattr(os, "register_at_fork"):  # POSIX
     os.register_at_fork(after_in_child=_forget_share_helpers)
 
 
+#: A share's conditions: integer codes whose blocks build their own one-hot
+#: rows, or an explicit ``(rows, condition_dim)`` matrix sliced per block.
+ShareConditions = ConditionCodes | np.ndarray
+
+
 class _ShareBlock:
     """One share block: its rows, its noise and the outputs it is written into.
 
     Built on the calling thread, which draws the noise and allocates the
-    outputs; :meth:`run` may then execute on any thread.
+    outputs; :meth:`run` may then execute on any thread.  It builds the
+    block's own one-hot condition rows, so no share holds a condition
+    matrix longer than one block.
     """
 
     __slots__ = ("start", "stop", "noise", "winners", "scalars")
@@ -121,10 +128,12 @@ class _ShareBlock:
         self.winners = np.empty((rows, transformer.softmax_layout().n_blocks), dtype=np.intp)
         self.scalars = np.empty((rows, transformer.tanh_columns().size))
 
-    def run(self, trainer: "KiNETGANTrainer", condition: np.ndarray) -> None:
-        trainer._share_forward(
-            self.noise, condition[self.start : self.stop], self.winners, self.scalars
-        )
+    def run(self, trainer: "KiNETGANTrainer", condition: ShareConditions) -> None:
+        if isinstance(condition, ConditionCodes):
+            rows = condition.rows(self.start, self.stop)
+        else:
+            rows = condition[self.start : self.stop]
+        trainer._share_forward(self.noise, rows, self.winners, self.scalars)
         self.noise = None
 
 
@@ -450,37 +459,38 @@ class KiNETGANTrainer:
         blocks, rebuilt from the share path's winners and tanh columns."""
         rng = rng if rng is not None else self.rng
         if conditions is None:
-            conditions = self.sampler.empirical_conditions(n, rng)
-        if conditions.shape[0] != n:
+            conditions = self.sampler.empirical_codes(n, rng)
+        if len(conditions) != n:
             raise ValueError("conditions batch size does not match n")
-        winners, scalars = self.share_codes(conditions, rng)
         layout = self.transformer.softmax_layout()
         matrix = np.zeros((n, self.transformer.output_dim))
-        matrix[:, self.transformer.tanh_columns()] = scalars
-        matrix[np.arange(n)[:, None], layout.columns[layout.starts + winners]] = 1.0
+        for start, stop, winners, scalars in self.iter_share_blocks(conditions, rng):
+            block = matrix[start:stop]
+            block[:, self.transformer.tanh_columns()] = scalars
+            block[np.arange(stop - start)[:, None], layout.columns[layout.starts + winners]] = 1.0
         return matrix
 
-    def share_codes(
-        self, condition: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Winners and float64 tanh columns of a whole share, ready for
-        :meth:`DataTransformer.decode` (see :meth:`iter_share_blocks`)."""
-        rows = len(condition)
-        winners = np.empty((rows, self.transformer.softmax_layout().n_blocks), dtype=np.intp)
-        scalars = np.empty((rows, self.transformer.tanh_columns().size))
-        for start, stop, block_winners, block_scalars in self.iter_share_blocks(condition, rng):
-            winners[start:stop] = block_winners
-            scalars[start:stop] = block_scalars
-        return winners, scalars
+    def share_into(
+        self,
+        condition: ShareConditions,
+        rng: np.random.Generator,
+        out: DecodedRows,
+        at: int = 0,
+    ) -> None:
+        """Decode a whole share into ``out`` from row ``at`` on, block by
+        block as each is yielded (see :meth:`iter_share_blocks`)."""
+        for start, _, winners, scalars in self.iter_share_blocks(condition, rng):
+            out.write(at + start, winners, scalars)
 
     def iter_share_blocks(
-        self, condition: np.ndarray, rng: np.random.Generator
+        self, condition: ShareConditions, rng: np.random.Generator
     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """The blocked share step: ``(start, stop, winners, scalars)`` per block.
 
         Each block draws its rows' noise from ``rng`` (chunked normal draws
-        are stream-identical to one draw) and runs the eval forward up to
-        the logits of ``condition``'s rows.  The winners are the soft
+        are stream-identical to one draw), builds its rows' one-hot
+        conditions (from :class:`ConditionCodes`, or a slice of a given
+        matrix) and runs the eval forward up to the logits.  The winners are the soft
         output's per-block argmax, ties to the lowest index -- exactly what
         hardening the eval forward picks -- without building that output:
         :meth:`BlockLayout.softmax_argmax` takes each winner from the logits
@@ -499,12 +509,17 @@ class KiNETGANTrainer:
         every later share.  Every block's noise is drawn from ``rng`` on
         the calling thread, in block order, so the stream is the one-thread
         stream; at most ``2 * threads`` blocks are drawn and not yet
-        yielded, each handed to the helpers; the caller, waiting for the
-        next block, runs the oldest ones no helper has started; and blocks
-        are yielded in block order, into arrays the caller allocated.
-        Closing the iterator early drops its unstarted blocks and waits
-        for its running ones.  Eval forwards and ``softmax_argmax`` keep no
-        state, so the blocks' bits do not depend on which thread ran them.
+        yielded, each handed to the helpers; a block builds its one-hot
+        condition rows on whichever thread runs its forward; the caller,
+        waiting for the next block, runs the oldest ones no helper has
+        started; and blocks are yielded in block order, into arrays the
+        caller allocated.  Consumers decode each yielded block on the
+        calling thread, straight into their preallocated output rows
+        (:meth:`share_into`, ``sample_stream``), so a share never holds its
+        whole condition, winner or scalar matrix.  Closing the iterator
+        early drops its unstarted blocks and waits for its running ones.
+        Eval forwards and ``softmax_argmax`` keep no state, so the blocks'
+        bits do not depend on which thread ran them.
 
         The helpers outlive a share on purpose.  Threads started per share
         each took a glibc malloc arena from the free list and left its

@@ -114,6 +114,15 @@ class FederatedClient:
         # the parent process, so the randomness of round r is a pure function
         # of (seed, r) -- independent of which executor runs the round.
         self._seed_sequence = np.random.SeedSequence(seed)
+        # The detector local rounds train, built on first use and loaded
+        # with each round's broadcast (see :meth:`local_update`).
+        self._model: Sequential | None = None
+
+    def __getstate__(self) -> dict:
+        # An installed copy builds its own resident detector.
+        state = self.__dict__.copy()
+        state["_model"] = None
+        return state
 
     # ------------------------------------------------------------------ #
     @property
@@ -132,9 +141,17 @@ class FederatedClient:
         return self._seed_sequence.spawn(1)[0]
 
     def local_update(
-        self, global_state: StateDict, rng: np.random.Generator | None = None
+        self, global_state: StateDict | FlatSlot, rng: np.random.Generator | None = None
     ) -> ClientUpdate:
         """Run local training from ``global_state`` and return the delta.
+
+        ``global_state`` is a state dict, or a round's :class:`FlatSlot`:
+        then the broadcast is copied straight into the resident detector
+        and ``local - broadcast`` is written straight into the slot's
+        result row (the returned ``update`` dict stays empty).  The
+        detector is built once per client and reloaded every round; the
+        factory's models draw no random numbers after construction, so
+        reusing one moves no stream.
 
         ``rng`` defaults to a generator built from the next spawned round
         seed; a :class:`ClientRoundTask` passes its parent-spawned seed in
@@ -142,17 +159,17 @@ class FederatedClient:
         """
         if rng is None:
             rng = np.random.default_rng(self.spawn_round_seed())
-        model = self.model_fn()
-        model.load_state_dict(global_state)
-        reference_params: list[np.ndarray] | None = None
-        if self.proximal_mu > 0:
-            reference_model = self.model_fn()
-            reference_model.load_state_dict(global_state)
-            reference_params = [param for param, _ in reference_model.parameters()]
+        if self._model is None:
+            self._model = self.model_fn()
+        model = self._model
+        if isinstance(global_state, FlatSlot):
+            global_state.load_into(model.state_dict())
+        else:
+            model.load_state_dict(global_state)
 
         grad_hook = None
-        if reference_params is not None:
-            reference = reference_params
+        if self.proximal_mu > 0:
+            reference = [param.copy() for param, _ in model.parameters()]
             grad_hook = lambda m: self._add_proximal_gradient(m, reference)  # noqa: E731
         step = SupervisedStep(
             model=model,
@@ -171,17 +188,18 @@ class FederatedClient:
             rng=rng,
         )
         engine.run()
-        last_loss = step.last_loss
 
-        local_state = model.state_dict()
-        update = state_subtract(local_state, global_state)
-        accuracy = self._local_accuracy(model)
+        if isinstance(global_state, FlatSlot):
+            global_state.store_delta(model.state_dict())
+            update: StateDict = {}
+        else:
+            update = state_subtract(model.state_dict(), global_state)
         return ClientUpdate(
             client_id=self.client_id,
             update=update,
             n_examples=self.n_examples,
-            local_loss=last_loss,
-            metrics={"local_accuracy": accuracy},
+            local_loss=step.last_loss,
+            metrics={"local_accuracy": self._local_accuracy(model)},
         )
 
     def evaluate(self, state: StateDict, features: np.ndarray, labels: np.ndarray) -> float:
@@ -209,9 +227,8 @@ class FederatedClient:
     ) -> None:
         """Add the FedProx term ``mu * (w - w_global)`` to the parameter grads.
 
-        ``reference_params`` comes from a second model instance built by the
-        same factory and loaded with the global state, so the parameter lists
-        are aligned by construction.
+        ``reference_params`` are copies of the parameters as loaded with
+        the global state, so the lists are aligned by construction.
         """
         pairs = model.parameters()
         if len(pairs) != len(reference_params):
@@ -249,12 +266,7 @@ class ClientRoundTask:
         pipe.
         """
         client: FederatedClient = self.client.resolve()
-        update = client.local_update(
-            self.params.global_state(), rng=np.random.default_rng(self.round_seed)
-        )
-        self.params.store(update.update)
-        update.update = {}
-        return update
+        return client.local_update(self.params, rng=np.random.default_rng(self.round_seed))
 
 
 def run_client_round(task: ClientRoundTask) -> ClientUpdate:

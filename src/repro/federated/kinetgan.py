@@ -43,7 +43,7 @@ from repro.runtime import Executor, map_with_quorum, resolve_executor
 from repro.runtime.state import StateRef
 from repro.tabular.sampler import ConditionSampler
 from repro.tabular.table import Table
-from repro.tabular.transformer import DataTransformer
+from repro.tabular.transformer import DataTransformer, DecodedRows
 
 __all__ = ["FederatedKiNETGANSite", "FederatedKiNETGANRound", "FederatedKiNETGAN"]
 
@@ -109,10 +109,10 @@ class FederatedKiNETGANSite:
             self.trainer.config = self.trainer.config.with_overrides(epochs=original_epochs)
         return history.last()
 
-    def sample(self, n: int, rng: np.random.Generator) -> Table:
-        """Synthetic rows generated locally from the current weights."""
-        condition = self.sampler.empirical_conditions(n, rng)
-        return self.transformer.decode(*self.trainer.share_codes(condition, rng))
+    def sample_into(self, n: int, rng: np.random.Generator, out: DecodedRows, at: int) -> None:
+        """Decode ``n`` rows generated locally from the current weights into
+        ``out`` from row ``at`` on."""
+        self.trainer.share_into(self.sampler.empirical_codes(n, rng), rng, out, at)
 
     # ------------------------------------------------------------------ #
     # The mutable cross-round trainer state: everything a round changes
@@ -609,7 +609,8 @@ class FederatedKiNETGAN:
             raise RuntimeError("run at least one round before sampling")
         rng = rng if rng is not None else sampling_rng(self.seed)
         total_records = sum(site.n_records for site in self.sites)
-        pooled: Table | None = None
+        # Every site decodes its rows into the one pooled table, at its offset.
+        pooled = self.transformer.decoded_rows(n)
         remaining = n
         for i, site in enumerate(self.sites):
             if i == len(self.sites) - 1:
@@ -620,8 +621,6 @@ class FederatedKiNETGAN:
             if share <= 0:
                 continue
             site.set_state(self._global_generator, self._global_discriminator)
-            local = site.sample(share, rng)
-            pooled = local if pooled is None else pooled.concat(local)
+            site.sample_into(share, rng, pooled, n - remaining)
             remaining -= share
-        assert pooled is not None
-        return pooled
+        return pooled.table()

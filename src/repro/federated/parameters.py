@@ -261,6 +261,12 @@ class FlatSlot:
         codec: StateCodec = self.codec.resolve()
         codec.encode(state, out=self.row.resolve())
 
+    def store_delta(self, state: StateDict) -> None:
+        """Write ``state - broadcast`` into this unit's row, with no dict between."""
+        self.store(state)
+        row = self.row.resolve()
+        row -= self.broadcast.resolve()
+
 
 class FlatChannel:
     """One flat-parameter stream of a round-based workload (parent side).

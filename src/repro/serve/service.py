@@ -32,10 +32,12 @@ def sample_stream(
     """Yield ``model``'s ``n`` sampled rows in chunks of ``chunk_rows``.
 
     For the KiNETGAN family the request runs ``model.sample``'s own blocked
-    share step and each chunk is decoded once its blocks are done, so
-    memory beyond the condition matrix is bounded by the chunk size.  Other
-    model types sample once and stream row slices.  ``seed=None`` uses the
-    model's own sampling seed, exactly like ``model.sample(n)``.
+    share step: the conditions stay integer codes, each block builds its
+    own one-hot rows, and each block's rows are decoded straight into the
+    chunk they fall in, which is yielded once full.  Memory is therefore
+    bounded by the chunk size plus a few share blocks, whatever ``n``.
+    Other model types sample once and stream row slices.  ``seed=None``
+    uses the model's own sampling seed, exactly like ``model.sample(n)``.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -48,26 +50,18 @@ def sample_stream(
             yield table.select_rows(np.arange(start, min(start + chunk_rows, n)))
         return
     rng = sampling_rng(seed if seed is not None else model.config.seed)
-    condition = model.sample_conditions(n, conditions, rng)
+    codes = model.condition_codes(n, conditions, rng)
     transformer = model.transformer
-    n_blocks, n_scalars = transformer.softmax_layout().n_blocks, transformer.tanh_columns().size
-    # Each block's rows are copied once into the chunk buffers they fall in;
-    # a chunk is decoded as soon as its last row is written.
-    blocks = model.trainer.iter_share_blocks(condition, rng)
-    chunk_start, winners, scalars = 0, None, None
-    for start, stop, block_winners, block_scalars in blocks:
+    chunk_start, chunk = 0, None
+    for start, stop, winners, scalars in model.trainer.iter_share_blocks(codes, rng):
         row = start
         while row < stop:
-            if winners is None:
-                size = min(chunk_rows, n - chunk_start)
-                winners = np.empty((size, n_blocks), dtype=np.intp)
-                scalars = np.empty((size, n_scalars))
-            end = min(stop, chunk_start + len(winners))
-            into = slice(row - chunk_start, end - chunk_start)
-            out_of = slice(row - start, end - start)
-            winners[into] = block_winners[out_of]
-            scalars[into] = block_scalars[out_of]
+            if chunk is None:
+                chunk = transformer.decoded_rows(min(chunk_rows, n - chunk_start))
+            end = min(stop, chunk_start + chunk.n)
+            part = slice(row - start, end - start)
+            chunk.write(row - chunk_start, winners[part], scalars[part])
             row = end
-            if end - chunk_start == len(winners):
-                yield transformer.decode(winners, scalars)
-                chunk_start, winners = end, None
+            if end - chunk_start == chunk.n:
+                yield chunk.table()
+                chunk_start, chunk = end, None

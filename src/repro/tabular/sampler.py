@@ -16,6 +16,10 @@ integer-coded once, matching real rows are grouped into CSR-style buckets
 scatter write into the ``(batch, condition_dim)`` matrix -- no per-row
 ``Table.row`` dict building, no ``list.index`` lookups.  The seeded draws
 are pinned by the golden test in ``tests/tabular/test_dataplane_vectorized.py``.
+
+A generation-time share keeps its conditions as :class:`ConditionCodes`
+(integer codes, never the full one-hot matrix): each share block builds
+the one-hot rows of its own row range.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from repro.tabular.table import Table
 from repro.tabular.transformer import DataTransformer
 
-__all__ = ["ConditionBatch", "ConditionSampler"]
+__all__ = ["ConditionBatch", "ConditionCodes", "ConditionSampler"]
 
 
 class ConditionBatch:
@@ -98,6 +102,43 @@ class ConditionBatch:
         return self._pivot_columns
 
 
+class ConditionCodes:
+    """A share's conditions as integer codes, one-hot rows built on demand.
+
+    Row ``i`` takes the code row ``codes[index[i]]``, or ``codes[0]`` for
+    every row when ``index`` is ``None`` (a fixed condition).  A 50k-row
+    share then holds one integer per row instead of a ``(50k,
+    condition_dim)`` float matrix, and :meth:`rows` gives the one-hot rows
+    of any range, bit-identical to the same range of :meth:`matrix`.
+    """
+
+    __slots__ = ("sampler", "codes", "index", "n")
+
+    def __init__(
+        self,
+        sampler: "ConditionSampler",
+        codes: np.ndarray,
+        n: int,
+        index: np.ndarray | None = None,
+    ) -> None:
+        self.sampler, self.codes, self.n, self.index = sampler, codes, n, index
+
+    def __len__(self) -> int:
+        return self.n
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The one-hot condition rows ``start:stop``."""
+        if self.index is None:
+            codes = np.broadcast_to(self.codes[0], (stop - start, self.codes.shape[1]))
+        else:
+            codes = self.codes[self.index[start:stop]]
+        return self.sampler.vectors_from_codes(codes)
+
+    def matrix(self) -> np.ndarray:
+        """Every row's one-hot conditions: the materialised condition matrix."""
+        return self.rows(0, self.n)
+
+
 class ConditionSampler:
     """Draws condition vectors and matching real rows for GAN training."""
 
@@ -152,6 +193,7 @@ class ConditionSampler:
         self._category_index: dict[str, dict] = {}
         self._category_arrays: dict[str, np.ndarray] = {}
         self._category_probs: dict[str, np.ndarray] = {}
+        self._category_cdfs: dict[str, np.ndarray] = {}
         self._bucket_rows: dict[str, np.ndarray] = {}
         self._bucket_bounds: dict[str, np.ndarray] = {}
         codes_by_column: list[np.ndarray] = []
@@ -182,6 +224,7 @@ class ConditionSampler:
             if weights.sum() <= 0:
                 weights = np.ones_like(weights)
             self._category_probs[name] = weights / weights.sum()
+            self._category_cdfs[name] = _cdf(self._category_probs[name])
 
             order = np.argsort(codes[known], kind="stable")
             self._bucket_rows[name] = np.nonzero(known)[0][order]
@@ -271,6 +314,9 @@ class ConditionSampler:
             name: np.asarray(probs, dtype=np.float64)
             for name, probs in state["category_probs"].items()
         }
+        sampler._category_cdfs = {
+            name: _cdf(probs) for name, probs in sampler._category_probs.items()
+        }
         sampler._bucket_rows = {
             name: np.asarray(rows, dtype=np.int64) for name, rows in state["bucket_rows"].items()
         }
@@ -336,6 +382,18 @@ class ConditionSampler:
         return vectors
 
     # ------------------------------------------------------------------ #
+    def codes_from_values(self, values: dict) -> np.ndarray:
+        """The code row of ``{attribute: value}``; missing attributes get -1."""
+        codes = np.full(len(self.conditional_columns), -1, dtype=np.int64)
+        for name, value in values.items():
+            if name not in self._categories:
+                raise KeyError(f"{name!r} is not a conditional column")
+            code = self._category_index[name].get(value)
+            if code is None:
+                raise ValueError(f"value {value!r} not in categories of {name!r}")
+            codes[self.conditional_columns.index(name)] = code
+        return codes
+
     def vector_from_values(self, values: dict) -> np.ndarray:
         """Build a single condition vector from ``{attribute: value}``.
 
@@ -343,15 +401,7 @@ class ConditionSampler:
         "unconstrained"), which is how generation-time conditioning on a
         subset of attributes is expressed.
         """
-        vector = np.zeros(self._condition_dim, dtype=np.float64)
-        for name, value in values.items():
-            if name not in self._categories:
-                raise KeyError(f"{name!r} is not a conditional column")
-            code = self._category_index[name].get(value)
-            if code is None:
-                raise ValueError(f"value {value!r} not in categories of {name!r}")
-            vector[self._offsets[name] + code] = 1.0
-        return vector
+        return self.vectors_from_codes(self.codes_from_values(values)[None, :])[0]
 
     def values_from_vector(self, vector: np.ndarray) -> dict:
         """Decode a condition vector back into ``{attribute: value}``."""
@@ -372,14 +422,17 @@ class ConditionSampler:
         Fully batched: one RNG call per decision stream (pivot choice,
         uniform-vs-weighted coin, per-column value draws, per-column bucket
         positions), then the condition matrix is built with a single scatter
-        write from the integer codes.
+        write from the integer codes.  Weighted value draws search the
+        column's precomputed CDF with one ``rng.random`` draw, which is
+        what ``rng.choice(k, size=m, p=probs)`` computes (same indices,
+        same stream) without re-validating and re-summing ``probs`` per call.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
 
         n_columns = len(self.conditional_columns)
         pivot_indices = rng.integers(0, n_columns, size=batch_size)
-        uniform_mask = rng.uniform(size=batch_size) < self.uniform_probability
+        uniform_mask = rng.random(batch_size) < self.uniform_probability
 
         pivot_codes = np.empty(batch_size, dtype=np.int64)
         row_indices = np.empty(batch_size, dtype=np.int64)
@@ -394,8 +447,8 @@ class ConditionSampler:
             if n_uniform:
                 codes[uniform_here] = rng.integers(0, k, size=n_uniform)
             if len(selected) - n_uniform:
-                codes[~uniform_here] = rng.choice(
-                    k, size=len(selected) - n_uniform, p=self._category_probs[name]
+                codes[~uniform_here] = self._category_cdfs[name].searchsorted(
+                    rng.random(len(selected) - n_uniform), side="right"
                 )
             bounds = self._bucket_bounds[name]
             sizes = bounds[codes + 1] - bounds[codes]
@@ -419,19 +472,27 @@ class ConditionSampler:
             sampler=self,
         )
 
-    def empirical_conditions(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Condition vectors drawn from the *empirical* joint distribution.
+    def empirical_codes(self, n: int, rng: np.random.Generator) -> ConditionCodes:
+        """Conditions drawn from the *empirical* joint distribution.
 
         Used at generation time: rows are sampled uniformly from the real
         table and their conditional-attribute values become conditions, so
         the synthetic data reproduces the original attribute distribution
         (section III-A: fidelity is preserved "during testing").  The draw is
-        one ``integers`` call on ``rng``.
+        one ``integers`` call on ``rng``; the codes stay the sampled rows of
+        the real table's code matrix.
         """
         if n <= 0:
             raise ValueError("n must be positive")
-        indices = rng.integers(0, self.n_rows, size=n)
-        return self.vectors_from_codes(self._codes[indices])
+        return ConditionCodes(self, self._codes, n, rng.integers(0, self.n_rows, size=n))
+
+    def empirical_conditions(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The condition matrix of :meth:`empirical_codes` (the same draw)."""
+        return self.empirical_codes(n, rng).matrix()
+
+    def fixed_codes(self, values: dict, n: int) -> ConditionCodes:
+        """``n`` rows all conditioned on ``values`` (see :meth:`vector_from_values`)."""
+        return ConditionCodes(self, self.codes_from_values(values)[None, :], n)
 
     def _require_table(self) -> Table:
         if self.table is None:
@@ -444,3 +505,10 @@ class ConditionSampler:
     def real_batch(self, batch: ConditionBatch) -> Table:
         """Real rows aligned with the sampled conditions."""
         return self._require_table().select_rows(batch.row_indices)
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF ``rng.choice(len(probs), p=probs)`` searches, built the same way."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf

@@ -25,7 +25,7 @@ from repro.tabular.schema import TableSchema
 from repro.tabular.segments import BlockLayout
 from repro.tabular.table import Table
 
-__all__ = ["OutputSpan", "ColumnOutputInfo", "DataTransformer"]
+__all__ = ["OutputSpan", "ColumnOutputInfo", "DataTransformer", "DecodedRows"]
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,13 @@ class ColumnOutputInfo:
 
 
 class _DecodePlan:
-    """Precomputed batched-decode structure for :meth:`DataTransformer.decode`.
+    """Precomputed batched-decode structure for :class:`DecodedRows`.
 
     All categorical columns decode with ONE fancy index into a padded
     ``(n_categorical, max_categories)`` object table; all mode-normalised
     continuous columns decode with a handful of ``(rows, n_mode_columns)``
     array operations against padded per-column mean / std / bound tables.
-    The per-column Python work drops to slicing the result matrices.
+    The per-column Python work drops to slicing the output matrices.
     """
 
     def __init__(self, transformer: "DataTransformer") -> None:
@@ -141,28 +141,59 @@ class _DecodePlan:
             self.mode_lo = np.asarray(mode_low)
             self.mode_hi = np.asarray(mode_high)
 
-    def decode(self, winners: np.ndarray, scalars: np.ndarray) -> dict[str, np.ndarray]:
-        columns: dict[str, np.ndarray] = {}
+    def decode_into(
+        self, out: "DecodedRows", row: int, winners: np.ndarray, scalars: np.ndarray
+    ) -> None:
+        """Decode ``len(winners)`` rows into ``out``'s columns from ``row`` on.
+
+        Every step is elementwise per row, so a table decoded block by block
+        holds the bits of one whole-table decode.
+        """
+        rows = slice(row, row + len(winners))
         if self.cat_names:
-            decoded = self.cat_table[self.cat_rows, winners[:, self.cat_blocks]]
-            for i, name in enumerate(self.cat_names):
-                columns[name] = decoded[:, i]
+            out.categorical[rows] = self.cat_table[self.cat_rows, winners[:, self.cat_blocks]]
         if self.mode_names:
             modes = winners[:, self.mode_blocks]
             alpha = np.clip(scalars[:, self.mode_alpha_cols], -1.0, 1.0)
             mu = self.mode_mu[self.mode_rows, modes]
             sigma = self.mode_sigma[self.mode_rows, modes]
-            values = np.clip(alpha * 4.0 * sigma + mu, self.mode_lo, self.mode_hi)
-            for i, name in enumerate(self.mode_names):
-                columns[name] = values[:, i]
-        for name, encoder, column, minimum, maximum in self.minmax:
-            values = encoder.inverse_transform(scalars[:, column])
+            np.clip(alpha * 4.0 * sigma + mu, self.mode_lo, self.mode_hi, out=out.mode[rows])
+        for (_, encoder, column, minimum, maximum), values in zip(self.minmax, out.minmax):
+            block = encoder.inverse_transform(scalars[:, column])
             if minimum is not None:
-                values = np.maximum(values, minimum)
+                np.maximum(block, minimum, out=block)
             if maximum is not None:
-                values = np.minimum(values, maximum)
-            columns[name] = values
-        return columns
+                np.minimum(block, maximum, out=block)
+            values[rows] = block
+
+
+class DecodedRows:
+    """The preallocated output columns of an ``n``-row decode.
+
+    Blocks of per-block winners and tanh scalars decode straight into them
+    (:meth:`write`), so a share never holds its whole winner or scalar
+    matrix.  The finished :meth:`table` keeps one layout however it was
+    filled: categorical columns are views of one ``(n, n_categorical)``
+    object array, mode-normalised columns views of one ``(n, n_mode)``
+    float array, and each min-max column its own array.
+    """
+
+    def __init__(self, plan: _DecodePlan, schema: TableSchema, n: int) -> None:
+        self._plan, self._schema, self.n = plan, schema, n
+        self.categorical = np.empty((n, len(plan.cat_names)), dtype=object)
+        self.mode = np.empty((n, len(plan.mode_names)))
+        self.minmax = [np.empty(n) for _ in plan.minmax]
+
+    def write(self, row: int, winners: np.ndarray, scalars: np.ndarray) -> None:
+        """Decode rows given as winners and scalars into rows ``row`` onward."""
+        self._plan.decode_into(self, row, winners, scalars)
+
+    def table(self) -> Table:
+        plan = self._plan
+        columns = {name: self.categorical[:, i] for i, name in enumerate(plan.cat_names)}
+        columns.update((name, self.mode[:, i]) for i, name in enumerate(plan.mode_names))
+        columns.update((entry[0], values) for entry, values in zip(plan.minmax, self.minmax))
+        return Table(self._schema, columns)
 
 
 class DataTransformer:
@@ -433,7 +464,14 @@ class DataTransformer:
         """The typed table of rows given as per-block winners
         (``softmax_layout()`` order) and float64 tanh columns
         (``tanh_columns()`` order) -- all a hardened row carries."""
+        out = self.decoded_rows(len(winners))
+        out.write(0, winners, scalars)
+        return out.table()
+
+    def decoded_rows(self, n: int) -> DecodedRows:
+        """Empty output columns for ``n`` rows, filled block by block
+        through :meth:`DecodedRows.write` (the share path's decode)."""
         self._require_fitted()
         if self._decode_plan is None:
             self._decode_plan = _DecodePlan(self)
-        return Table(self.schema, self._decode_plan.decode(winners, scalars))
+        return DecodedRows(self._decode_plan, self.schema, n)

@@ -20,9 +20,9 @@ Metrics:
 * ``full_step_allocations`` -- the complete ``KiNETGANStep``, which adds
   KG scoring and sampler work.
 * ``workspace_bytes`` -- bytes the generator, discriminator and
-  knowledge-head step workspaces hold after the bench's seeded one-epoch
-  fit plus a 5,000-row ``sample``: one buffer per layer and tag at its
-  tallest training height, nothing for the sample's eval forwards.
+  knowledge-head step workspaces hold when the bench's seeded one-epoch
+  fit has run its last step, just before the fit releases them: one buffer
+  per layer and tag at its tallest training height.
 * ``codec_roundtrip`` -- whether ``StateCodec`` takes the single-copy fast
   path (``flat_view`` detected) on the fitted generator's arena-backed
   state.
@@ -40,13 +40,14 @@ import os
 import platform
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 
 from repro.core import KiNETGAN, KiNETGANConfig
-from repro.core.trainer import KiNETGANStep
+from repro.core.trainer import KiNETGANStep, KiNETGANTrainer
 from repro.datasets import load_lab_iot
-from repro.engine import sampling_rng, seeded_rng
+from repro.engine import seeded_rng
 from repro.federated.parameters import StateCodec
 
 BENCH_ROWS = 1500
@@ -54,7 +55,6 @@ BENCH_BATCH = 64
 EPOCH_GROUPS = 6
 EPOCH_REPS = 5
 LARGE_BATCH = 1024
-SAMPLE_ROWS = 5000
 
 
 def bench_config(epochs: int = 1, seed: int = 0, dtype: str = "float64") -> KiNETGANConfig:
@@ -194,24 +194,35 @@ def _full_step_peak(step: KiNETGANStep) -> int:
     return int(best)
 
 
-def _workspace_bytes(model: KiNETGAN) -> int:
+def _workspace_bytes(trainer: KiNETGANTrainer) -> int:
     """Bytes held by the generator, discriminator and knowledge-head workspaces."""
-    trainer = model.trainer
     networks = [trainer.generator.network, trainer.discriminator.network]
     if trainer.kg_discriminator is not None and trainer.kg_discriminator.head is not None:
         networks.append(trainer.kg_discriminator.head)
     return sum(net.workspace.nbytes() for net in networks if net.workspace is not None)
 
 
+def _fit_holding_scratch(bundle) -> tuple[KiNETGAN, int]:
+    """A :func:`_fit` model and the workspace bytes its fit held at the end
+    of its last step, read just before the fit releases its scratch."""
+    held: list[int] = []
+    release = KiNETGANTrainer.release_scratch
+
+    def probe(trainer: KiNETGANTrainer) -> None:
+        held.append(_workspace_bytes(trainer))
+        release(trainer)
+
+    with mock.patch.object(KiNETGANTrainer, "release_scratch", probe):
+        model = _fit(bundle)
+    return model, held[-1]
+
+
 def measure_arena() -> dict[str, dict]:
-    """Steady-state step peaks, the codec fast path and the held scratch on
-    one fitted model."""
+    """Steady-state step peaks, the codec fast path and the fit's step
+    scratch on one fitted model."""
     bundle = load_lab_iot(n_records=BENCH_ROWS, seed=0)
-    model = _fit(bundle)
-    # Measured before the step probes below grow the discriminator's
-    # workspace to batch 1024; the sample draws from its own seeded stream.
-    model.sample(SAMPLE_ROWS, rng=sampling_rng(1))
-    workspace = {"fit_epochs": 1, "sample_rows": SAMPLE_ROWS, "now_bytes": _workspace_bytes(model)}
+    model, held = _fit_holding_scratch(bundle)
+    workspace = {"fit_epochs": 1, "now_bytes": held}
     step = _build_step(bundle, model)
     trainer = step.trainer
     peaks = {
@@ -305,7 +316,8 @@ NOTES = (
     "neural_step_allocations peak is set by the generated batch and its "
     "gradient, which escape the step by design, and full_step_allocations "
     "adds KG scoring and sampler work. workspace_bytes is the step scratch "
-    "the three networks hold after the fit and a 5,000-row sample. Every "
+    "the three networks hold when the fit's last step has run, before the "
+    "fit releases it. Every "
     "peak and byte count is deterministic and gated as a byte ceiling; "
     "perfbench's train workload measures epoch speed end to end."
 )

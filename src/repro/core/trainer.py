@@ -352,8 +352,30 @@ class KiNETGANTrainer:
             rng=self.rng,
             callbacks=callbacks,
         )
-        self.engine.run()
+        try:
+            self.engine.run()
+        finally:
+            self.release_scratch()
         return self.history
+
+    def release_scratch(self) -> None:
+        """Free the step scratch of every trained network and optimizer.
+
+        Training scratch is fit-scoped: ``fit`` calls this when it returns,
+        so a fitted model, and a federated site between its rounds, keeps
+        no step buffers; the next fit grows them again.  Sampling runs
+        eval forwards, which never use this scratch.
+        """
+        kg = self.kg_discriminator
+        networks = [self.generator.network, self.discriminator.network]
+        optimizers = [self._opt_g, self._opt_d]
+        if kg is not None and kg.head is not None:
+            networks.append(kg.head)
+            optimizers.append(kg._optimizer)
+        for network in networks:
+            network.release_scratch()
+        for optimizer in optimizers:
+            optimizer.release_scratch()
 
     def _log_validity(self, engine: TrainingEngine, epoch: int, metrics: dict) -> dict:
         """Extra metric hook for the engine logger: KG validity (recorded)."""

@@ -95,6 +95,23 @@ class Sequential:
         for layer in self.layers:
             layer.bind_workspace(None)
 
+    def release_scratch(self) -> None:
+        """Free the training scratch and stay bound for the next fit.
+
+        The network gets a fresh, empty workspace -- what unpickling gives
+        it -- and every layer is re-bound to it, which also drops scratch a
+        layer keeps beside the workspace (the generator head's
+        gather/Gumbel/softmax dict).  The next training pass grows the
+        buffers again; scratch is never read across passes, so results are
+        unchanged.  A fit calls this when it returns (see
+        ``KiNETGANTrainer.fit``).
+        """
+        if self.workspace is None:
+            return
+        self.workspace = Workspace(default_dtype=self.workspace.default_dtype)
+        for layer in self.layers:
+            layer.bind_workspace(self.workspace)
+
     def forward(self, x: np.ndarray, training: bool = True, stop: int | None = None) -> np.ndarray:
         """Run the stack, or only ``layers[:stop]`` when ``stop`` is given."""
         for layer in self.layers if stop is None else self.layers[:stop]:

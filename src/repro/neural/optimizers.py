@@ -9,11 +9,13 @@ When the bound parameters are exactly the views of one
 :class:`~repro.neural.arena.ParamArena` (i.e. the network was consolidated
 before the optimizer was built), ``step`` runs a *fused* kernel: one
 vectorized in-place pass over the flat parameter/gradient/moment buffers
-through preallocated scratch, so the update costs O(1) numpy dispatches and
-zero temporaries regardless of how many tensors the network has.  The fused
-kernels replay the per-tensor element ops in the same order and dtype, so
-results are bit-identical; the per-tensor loop remains for unbound
-optimizers and as the fallback whenever the arena views were detached.
+through a scratch pair grown on the first fused step (and dropped by
+:meth:`Optimizer.release_scratch` when a fit returns), so the update costs
+O(1) numpy dispatches and zero temporaries regardless of how many tensors
+the network has.  The fused kernels replay the per-tensor element ops in
+the same order and dtype, so results are bit-identical; the per-tensor
+loop remains for unbound optimizers and as the fallback whenever the arena
+views were detached.
 
 Pickling: the flat moment buffers are registered with
 :func:`~repro.neural.arena.register_flat`, like the arena's own buffers.
@@ -114,6 +116,14 @@ class Optimizer:
                 np.empty(size, dtype=dtype),
             )
         return self._scratch
+
+    def release_scratch(self) -> None:
+        """Drop the fused kernels' scratch pair; the next fused step regrows it.
+
+        The pair holds nothing between steps, so a fit releases it when it
+        returns (see ``KiNETGANTrainer.fit``).  Moments are state and stay.
+        """
+        self._scratch = None
 
     # ------------------------------------------------------------------ #
     # Optimizer state is positionally keyed (like the buffers themselves),

@@ -39,6 +39,13 @@ another (forward, backward, optimizer step), and anything kept past a
 pass is copied out first (``Sequential.forward``'s output copy, the
 knowledge head's gradient scatter), which keeps that rule.
 
+**Lifetime: one fit.**  Buffers grow during a fit's first steps and are
+reused by every later step of it; when the fit returns,
+``Sequential.release_scratch`` swaps each trained network's workspace for
+an empty one (``KiNETGANTrainer.fit`` calls it, with the optimizers'
+``release_scratch``).  Nothing is read across steps, so the next fit grows
+the same buffers again with the same results.
+
 Workspaces pickle empty: buffer contents are scratch and the ``id(layer)``
 keys would be stale in the receiving process anyway.
 """

@@ -515,10 +515,11 @@ class ProcessExecutor(Executor):
 
     Resident state uses the shared-memory transport of
     :mod:`repro.runtime.state`: :meth:`install` pickles the state *once*
-    into a segment that every worker attaches and caches on first use, and
-    :meth:`shared_array` maps a buffer of the caller's dtype that all
-    processes address directly, so steady-state rounds ship refs and deltas
-    only.  Segments are unlinked by :meth:`evict` / :meth:`close`.
+    into a segment that every worker unpickles on first use, caches and
+    then detaches, and :meth:`shared_array` maps a buffer of the caller's
+    dtype that all processes address directly, so steady-state rounds ship
+    refs and deltas only.  Segments are unlinked by :meth:`evict` /
+    :meth:`close`.
     """
 
     name = "process"

@@ -23,14 +23,15 @@ carries refs, the worker function calls ``ref.resolve()``.
   (:func:`dumps_resident`, which keeps views of flat parameter buffers as
   views) into a :class:`multiprocessing.shared_memory.SharedMemory` segment
   and hands out :class:`SharedStateRef`.  Every worker process unpickles the
-  segment the first time it resolves the ref and caches the object in its
-  process-local :class:`StateStore`, so successive rounds ship only the ref
-  (a name and a byte count).  :class:`SharedBuffer` maps a numeric array of
-  a caller-chosen dtype -- float64 by default, float32 for float32 models,
-  which halves the mapped bytes (for example the ``(clients, total_params)``
-  round matrices of :mod:`repro.federated.parameters`) -- into shared
-  memory: the parent writes parameters in place, workers read -- or write
-  their result rows -- without any bytes crossing the task pipe.  Writes
+  segment the first time it resolves the ref, detaches it, and caches the
+  object in its process-local :class:`StateStore`, so successive rounds ship
+  only the ref (a name and a byte count).  :class:`SharedBuffer` maps a
+  numeric array of a caller-chosen dtype -- float64 by default, float32 for
+  float32 models, which halves the mapped bytes (for example the
+  ``(clients, total_params)`` round matrices of
+  :mod:`repro.federated.parameters`) -- into shared memory: the parent
+  writes parameters in place, workers read -- or write their result rows --
+  without any bytes crossing the task pipe.  Writes
   through :meth:`SharedBuffer.write` are dtype-checked and raise
   :class:`BufferDtypeError` on mismatch instead of silently casting.
 
@@ -125,7 +126,7 @@ def dumps_resident(state: Any) -> bytes:
 
 
 class StateStore:
-    """Process-local cache of resolved resident states and attached segments.
+    """Process-local cache of resolved resident states and attached buffer segments.
 
     One instance lives at module level in every process (parent and workers
     alike).  ``resolve`` is keyed by segment name, which is unique per
@@ -149,11 +150,20 @@ class StateStore:
         return segment
 
     def resolve(self, name: str, nbytes: int) -> Any:
-        """Unpickle (once) and return the resident state stored in ``name``."""
+        """Unpickle (once) and return the resident state stored in ``name``.
+
+        The segment is detached right after unpickling: the copy owns its
+        bytes, and the parent owns the segment, so a respawned worker
+        re-attaches and re-resolves it the same way.  Keeping it mapped
+        would only count its shared pages in this process's RSS again.
+        """
         if name not in self._objects:
-            segment = self.attach(name)
-            with segment.buf[:nbytes] as payload:
-                self._objects[name] = pickle.loads(payload)
+            segment = _attach_segment(name)
+            try:
+                with segment.buf[:nbytes] as payload:
+                    self._objects[name] = pickle.loads(payload)
+            finally:
+                segment.close()
         return self._objects[name]
 
     def contains(self, name: str) -> bool:
@@ -169,8 +179,9 @@ class StateStore:
         memory instead of holding it until the pool closes.  Dropping
         anything runs one ``gc.collect()``: a resident state is usually a
         cyclic graph (a site's trainer, engine and step refer to each
-        other) that reference counting never frees.  The segments are
-        detached after that collection, once no garbage view maps them.
+        other) that reference counting never frees.  Buffer segments are
+        detached after that collection, once no garbage view maps them
+        (state segments were detached when they were resolved).
         """
         names = [name for name in names if name in self._objects or name in self._segments]
         if not names:

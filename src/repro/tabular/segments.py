@@ -236,11 +236,13 @@ class BlockLayout:
         with np.errstate(invalid="ignore"):
             for width, ids, fcols in self._matrix_groups:
                 sub = matrix[:, fcols].reshape(rows, len(ids), width)
-                out[:, ids] = sub.argmax(axis=2)
                 sub -= sub.max(axis=2, keepdims=True)
                 # Exactly one entry (the maximum, at 0) clears the margin in
-                # a sure block; NaN differences clear it nowhere.
-                unsure |= (np.count_nonzero(sub >= margin, axis=2) != 1).any(axis=1)
+                # a sure block, so the mask's first True is the winner; NaN
+                # differences clear it nowhere.
+                ge = sub >= margin
+                out[:, ids] = ge.argmax(axis=2)
+                unsure |= (ge.sum(axis=2) != 1).any(axis=1)
             if unsure.any():
                 picked = np.flatnonzero(unsure)
                 out[picked] = self.argmax(self.softmax(self.gather(matrix[picked]), tau))

@@ -1,11 +1,15 @@
-"""Bounded step scratch: one workspace buffer per family, none for eval.
+"""Bounded step scratch: one workspace buffer per family, none for eval,
+none once a fit returns.
 
 A :class:`~repro.neural.workspace.Workspace` keeps one base array per
 ``(layer, tag, trailing dims, dtype)`` family at the tallest height it has
 served; every other height is a leading-rows view of it.  Eval forwards
 (``training=False``) never touch the workspace and keep no backward cache,
 which is also what makes a bound model safe to sample from several
-threads at once.
+threads at once.  Scratch is fit-scoped: ``KiNETGANTrainer.fit`` releases
+every trained network's workspace and every optimizer's fused scratch when
+it returns, so the family checks below read the workspaces as the fit's
+last step left them, just before that release.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import KiNETGAN, KiNETGANConfig
+from repro.core.trainer import KiNETGANTrainer
 from repro.engine import sampling_rng
 from repro.neural.layers import BatchNorm, Dense, LeakyReLU, ReLU, Residual, Tanh
 from repro.neural.losses import BinaryCrossEntropy
@@ -173,8 +178,7 @@ class TestEvalForward:
 # --------------------------------------------------------------------------- #
 # A fitted KiNETGAN
 # --------------------------------------------------------------------------- #
-def _networks(model: KiNETGAN) -> dict[str, Sequential]:
-    trainer = model.trainer
+def _networks(trainer: KiNETGANTrainer) -> dict[str, Sequential]:
     return {
         "generator": trainer.generator.network,
         "discriminator": trainer.discriminator.network,
@@ -182,12 +186,19 @@ def _networks(model: KiNETGAN) -> dict[str, Sequential]:
     }
 
 
-@pytest.fixture(scope="module")
-def fitted(lab_bundle_small) -> KiNETGAN:
+def _optimizers(trainer: KiNETGANTrainer) -> dict:
+    return {
+        "generator": trainer._opt_g,
+        "discriminator": trainer._opt_d,
+        "kg_head": trainer.kg_discriminator._optimizer,
+    }
+
+
+def _config(**overrides) -> KiNETGANConfig:
     """A few-epoch seeded fit whose knowledge head trains on ragged heights
     (128 rows plus however many corruptions the KG rejects) and scores the
     generator on 64 rows."""
-    config = KiNETGANConfig(
+    options = dict(
         embedding_dim=16,
         generator_dims=(32,),
         discriminator_dims=(32,),
@@ -196,25 +207,85 @@ def fitted(lab_bundle_small) -> KiNETGAN:
         knowledge_negatives_per_batch=64,
         seed=11,
     )
-    model = KiNETGAN(config)
-    model.fit(
-        lab_bundle_small.table,
-        catalog=lab_bundle_small.catalog,
-        condition_columns=lab_bundle_small.condition_columns,
+    options.update(overrides)
+    return KiNETGANConfig(**options)
+
+
+def _fit(bundle, config: KiNETGANConfig) -> KiNETGAN:
+    return KiNETGAN(config).fit(
+        bundle.table, catalog=bundle.catalog, condition_columns=bundle.condition_columns
     )
-    return model
 
 
-def test_fit_holds_one_buffer_per_family(fitted):
-    for name, network in _networks(fitted).items():
-        assert network.workspace is not None, name
-        assert_one_buffer_per_family(network.workspace)
+@pytest.fixture(scope="module")
+def fitted_and_held(lab_bundle_small) -> tuple[KiNETGAN, dict[str, Workspace]]:
+    """The fitted model, and each network's workspace as the fit's last step
+    left it (recorded just before the fit releases it)."""
+    held: dict[str, Workspace] = {}
+    release = KiNETGANTrainer.release_scratch
+
+    def probe(trainer: KiNETGANTrainer) -> None:
+        held.update((name, net.workspace) for name, net in _networks(trainer).items())
+        release(trainer)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KiNETGANTrainer, "release_scratch", probe)
+        model = _fit(lab_bundle_small, _config())
+    return model, held
+
+
+@pytest.fixture(scope="module")
+def fitted(fitted_and_held) -> KiNETGAN:
+    return fitted_and_held[0]
+
+
+def test_fit_holds_one_buffer_per_family(fitted_and_held):
+    _model, held = fitted_and_held
+    assert set(held) == {"generator", "discriminator", "kg_head"}
+    for name, workspace in held.items():
+        assert workspace.nbytes() > 0, name
+        assert_one_buffer_per_family(workspace)
+
+
+def test_fit_releases_its_scratch(fitted):
+    """After ``fit`` every trained network's workspace and every optimizer's
+    fused scratch is empty, while the networks stay bound for the next fit."""
+    trainer = fitted.trainer
+    for name, network in _networks(trainer).items():
+        workspace = network.workspace
+        assert workspace is not None, name
+        assert workspace.nbytes() == 0 and workspace._buffers == {}, name
+        assert all(layer._ws is workspace for layer in _walk(network.layers)), name
+        assert_no_backward_cache(network)
+    assert trainer.generator.network.layers[-1]._scratch == {}
+    for name, optimizer in _optimizers(trainer).items():
+        assert optimizer._fused_ready(), name
+        assert optimizer._scratch is None, name
+
+
+def test_refit_after_the_release_is_bit_identical(lab_bundle_small):
+    """Scratch is never read across steps: fitting twice with the release
+    between the fits matches fitting twice without it, bit for bit."""
+    config = _config(epochs=1)
+    released = _fit(lab_bundle_small, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KiNETGANTrainer, "release_scratch", lambda trainer: None)
+        kept = _fit(lab_bundle_small, config)
+        assert _networks(kept.trainer)["generator"].workspace.nbytes() > 0
+        kept.trainer.fit(lab_bundle_small.table)
+    released.trainer.fit(lab_bundle_small.table)
+    for name, network in _networks(released.trainer).items():
+        kept_state = _networks(kept.trainer)[name].state_dict()
+        for key, value in network.state_dict().items():
+            assert np.array_equal(value, kept_state[key]), (name, key)
+    assert_tables_identical(
+        released.sample(600, rng=sampling_rng(9)), kept.sample(600, rng=sampling_rng(9))
+    )
 
 
 def test_sampling_and_scoring_leave_the_workspaces_alone(fitted):
-    networks = _networks(fitted)
-    held = {name: network.workspace.nbytes() for name, network in networks.items()}
     trainer = fitted.trainer
+    networks = _networks(trainer)
     fitted.sample(5000, rng=sampling_rng(1))
     matrix = trainer.generate_matrix(700, rng=sampling_rng(2))
     condition = trainer.sampler.empirical_conditions(700, sampling_rng(3))
@@ -223,7 +294,7 @@ def test_sampling_and_scoring_leave_the_workspaces_alone(fitted):
     noise = sampling_rng(4).normal(size=(700, fitted.config.embedding_dim))
     trainer.generator.forward(noise, condition, training=False)
     for name, network in networks.items():
-        assert network.workspace.nbytes() == held[name], name
+        assert network.workspace.nbytes() == 0, name
         assert_no_backward_cache(network)
 
 
@@ -236,7 +307,7 @@ def assert_tables_identical(a, b) -> None:
 
 def test_concurrent_sampling_of_a_bound_model_matches_serial(fitted):
     """Two threads sampling one bound model at once get the serial tables."""
-    assert all(network.workspace is not None for network in _networks(fitted).values())
+    assert all(network.workspace is not None for network in _networks(fitted.trainer).values())
     seeds = [[100 * thread + i for i in range(8)] for thread in range(2)]
     serial = {seed: fitted.sample(1500, rng=sampling_rng(seed)) for run in seeds for seed in run}
     results: dict[int, object] = {}

@@ -2,7 +2,8 @@
 
 Two halves: an installed state arrives with its parameter arenas and
 optimizer bindings intact (views stay views), and an evicted state -- or a
-closed shared buffer -- is freed in the worker at its next dispatch.
+closed shared buffer -- is freed in the worker at its next dispatch.  A
+worker keeps no state segment mapped once it has unpickled its copy.
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ def _released(names) -> tuple[bool, list[str]]:
         gc.enable()
 
 
+def _resolve_and_report(ref) -> tuple[bool, bool, int]:
+    site = ref.resolve()
+    store = worker_store()
+    return store.contains(ref.name), ref.name in store._segments, site.n_records
+
+
 def _site_bindings(ref) -> dict[str, bool]:
     trainer = ref.resolve().trainer
     optimizers = {
@@ -153,6 +160,14 @@ class TestWorkerRelease:
             [(dead, attached)] = executor.map(_released, [(ref.name, buffer_name)])
             assert dead, "the evicted state survived the eviction broadcast"
             assert attached == [], "closed segments are still attached in the worker"
+
+    def test_resolved_state_detaches_its_segment(self, site):
+        with ProcessExecutor(max_workers=1) as executor:
+            ref = executor.install(site)
+            reports = executor.map(_resolve_and_report, [ref, ref])
+        # Unpickled once, cached, and the segment unmapped right after; the
+        # second task is served from the cache.
+        assert reports == [(True, False, site.n_records)] * 2
 
     def test_closed_buffer_leaves_the_executor(self):
         with ProcessExecutor(max_workers=1) as executor:

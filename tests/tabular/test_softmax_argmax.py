@@ -127,6 +127,65 @@ def test_only_unsure_rows_reach_the_softmax(dtype, monkeypatch):
     assert len(seen) == 1 and 0 < seen[0] < len(matrix)
 
 
+EDITS = (
+    "three_way_tie",
+    "tie",
+    "inside",
+    "nan",
+    "posinf",
+    "neginf",
+    "row_nan",
+    "row_posinf",
+    "row_neginf",
+)
+
+
+def edited_rows(dtype, kind: str, rows: int = 300, seed: int = 3) -> np.ndarray:
+    """Logits whose every block carries the edit ``kind``, or whole rows of
+    one non-finite value (``row_nan``, ``row_posinf``, ``row_neginf``)."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1e-3, 1.0, 30.0], size=(rows, 1))
+    matrix = (rng.normal(size=(rows, WIDTH)) * scale).astype(dtype)
+    if kind.startswith("row_"):
+        value = {"row_nan": np.nan, "row_posinf": np.inf, "row_neginf": -np.inf}[kind]
+        matrix[::2] = value
+        return matrix
+    threshold = dtype(2**10 * np.finfo(dtype).eps * TAU)
+    for row in range(rows):
+        for start, end in BOUNDS:
+            block = matrix[row, start:end]
+            top = int(block.argmax())
+            peak = block[top]
+            others = [i for i in range(end - start) if i != top] or [top]
+            if kind == "three_way_tie":
+                block[others[:2]] = peak
+            elif kind == "tie":
+                block[others[-1]] = peak
+            elif kind == "inside":
+                block[others[0]] = peak - threshold * dtype(rng.uniform())
+            elif kind == "nan":
+                block[others[0]] = np.nan
+            elif kind == "posinf":
+                block[others[0]] = np.inf
+            elif kind == "neginf":
+                block[others[0]] = -np.inf
+    return matrix
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", EDITS)
+def test_every_block_edited(dtype, kind):
+    """Rows whose every block is a tie, a near-tie inside the margin or
+    non-finite still get the soft output's winners."""
+    layout = BlockLayout(BOUNDS)
+    matrix = edited_rows(dtype, kind)
+    expected = soft_winners(layout, matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = layout.softmax_argmax(matrix, TAU)
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_empty_inputs():
     layout = BlockLayout(BOUNDS)
     assert layout.softmax_argmax(np.zeros((0, WIDTH)), TAU).shape == (0, len(BOUNDS))

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines import IndependentSampler
+from repro.baselines import OCTGAN, PATEGAN, TVAE, IndependentSampler, TableGAN
 from repro.core import KiNETGAN
 from repro.core.config import KiNETGANConfig
 from repro.datasets import load_lab_iot
@@ -498,6 +498,63 @@ class TestSingleSiteKiNETGANParityFloat32(TestSingleSiteKiNETGANParity):
     CONFIG = dataclasses.replace(TestSingleSiteKiNETGANParity.CONFIG, dtype="float32")
 
 
+class _BaselineGoldenParity(_GoldenParity):
+    """One seeded baseline fit: its loss history, every network's state and
+    a seeded sample.  Each baseline steps its own networks with the package
+    optimizers, so these pin the optimizer path the KiNETGAN classes do not
+    reach (TVAE's encoder/decoder pair, PATEGAN's teachers, TableGAN's
+    classifier, OCTGAN's ODE blocks)."""
+
+    CONFIG = KiNETGANConfig(
+        embedding_dim=12,
+        generator_dims=(24,),
+        discriminator_dims=(24,),
+        epochs=2,
+        batch_size=64,
+        seed=0,
+    )
+
+    @staticmethod
+    def _model(config):
+        raise NotImplementedError
+
+    @staticmethod
+    def _history(model):
+        return model.loss_history
+
+    @classmethod
+    def _run(cls, bundle, executor):
+        model = cls._model(cls.CONFIG)
+        model.fit(bundle.table, condition_columns=bundle.condition_columns)
+        networks = dict(model.artifact_networks())
+        for i, teacher in enumerate(getattr(model, "teachers", ())):
+            networks[f"teacher-{i}"] = teacher.network
+        states = {name: network.state_dict() for name, network in networks.items()}
+        return cls._history(model), states, model.sample(500, rng=sampling_rng(cls.CONFIG.seed))
+
+
+class TestTVAEParity(_BaselineGoldenParity):
+    _model = staticmethod(TVAE)
+
+
+class TestPATEGANParity(_BaselineGoldenParity):
+    @staticmethod
+    def _model(config):
+        return PATEGAN(config, num_teachers=3)
+
+
+class TestTableGANParity(_BaselineGoldenParity):
+    _model = staticmethod(TableGAN)
+
+
+class TestOCTGANParity(_BaselineGoldenParity):
+    _model = staticmethod(OCTGAN)
+
+    @staticmethod
+    def _history(model):
+        return {name: getattr(model.history, name) for name in TestSingleSiteKiNETGANParity.LOSSES}
+
+
 class TestServerFaultRecoveryParity:
     """Recovery must be invisible: an injected mid-run worker crash (process
     pool) or abandoned straggler (thread pool) is absorbed by the deadline /
@@ -600,6 +657,10 @@ def write_golden(path: Path = GOLDEN_PATH) -> None:
         TestFederatedKiNETGANDPParityFloat32,
         TestSingleSiteKiNETGANParity,
         TestSingleSiteKiNETGANParityFloat32,
+        TestTVAEParity,
+        TestPATEGANParity,
+        TestTableGANParity,
+        TestOCTGANParity,
     ]
     goldens = {cls.__name__: fingerprint(cls._run(bundle, None)) for cls in classes}
     path.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")

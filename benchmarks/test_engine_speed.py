@@ -74,8 +74,7 @@ def test_one_training_epoch_wall_clock(lab_bundle):
     )
     elapsed = time.perf_counter() - start
 
-    assert model.trainer.engine is not None
-    assert model.trainer.engine.epochs_run == 1
+    assert len(model.history.generator_loss) == 1  # one engine epoch ran
     steps = max(1, lab_bundle.table.n_rows // config.batch_size)
     print(
         f"\n[engine-speed] 1 KiNETGAN epoch via TrainingEngine "

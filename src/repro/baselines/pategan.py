@@ -40,10 +40,10 @@ class _PATEGANStep(TrainStep):
         self.partitions = partitions
         self.teacher_batch = max(8, config.batch_size // model.num_teachers)
         self.bce = BinaryCrossEntropy(from_logits=True)
-        self.opt_g = Adam(model.generator.parameters(), lr=config.generator_lr, betas=(0.5, 0.9))
-        self.opt_s = Adam(model.student.parameters(), lr=config.discriminator_lr, betas=(0.5, 0.9))
+        self.opt_g = Adam(model.generator.network, lr=config.generator_lr, betas=(0.5, 0.9))
+        self.opt_s = Adam(model.student.network, lr=config.discriminator_lr, betas=(0.5, 0.9))
         self.opt_teachers = [
-            Adam(teacher.parameters(), lr=config.discriminator_lr, betas=(0.5, 0.9))
+            Adam(teacher.network, lr=config.discriminator_lr, betas=(0.5, 0.9))
             for teacher in model.teachers
         ]
 

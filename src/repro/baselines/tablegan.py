@@ -43,9 +43,9 @@ class _TableGANStep(TrainStep):
         self.model = model
         self.data = data
         self.bce = BinaryCrossEntropy(from_logits=True)
-        self.opt_g = Adam(model.generator.parameters(), lr=config.generator_lr, betas=(0.5, 0.9))
+        self.opt_g = Adam(model.generator.network, lr=config.generator_lr, betas=(0.5, 0.9))
         self.opt_d = Adam(
-            model.discriminator.parameters(), lr=config.discriminator_lr, betas=(0.5, 0.9)
+            model.discriminator.network, lr=config.discriminator_lr, betas=(0.5, 0.9)
         )
         self.opt_c = opt_c
 
@@ -166,7 +166,7 @@ class TableGAN(Synthesizer):
         # Auxiliary classifier over the non-label features.
         opt_c = None
         if self.classifier is not None:
-            opt_c = Adam(self.classifier.parameters(), lr=config.discriminator_lr)
+            opt_c = Adam(self.classifier.network, lr=config.discriminator_lr)
 
         step = _TableGANStep(self, data, opt_c)
         engine = TrainingEngine(

@@ -59,9 +59,9 @@ class _TVAEStep(TrainStep):
         self.data = data
         self.spans = model.transformer.activation_spans()
         self.kl_loss = GaussianKLDivergence()
-        self.optimizer = Adam(
-            model.encoder.parameters() + model.decoder.parameters(),
-            lr=model.config.generator_lr,
+        self.optimizers = (
+            Adam(model.encoder, lr=model.config.generator_lr),
+            Adam(model.decoder, lr=model.config.generator_lr),
         )
 
     def step(self, rng: np.random.Generator, batch_index: int) -> dict[str, float]:
@@ -90,7 +90,8 @@ class _TVAEStep(TrainStep):
             + model.kl_weight * grad_kl[:, latent_dim:]
         )
         model.encoder.backward(np.concatenate([grad_mu, grad_log_var], axis=1))
-        self.optimizer.step()
+        for optimizer in self.optimizers:
+            optimizer.step()
         return {
             "loss": recon + model.kl_weight * kl,
             "reconstruction_loss": recon,

@@ -166,7 +166,7 @@ class KnowledgeGuidedDiscriminator:
             layers.append(Dense(width, 1, rng=self.rng, init="glorot", dtype=dtype))
             self.head = Sequential(layers)
             self.head.consolidate()
-            self._optimizer = Adam(self.head.parameters(), lr=learning_rate, betas=(0.5, 0.9))
+            self._optimizer = Adam(self.head, lr=learning_rate, betas=(0.5, 0.9))
 
     # ------------------------------------------------------------------ #
     # Hard (exact) validity

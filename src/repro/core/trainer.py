@@ -289,9 +289,9 @@ class KiNETGANTrainer:
                 dtype=config.np_dtype,
             )
 
-        self._opt_g = Adam(self.generator.parameters(), lr=config.generator_lr, betas=(0.5, 0.9))
+        self._opt_g = Adam(self.generator.network, lr=config.generator_lr, betas=(0.5, 0.9))
         self._opt_d = Adam(
-            self.discriminator.parameters(), lr=config.discriminator_lr, betas=(0.5, 0.9)
+            self.discriminator.network, lr=config.discriminator_lr, betas=(0.5, 0.9)
         )
         self._bce = BinaryCrossEntropy(from_logits=True)
         # Constant BCE target arrays, cached per logits shape: the three
@@ -299,7 +299,6 @@ class KiNETGANTrainer:
         # identical ones/zeros batches thousands of times per fit.
         self._bce_targets: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self.history = TrainingHistory()
-        self.engine: TrainingEngine | None = None
         self._kg_cache: tuple[Table, np.ndarray, KGRows] | None = None
 
     def __getstate__(self) -> dict:
@@ -344,7 +343,7 @@ class KiNETGANTrainer:
             extra=self._log_validity,
             monitor="generator_loss",
         )
-        self.engine = TrainingEngine(
+        engine = TrainingEngine(
             step,
             epochs=config.epochs,
             batch_size=config.batch_size,
@@ -353,7 +352,7 @@ class KiNETGANTrainer:
             callbacks=callbacks,
         )
         try:
-            self.engine.run()
+            engine.run()
         finally:
             self.release_scratch()
         return self.history

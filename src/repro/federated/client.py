@@ -161,6 +161,7 @@ class FederatedClient:
             rng = np.random.default_rng(self.spawn_round_seed())
         if self._model is None:
             self._model = self.model_fn()
+            self._model.consolidate()  # the optimizer steps its arena
         model = self._model
         if isinstance(global_state, FlatSlot):
             global_state.load_into(model.state_dict())
@@ -174,7 +175,7 @@ class FederatedClient:
         step = SupervisedStep(
             model=model,
             loss_fn=CrossEntropy(),
-            optimizer=SGD(model.parameters(), lr=self.learning_rate),
+            optimizer=SGD(model, lr=self.learning_rate),
             features=self._features_for(model),
             labels=self.labels,
             batch_size=self.batch_size,

@@ -8,13 +8,12 @@ are implemented on top of this package.  It offers the usual building blocks:
   dropout, residual blocks and a straight-through Gumbel-softmax.
 * :mod:`repro.neural.losses` -- binary/softmax cross entropy, MSE, Wasserstein
   and hinge GAN criteria and the Gaussian KL divergence used by the TVAE.
-* :mod:`repro.neural.optimizers` -- SGD (with momentum), RMSprop and Adam.
+* :mod:`repro.neural.optimizers` -- SGD (with momentum), RMSprop and Adam,
+  each stepping one network's flat parameter arena (:mod:`repro.neural.arena`).
 * :mod:`repro.neural.network` -- a ``Sequential`` container with manual
   forward / backward passes and ``.npz`` serialisation.
 * :mod:`repro.neural.ode` -- a fixed-step ODE block used by the OCTGAN
   baseline.
-* :mod:`repro.neural.clip` -- gradient clipping and Gaussian noising helpers
-  (used for the differentially-private baselines).
 
 Everything works on plain ``numpy.ndarray`` batches of shape
 ``(batch, features)``; backward passes are hand-written per layer.
@@ -57,7 +56,6 @@ from repro.neural.schedulers import (
     Scheduler,
     StepDecay,
 )
-from repro.neural.clip import add_gaussian_noise, clip_gradient_norm, clip_gradient_value
 from repro.neural.ode import ODEBlock
 
 __all__ = [
@@ -93,8 +91,5 @@ __all__ = [
     "ExponentialDecay",
     "CosineAnnealing",
     "LinearWarmup",
-    "clip_gradient_norm",
-    "clip_gradient_value",
-    "add_gaussian_noise",
     "ODEBlock",
 ]

@@ -6,13 +6,15 @@ network in one flat buffer (``data``) with an aligned flat gradient buffer
 float32 for a float32-built network).  Layer attributes (``weight``,
 ``grad_weight``, ...) are rebound to views into those buffers, so
 
-* optimizers can update the whole network with a handful of vectorized
-  in-place passes over ``data``/``grads`` instead of a Python loop over
-  tensors (see :mod:`repro.neural.optimizers`),
+* optimizers update the whole network with a handful of vectorized
+  in-place passes over ``data``/``grads`` (see :mod:`repro.neural.optimizers`),
 * ``Sequential.zero_grad`` becomes a single ``fill(0.0)``, and
 * the federated :class:`~repro.federated.parameters.StateCodec` can encode /
   decode an arena-backed state with one ``np.copyto`` because entries are
   laid out in the codec's sorted-key order.
+
+This is the only parameter representation an optimizer steps: every
+trained network is consolidated before its optimizer is built.
 
 Layout
 ------
@@ -20,91 +22,47 @@ Entries are sorted by their full state-dict key (``layers.3.weight`` ...),
 exactly matching ``StateCodec``'s ``sorted(template)`` layout.  Non-trainable
 buffers (BatchNorm running statistics) live in ``data`` between trainable
 spans; the corresponding *gap* regions of ``grads`` and of any optimizer
-moment buffer are never written and stay zero, which keeps fused full-buffer
-optimizer updates bit-identical to the per-tensor path (``x - 0.0 * anything``
-is a bitwise no-op).  Fused updates that would touch the gaps with non-zero
-values (weight decay) fall back to the per-tensor path unless
-:attr:`ParamArena.exact_cover` holds.
+moment buffer are never written and stay zero, so full-buffer optimizer
+updates leave them bitwise unchanged (``x - 0.0 * anything`` is a bitwise
+no-op).
 
-Opting out
-----------
-A layer participates by implementing ``Layer.arena_entries()`` (see
-:mod:`repro.neural.layers`).  Returning ``None`` is the documented opt-out
-for layers whose parameters cannot be view-rebound (e.g. parameters that are
-themselves views, non-floating or mixed-dtype state, or storage shared with
-another object); one opted-out layer disables consolidation for the whole
-network, which then keeps the ordinary per-tensor representation.  All
-entries must share one floating dtype (float32 or float64): a mixed-dtype
-network cannot be packed into a single flat buffer and stays per-tensor.
+Layer contract
+--------------
+A layer with state describes it through ``Layer.arena_entries()`` (see
+:mod:`repro.neural.layers`); a stateful layer that does not, or a network
+whose entries are not all one floating dtype (float32 or float64), makes
+:meth:`ParamArena.build` raise ``TypeError`` naming the entry.
 
 Pickling
 --------
 A plain ``pickle.dumps`` does not keep numpy views as views: each one
-unpickles as its own standalone array, and the arena arrives detached.
-Every fast path therefore re-checks :attr:`ParamArena.intact` (an O(1)
-base-chain test) and falls back to the per-tensor code, which stays correct
-on the detached buffers.
+unpickles as its own standalone array, and the arena arrives detached
+(:attr:`ParamArena.intact` is false).  ``Sequential.__setstate__`` checks
+that once and re-packs the network into a fresh arena, so every network a
+caller sees has an intact arena.
 
-``data``, ``grads`` and the optimizers' flat moment buffers are registered
-as *flat buffers* (:func:`register_flat`).  A pickler that routes ndarrays
-through :func:`reduce_flat_view` -- the resident-state install of
+``data`` and ``grads`` are registered as *flat buffers*
+(:func:`register_flat`).  A pickler that routes ndarrays through
+:func:`reduce_flat_view` -- the resident-state install of
 :class:`~repro.runtime.ProcessExecutor` does -- writes every contiguous
 view of a registered buffer as ``(buffer, offset, shape)``.  The pickle memo
-keeps object identity, so the layer attribute, :attr:`ParamArena.pairs` and
-an optimizer's parameter list all unpickle as one view of one buffer: the
-arena stays intact, every value crosses once, and the fused kernels keep
-running in the receiving process.
+keeps object identity, so the layer attribute and :attr:`ParamArena.pairs`
+unpickle as one view of one buffer: the arena stays intact, every value
+crosses once, and nothing is re-packed in the receiving process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import weakref
-from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = [
-    "ParamArena",
-    "find_arena",
-    "register_flat",
-    "reduce_flat_view",
-    "consolidation_enabled",
-    "disable_consolidation",
-]
-
-#: Live arenas keyed by ``id(_root(arena.data))`` so optimizers can recover
-#: the arena behind a parameter list without holding a reference themselves.
-_ARENAS: "weakref.WeakValueDictionary[int, ParamArena]" = weakref.WeakValueDictionary()
+__all__ = ["ParamArena", "register_flat", "reduce_flat_view"]
 
 #: Roots of the flat buffers registered with :func:`register_flat`, by ``id``
 #: (weak: a freed buffer leaves the registry).
 _FLAT_ROOTS: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
-
-_ENABLED = True
-
-
-def consolidation_enabled() -> bool:
-    """Whether :meth:`Sequential.consolidate` currently builds arenas."""
-    return _ENABLED
-
-
-@contextlib.contextmanager
-def disable_consolidation() -> Iterator[None]:
-    """Context manager forcing the legacy per-tensor representation.
-
-    Inside the context, ``Sequential.consolidate()`` is a no-op that leaves
-    the network on ordinary per-tensor storage -- the reference path the
-    arena must stay bit-identical to.  Used by the arena parity tests.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 def _root(array: np.ndarray) -> np.ndarray:
@@ -173,20 +131,15 @@ class ParamArena:
         #: ``(start, end, shape)`` aligned with :attr:`pairs`.
         self.pair_spans = pair_spans
         self.size = int(data.size)
-        trainable = sum(end - start for start, end, _shape, is_param in spans.values() if is_param)
-        #: True when trainable spans cover the whole buffer (no gap regions),
-        #: i.e. fused updates may touch every element with non-zero values.
-        self.exact_cover = trainable == self.size
         self._register()
 
     def _register(self) -> None:
-        _ARENAS[id(_root(self.data))] = self
         register_flat(self.data)
         register_flat(self.grads)
 
     def __setstate__(self, state: dict) -> None:
-        # An unpickled arena registers again, so find_arena and the install
-        # pickler see it in the receiving process too.
+        # An unpickled arena registers again, so the install pickler keeps
+        # its views from the receiving process too.
         self.__dict__.update(state)
         self._register()
 
@@ -195,39 +148,37 @@ class ParamArena:
     def build(cls, network) -> "ParamArena | None":
         """Consolidate ``network`` (a ``Sequential``) into a fresh arena.
 
-        Returns ``None`` -- leaving the network untouched -- when any layer
-        opts out, exposes non-floating or mixed-dtype state, or reports
-        entries inconsistent with its ``params``/``state_dict`` contract.
+        Returns ``None`` for a network without state (pure activations).
+        Raises ``TypeError`` naming the offending entry when a stateful
+        layer does not describe its state (``Layer.arena_entries``), when
+        the entries are not all one floating dtype, or when they disagree
+        with the network's ``params``/``state_dict``.
         """
         entries: list[tuple[str, object, str, str | None]] = []
         for i, layer in enumerate(network.layers):
-            sub = layer.arena_entries()
-            if sub is None:
-                return None
             entries.extend(
                 (f"layers.{i}.{key}", owner, attr, grad_attr)
-                for key, owner, attr, grad_attr in sub
+                for key, owner, attr, grad_attr in layer.arena_entries()
             )
         if not entries:
             return None
 
         values: dict[str, np.ndarray] = {}
-        dtype: np.dtype | None = None
-        for key, owner, attr, _grad_attr in entries:
+        dtype = np.asarray(getattr(entries[0][1], entries[0][2])).dtype
+        for key, owner, attr, grad_attr in entries:
             value = getattr(owner, attr)
-            if not isinstance(value, np.ndarray) or value.dtype not in (
-                np.float64,
-                np.float32,
-            ):
-                return None
-            if dtype is None:
-                dtype = value.dtype
-            elif value.dtype != dtype:
-                return None  # mixed dtypes cannot share one flat buffer
+            where = f"{key} ({type(owner).__name__}.{attr})"
+            if not isinstance(value, np.ndarray) or value.dtype not in (np.float64, np.float32):
+                raise TypeError(f"{where} is not a float32 or float64 array")
+            if value.dtype != dtype:
+                raise TypeError(f"{where} is {value.dtype}, but the arena holds {dtype}")
+            if grad_attr is not None and getattr(owner, grad_attr).shape != value.shape:
+                raise TypeError(f"{where} and its gradient {grad_attr} differ in shape")
             values[key] = value
         state = network.state_dict()
         if sorted(values) != sorted(state):
-            return None
+            mismatch = sorted(set(values) ^ set(state))
+            raise TypeError(f"arena entries and state_dict() disagree on {mismatch}")
         # The trainable entries must be exactly the network's parameter list
         # (same arrays), otherwise the rebinding below would desynchronise
         # ``parameters()`` from the arena.
@@ -235,7 +186,7 @@ class ParamArena:
             id(values[key]) for key, _owner, _attr, grad_attr in entries if grad_attr is not None
         )
         if entry_params != sorted(id(p) for p, _g in network.parameters()):
-            return None
+            raise TypeError("the trainable arena entries are not the network's parameters()")
 
         entries.sort(key=lambda entry: entry[0])  # StateCodec's sorted-key order
         total = sum(values[key].size for key, _owner, _attr, _grad_attr in entries)
@@ -272,8 +223,9 @@ class ParamArena:
     def intact(self) -> bool:
         """Whether the rebound views still alias this arena's buffers.
 
-        A plain pickle detaches every view into a standalone array; this
-        check is what gates all fused fast paths.  It compares roots, not
+        A plain pickle detaches every view into a standalone array;
+        ``Sequential.__setstate__`` checks this and re-packs the network.
+        It compares roots, not
         ``data`` itself: pickle protocol 5 loads ``data`` as a view over a
         ``frombuffer`` base, which the views of a view-keeping pickle share.
         """
@@ -285,27 +237,10 @@ class ParamArena:
     def views_into(self, flat: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of ``flat`` aligned with :attr:`pairs`.
 
-        Used by optimizers to keep moment buffers flat while still exposing
+        Optimizers keep their moment buffers flat and take these views for
         the positional per-tensor lists that ``state_dict`` round-trips.
         """
         if flat.shape != (self.size,):
             raise ValueError(f"expected a ({self.size},) buffer, got shape {flat.shape}")
         return [flat[start:end].reshape(shape) for start, end, shape in self.pair_spans]
 
-
-def find_arena(parameters: list[tuple[np.ndarray, np.ndarray]]) -> ParamArena | None:
-    """The arena whose pairs are exactly ``parameters``, if any.
-
-    Requires identity (``is``) agreement pair by pair, so a concatenation of
-    two networks' parameter lists -- or a stale list from before a
-    re-consolidation -- never matches.
-    """
-    if not parameters:
-        return None
-    arena = _ARENAS.get(id(_root(parameters[0][0])))
-    if arena is None or len(arena.pairs) != len(parameters):
-        return None
-    for (param, grad), (arena_param, arena_grad) in zip(parameters, arena.pairs):
-        if param is not arena_param or grad is not arena_grad:
-            return None
-    return arena

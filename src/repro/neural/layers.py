@@ -18,11 +18,13 @@ Gradients *accumulate* across backward calls until :meth:`Layer.zero_grad`
 is invoked; this mirrors the PyTorch convention and makes multi-term GAN
 losses (e.g. the KiNETGAN condition penalty) straightforward.
 
-Two optional fast paths, both bit-identical to the plain code:
+Parameter storage and one optional fast path, both bit-identical to the
+plain per-layer code:
 
-* **Arena consolidation** (:mod:`repro.neural.arena`): a layer describes its
-  state entries through :meth:`Layer.arena_entries` so ``Sequential`` can
-  re-house parameters and gradients as views into one flat buffer.
+* **Arena consolidation** (:mod:`repro.neural.arena`): a layer with state
+  describes it through :meth:`Layer.arena_entries` so ``Sequential`` can
+  re-house parameters and gradients as views into one flat buffer, which
+  is what the optimizers step.  A new stateful layer must implement it.
 * **Workspace buffers** (:mod:`repro.neural.workspace`): once a workspace is
   bound via :meth:`Layer.bind_workspace`, training forward/backward passes
   run through recycled ``out=`` buffers instead of allocating fresh
@@ -94,19 +96,20 @@ class Layer:
         """Attach a shared step workspace (see :mod:`repro.neural.workspace`)."""
         self._ws = workspace
 
-    def arena_entries(self) -> list[tuple[str, object, str, str | None]] | None:
+    def arena_entries(self) -> list[tuple[str, object, str, str | None]]:
         """Arena consolidation spec: ``(state_key, owner, attr, grad_attr)``.
 
         One tuple per :meth:`state_dict` entry; ``grad_attr`` is ``None``
-        for non-trainable buffers.  Returning ``None`` is the documented
-        opt-out for layers whose state cannot be rebound to arena views --
-        it disables consolidation for the enclosing network, which then
-        stays on per-tensor storage.  This base implementation opts
-        stateless layers in and any stateful layer that has not described
-        its attribute bindings out.
+        for non-trainable buffers.  ``Sequential.consolidate`` rebinds each
+        ``owner.attr`` (and ``owner.grad_attr``) to a view of the arena.
+        This base implementation covers stateless layers; a stateful layer
+        must override it, and raises ``TypeError`` naming itself until it
+        does.
         """
         if self.params or self.state_dict():
-            return None
+            raise TypeError(
+                f"{type(self).__name__} has state but does not describe it in arena_entries()"
+            )
         return []
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -755,16 +758,12 @@ class Residual(Layer):
         for layer in self.inner:
             layer.bind_workspace(workspace)
 
-    def arena_entries(self) -> list[tuple[str, object, str, str | None]] | None:
-        entries: list[tuple[str, object, str, str | None]] = []
-        for i, layer in enumerate(self.inner):
-            sub = layer.arena_entries()
-            if sub is None:
-                return None
-            entries.extend(
-                (f"inner.{i}.{key}", owner, attr, grad_attr) for key, owner, attr, grad_attr in sub
-            )
-        return entries
+    def arena_entries(self) -> list[tuple[str, object, str, str | None]]:
+        return [
+            (f"inner.{i}.{key}", owner, attr, grad_attr)
+            for i, layer in enumerate(self.inner)
+            for key, owner, attr, grad_attr in layer.arena_entries()
+        ]
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state: dict[str, np.ndarray] = {}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.neural.arena import ParamArena, consolidation_enabled
+from repro.neural.arena import ParamArena
 from repro.neural.layers import Layer
 from repro.neural.workspace import Workspace
 
@@ -22,8 +22,12 @@ class Sequential:
 
     Call :meth:`consolidate` once the layer list is final to move parameters
     and gradients into a flat :class:`~repro.neural.arena.ParamArena` and
-    attach a shared step :class:`~repro.neural.workspace.Workspace` -- both
-    bit-identical fast paths for the training hot loop.
+    attach a shared step :class:`~repro.neural.workspace.Workspace`.  The
+    arena is what optimizers step, so a network is consolidated before its
+    optimizer is built; the workspace is a bit-identical buffer-reuse path
+    for the training hot loop.  A plain ``pickle.loads`` re-packs the arena
+    (see :meth:`__setstate__`), so an unpickled network trains like the
+    original.
     """
 
     #: Class-level defaults so legacy pickles and plain containers read None.
@@ -38,23 +42,26 @@ class Sequential:
         self.layers.append(layer)
         return self
 
+    def __setstate__(self, state: dict) -> None:
+        # A plain pickle unpickles every arena view as its own array; re-pack
+        # them into a fresh arena.  A view-keeping pickle (the resident-state
+        # install) arrives intact and is kept as it is.
+        self.__dict__.update(state)
+        arena = self.arena
+        if arena is not None and not arena.intact:
+            self.arena = ParamArena.build(self)
+
     def consolidate(self) -> ParamArena | None:
         """Re-house parameters in a flat arena and bind a step workspace.
 
-        Must be called after the layer list is final (layers added later stay
-        on per-tensor storage and break the arena's optimizer fast path, but
-        nothing else).  Safe to call repeatedly; a still-intact arena is
-        reused.  Returns the arena, or ``None`` when consolidation is
-        globally disabled or a layer opts out (the network then keeps the
-        ordinary per-tensor representation -- see
-        ``Layer.arena_entries``).  Optimizers must be constructed *after*
-        this call so they bind the arena views.
+        Must be called after the layer list is final: layers added later are
+        not in the arena, so no optimizer updates them.  Safe to call
+        repeatedly; the arena is reused.  Returns the arena, or ``None`` for
+        a network without state.  Raises ``TypeError`` when a layer does not
+        describe its state (see ``Layer.arena_entries``).  Optimizers are
+        built *after* this call: they step the arena.
         """
-        if not consolidation_enabled():
-            self.arena = None
-            self.workspace = None
-            return None
-        if self.arena is None or not self.arena.intact:
+        if self.arena is None:
             self.arena = ParamArena.build(self)
         if self.workspace is None:
             self.workspace = Workspace(default_dtype=self.dtype)
@@ -66,12 +73,12 @@ class Sequential:
     def dtype(self) -> np.dtype:
         """The network's floating dtype.
 
-        Derived from the arena when one is intact, otherwise from the first
+        Derived from the arena when there is one, otherwise from the first
         parameter; a parameter-less stack (pure activations) reports
         float64, the package default.
         """
         arena = self.arena
-        if arena is not None and arena.intact:
+        if arena is not None:
             return arena.dtype
         for layer in self.layers:
             for param in layer.params:
@@ -145,7 +152,7 @@ class Sequential:
 
     def zero_grad(self) -> None:
         arena = self.arena
-        if arena is not None and arena.intact:
+        if arena is not None:
             arena.grads.fill(0.0)
             return
         for layer in self.layers:

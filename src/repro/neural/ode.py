@@ -98,17 +98,12 @@ class ODEBlock(Layer):
         for layer in self.field.layers:
             layer.bind_workspace(workspace)
 
-    def arena_entries(self) -> list[tuple[str, object, str, str | None]] | None:
-        entries: list[tuple[str, object, str, str | None]] = []
-        for i, layer in enumerate(self.field.layers):
-            sub = layer.arena_entries()
-            if sub is None:
-                return None
-            entries.extend(
-                (f"field.layers.{i}.{key}", owner, attr, grad_attr)
-                for key, owner, attr, grad_attr in sub
-            )
-        return entries
+    def arena_entries(self) -> list[tuple[str, object, str, str | None]]:
+        return [
+            (f"field.layers.{i}.{key}", owner, attr, grad_attr)
+            for i, layer in enumerate(self.field.layers)
+            for key, owner, attr, grad_attr in layer.arena_entries()
+        ]
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {f"field.{key}": value for key, value in self.field.state_dict().items()}

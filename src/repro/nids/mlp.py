@@ -49,7 +49,7 @@ class MLPClassifier:
         layers.append(Dense(width, self.n_classes, rng=rng, init="glorot"))
         self.network = Sequential(layers)
         self.network.consolidate()
-        optimizer = Adam(self.network.parameters(), lr=self.learning_rate)
+        optimizer = Adam(self.network, lr=self.learning_rate)
         loss = CrossEntropy()
         for _ in range(self.epochs):
             indices = rng.permutation(len(X))

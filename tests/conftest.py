@@ -12,9 +12,51 @@ import pytest
 
 from repro.core.config import KiNETGANConfig
 from repro.datasets import load_lab_iot, load_unsw_nb15
+from repro.neural.optimizers import Adam, RMSprop
 from repro.tabular.schema import ColumnSpec, TableSchema
 from repro.tabular.table import Table
 from repro.tabular.transformer import DataTransformer
+
+
+def _per_tensor_step(optimizer) -> None:
+    """One optimizer step written tensor by tensor, element by element.
+
+    The reference the fused flat-buffer kernels must match bit for bit: it
+    walks the network's ``(param, grad)`` pairs and the per-tensor views of
+    the optimizer's state, so arena gap regions are never touched.
+    """
+    pairs = optimizer.network.parameters()
+    state = optimizer._state_buffers()
+    lr = optimizer.lr
+    if isinstance(optimizer, Adam):
+        optimizer._t += 1
+        bias1 = 1.0 - optimizer.beta1**optimizer._t
+        bias2 = 1.0 - optimizer.beta2**optimizer._t
+        for (param, grad), m, v in zip(pairs, state["m"], state["v"]):
+            m *= optimizer.beta1
+            m += (1.0 - optimizer.beta1) * grad
+            v *= optimizer.beta2
+            v += (1.0 - optimizer.beta2) * grad**2
+            param -= lr * (m / bias1) / (np.sqrt(v / bias2) + optimizer.eps)
+    elif isinstance(optimizer, RMSprop):
+        for (param, grad), avg in zip(pairs, state["square_avg"]):
+            avg *= optimizer.rho
+            avg += (1.0 - optimizer.rho) * grad**2
+            param -= lr * grad / (np.sqrt(avg) + optimizer.eps)
+    else:
+        for (param, grad), vel in zip(pairs, state["velocity"]):
+            update = grad
+            if optimizer.momentum:
+                vel *= optimizer.momentum
+                vel += grad
+                update = vel
+            param -= lr * update
+
+
+@pytest.fixture
+def per_tensor_step():
+    """:func:`_per_tensor_step`, the per-tensor reference optimizer step."""
+    return _per_tensor_step
 
 
 @pytest.fixture

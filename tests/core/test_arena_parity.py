@@ -1,19 +1,46 @@
-"""Seeded-fit bit-parity: consolidated arenas vs per-tensor storage.
+"""Seeded-fit bit-parity: fused arena steps vs the per-tensor reference.
 
-Consolidation is on by default for every network in the repository, so these
-tests pin the load-bearing invariant: a seeded fit on the arena/workspace
-fast path must produce *bit-identical* weights, loss history, and samples to
-the same fit with consolidation disabled (the reference per-tensor path the
-seed repository shipped with).
+Every network in the repository trains through its parameter arena, so
+these tests pin the load-bearing invariant at the level of a whole fit: a
+seeded fit with the fused optimizer kernels and bound step workspaces must
+produce *bit-identical* weights, loss history, and samples to the same fit
+with every optimizer step replaced by the per-tensor reference (the
+``per_tensor_step`` fixture) and every workspace unbound (the allocating
+passes).
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+import pytest
 
 from repro.baselines import TVAE
 from repro.core import KiNETGAN
-from repro.neural.arena import disable_consolidation
+from repro.neural.network import Sequential
+from repro.neural.optimizers import SGD, Adam, RMSprop
+
+
+@pytest.fixture
+def reference_path(monkeypatch, per_tensor_step):
+    """A context: optimizers step per tensor, networks keep no workspace."""
+    consolidate = Sequential.consolidate
+
+    def consolidate_unbound(network):
+        arena = consolidate(network)
+        network.unbind_workspace()
+        return arena
+
+    @contextlib.contextmanager
+    def context():
+        with monkeypatch.context() as m:
+            for cls in (SGD, RMSprop, Adam):
+                m.setattr(cls, "step", per_tensor_step)
+            m.setattr(Sequential, "consolidate", consolidate_unbound)
+            yield
+
+    return context
 
 
 def _fit_kinetgan(fast_config, table, bundle=None):
@@ -36,13 +63,13 @@ def _assert_states_bitwise_equal(state_a, state_b):
 
 
 class TestKiNETGANParity:
-    def test_fit_and_samples_bit_identical(self, fast_config, tiny_table):
+    def test_fit_and_samples_bit_identical(self, fast_config, tiny_table, reference_path):
         arena_model = _fit_kinetgan(fast_config, tiny_table)
-        with disable_consolidation():
+        with reference_path():
             plain_model = _fit_kinetgan(fast_config, tiny_table)
 
-        assert arena_model.trainer.generator.network.arena is not None
-        assert plain_model.trainer.generator.network.arena is None
+        assert arena_model.trainer.generator.network.workspace is not None
+        assert plain_model.trainer.generator.network.workspace is None
 
         for attr in ("generator", "discriminator"):
             _assert_states_bitwise_equal(
@@ -62,12 +89,19 @@ class TestKiNETGANParity:
         sample_plain = plain_model.sample(64, rng=np.random.default_rng(5))
         assert sample_arena.to_records() == sample_plain.to_records()
 
-    def test_fit_with_knowledge_graph_bit_identical(self, fast_config, lab_bundle_small):
+    def test_fit_with_knowledge_graph_bit_identical(
+        self, fast_config, lab_bundle_small, reference_path
+    ):
         table = lab_bundle_small.table.head(300)
         arena_model = _fit_kinetgan(fast_config, table, bundle=lab_bundle_small)
-        with disable_consolidation():
+        with reference_path():
             plain_model = _fit_kinetgan(fast_config, table, bundle=lab_bundle_small)
 
+        assert arena_model.trainer.kg_discriminator.head is not None
+        _assert_states_bitwise_equal(
+            arena_model.trainer.kg_discriminator.head.state_dict(),
+            plain_model.trainer.kg_discriminator.head.state_dict(),
+        )
         for attr in ("generator", "discriminator"):
             _assert_states_bitwise_equal(
                 getattr(arena_model.trainer, attr).network.state_dict(),
@@ -80,7 +114,7 @@ class TestKiNETGANParity:
 
 
 class TestBaselineParity:
-    def test_tvae_fit_and_samples_bit_identical(self, tiny_table):
+    def test_tvae_fit_and_samples_bit_identical(self, tiny_table, reference_path):
         def fit():
             model = TVAE()
             model.config.epochs = 2
@@ -89,11 +123,11 @@ class TestBaselineParity:
             return model.fit(tiny_table)
 
         arena_model = fit()
-        with disable_consolidation():
+        with reference_path():
             plain_model = fit()
 
-        assert arena_model.decoder.arena is not None
-        assert plain_model.decoder.arena is None
+        assert arena_model.decoder.workspace is not None
+        assert plain_model.decoder.workspace is None
         _assert_states_bitwise_equal(
             arena_model.decoder.state_dict(), plain_model.decoder.state_dict()
         )

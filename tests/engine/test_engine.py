@@ -272,6 +272,7 @@ class TestSupervisedStep:
         features = rng.normal(size=(120, 4))
         labels = (features[:, 0] + features[:, 1] > 0).astype(int)
         model = Sequential([Dense(4, 2, rng=rng)])
+        model.consolidate()
         return model, features, labels
 
     def test_full_shuffled_pass_reduces_loss(self):
@@ -279,7 +280,7 @@ class TestSupervisedStep:
         step = SupervisedStep(
             model=model,
             loss_fn=CrossEntropy(),
-            optimizer=SGD(model.parameters(), lr=0.5),
+            optimizer=SGD(model, lr=0.5),
             features=features,
             labels=labels,
             batch_size=32,
@@ -295,7 +296,7 @@ class TestSupervisedStep:
         step = SupervisedStep(
             model=model,
             loss_fn=CrossEntropy(),
-            optimizer=SGD(model.parameters(), lr=0.1),
+            optimizer=SGD(model, lr=0.1),
             features=features,
             labels=labels,
             batch_size=64,

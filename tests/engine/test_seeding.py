@@ -91,9 +91,8 @@ class TestEngineIntegration:
     def test_trainer_runs_through_engine(self, tiny_table):
         model = KiNETGAN(_tiny_config())
         model.fit(tiny_table, condition_columns=["label"])
-        assert model.trainer.engine is not None
-        assert model.trainer.engine.epochs_run == 2
-        assert model.trainer.engine.history.metrics["generator_loss"]
+        # The engine's per-epoch metrics reach the public history.
+        assert len(model.history.generator_loss) == 2
 
 
 def test_epoch_logging_leaves_a_seeded_fit_unchanged(lab_bundle_small):

@@ -1,9 +1,10 @@
 """Arena / workspace fast-path tests.
 
 The contract under test: consolidating a network (``Sequential.consolidate``)
-must change *nothing* about its numerics -- seeded fits stay bit-identical to
-the per-tensor path -- while removing the per-step allocation churn and
-enabling the fused optimizer kernels.
+changes *nothing* about its numerics -- the fused optimizer kernels match a
+per-tensor elementwise reference (the ``per_tensor_step`` fixture) bit for
+bit, and a bound workspace matches the allocating passes of an unbound
+network -- while removing the per-step allocation churn.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.neural.arena import (
-    ParamArena,
-    disable_consolidation,
-    find_arena,
-    reduce_flat_view,
-)
+from repro.neural.arena import reduce_flat_view
 from repro.neural.layers import BatchNorm, Dense, Layer, LeakyReLU, ReLU, Residual, Tanh
 from repro.neural.losses import BinaryCrossEntropy
 from repro.neural.network import Sequential
@@ -81,11 +77,11 @@ class TestConsolidation:
         assert cursor == arena.size
 
     def test_batchnorm_buffers_make_gaps(self):
-        network = _make_network(seed=1)
-        arena = network.arena
-        assert not arena.exact_cover  # running_mean / running_var spans
+        arena = _make_network(seed=1).arena
+        gaps = [key for key, (*_span, trainable) in arena.spans.items() if not trainable]
+        assert gaps == ["layers.1.running_mean", "layers.1.running_var"]
         dense_only = Sequential([Dense(4, 3), ReLU(), Dense(3, 2)])
-        assert dense_only.consolidate().exact_cover
+        assert all(trainable for *_span, trainable in dense_only.consolidate().spans.values())
 
     def test_zero_grad_single_fill(self):
         network = _make_network(seed=2)
@@ -98,21 +94,7 @@ class TestConsolidation:
         arena = network.arena
         assert network.consolidate() is arena
 
-    def test_find_arena_requires_exact_pair_identity(self):
-        network = _make_network(seed=6)
-        pairs = network.parameters()
-        assert find_arena(pairs) is network.arena
-        assert find_arena(pairs[:-1]) is None
-        other = _make_network(seed=7)
-        assert find_arena(pairs + other.parameters()) is None
-        assert find_arena([(p.copy(), g.copy()) for p, g in pairs]) is None
-
-    def test_disable_consolidation_keeps_per_tensor_storage(self):
-        with disable_consolidation():
-            network = _make_network(seed=8)
-        assert network.arena is None and network.workspace is None
-
-    def test_opted_out_layer_disables_arena_but_not_workspace(self):
+    def test_undescribed_stateful_layer_is_rejected_by_name(self):
         class Opaque(Layer):
             def __init__(self):
                 self.weight = np.zeros((2, 2))
@@ -135,13 +117,19 @@ class TestConsolidation:
             def state_dict(self):
                 return {"weight": self.weight}
 
-            # No arena_entries override: the base implementation opts any
-            # undescribed stateful layer out.
+            # No arena_entries override: the base implementation rejects
+            # any stateful layer that does not describe its state.
 
         network = Sequential([Dense(3, 2), Opaque()])
-        assert network.consolidate() is None
+        with pytest.raises(TypeError, match="Opaque"):
+            network.consolidate()
         assert network.arena is None
-        assert network.workspace is not None  # buffer reuse still applies
+
+    def test_mixed_dtypes_are_rejected_by_name(self):
+        network = Sequential([Dense(3, 2, dtype=np.float32), ReLU(), Dense(2, 1)])
+        with pytest.raises(TypeError, match=r"layers\.2\.\w+ \(Dense\.\w+\) is float64"):
+            network.consolidate()
+        assert network.arena is None
 
     def test_load_state_dict_keeps_arena_intact(self):
         network = _make_network(seed=9)
@@ -154,19 +142,21 @@ class TestConsolidation:
         for key, value in network.state_dict().items():
             assert np.array_equal(value, replacement[key])
 
-    def test_pickle_detaches_views_and_falls_back(self):
+    def test_plain_pickle_repacks_and_continues_bit_identically(self):
         network = _make_network(seed=10)
-        clone = pickle.loads(pickle.dumps(network))
-        assert clone.arena is not None and not clone.arena.intact
+        optimizer = Adam(network, lr=0.01)
+        _inject_grads(network, seed=11)
+        optimizer.step()  # non-zero moments cross too
+        clone, clone_opt = pickle.loads(pickle.dumps((network, optimizer)))
+        assert clone.arena.intact and clone_opt.network is clone
+        for model, opt in ((network, optimizer), (clone, clone_opt)):
+            for step in range(3):
+                _inject_grads(model, seed=20 + step)
+                opt.step()
         for key, value in network.state_dict().items():
-            assert np.array_equal(clone.state_dict()[key], value)
-        # The detached network still trains on the per-tensor path.
-        optimizer = Adam(clone.parameters(), lr=0.01)
-        _inject_grads(clone, seed=11)
-        optimizer.step()
-        assert not np.array_equal(
-            clone.state_dict()["layers.0.weight"], network.state_dict()["layers.0.weight"]
-        )
+            assert np.array_equal(clone.state_dict()[key], value), key
+        for name, flat in optimizer._state.items():
+            assert np.array_equal(clone_opt._state[name], flat), name
 
 
 class _ViewPickler(pickle.Pickler):
@@ -188,34 +178,33 @@ class TestViewKeepingPickle:
     @pytest.mark.parametrize("round_trips", [1, 2])
     def test_arena_and_optimizer_stay_bound(self, round_trips):
         network = _make_network(seed=12)
-        optimizer = Adam(network.parameters(), lr=0.01)
+        optimizer = Adam(network, lr=0.01)
         clone, clone_opt = network, optimizer
         for _ in range(round_trips):  # an unpickled arena pickles again
             clone, clone_opt = pickle.loads(_view_pickle((clone, clone_opt)))
-        assert clone.arena.intact
-        assert clone_opt._fused_ready() and clone_opt._arena is clone.arena
-        assert find_arena(clone.parameters()) is clone.arena
+        assert clone.arena.intact and clone_opt.network is clone
+        # Kept as it came, not re-packed: the layer attributes are the
+        # arena's own views.
         for (param, grad), (arena_param, arena_grad) in zip(
-            clone_opt.parameters, clone.arena.pairs
+            clone.parameters(), clone.arena.pairs
         ):
             assert param is arena_param and grad is arena_grad
-        for moment in clone_opt._m:
-            assert np.shares_memory(moment, clone_opt._m_flat)
         for key, value in network.state_dict().items():
             assert np.array_equal(clone.state_dict()[key], value)
 
     def test_every_value_crosses_once(self):
         network = _make_network(seed=13)
-        optimizer = Adam(network.parameters(), lr=0.01)
+        optimizer = Adam(network, lr=0.01)
         kept = len(_view_pickle((network, optimizer)))
         plain = len(pickle.dumps((network, optimizer), protocol=pickle.HIGHEST_PROTOCOL))
-        # Params, grads and both moments cross once instead of twice.
-        values = 4 * network.num_parameters() * network.arena.data.itemsize
+        # Params and grads cross once instead of twice (the moments are
+        # flat buffers either way).
+        values = 2 * network.num_parameters() * network.arena.data.itemsize
         assert plain - kept >= values
 
     def test_steps_match_the_original(self):
         network = _make_network(seed=14)
-        optimizer = Adam(network.parameters(), lr=0.01)
+        optimizer = Adam(network, lr=0.01)
         clone, clone_opt = pickle.loads(_view_pickle((network, optimizer)))
         for model, opt in ((network, optimizer), (clone, clone_opt)):
             for step in range(3):
@@ -239,32 +228,33 @@ class TestViewKeepingPickle:
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda params: SGD(params, lr=0.05),
-        lambda params: SGD(params, lr=0.05, momentum=0.9),
-        lambda params: SGD(params, lr=0.05, momentum=0.9, weight_decay=0.01),
-        lambda params: RMSprop(params, lr=0.01),
-        lambda params: Adam(params, lr=0.01, betas=(0.5, 0.9)),
-        lambda params: Adam(params, lr=0.01, weight_decay=0.01),
+        lambda network: SGD(network, lr=0.05),
+        lambda network: SGD(network, lr=0.05, momentum=0.9),
+        lambda network: RMSprop(network, lr=0.01),
+        lambda network: Adam(network, lr=0.01, betas=(0.5, 0.9)),
     ],
-    ids=["sgd", "sgd-momentum", "sgd-wd", "rmsprop", "adam", "adam-wd"],
+    ids=["sgd", "sgd-momentum", "rmsprop", "adam"],
 )
-def test_fused_step_bit_identical_to_per_tensor(factory):
-    fused_net = _make_network(seed=21, consolidate=True)
-    with disable_consolidation():
-        plain_net = _make_network(seed=21, consolidate=False)
-    fused_opt = factory(fused_net.parameters())
-    plain_opt = factory(plain_net.parameters())
+def test_fused_step_bit_identical_to_per_tensor(factory, per_tensor_step):
+    # The BatchNorm layer puts gap regions (its running statistics) between
+    # the trainable spans: the fused kernels run over them, the reference
+    # never touches them.
+    fused_net = _make_network(seed=21)
+    plain_net = _make_network(seed=21)
+    for network in (fused_net, plain_net):
+        network.layers[1].running_var[...] = np.linspace(0.5, 2.0, 16)
+    fused_opt = factory(fused_net)
+    plain_opt = factory(plain_net)
     for step in range(5):
         _inject_grads(fused_net, seed=100 + step)
         _inject_grads(plain_net, seed=100 + step)
         fused_opt.step()
-        plain_opt.step()
-        for (fp, _), (pp, _) in zip(fused_net.parameters(), plain_net.parameters()):
-            assert np.array_equal(fp, pp)
+        per_tensor_step(plain_opt)
+        assert np.array_equal(fused_net.arena.data, plain_net.arena.data)
+        for name, flat in fused_opt._state.items():
+            assert np.array_equal(flat, plain_opt._state[name]), name
         fused_opt.zero_grad()
         plain_opt.zero_grad()
-    # The fused run must actually have taken the arena binding.
-    assert fused_opt._arena is fused_net.arena
 
 
 def test_fused_adam_leaves_batchnorm_buffers_bitwise_unchanged():
@@ -273,7 +263,7 @@ def test_fused_adam_leaves_batchnorm_buffers_bitwise_unchanged():
     bn.running_mean[...] = np.linspace(-1.0, 1.0, bn.num_features)
     bn.running_var[...] = np.linspace(0.5, 2.0, bn.num_features)
     frozen_mean, frozen_var = bn.running_mean.copy(), bn.running_var.copy()
-    optimizer = Adam(network.parameters(), lr=0.1)
+    optimizer = Adam(network, lr=0.1)
     for step in range(3):
         _inject_grads(network, seed=200 + step)
         optimizer.step()
@@ -284,15 +274,15 @@ def test_fused_adam_leaves_batchnorm_buffers_bitwise_unchanged():
 def test_optimizer_state_dict_round_trip_on_arena_path():
     """Flat moment buffers must still round-trip positionally."""
     network = _make_network(seed=23)
-    optimizer = Adam(network.parameters(), lr=0.01)
+    optimizer = Adam(network, lr=0.01)
     _inject_grads(network, seed=24)
     optimizer.step()
     state = optimizer.state_dict()
     twin = _make_network(seed=23)
-    twin_opt = Adam(twin.parameters(), lr=0.01)
+    twin_opt = Adam(twin, lr=0.01)
     twin_opt.load_state_dict(state)
-    for mine, theirs in zip(optimizer._m, twin_opt._m):
-        assert np.array_equal(mine, theirs)
+    for name in ("m", "v"):
+        assert np.array_equal(optimizer._state[name], twin_opt._state[name]), name
     assert twin_opt._t == optimizer._t
 
 
@@ -321,8 +311,8 @@ class TestWorkspace:
 
     def test_forward_backward_bit_identical_to_plain_path(self):
         fused_net = _make_network(seed=31)
-        with disable_consolidation():
-            plain_net = _make_network(seed=31, consolidate=False)
+        plain_net = _make_network(seed=31)
+        plain_net.unbind_workspace()
         loss_fused = BinaryCrossEntropy(from_logits=True)
         loss_plain = BinaryCrossEntropy(from_logits=True)
         rng = np.random.default_rng(32)
@@ -379,13 +369,14 @@ def _measure_step_peak(network: Sequential, optimizer, loss, x, target) -> int:
 
 
 def test_steady_state_step_allocations_drop_by_an_order_of_magnitude():
-    """At training-realistic sizes the arena step stops allocating.
+    """At training-realistic sizes the bound step stops allocating.
 
     The remaining transients are numpy's internal broadcast-ufunc buffers
     (capped at the ~64 KiB iterator buffer regardless of batch size) plus
     the owned copy of the (batch, 1) output logits, so the peak must sit at
-    least an order of magnitude under the per-tensor path's full-batch
-    allocations -- and stay flat as the batch grows.
+    least an order of magnitude under the full-batch allocations of the
+    same network with its workspace unbound -- and stay flat as the batch
+    grows.
     """
     batch = 1024
 
@@ -402,14 +393,12 @@ def test_steady_state_step_allocations_drop_by_an_order_of_magnitude():
             ]
         )
 
-    def run(consolidate: bool) -> int:
-        if consolidate:
-            network = build()
-            network.consolidate()
-        else:
-            with disable_consolidation():
-                network = build()
-        optimizer = Adam(network.parameters(), lr=0.01)
+    def run(bound: bool) -> int:
+        network = build()
+        network.consolidate()
+        if not bound:
+            network.unbind_workspace()
+        optimizer = Adam(network, lr=0.01)
         loss = BinaryCrossEntropy(from_logits=True)
         rng = np.random.default_rng(41)
         x = rng.normal(size=(batch, 32))
@@ -422,7 +411,7 @@ def test_steady_state_step_allocations_drop_by_an_order_of_magnitude():
             optimizer.zero_grad()
         return _measure_step_peak(network, optimizer, loss, x, target)
 
-    peak_plain = run(consolidate=False)
-    peak_arena = run(consolidate=True)
+    peak_plain = run(bound=False)
+    peak_arena = run(bound=True)
     assert peak_arena * 10 <= peak_plain
     assert peak_arena < 256 * 1024

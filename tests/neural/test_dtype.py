@@ -18,7 +18,7 @@ from repro.neural.network import Sequential
 from repro.neural.optimizers import Adam
 
 
-def _make_network(seed: int, dtype, consolidate: bool = True) -> Sequential:
+def _make_network(seed: int, dtype) -> Sequential:
     rng = np.random.default_rng(seed)
     network = Sequential(
         [
@@ -29,15 +29,14 @@ def _make_network(seed: int, dtype, consolidate: bool = True) -> Sequential:
             Dense(8, 1, rng=rng, init="glorot", dtype=dtype),
         ]
     )
-    if consolidate:
-        network.consolidate()
+    network.consolidate()
     return network
 
 
-def _train(network: Sequential, seed: int, steps: int = 5) -> np.ndarray:
+def _train(network: Sequential, seed: int, steps: int = 5, step=Adam.step) -> np.ndarray:
     dtype = network.dtype
     data_rng = np.random.default_rng(seed + 100)
-    optimizer = Adam(network.parameters(), lr=0.01)
+    optimizer = Adam(network, lr=0.01)
     loss = BinaryCrossEntropy()
     for _ in range(steps):
         x = data_rng.normal(size=(32, 6)).astype(dtype)
@@ -46,7 +45,7 @@ def _train(network: Sequential, seed: int, steps: int = 5) -> np.ndarray:
         loss.forward(out, y)
         network.zero_grad()
         network.backward(loss.backward())
-        optimizer.step()
+        step(optimizer)
     return np.concatenate([p.ravel().copy() for p, _ in network.parameters()])
 
 
@@ -83,7 +82,7 @@ class TestDtypePlumbing:
 
     def test_adam_moments_match_parameter_dtype(self):
         network = _make_network(0, np.float32)
-        optimizer = Adam(network.parameters(), lr=0.01)
+        optimizer = Adam(network, lr=0.01)
         x = np.random.default_rng(2).normal(size=(8, 6)).astype(np.float32)
         network.forward(x, training=True)
         network.zero_grad()
@@ -102,9 +101,13 @@ class TestDtypeDeterminism:
         assert np.array_equal(first, second)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_consolidated_matches_unconsolidated(self, dtype):
-        arena = _train(_make_network(4, dtype, consolidate=True), seed=4)
-        loose = _train(_make_network(4, dtype, consolidate=False), seed=4)
+    def test_consolidated_matches_unconsolidated(self, dtype, per_tensor_step):
+        """The fused step over the arena with a bound workspace matches the
+        per-tensor reference step with the allocating passes, per dtype."""
+        arena = _train(_make_network(4, dtype), seed=4)
+        loose_network = _make_network(4, dtype)
+        loose_network.unbind_workspace()
+        loose = _train(loose_network, seed=4, step=per_tensor_step)
         assert np.array_equal(arena, loose)
 
     def test_float32_stays_close_to_float64(self):

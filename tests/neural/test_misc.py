@@ -1,11 +1,10 @@
-"""Initializers, gradient clipping and the ODE block."""
+"""Initializers and the ODE block."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.neural.clip import add_gaussian_noise, clip_gradient_norm, clip_gradient_value
 from repro.neural.initializers import glorot_uniform, he_normal, normal_init, zeros_init
 from repro.neural.layers import Dense
 from repro.neural.network import Sequential
@@ -41,42 +40,6 @@ class TestInitializers:
         np.testing.assert_allclose(a, b)
 
 
-class TestClip:
-    def test_norm_clipping_scales_down(self):
-        grad = np.full(4, 10.0)
-        norm = clip_gradient_norm([(np.zeros(4), grad)], max_norm=1.0)
-        assert norm == pytest.approx(20.0)
-        assert np.linalg.norm(grad) == pytest.approx(1.0)
-
-    def test_norm_clipping_no_op_when_small(self):
-        grad = np.full(4, 0.01)
-        clip_gradient_norm([(np.zeros(4), grad)], max_norm=1.0)
-        np.testing.assert_allclose(grad, 0.01)
-
-    def test_value_clipping(self):
-        grad = np.asarray([-5.0, 0.2, 5.0])
-        clip_gradient_value([(np.zeros(3), grad)], clip_value=1.0)
-        np.testing.assert_allclose(grad, [-1.0, 0.2, 1.0])
-
-    def test_gaussian_noise_changes_gradients(self, rng):
-        grad = np.zeros(100)
-        add_gaussian_noise([(np.zeros(100), grad)], noise_multiplier=1.0,
-                           sensitivity=1.0, rng=rng)
-        assert grad.std() > 0.5
-
-    def test_zero_noise_is_no_op(self, rng):
-        grad = np.ones(5)
-        add_gaussian_noise([(np.ones(5), grad)], noise_multiplier=0.0,
-                           sensitivity=1.0, rng=rng)
-        np.testing.assert_allclose(grad, 1.0)
-
-    def test_invalid_args_rejected(self):
-        with pytest.raises(ValueError):
-            clip_gradient_norm([], max_norm=0.0)
-        with pytest.raises(ValueError):
-            clip_gradient_value([], clip_value=-1.0)
-
-
 class TestODEBlock:
     def test_output_shape_preserved(self, rng):
         block = ODEBlock(6, hidden_dim=8, num_steps=3, rng=rng)
@@ -110,7 +73,8 @@ class TestODEBlock:
 
     def test_trainable_inside_sequential(self, rng):
         net = Sequential([Dense(2, 4, rng=rng), ODEBlock(4, 8, 2, rng=rng), Dense(4, 1, rng=rng)])
-        optimizer = Adam(net.parameters(), lr=0.01)
+        net.consolidate()
+        optimizer = Adam(net, lr=0.01)
         loss = MeanSquaredError()
         X = rng.normal(size=(64, 2))
         y = X[:, :1] * 0.5

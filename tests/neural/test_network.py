@@ -18,7 +18,9 @@ def _make_network(rng, widths=(8,)):
         layers.append(ReLU())
         in_dim = width
     layers.append(Dense(in_dim, 1, rng=rng))
-    return Sequential(layers)
+    network = Sequential(layers)
+    network.consolidate()
+    return network
 
 
 def test_forward_shape(rng):
@@ -40,7 +42,8 @@ def test_num_parameters_counts_all(rng):
 
 def test_training_learns_xor_like_function(rng):
     net = Sequential([Dense(2, 16, rng=rng), Tanh(), Dense(16, 1, rng=rng)])
-    optimizer = Adam(net.parameters(), lr=0.02)
+    net.consolidate()
+    optimizer = Adam(net, lr=0.02)
     loss = BinaryCrossEntropy()
     X = rng.uniform(-1, 1, size=(256, 2))
     y = ((X[:, 0] * X[:, 1]) > 0).astype(float)[:, None]
@@ -56,7 +59,7 @@ def test_training_learns_xor_like_function(rng):
 
 def test_training_reduces_regression_loss(rng):
     net = _make_network(rng, widths=(16,))
-    optimizer = Adam(net.parameters(), lr=0.01)
+    optimizer = Adam(net, lr=0.01)
     loss = MeanSquaredError()
     X = rng.normal(size=(128, 2))
     y = (X[:, :1] * 2 - X[:, 1:] * 0.5)

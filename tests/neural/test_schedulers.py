@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.neural.layers import Dense
+from repro.neural.network import Sequential
 from repro.neural.optimizers import SGD
 from repro.neural.schedulers import CosineAnnealing, ExponentialDecay, LinearWarmup, StepDecay
 
 
 def make_optimizer(lr: float = 0.1) -> SGD:
-    param = np.zeros(3)
-    grad = np.zeros(3)
-    return SGD([(param, grad)], lr=lr)
+    network = Sequential([Dense(2, 1)])
+    network.consolidate()
+    return SGD(network, lr=lr)
 
 
 class TestStepDecay:

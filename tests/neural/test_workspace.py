@@ -258,8 +258,9 @@ def test_fit_releases_its_scratch(fitted):
         assert all(layer._ws is workspace for layer in _walk(network.layers)), name
         assert_no_backward_cache(network)
     assert trainer.generator.network.layers[-1]._scratch == {}
+    networks = _networks(trainer)
     for name, optimizer in _optimizers(trainer).items():
-        assert optimizer._fused_ready(), name
+        assert optimizer.network is networks[name], name
         assert optimizer._scratch is None, name
 
 

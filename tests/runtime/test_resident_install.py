@@ -1,7 +1,7 @@
 """A resident state in a process worker behaves like the in-process one.
 
-Two halves: an installed state arrives with its parameter arenas and
-optimizer bindings intact (views stay views), and an evicted state -- or a
+Two halves: an installed state arrives with its parameter arenas intact
+(views stay views) and its optimizers bound to them, and an evicted state -- or a
 closed shared buffer -- is freed in the worker at its next dispatch.  A
 worker keeps no state segment mapped once it has unpickled its copy.
 """
@@ -85,10 +85,9 @@ def _train_and_watch(task) -> bool:
     site = ref.resolve()
     site.train_local(1)
     buffer_ref.resolve()  # attach the buffer segment in this worker
-    # The trainer sits on a cycle (trainer -> engine -> step -> trainer), so
-    # reference counting alone never frees it.
     _WATCHED[name] = weakref.ref(site.trainer)
-    return site.trainer.engine.step.trainer is site.trainer
+    # The store still holds the trained site: only the eviction can drop it.
+    return worker_store().contains(ref.name)
 
 
 def _released(names) -> tuple[bool, list[str]]:
@@ -116,16 +115,16 @@ def _site_bindings(ref) -> dict[str, bool]:
     }
     report: dict[str, bool] = {}
     for label, (optimizer, network) in optimizers.items():
-        report[f"{label} fused"] = optimizer._fused_ready()
-        report[f"{label} params are layer attributes"] = all(
-            param is layer_param and grad is layer_grad
-            for (param, grad), (layer_param, layer_grad) in zip(
-                optimizer.parameters, network.parameters()
+        report[f"{label} steps its network"] = optimizer.network is network
+        report[f"{label} arena intact"] = network.arena.intact
+        report[f"{label} params are arena views"] = all(
+            param is arena_param and grad is arena_grad
+            for (param, grad), (arena_param, arena_grad) in zip(
+                network.parameters(), network.arena.pairs
             )
         )
-        report[f"{label} moments are flat views"] = all(
-            np.shares_memory(m, optimizer._m_flat) and np.shares_memory(v, optimizer._v_flat)
-            for m, v in zip(optimizer._m, optimizer._v)
+        report[f"{label} moments are arena-sized"] = all(
+            flat.shape == (network.arena.size,) for flat in optimizer._state.values()
         )
     return report
 
@@ -133,16 +132,17 @@ def _site_bindings(ref) -> dict[str, bool]:
 def _train_resolved(ref) -> tuple[bool, dict[str, np.ndarray]]:
     network, optimizer = ref.resolve()
     _train(network, optimizer, steps=4)
-    return optimizer._fused_ready(), network.state_dict()
+    return optimizer.network is network, network.state_dict()
 
 
 def _train_two_networks(ref) -> tuple[bool, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    first, second, optimizer = ref.resolve()
+    first, second, optimizers = ref.resolve()
     for step in range(3):
         rng = np.random.default_rng(step)
-        for _param, grad in optimizer.parameters:
-            grad[...] = rng.normal(size=grad.shape)
-        optimizer.step()
+        for network, optimizer in zip((first, second), optimizers):
+            for _param, grad in network.parameters():
+                grad[...] = rng.normal(size=grad.shape)
+            optimizer.step()
     intact = first.arena.intact and second.arena.intact
     return intact, first.state_dict(), second.state_dict()
 
@@ -186,7 +186,7 @@ class TestInstallKeepsArenas:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_steps_match_the_in_process_twin(self, dtype):
         network = _network(seed=3, dtype=dtype)
-        optimizer = Adam(network.parameters(), lr=0.01, betas=(0.5, 0.9))
+        optimizer = Adam(network, lr=0.01, betas=(0.5, 0.9))
         _train(network, optimizer, steps=2)  # non-zero moments cross too
         with ProcessExecutor(max_workers=1) as executor:
             [(fused, state)] = executor.map(
@@ -198,17 +198,16 @@ class TestInstallKeepsArenas:
             assert state[key].dtype == value.dtype
             assert np.array_equal(state[key], value), key
 
-    def test_optimizer_over_two_networks_updates_the_layers(self):
-        # The TVAE pattern: one optimizer over two networks' concatenated
-        # parameters, so it binds no arena and steps per tensor.
+    def test_one_optimizer_per_network(self):
+        # The TVAE pattern: two networks trained together, each stepped by
+        # its own optimizer.
         first, second = _network(seed=4, dtype=np.float64), _network(seed=5, dtype=np.float64)
-        optimizer = Adam(first.parameters() + second.parameters(), lr=0.01)
-        assert optimizer._arena is None
+        optimizers = (Adam(first, lr=0.01), Adam(second, lr=0.01))
         with ProcessExecutor(max_workers=1) as executor:
             [(intact, first_state, second_state)] = executor.map(
-                _train_two_networks, [executor.install((first, second, optimizer))]
+                _train_two_networks, [executor.install((first, second, optimizers))]
             )
-        _train_two_networks(DirectStateRef((first, second, optimizer)))
+        _train_two_networks(DirectStateRef((first, second, optimizers)))
         assert intact
         for network, state in ((first, first_state), (second, second_state)):
             for key, value in network.state_dict().items():
